@@ -14,6 +14,7 @@ i.e. one of output or local causality.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from construct import mexpr
@@ -75,58 +76,62 @@ def classify_variables(vars: VariableTable) -> Classification:
 # ---------------------------------------------------------------------------
 
 class _Groups:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.demands: dict = {i: set() for i in range(n)}
+    """Union-find over references (slot ids or variable names), each
+    group with the set of types it is demanded to have."""
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+    def __init__(self):
+        self.parent: dict = {}
+        self.demands: dict = defaultdict(set)  # by group root
 
-    def union(self, a: int, b: int) -> None:
+    def find(self, r):
+        parent = self.parent
+        while parent.setdefault(r, r) != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    def union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.demands[ra] |= self.demands.pop(rb)
+        self.demands[ra] |= self.demands.pop(rb, set())
 
-    def demand(self, i: int, t: str) -> None:
-        self.demands[self.find(i)].add(t)
+    def demand(self, r, t: str) -> None:
+        self.demands[self.find(r)].add(t)
 
 
-def infer_symbol_types(m: EquationModel) -> EquationModel:
-    """Fill each slot's inferred_type by fixed-point context inference.
+def unify_types(equations, slots=()) -> tuple:
+    """The type walker over model expressions, by unification.
 
-    Types propagate through unification: equation sides share a type, as
-    do the branches and result of a conditional. Conditions and logic
-    operands demand Boolean, arithmetic demands Real. Raises TypeConflict
-    when a slot is demanded to be two different types.
+    Equation sides share a type, as do the branches and result of a
+    conditional and the operands of a comparison. Conditions and logic
+    operands demand Boolean, arithmetic and der() demand Real, and so do
+    the slots' known inferred types. Returns the groups and the type
+    term, ("slot", ref) or ("type", name), of the operands of every
+    ordering comparison. Raises TypeConflict(None, ...) on constants.
     """
-    groups = _Groups(m.num_slots)
-    for s in m.slots:
+    groups = _Groups()
+    for s in slots:
         if s.inferred_type != "Unknown":
             groups.demand(s.id, s.inferred_type)
+    ordered = []
 
-    # a type term is ("slot", id) or ("type", name-or-None)
     def unify(a, b):
         if a[0] == "slot" and b[0] == "slot":
             groups.union(a[1], b[1])
             return a
         if a[0] == "slot":
-            if b[1] is not None:
-                groups.demand(a[1], b[1])
+            groups.demand(a[1], b[1])
             return a
         if b[0] == "slot":
-            if a[1] is not None:
-                groups.demand(b[1], a[1])
+            groups.demand(b[1], a[1])
             return b
-        if a[1] is not None and b[1] is not None and a[1] != b[1]:
+        if a[1] != b[1]:
             raise TypeConflict(None, {a[1], b[1]})
-        return a if a[1] is not None else b
+        return a
 
     def demand(term, t: str):
         unify(term, ("type", t))
@@ -163,17 +168,25 @@ def infer_symbol_types(m: EquationModel) -> EquationModel:
                 demand(lt, "Boolean")
                 demand(rt, "Boolean")
                 return ("type", "Boolean")
-            unify(lt, rt)  # comparison operands share a type
+            operands = unify(lt, rt)
+            if e.op not in ("eq", "ne"):
+                ordered.append(operands)
             return ("type", "Boolean")
         raise TypeError(f"not a ModelExpr: {e!r}")
 
-    for lhs, rhs in m.equations:
+    for lhs, rhs in equations:
         if isinstance(lhs, mexpr.Der):
             groups.demand(lhs.ref, "Real")
             demand(ty(rhs), "Real")
         else:
             unify(ty(lhs), ty(rhs))
+    return groups, ordered
 
+
+def infer_symbol_types(m: EquationModel) -> EquationModel:
+    """Fill each slot's inferred_type by unification (unify_types).
+    Raises TypeConflict when a slot is demanded to be two types."""
+    groups, _ = unify_types(m.equations, m.slots)
     resolved = []
     for s in m.slots:
         ds = groups.demands[groups.find(s.id)]

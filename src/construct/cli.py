@@ -16,14 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-from construct import check, ga, sim
+from construct import check, ga
 from construct.container import (
-    VariableDescriptor, VariableTable, load_container, write_trace,
+    VariableDescriptor, VariableTable, load_container, load_trace, write_trace,
 )
 from construct.errors import ConstructError
-from construct.isolate import RuleConfig, load_rule_config
-from construct.model import BoundModel, apply_assignment, emit_modelica
-from construct import mexpr
+from construct.model import apply_assignment, emit_modelica
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
@@ -33,20 +31,14 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
                    help="largest denominator the reciprocal rule may introduce")
 
 
-def _load_problem(args) -> ga.GaProblem:
-    """Container -> problem, with CLI flags overriding rules.toml."""
+def _load_problem(args) -> tuple:
+    """Container -> (container, problem), with CLI flags overriding
+    rules.toml."""
     cm = load_container(args.container)
-    rule_cfg = RuleConfig()
-    if cm.root is not None and (cm.root / "rules.toml").is_file():
-        rule_cfg = load_rule_config((cm.root / "rules.toml").read_text())
-    import dataclasses
-    if args.reciprocal_tolerance is not None:
-        rule_cfg = dataclasses.replace(
-            rule_cfg, reciprocal_tolerance=args.reciprocal_tolerance)
-    if args.reciprocal_max_denominator is not None:
-        rule_cfg = dataclasses.replace(
-            rule_cfg, reciprocal_max_denominator=args.reciprocal_max_denominator)
-    return cm, ga.problem_from_container(cm, rule_cfg)
+    flags = {"reciprocal_tolerance": args.reciprocal_tolerance,
+             "reciprocal_max_denominator": args.reciprocal_max_denominator}
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    return cm, ga.problem_from_container(cm, **overrides)
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -120,22 +112,15 @@ def cmd_synth(args) -> int:
 
 def cmd_translate(args) -> int:
     cm, problem = _load_problem(args)
-    placeholders = []
-    for slot in problem.model.slots:
-        vtype = slot.inferred_type if slot.inferred_type != "Unknown" else "Real"
-        placeholders.append(VariableDescriptor(
-            f"sym_{slot.origin}", slot.id, vtype, "local", None))
-    table = VariableTable(tuple(placeholders))
-    names = tuple(v.name for v in placeholders)
-    equations = tuple(
-        (mexpr.map_refs(lhs, lambda r: names[r]),
-         mexpr.map_refs(rhs, lambda r: names[r]))
-        for lhs, rhs in problem.model.equations)
-    states = frozenset(names[s.id] for s in problem.model.slots if s.is_state)
-    bound = BoundModel(equations, table, states, names)
+    placeholders = VariableTable(tuple(
+        VariableDescriptor(f"sym_{slot.origin}", slot.id,
+                           slot.inferred_type if slot.inferred_type != "Unknown"
+                           else "Real", "local", None)
+        for slot in problem.model.slots))
+    bound = apply_assignment(problem.model, range(problem.num_slots), placeholders)
     text = emit_modelica(bound, _model_name(Path(args.container)) + "_skeleton")
     Path(args.out).write_text(text)
-    print(f"wrote {args.out} ({len(equations)} equations, "
+    print(f"wrote {args.out} ({len(bound.equations)} equations, "
           f"{problem.num_slots} slots)")
     return 0
 
@@ -157,11 +142,7 @@ def cmd_simulate(args) -> int:
     cm, problem = _load_problem(args)
     if cm.input_trace is None:
         raise ConstructError("container has no traces/input.csv")
-    genes = _load_mapping(args.mapping)
-    bound = apply_assignment(problem.model, genes, problem.vars)
-    plan = sim.causalize(bound)
-    outputs = [v.name for v in problem.vars.variables if v.causality == "output"]
-    result = sim.simulate(plan, cm.input_trace, outputs)
+    result = problem.simulate_outputs(_load_mapping(args.mapping), cm.input_trace)
     write_trace(result, args.out)
     print(f"wrote {args.out} ({len(result.times)} samples, "
           f"{len(result.columns)} outputs)")
@@ -173,7 +154,6 @@ def cmd_make_reference(args) -> int:
     cm, problem = _load_problem(args)
     input_trace = cm.input_trace
     if args.input:
-        from construct.container import load_trace
         input_trace = load_trace(args.input)
     if input_trace is None:
         raise ConstructError("no input trace given and none in the container")
@@ -183,10 +163,8 @@ def cmd_make_reference(args) -> int:
         for cid, detail in report.violations:
             print(f"{cid}: {detail}")
         return 1
-    bound = apply_assignment(problem.model, genes, problem.vars)
-    plan = sim.causalize(bound)  # a ground truth must simulate; errors are fatal
-    outputs = [v.name for v in problem.vars.variables if v.causality == "output"]
-    result = sim.simulate(plan, input_trace, outputs)
+    # a ground truth must simulate; errors are fatal
+    result = problem.simulate_outputs(genes, input_trace)
     out = container / "traces" / "reference.csv"
     write_trace(result, out)
     print(f"wrote {out}")

@@ -16,6 +16,7 @@ not errors.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,8 +222,8 @@ def parse_model_description(text: str, warnings: list | None = None) -> Variable
 
 
 def load_trace(path: Path | str) -> Trace:
-    """Load a CSV trace: header ``time,<name>,...``, numeric cells,
-    strictly increasing time."""
+    """Load a CSV trace: header ``time,<name>,...``, finite numeric
+    cells, strictly increasing time."""
     path = Path(path)
     text = path.read_text()
     lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
@@ -250,6 +251,10 @@ def load_trace(path: Path | str) -> Trace:
             cols[name].append(val)
     if len(times) < 2:
         raise MalformedTrace(f"{path.name}: fewer than 2 data rows")
+    for column in (times, *cols.values()):
+        if not all(map(math.isfinite, column)):
+            k = next(k for k, v in enumerate(column) if not math.isfinite(v))
+            raise MalformedTrace(f"{path.name}: non-finite cell", line=k + 2)
     for i in range(1, len(times)):
         if not times[i] > times[i - 1]:
             raise MalformedTrace(

@@ -286,11 +286,41 @@ _PUNCT_TO_OP = {
 }
 _UNARY_PREC = 7
 
+# Deepest expression accepted, both as nesting of parentheses, unary
+# operands, ternary branches and call arguments while parsing, and as
+# height of the parsed tree, where each operator of a binary chain adds a
+# level. Later passes recurse over expressions. The deepest expression in
+# the committed containers is 3 levels (pi, pid and limpid alike).
+MAX_EXPR_DEPTH = 64
+
+
+def _operands(e: CodeExpr) -> tuple:
+    if isinstance(e, Unary):
+        return (e.operand,)
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, Ternary):
+        return (e.cond, e.then, e.orelse)
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
+def _height(e: CodeExpr) -> int:
+    """Tree height of an expression, found without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        stack.extend((c, depth + 1) for c in _operands(node))
+    return height
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -429,8 +459,20 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
+    def nest(self, parse):
+        """Run a sub-parser one nesting level deeper. Beyond MAX_EXPR_DEPTH
+        levels, or for a whole expression beyond that tree height, raise
+        ParseError."""
+        if self.nesting < MAX_EXPR_DEPTH:
+            self.nesting += 1
+            e = parse()
+            self.nesting -= 1
+            if self.nesting or _height(e) <= MAX_EXPR_DEPTH:
+                return e
+        raise self.error(f"an expression at most {MAX_EXPR_DEPTH} levels deep")
+
     def parse_expr(self) -> CodeExpr:
-        return self.parse_ternary()
+        return self.nest(self.parse_ternary)
 
     def parse_ternary(self) -> CodeExpr:
         cond = self.parse_binary(1)
@@ -455,16 +497,13 @@ class _Parser:
 
     def parse_unary(self) -> CodeExpr:
         tok = self.peek()
-        if tok.text == "-":
-            self.advance()
-            return Unary("neg", self.parse_unary())
+        if tok.text not in ("-", "+", "!"):
+            return self.parse_primary()
+        self.advance()
+        operand = self.nest(self.parse_unary)
         if tok.text == "+":
-            self.advance()  # unary plus folds away
-            return self.parse_unary()
-        if tok.text == "!":
-            self.advance()
-            return Unary("not", self.parse_unary())
-        return self.parse_primary()
+            return operand  # unary plus folds away
+        return Unary("neg" if tok.text == "-" else "not", operand)
 
     def parse_primary(self) -> CodeExpr:
         tok = self.peek()

@@ -24,11 +24,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from construct import ga, sim
+from construct import ga
 from construct.container import (
     ContainerModel, Trace, VariableTable, load_container, write_trace,
 )
-from construct.model import apply_assignment
 
 FIXTURE_NAMES = ("pi", "pid", "limpid")
 
@@ -499,11 +498,8 @@ def write_reference(root: Path, cm: ContainerModel, problem: ga.GaProblem,
                     genes) -> None:
     """Simulate the ground truth over the input trace and write
     traces/reference.csv."""
-    bound = apply_assignment(problem.model, genes, problem.vars)
-    plan = sim.causalize(bound)
-    outputs = [v.name for v in problem.vars.variables if v.causality == "output"]
-    result = sim.simulate(plan, cm.input_trace, outputs)
-    write_trace(result, root / "traces" / "reference.csv")
+    write_trace(problem.simulate_outputs(genes, cm.input_trace),
+                root / "traces" / "reference.csv")
 
 
 def validate_fixture(fixture: Fixture) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from construct import check, sim
 from construct.check import Classification, classify_variables, infer_symbol_types
@@ -30,9 +30,8 @@ from construct.errors import ConstructError
 from construct.isolate import (
     RuleConfig, isolate_step_function, load_rule_config, normalize_primitives,
 )
-from construct.model import apply_assignment
+from construct.model import BoundModel, apply_assignment
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
-from construct import mexpr
 
 EARLY_STOP_MSE = 1e-12
 
@@ -121,9 +120,10 @@ class GaProblem:
     compat: tuple = field(init=False)  # per slot: tuple of variable indices
     unknown_indices: frozenset = field(init=False)
     io_indices: tuple = field(init=False)
-    eq_refs: tuple = field(init=False)  # per equation: tuple of slot ids
+    structure: sim.Structure = field(init=False)  # slot-level, see sim.analyse
     state_slots: frozenset = field(init=False)
-    solve_candidates: tuple = field(init=False)  # per equation: slots or None
+    # per algebraic equation: the non-state slots it could be solved for
+    solve_candidates: tuple = field(init=False)
 
     def __post_init__(self):
         cls = classify_variables(self.vars)
@@ -144,30 +144,17 @@ class GaProblem:
             compat.append(tuple(ok))
         io = tuple(i for i, v in enumerate(self.vars.variables)
                    if v.causality in ("input", "output"))
-        eq_refs = tuple(
-            tuple(dict.fromkeys(mexpr.refs(lhs) + mexpr.refs(rhs)))
-            for lhs, rhs in self.model.equations)
+        structure = sim.analyse(self.model.equations, self.model.slots)
         states = frozenset(s.id for s in self.model.slots if s.is_state)
-        # per algebraic equation: the slots it could be solved for
-        # (single occurrence, invertible path, not a state)
-        candidates = []
-        for lhs, rhs in self.model.equations:
-            if isinstance(lhs, mexpr.Der):
-                candidates.append(None)
-                continue
-            refs = mexpr.refs(lhs) + mexpr.refs(rhs)
-            cands = tuple(
-                r for r in dict.fromkeys(refs)
-                if r not in states and refs.count(r) == 1
-                and sim.isolate_expression(lhs, rhs, r) is not None)
-            candidates.append(cands)
+        candidates = tuple(tuple(r for r in iso if r not in states)
+                           for iso in structure.isolated)
         object.__setattr__(self, "classification", cls)
         object.__setattr__(self, "compat", tuple(compat))
         object.__setattr__(self, "unknown_indices", unknown_idx)
         object.__setattr__(self, "io_indices", io)
-        object.__setattr__(self, "eq_refs", eq_refs)
+        object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "state_slots", states)
-        object.__setattr__(self, "solve_candidates", tuple(candidates))
+        object.__setattr__(self, "solve_candidates", candidates)
 
     @property
     def num_slots(self) -> int:
@@ -180,19 +167,28 @@ class GaProblem:
     def validate(self, genes) -> check.ValidationReport:
         return check.validate_assignment(self.model, self.vars, genes)
 
+    def bind(self, genes) -> BoundModel:
+        """The bound model, carrying the slot-level structure."""
+        return apply_assignment(self.model, genes, self.vars, self.structure)
+
     def constructible(self, genes) -> bool:
-        """Valid per C0..C4 and statically causalizable."""
-        if not self.validate(genes).valid:
-            return False
+        """Statically causalizable at slot level, which implies C0..C4:
+        duplicate genes, type groups (seeded with the slot types), state,
+        input and balance checks and the perfect matching together cover
+        every constraint, so no separate validation runs."""
         try:
-            sim.causalize(apply_assignment(self.model, genes, self.vars))
+            sim.causalize(self.bind(genes))
         except sim.CausalizeError:
             return False
         return True
 
     def fitness_of(self, genes) -> sim.Fitness:
-        bound = apply_assignment(self.model, genes, self.vars)
-        return sim.fitness(bound, self.input_trace, self.reference_trace)
+        return sim.fitness(self.bind(genes), self.input_trace, self.reference_trace)
+
+    def simulate_outputs(self, genes, inputs: Trace) -> Trace:
+        """Bind, causalize and simulate the output variables; errors raise."""
+        plan = sim.causalize(self.bind(genes))
+        return sim.simulate(plan, inputs, self.classification.outputs)
 
 
 def merge_units(units) -> CodeUnit:
@@ -202,14 +198,14 @@ def merge_units(units) -> CodeUnit:
     return CodeUnit(tuple(functions))
 
 
-def problem_from_container(cm: ContainerModel,
-                           rule_cfg: RuleConfig | None = None) -> GaProblem:
+def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
     """Run the front half of the pipeline: parse, isolate, normalize,
-    eliminate temporaries, translate, infer types."""
-    if rule_cfg is None:
-        rule_cfg = RuleConfig()
-        if cm.root is not None and (cm.root / "rules.toml").is_file():
-            rule_cfg = load_rule_config((cm.root / "rules.toml").read_text())
+    eliminate temporaries, translate, infer types. The rules come from
+    the container's rules.toml, if any, with rule_overrides applied."""
+    rule_cfg = RuleConfig()
+    if cm.root is not None and (cm.root / "rules.toml").is_file():
+        rule_cfg = load_rule_config((cm.root / "rules.toml").read_text())
+    rule_cfg = replace(rule_cfg, **rule_overrides)
     unit = merge_units(parse_c_unit(text) for _, text in cm.sources)
     body = isolate_step_function(unit, rule_cfg)
     body = normalize_primitives(body, rule_cfg)
@@ -232,9 +228,9 @@ def _sample_responsibility(problem: GaProblem, rng, tries: int = 50):
     for: injective over slots and acyclic in the induced dependency
     order. An acyclic assignment is the unique perfect matching of the
     solvability graph, so causalization is guaranteed to find it.
-    Returns {equation index: slot id} or None."""
-    alg = [i for i, c in enumerate(problem.solve_candidates) if c is not None]
-    if any(not problem.solve_candidates[i] for i in alg):
+    Returns {algebraic equation index: slot id} or None."""
+    alg = range(len(problem.solve_candidates))
+    if not all(problem.solve_candidates):
         return None
 
     for _ in range(tries):
@@ -262,17 +258,9 @@ def _sample_responsibility(problem: GaProblem, rng, tries: int = 50):
             return None  # no injective assignment exists at all
 
         owner = {s: i for i, s in resp.items()}
-        deps = {i: {owner[r] for r in problem.eq_refs[i]
+        deps = {i: {owner[r] for r in problem.structure.counts[i]
                     if r in owner and owner[r] != i} for i in alg}
-        placed: set = set()
-        remaining = list(alg)
-        while remaining:
-            step = [i for i in remaining if deps[i] <= placed]
-            if not step:
-                break  # cyclic, resample
-            placed.update(step)
-            remaining = [i for i in remaining if i not in placed]
-        if not remaining:
+        if not sim.topological_order(deps)[1]:  # else cyclic, resample
             return resp
     return None
 
@@ -353,7 +341,7 @@ def generate_individual(mode: str, problem: GaProblem, rng,
 
     CbT: a uniform random injective assignment, nothing else enforced.
     CbC: constraint-guided construction, accepted only when the result
-    validates and causalizes; retried up to the retry budget.
+    is constructible; retried up to the retry budget.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(
@@ -371,10 +359,6 @@ def generate_individual(mode: str, problem: GaProblem, rng,
             continue
         if genes is None:
             last_failure = "construction dead end"
-            continue
-        report = problem.validate(genes)
-        if not report.valid:
-            last_failure = report.summary()
             continue
         if not problem.constructible(genes):
             last_failure = "candidate does not causalize"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from construct import mexpr
 from construct.check import genes_of
@@ -25,6 +25,8 @@ class BoundModel:
     variable_table: VariableTable
     states: frozenset  # variable names appearing under der()
     bindings: tuple  # per-slot variable names, in slot order
+    # slot-level sim.Structure, if given; else causalize analyses the names
+    structure: object = field(default=None, compare=False, repr=False)
 
     def used_names(self) -> list:
         """Names referenced by the equations, in first-use order."""
@@ -35,8 +37,10 @@ class BoundModel:
         return list(seen)
 
 
-def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
-    """Rewrite every slot reference to the variable its gene selects."""
+def apply_assignment(m: EquationModel, c, vars: VariableTable,
+                     structure=None) -> BoundModel:
+    """Rewrite every slot reference to the variable its gene selects.
+    structure, the slot-level sim.Structure of m, is kept for causalize."""
     genes = genes_of(c)
     if len(genes) != m.num_slots:
         raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
@@ -48,7 +52,7 @@ def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
         (mexpr.map_refs(lhs, lambda r: names[r]), mexpr.map_refs(rhs, lambda r: names[r]))
         for lhs, rhs in m.equations)
     states = frozenset(names[s.id] for s in m.slots if s.is_state)
-    return BoundModel(equations, vars, states, names)
+    return BoundModel(equations, vars, states, names, structure)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,32 @@
 """Causalization and fixed-step simulation of bound models.
 
-This is the internal stand-in for an external Modelica tool: a bound
-model is statically checked, each algebraic equation is matched to one
-unknown it can be solved for, equations are ordered by dependency, and
-the resulting plan is integrated with forward Euler on the input trace's
-time grid. Models that fail any static or runtime check are rejected,
-which is exactly how non-simulatable candidates are discovered.
+This is the internal stand-in for an external Modelica tool. What
+causalization needs to know about an equation model (which equations
+are state equations, how often each reference occurs, what each
+equation solves to for each reference it can be solved for, and which
+references must share a type) does not depend on the binding, so
+`analyse` computes it once per model as a Structure. Each binding is
+then checked against it: its types, its states, its balance, a maximum
+matching of equations to unknowns, and a topological order of the
+matched equations (BLT sorting). The resulting plan is integrated with
+forward Euler on the input trace's time grid. Models that fail any
+static or runtime check are rejected, which is exactly how
+non-simulatable candidates are discovered.
 
 Static rejection is deliberately at least as strict as the constraint
-validator: a mapping that violates C0 through C4 never simulates.
+validator: with the slot-level Structure, whose type groups carry the
+slots' inferred types, a mapping that violates C0 through C4 never
+causalizes, let alone simulates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
 
-from construct import mexpr
+from construct import check, mexpr
 from construct.container import Trace
 from construct.errors import ConstructError
 from construct.model import BoundModel
@@ -149,64 +158,6 @@ class SimPlan:
 
 
 # ---------------------------------------------------------------------------
-# Static typing of a bound model
-# ---------------------------------------------------------------------------
-
-def _typecheck(b: BoundModel) -> None:
-    vtypes = {v.name: v.vtype for v in b.variable_table.variables}
-
-    def ty(e) -> str:
-        if isinstance(e, mexpr.Const):
-            return "Boolean" if isinstance(e.value, bool) else "Real"
-        if isinstance(e, mexpr.Sym):
-            return vtypes[e.ref]
-        if isinstance(e, mexpr.Der):
-            if vtypes[e.ref] != "Real":
-                raise IllTypedModel(f"der() of non-Real variable {e.ref!r}")
-            return "Real"
-        if isinstance(e, mexpr.Unary):
-            want = "Real" if e.op == "neg" else "Boolean"
-            if ty(e.operand) != want:
-                raise IllTypedModel(f"{e.op} applied to non-{want} operand")
-            return want
-        if isinstance(e, (mexpr.Min, mexpr.Max)):
-            if ty(e.left) != "Real" or ty(e.right) != "Real":
-                raise IllTypedModel("min/max over non-Real operands")
-            return "Real"
-        if isinstance(e, mexpr.Abs):
-            if ty(e.operand) != "Real":
-                raise IllTypedModel("abs of non-Real operand")
-            return "Real"
-        if isinstance(e, mexpr.If):
-            if ty(e.cond) != "Boolean":
-                raise IllTypedModel("conditional on non-Boolean condition")
-            t1, t2 = ty(e.then), ty(e.orelse)
-            if t1 != t2:
-                raise IllTypedModel(f"conditional branches differ: {t1} vs {t2}")
-            return t1
-        if isinstance(e, mexpr.Binary):
-            lt, rt = ty(e.left), ty(e.right)
-            if e.op in mexpr.NUMERIC_BINOPS:
-                if lt != "Real" or rt != "Real":
-                    raise IllTypedModel(f"{e.op} over {lt}/{rt} operands")
-                return "Real"
-            if e.op in mexpr.LOGIC_BINOPS:
-                if lt != "Boolean" or rt != "Boolean":
-                    raise IllTypedModel(f"{e.op} over {lt}/{rt} operands")
-                return "Boolean"
-            if lt != rt:
-                raise IllTypedModel(f"comparison of {lt} with {rt}")
-            if e.op not in ("eq", "ne") and lt == "Boolean":
-                raise IllTypedModel("ordering comparison of Booleans")
-            return "Boolean"
-        raise TypeError(f"not a ModelExpr: {e!r}")
-
-    for lhs, rhs in b.equations:
-        if ty(lhs) != ty(rhs):
-            raise IllTypedModel("equation sides have different types")
-
-
-# ---------------------------------------------------------------------------
 # Isolation (symbolic inversion along the path to the unknown)
 # ---------------------------------------------------------------------------
 
@@ -247,12 +198,65 @@ def isolate_expression(lhs, rhs, name):
         return None
 
 
-def _max_matching(edges: dict, n_eq: int, unknowns: list) -> dict:
-    """Augmenting-path bipartite matching; returns {unknown: eq_index}."""
+# ---------------------------------------------------------------------------
+# Structure: what causalization knows before any binding
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Structure:
+    """The binding-independent facts of an equation system, over its own
+    references (slot ids, or variable names for a hand-built model)."""
+
+    states: tuple  # of (state ref, equation index), in model order
+    counts: tuple  # per algebraic equation: {ref: occurrences}, first use first
+    isolated: tuple  # per algebraic equation: {ref: isolated expression}
+    occurring: frozenset  # every ref in the equations
+    type_groups: tuple  # of (demanded types, member refs, ordering-compared)
+
+
+def analyse(equations, slots=()) -> Structure:
+    """Compute the Structure of an equation system once.
+
+    `isolated` holds, in first-use order, the refs an algebraic equation
+    can be solved for (one occurrence, invertible path). Type groups come
+    from check.unify_types; a clash of constants, or an ordering of
+    Boolean constants, is a group without members that no binding meets.
+    """
+    states, counts, isolated, occurring = [], [], [], set()
+    for index, (lhs, rhs) in enumerate(equations):
+        refs = mexpr.refs(lhs) + mexpr.refs(rhs)
+        occurring.update(refs)
+        if isinstance(lhs, mexpr.Der):
+            states.append((lhs.ref, index))
+            continue
+        count = Counter(refs)
+        counts.append(count)
+        isolated.append({r: e for r in count if count[r] == 1
+                         and (e := isolate_expression(lhs, rhs, r)) is not None})
+    try:
+        groups, ordered = check.unify_types(equations, slots)
+    except check.TypeConflict as exc:
+        type_groups = ((frozenset(exc.demands), (), False),)
+    else:
+        members: dict = {}
+        for r in sorted(occurring):
+            members.setdefault(groups.find(r), []).append(r)
+        ordered_roots = {groups.find(ref) for kind, ref in ordered if kind == "slot"}
+        type_groups = tuple((frozenset(groups.demands[root]), tuple(rs),
+                             root in ordered_roots) for root, rs in members.items())
+        if ("type", "Boolean") in ordered:
+            type_groups += ((frozenset({"Boolean"}), (), True),)
+    return Structure(tuple(states), tuple(counts), tuple(isolated),
+                     frozenset(occurring), type_groups)
+
+
+def _max_matching(edges: list) -> dict:
+    """Augmenting-path bipartite matching of equation i to the unknowns in
+    edges[i], tried in list order; returns {unknown: eq_index}."""
     matched: dict = {}
 
     def augment(eq: int, visited: set) -> bool:
-        for u in edges.get(eq, ()):
+        for u in edges[eq]:
             if u in visited:
                 continue
             visited.add(u)
@@ -261,9 +265,24 @@ def _max_matching(edges: dict, n_eq: int, unknowns: list) -> dict:
                 return True
         return False
 
-    for eq in range(n_eq):
+    for eq in range(len(edges)):
         augment(eq, set())
     return matched
+
+
+def topological_order(deps: dict) -> tuple:
+    """Kahn's algorithm in levels over the sorted keys of deps, which maps
+    each item to the items that must come before it. Returns the order
+    and the items left over, which lie on or behind a cycle."""
+    order, placed, remaining = [], set(), sorted(deps)
+    while remaining:
+        level = [i for i in remaining if deps[i] <= placed]
+        if not level:
+            break
+        order.extend(level)
+        placed.update(level)
+        remaining = [i for i in remaining if i not in placed]
+    return order, remaining
 
 
 # ---------------------------------------------------------------------------
@@ -273,113 +292,77 @@ def _max_matching(edges: dict, n_eq: int, unknowns: list) -> dict:
 def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
-    State equations bind their state directly. The remaining equations
-    are matched one-to-one to the remaining unknowns, where a match
-    requires the unknown to occur exactly once and be isolatable;
-    matched equations are then ordered topologically.
+    The model's Structure is the slot-level one it carries, read through
+    its bindings, or else its own, analysed over its names. State
+    equations bind their state directly. The remaining equations are
+    matched one-to-one to the remaining unknowns, where a match requires
+    the unknown to occur exactly once and be isolatable; matched
+    equations are then ordered topologically.
     """
     if len(set(b.bindings)) != len(b.bindings):
         dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
         raise DuplicateBinding(f"variables bound to several slots: {', '.join(dupes)}")
-
-    _typecheck(b)
+    if b.structure is None:
+        st, name = analyse(b.equations), (lambda r: r)
+    else:
+        st, name = b.structure, b.bindings.__getitem__
 
     table = b.variable_table
+    vtype = {v.name: v.vtype for v in table.variables}
+    for demanded, members, ordered in st.type_groups:
+        types = demanded | {vtype[name(r)] for r in members}
+        if len(types) > 1 or (ordered and "Boolean" in types):
+            raise IllTypedModel(f"{sorted(map(name, members))} typed {sorted(types)}"
+                                + (" under an ordering comparison" if ordered else ""))
+
     causality = {v.name: v.causality for v in table.variables}
-    warnings: list = []
+    state_vars, warnings = [], []
+    for ref, index in st.states:
+        state = name(ref)
+        if causality[state] not in ("output", "local"):
+            raise InvalidStateVariable(
+                f"der() of {causality[state]} variable {state!r}")
+        if any(state == s for s, _, _ in state_vars):
+            raise CausalizeError(f"two state equations for {state!r}")
+        start = table.by_name(state).start
+        if start is None:
+            warnings.append(f"state {state!r} has no start value, using 0.0")
+            start = 0.0
+        state_vars.append((state, _as_real(start), b.equations[index][1]))
 
-    state_eqs = []
-    algebraic = []
-    state_names: list = []
-    for lhs, rhs in b.equations:
-        if isinstance(lhs, mexpr.Der):
-            name = lhs.ref
-            if causality[name] not in ("output", "local"):
-                raise InvalidStateVariable(
-                    f"der() of {causality[name]} variable {name!r}")
-            if name in state_names:
-                raise CausalizeError(f"two state equations for {name!r}")
-            state_names.append(name)
-            state_eqs.append((name, rhs))
-        else:
-            algebraic.append((lhs, rhs))
+    occurring = {name(r) for r in st.occurring}
+    cls = check.classify_variables(table)
+    for input_name in cls.inputs:
+        if input_name not in occurring:
+            raise UnusedInput(input_name)
 
-    occurring: set = set()
-    for lhs, rhs in b.equations:
-        occurring.update(mexpr.refs(lhs))
-        occurring.update(mexpr.refs(rhs))
-
-    inputs = [v.name for v in table.variables if v.causality == "input"]
-    for name in inputs:
-        if name not in occurring:
-            raise UnusedInput(name)
-
-    outputs = [v.name for v in table.variables if v.causality == "output"]
-    unknown_pool = {n for n in occurring
-                    if causality[n] in ("output", "local")} | set(outputs)
-    to_solve = sorted(unknown_pool - set(state_names))
-
-    if len(algebraic) != len(to_solve):
-        raise UnbalancedSystem(len(algebraic), len(to_solve))
+    unknowns = (occurring & cls.unknowns) | set(cls.outputs)
+    to_solve = sorted(unknowns - {s for s, _, _ in state_vars})
+    if len(st.counts) != len(to_solve):
+        raise UnbalancedSystem(len(st.counts), len(to_solve))
 
     # Edges pair an equation with an unknown it can actually be solved
     # for: one occurrence, invertible path.
-    edges: dict = {}
-    counts: list = []
-    for i, (lhs, rhs) in enumerate(algebraic):
-        names = mexpr.refs(lhs) + mexpr.refs(rhs)
-        count = {n: names.count(n) for n in names}
-        counts.append(count)
-        usable = []
-        for u in to_solve:
-            if count.get(u, 0) == 1 and isolate_expression(lhs, rhs, u) is not None:
-                usable.append(u)
-        edges[i] = usable
-
-    matched = _max_matching(edges, len(algebraic), to_solve)
+    unknowns = set(to_solve)
+    isolated = [{name(r): e for r, e in iso.items()} for iso in st.isolated]
+    matched = _max_matching([sorted(u for u in iso if u in unknowns)
+                             for iso in isolated])
     if len(matched) != len(to_solve):
-        _diagnose_matching_failure(algebraic, to_solve, counts)
+        _diagnose_matching_failure(st, name, to_solve, isolated)
 
     solved = {eq: u for u, eq in matched.items()}
-    iso_exprs = {}
-    for i, (lhs, rhs) in enumerate(algebraic):
-        iso_exprs[i] = isolate_expression(lhs, rhs, solved[i])
+    deps = {i: {matched[u] for u in map(name, st.counts[i])
+                if u in matched and u != solved[i]} for i in solved}
+    order, stuck = topological_order(deps)
+    if stuck:
+        raise AlgebraicLoop(sorted(solved[i] for i in stuck))
 
-    # Topological order: an equation may only use unknowns solved earlier.
-    solved_names = set(solved.values())
-    deps = {i: {u for u in mexpr.refs(iso_exprs[i])
-                if u in solved_names and u != solved[i]}
-            for i in solved}
-    order: list = []
-    placed: set = set()
-    remaining = sorted(solved)
-    while remaining:
-        progress = [i for i in remaining if deps[i] <= placed]
-        if not progress:
-            raise AlgebraicLoop(sorted({solved[i] for i in remaining}))
-        for i in progress:
-            order.append(i)
-            placed.add(solved[i])
-        done = set(progress)
-        remaining = [i for i in remaining if i not in done]
-
-    param_env = {}
-    for v in table.variables:
-        if v.causality == "parameter":
-            param_env[v.name] = _as_real(v.start)
-
-    starts = {v.name: v.start for v in table.variables}
-    state_vars = []
-    for name, rhs in state_eqs:
-        start = starts.get(name)
-        if start is None:
-            warnings.append(f"state {name!r} has no start value, using 0.0")
-            start = 0.0
-        state_vars.append((name, _as_real(start), rhs))
-
-    algebraic_order = tuple((i, solved[i], iso_exprs[i]) for i in order)
+    param_env = {v.name: _as_real(v.start) for v in table.variables
+                 if v.causality == "parameter"}
+    algebraic_order = tuple(
+        (i, solved[i], mexpr.map_refs(isolated[i][solved[i]], name)) for i in order)
     return SimPlan(tuple(state_vars), algebraic_order, param_env,
-                   frozenset(inputs), tuple(warnings))
+                   frozenset(cls.inputs), tuple(warnings))
 
 
 def _as_real(value) -> float:
@@ -388,26 +371,21 @@ def _as_real(value) -> float:
     return float(value)
 
 
-def _diagnose_matching_failure(algebraic, to_solve, counts) -> None:
-    """Distinguish the reason no perfect matching exists."""
-    once = {i: [u for u in to_solve if counts[i].get(u, 0) == 1]
-            for i in range(len(algebraic))}
-    if len(_max_matching(once, len(algebraic), to_solve)) == len(to_solve):
-        matched = _max_matching(once, len(algebraic), to_solve)
-        for u, i in sorted(matched.items(), key=lambda kv: kv[1]):
-            lhs, rhs = algebraic[i]
-            if isolate_expression(lhs, rhs, u) is None:
-                raise NotIsolatable(i)
-        raise NotIsolatable(0)
-    any_occ = {i: [u for u in to_solve if counts[i].get(u, 0) >= 1]
-               for i in range(len(algebraic))}
-    if len(_max_matching(any_occ, len(algebraic), to_solve)) == len(to_solve):
-        for i in range(len(algebraic)):
-            for u in to_solve:
-                if counts[i].get(u, 0) > 1:
-                    raise MultipleOccurrence(u, i)
+def _diagnose_matching_failure(st: Structure, name, to_solve, isolated) -> None:
+    """Distinguish the reason no perfect matching exists. A perfect
+    matching over single occurrences must use a pair that cannot be
+    isolated; one over any occurrence must use a repeated one."""
+    counts = [{name(r): c for r, c in count.items()} for count in st.counts]
+    once = _max_matching([[u for u in to_solve if count.get(u) == 1]
+                          for count in counts])
+    if len(once) == len(to_solve):
+        raise NotIsolatable(min(i for u, i in once.items() if u not in isolated[i]))
+    if len(_max_matching([[u for u in to_solve if u in count]
+                          for count in counts])) == len(to_solve):
+        raise MultipleOccurrence(*next((u, i) for i, count in enumerate(counts)
+                                       for u in to_solve if count.get(u, 0) > 1))
     raise StructurallySingular(
-        f"no perfect matching between {len(algebraic)} equations and "
+        f"no perfect matching between {len(counts)} equations and "
         f"{len(to_solve)} unknowns")
 
 
@@ -471,8 +449,7 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
 def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
     """Mean squared output distance against the reference; any causalize
     or simulate failure folds into Invalid."""
-    outputs = [v.name for v in candidate.variable_table.variables
-               if v.causality == "output"]
+    outputs = check.classify_variables(candidate.variable_table).outputs
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")

@@ -129,6 +129,22 @@ def test_synth_missing_reference_exits_1(pi_case, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_synth_non_finite_reference_cell_exits_1(pi_case, tmp_path, capsys, cell):
+    import shutil
+    work = tmp_path / "pi"
+    shutil.copytree(pi_case["root"], work)
+    ref = work / "traces" / "reference.csv"
+    lines = ref.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:-1] + [cell])
+    ref.write_text("\n".join(lines) + "\n")
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10",
+                 "--gens", "2", "--seed", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "line 6" in err
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--help"])

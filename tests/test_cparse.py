@@ -157,3 +157,17 @@ def test_decl_roundtrip():
     assert unit.functions[0].body[0] == Decl("double", "t",
                                              Binary("mul", Ident("h"), RealLit(2.0)))
     assert parse_c_unit(print_unit(unit)) == unit
+
+
+def test_deep_parentheses_are_a_parse_error():
+    text = "void f(long p, double h) { y = " + "(" * 300 + "h" + ")" * 300 + "; }"
+    with pytest.raises(ParseError) as exc:
+        parse_c_unit(text)
+    assert "levels deep" in str(exc.value)
+
+
+def test_long_flat_sum_is_a_parse_error():
+    text = "void f(long p, double h) { y = h" + " + h" * 2000 + "; }"
+    with pytest.raises(ParseError) as exc:
+        parse_c_unit(text)
+    assert "levels deep" in str(exc.value)

@@ -12,6 +12,8 @@ from construct.sim import (
     NonUniformGrid, NotIsolatable, StructurallySingular, UnbalancedSystem,
     UnusedInput, causalize, fitness, simulate,
 )
+from construct.ga import generate_individual
+from construct.sim import CausalizeError, SimPlan
 
 
 def table(*rows):
@@ -135,6 +137,15 @@ def test_real_condition_rejected():
     vars = table(("r", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
     eqs = [(mexpr.Sym("y"), mexpr.If(mexpr.Sym("r"), mexpr.Const(1.0),
                                      mexpr.Const(0.0)))]
+    with pytest.raises(IllTypedModel):
+        causalize(bound(eqs, vars))
+
+
+def test_ordering_comparison_of_booleans_rejected():
+    vars = table(("a", 1, "Boolean", "input", None), ("b", 2, "Boolean", "input", None),
+                 ("y", 3, "Real", "output", None))
+    eqs = [(mexpr.Sym("y"), mexpr.If(mexpr.Binary("lt", mexpr.Sym("a"), mexpr.Sym("b")),
+                                     mexpr.Const(1.0), mexpr.Const(0.0)))]
     with pytest.raises(IllTypedModel):
         causalize(bound(eqs, vars))
 
@@ -282,3 +293,62 @@ def test_euler_order_convergence():
     e1, e2, e3 = error_at_one(0.01), error_at_one(0.005), error_at_one(0.0025)
     assert abs(e2 / e1 - 0.5) < 0.1
     assert abs(e3 / e2 - 0.5) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# The slot-level structure against the name-level analysis
+# ---------------------------------------------------------------------------
+
+def _genome_families(problem, rng, n):
+    """Random injective genomes, CbC individuals with their swap and
+    replace neighbours, and one-point children that may repeat genes."""
+    s, v = problem.num_slots, problem.num_variables
+    genomes = [tuple(rng.sample(range(v), s)) for _ in range(n)]
+    for _ in range(n // 10):
+        genes = generate_individual("cbc", problem, rng).genes
+        genomes.append(genes)
+        for _ in range(5):
+            i, j = rng.sample(range(s), 2)
+            swapped = list(genes)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            replaced = list(genes)
+            replaced[i] = rng.choice(problem.compat[i])
+            genomes += [tuple(swapped), tuple(replaced)]
+    for _ in range(n):
+        a, b = rng.sample(genomes, 2)
+        k = rng.randrange(s)
+        genomes.append(a[:k] + b[k:])
+    return genomes
+
+
+def _outcome(b):
+    try:
+        return causalize(b)
+    except CausalizeError as exc:
+        return type(exc)
+
+
+def test_slot_level_causalize_matches_name_level(all_cases):
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        outcomes = set()
+        for genes in _genome_families(problem, random.Random(name), 300):
+            assert problem.bind(genes).structure is problem.structure
+            slot_level = _outcome(problem.bind(genes))
+            by_name = apply_assignment(problem.model, genes, problem.vars)
+            assert by_name.structure is None
+            assert slot_level == _outcome(by_name), (name, genes)
+            outcomes.add(slot_level if isinstance(slot_level, type) else SimPlan)
+        assert {SimPlan, DuplicateBinding, UnusedInput} <= outcomes, name
+        assert len(outcomes) >= 6, (name, outcomes)
+
+
+def test_constructible_genomes_satisfy_c0_to_c4(all_cases):
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        accepted = 0
+        for genes in _genome_families(problem, random.Random(name + "/c"), 300):
+            if problem.constructible(genes):
+                accepted += 1
+                assert problem.validate(genes).valid, (name, genes)
+        assert accepted > 10, name
