@@ -34,8 +34,6 @@ from construct.errors import ConstructError
 TYPES = ("void", "double", "float", "int", "bool", "long", "undefined4", "undefined8")
 DEREF_CASTS = ("float", "double", "int", "bool")
 CALLEES = {"fmin": 2, "fmax": 2, "fminf": 2, "fmaxf": 2, "fabs": 1, "fabsf": 1}
-BINARY_OPS = ("add", "sub", "mul", "div", "lt", "le", "gt", "ge", "eq", "ne", "and", "or")
-UNARY_OPS = ("neg", "not")
 
 
 class ParseError(ConstructError):
@@ -84,7 +82,7 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # one of BINARY_OPS
+    op: str  # add | sub | mul | div | lt | le | gt | ge | eq | ne | and | or
     left: "CodeExpr"
     right: "CodeExpr"
 
@@ -163,6 +161,7 @@ class CodeUnit:
 _PUNCT = ("<=", ">=", "==", "!=", "&&", "||",
           "(", ")", "{", "}", ";", ",", "=", "+", "-", "*", "/",
           "<", ">", "!", "?", ":")
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٣"
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             is_float = False
             if text.startswith("0x", i) or text.startswith("0X", i):
@@ -228,21 +227,21 @@ def _tokenize(text: str) -> list[_Token]:
                     err("hex digits")
                 tok = _Token("int", text[i:j], int(text[i:j], 16), line, col)
             else:
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 if j < n and text[j] == ".":
                     is_float = True
                     j += 1
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
                 if j < n and text[j] in "eE":
                     k = j + 1
                     if k < n and text[k] in "+-":
                         k += 1
-                    if k < n and text[k].isdigit():
+                    if k < n and text[k] in _DIGITS:
                         is_float = True
                         j = k
-                        while j < n and text[j].isdigit():
+                        while j < n and text[j] in _DIGITS:
                             j += 1
                 lexeme = text[i:j]
                 if j < n and text[j] in "fF" and is_float:
@@ -289,8 +288,11 @@ _UNARY_PREC = 7
 # Deepest expression accepted, both as nesting of parentheses, unary
 # operands, ternary branches and call arguments while parsing, and as
 # height of the parsed tree, where each operator of a binary chain adds a
-# level. Later passes recurse over expressions. The deepest expression in
-# the committed containers is 3 levels (pi, pid and limpid alike).
+# level. Later passes recurse over expressions, so temporary elimination
+# holds the expressions it builds to the same bound. The deepest parsed
+# expression in the committed containers is 3 levels (pi, pid and limpid
+# alike); the deepest after temporary elimination is 4 (pi) and 5 (pid,
+# limpid).
 MAX_EXPR_DEPTH = 64
 
 
@@ -306,14 +308,14 @@ def _operands(e: CodeExpr) -> tuple:
     return ()
 
 
-def _height(e: CodeExpr) -> int:
+def height(e: CodeExpr) -> int:
     """Tree height of an expression, found without recursion."""
-    height, stack = 0, [(e, 1)]
+    deepest, stack = 0, [(e, 1)]
     while stack:
         node, depth = stack.pop()
-        height = max(height, depth)
+        deepest = max(deepest, depth)
         stack.extend((c, depth + 1) for c in _operands(node))
-    return height
+    return deepest
 
 
 class _Parser:
@@ -467,7 +469,7 @@ class _Parser:
             self.nesting += 1
             e = parse()
             self.nesting -= 1
-            if self.nesting or _height(e) <= MAX_EXPR_DEPTH:
+            if self.nesting or height(e) <= MAX_EXPR_DEPTH:
                 return e
         raise self.error(f"an expression at most {MAX_EXPR_DEPTH} levels deep")
 
@@ -658,3 +660,13 @@ def map_expr(fn, e: CodeExpr) -> CodeExpr:
     elif isinstance(e, Call):
         e = Call(e.callee, tuple(map_expr(fn, a) for a in e.args))
     return fn(e)
+
+
+def iter_stmts(stmts):
+    """Yield every statement in document order: each statement, then the
+    statements of its then arm, then those of its orelse arm."""
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from iter_stmts(s.then)
+            yield from iter_stmts(s.orelse)

@@ -12,19 +12,18 @@ Two operator suites share one evolution loop:
     bound model causalizes, so every individual in every generation
     simulates.
 
-Chromosome position i names the variable assigned to symbol slot i.
+Fitness is evaluated serially, once per distinct chromosome. Chromosome
+position i names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from construct import check, sim
 from construct.check import Classification, classify_variables, infer_symbol_types
-from construct.container import ContainerModel, Trace, VariableTable
+from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable
 from construct.cparse import parse_c_unit, CodeUnit
 from construct.errors import ConstructError
 from construct.isolate import (
@@ -34,6 +33,7 @@ from construct.model import BoundModel, apply_assignment
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
 EARLY_STOP_MSE = 1e-12
+BACKTRACK_BUDGET = 1000  # failed placements per CbC construction attempt
 
 
 class GaError(ConstructError):
@@ -82,7 +82,6 @@ class GaConfig:
     elitism: int = 2
     rng_seed: int = 0
     retry_budget: int = 100
-    backtrack_budget: int = 1000
     early_stop: bool = True
     cbt_repair: bool = False
 
@@ -265,7 +264,7 @@ def _sample_responsibility(problem: GaProblem, rng, tries: int = 50):
     return None
 
 
-def _construct_constrained(problem: GaProblem, rng, backtrack_budget: int):
+def _construct_constrained(problem: GaProblem, rng):
     """One constraint-guided construction attempt.
 
     A responsibility map fixes which slots carry the system's unknowns;
@@ -305,7 +304,7 @@ def _construct_constrained(problem: GaProblem, rng, backtrack_budget: int):
         assignment[slot] = var
         used.add(var)
 
-    budget = backtrack_budget
+    budget = BACKTRACK_BUDGET
 
     def extend() -> bool:
         nonlocal budget
@@ -353,7 +352,7 @@ def generate_individual(mode: str, problem: GaProblem, rng,
     last_failure = "no construction attempt finished"
     for _ in range(cfg.retry_budget):
         try:
-            genes = _construct_constrained(problem, rng, cfg.backtrack_budget)
+            genes = _construct_constrained(problem, rng)
         except _Exhausted:
             last_failure = "backtrack budget exhausted"
             continue
@@ -462,26 +461,13 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
 # Evolution loop
 # ---------------------------------------------------------------------------
 
-def _eval_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CONSTRUCT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _evaluate(problem: GaProblem, population, cache: dict):
-    """Fitness for each individual; cache keyed by genes. Workers never
-    touch the RNG, and results are consumed in submission order, so
-    parallel evaluation cannot perturb the search."""
+    """Fitness for each individual, evaluated serially in population
+    order; cache keyed by genes. Returns the fitnesses and the number of
+    new evaluations."""
     todo = list(dict.fromkeys(
         c.genes for c in population if c.genes not in cache))
-    workers = _eval_workers()
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(problem.fitness_of, todo))
-    else:
-        results = [problem.fitness_of(genes) for genes in todo]
-    cache.update(zip(todo, results))
+    cache.update((genes, problem.fitness_of(genes)) for genes in todo)
     return [cache[c.genes] for c in population], len(todo)
 
 
@@ -510,6 +496,13 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig, rng=None,
         raise GaError(f"unknown mode {mode!r}")
     if problem.input_trace is None or problem.reference_trace is None:
         raise NoReferenceTrace("the container provides no input/reference traces")
+    reference = problem.reference_trace
+    for name in problem.classification.outputs:
+        if name not in reference.columns:
+            raise MalformedTrace(f"reference trace lacks output column {name!r}")
+    if len(reference.times) != len(problem.input_trace.times):
+        raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
+                             f"input trace {len(problem.input_trace.times)}")
     if rng is None:
         rng = _random.Random(cfg.rng_seed)
 

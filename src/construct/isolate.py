@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from construct import cparse
 from construct.cparse import (
-    Assign, Binary, Call, CodeUnit, Decl, Deref, Ident, If, RealLit, Return,
-    Ternary, Unary,
+    Assign, Binary, Call, CodeUnit, Decl, Deref, If, RealLit, Return, Unary,
 )
 from construct.errors import ConstructError
 
@@ -108,43 +107,31 @@ class StepBody:
 
 
 def _assigns_deref(stmts) -> bool:
-    for s in stmts:
-        if isinstance(s, Assign) and isinstance(s.target, Deref):
-            return True
-        if isinstance(s, If) and (_assigns_deref(s.then) or _assigns_deref(s.orelse)):
-            return True
-    return False
+    return any(isinstance(s, Assign) and isinstance(s.target, Deref)
+               for s in cparse.iter_stmts(stmts))
 
 
-def _deref_bases(stmts, bases: set) -> None:
+def _deref_bases(stmts) -> set:
+    bases: set = set()
+
     def visit(e):
         if isinstance(e, Deref):
             bases.add(e.base)
         return e
 
-    for s in stmts:
+    for s in cparse.iter_stmts(stmts):
         if isinstance(s, Assign):
-            cparse.map_expr(visit, s.target)
-            cparse.map_expr(visit, s.value)
-        elif isinstance(s, Decl) and s.init is not None:
-            cparse.map_expr(visit, s.init)
+            exprs = (s.target, s.value)
+        elif isinstance(s, Decl):
+            exprs = (s.init,)
         elif isinstance(s, If):
-            cparse.map_expr(visit, s.cond)
-            _deref_bases(s.then, bases)
-            _deref_bases(s.orelse, bases)
-        elif isinstance(s, Return) and s.value is not None:
-            cparse.map_expr(visit, s.value)
-
-
-def _collect_locals(stmts) -> tuple:
-    names = []
-    for s in stmts:
-        if isinstance(s, Decl):
-            names.append(s.name)
-        elif isinstance(s, If):
-            names.extend(_collect_locals(s.then))
-            names.extend(_collect_locals(s.orelse))
-    return tuple(names)
+            exprs = (s.cond,)
+        else:
+            exprs = (s.value,)
+        for e in exprs:
+            if e is not None:
+                cparse.map_expr(visit, e)
+    return bases
 
 
 def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> StepBody:
@@ -169,8 +156,7 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
             raise AmbiguousStepFunction([f.name for f in candidates])
         fn = candidates[0]
 
-    bases: set = set()
-    _deref_bases(fn.body, bases)
+    bases = _deref_bases(fn.body)
     param_names = [n for _, n in fn.params]
     if len(bases) != 1 or not bases <= set(param_names):
         raise NoDerefBase(
@@ -190,8 +176,9 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
                 f"{fn.name!r}: cannot infer the step-size parameter")
         step = param_names[1] if param_names[1] != base else others[0]
 
+    locals_ = tuple(s.name for s in cparse.iter_stmts(fn.body) if isinstance(s, Decl))
     return StepBody(fn.body, step_symbol=step, base_pointer=base,
-                    params=tuple(param_names), locals_=_collect_locals(fn.body))
+                    params=tuple(param_names), locals_=locals_)
 
 
 # ---------------------------------------------------------------------------
@@ -235,46 +222,21 @@ def _rule_neg_sub(e, cfg: RuleConfig):
 _EXPR_RULES = (_rule_reciprocal, _rule_clamp, _rule_neg_sub)
 
 
-def _rewrite_expr(e, cfg: RuleConfig):
-    """One innermost-first pass; returns (expr, changed)."""
-    changed = False
-
-    if isinstance(e, Unary):
-        operand, c = _rewrite_expr(e.operand, cfg)
-        if c:
-            e, changed = Unary(e.op, operand), True
-    elif isinstance(e, Binary):
-        left, cl = _rewrite_expr(e.left, cfg)
-        right, cr = _rewrite_expr(e.right, cfg)
-        if cl or cr:
-            e, changed = Binary(e.op, left, right), True
-    elif isinstance(e, Ternary):
-        cond, cc = _rewrite_expr(e.cond, cfg)
-        then, ct = _rewrite_expr(e.then, cfg)
-        orelse, ce = _rewrite_expr(e.orelse, cfg)
-        if cc or ct or ce:
-            e, changed = Ternary(cond, then, orelse), True
-    elif isinstance(e, Call):
-        args = []
-        any_c = False
-        for a in e.args:
-            na, c = _rewrite_expr(a, cfg)
-            args.append(na)
-            any_c = any_c or c
-        if any_c:
-            e, changed = Call(e.callee, tuple(args)), True
-
-    for rule in _EXPR_RULES:
-        out = rule(e, cfg)
-        if out is not None:
-            return out, True
-    return e, changed
-
-
 def _normalize_expr(e, cfg: RuleConfig, line: int):
+    """Rewrite passes to a fixpoint. The fixpoint test is tree equality:
+    every rule returns a node that differs from its input, so a pass
+    fires a rule exactly when it changes the tree. New rules must keep
+    that true."""
+    def first_rule(node):
+        for rule in _EXPR_RULES:
+            out = rule(node, cfg)
+            if out is not None:
+                return out
+        return node
+
     for _ in range(REWRITE_CAP):
-        e, changed = _rewrite_expr(e, cfg)
-        if not changed:
+        e, before = cparse.map_expr(first_rule, e), e
+        if e == before:
             return e
     raise DivergingRewrite(f"rewriting did not converge (line {line})")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 NUMERIC_BINOPS = ("add", "sub", "mul", "div")
-COMPARE_BINOPS = ("lt", "le", "gt", "ge", "eq", "ne")
 LOGIC_BINOPS = ("and", "or")
 
 

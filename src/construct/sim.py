@@ -149,7 +149,6 @@ class SimPlan:
     algebraic_order: tuple  # of (equation index, solved name, expression)
     param_env: dict
     input_names: frozenset
-    warnings: tuple = ()
 
     @property
     def solved_names(self) -> frozenset:
@@ -297,7 +296,8 @@ def causalize(b: BoundModel) -> SimPlan:
     equations bind their state directly. The remaining equations are
     matched one-to-one to the remaining unknowns, where a match requires
     the unknown to occur exactly once and be isolatable; matched
-    equations are then ordered topologically.
+    equations are then ordered topologically. A state without a start
+    value starts at 0.0.
     """
     if len(set(b.bindings)) != len(b.bindings):
         dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
@@ -316,7 +316,7 @@ def causalize(b: BoundModel) -> SimPlan:
                                 + (" under an ordering comparison" if ordered else ""))
 
     causality = {v.name: v.causality for v in table.variables}
-    state_vars, warnings = [], []
+    state_vars = []
     for ref, index in st.states:
         state = name(ref)
         if causality[state] not in ("output", "local"):
@@ -325,10 +325,8 @@ def causalize(b: BoundModel) -> SimPlan:
         if any(state == s for s, _, _ in state_vars):
             raise CausalizeError(f"two state equations for {state!r}")
         start = table.by_name(state).start
-        if start is None:
-            warnings.append(f"state {state!r} has no start value, using 0.0")
-            start = 0.0
-        state_vars.append((state, _as_real(start), b.equations[index][1]))
+        state_vars.append((state, 0.0 if start is None else _as_real(start),
+                           b.equations[index][1]))
 
     occurring = {name(r) for r in st.occurring}
     cls = check.classify_variables(table)
@@ -362,7 +360,7 @@ def causalize(b: BoundModel) -> SimPlan:
     algebraic_order = tuple(
         (i, solved[i], mexpr.map_refs(isolated[i][solved[i]], name)) for i in order)
     return SimPlan(tuple(state_vars), algebraic_order, param_env,
-                   frozenset(cls.inputs), tuple(warnings))
+                   frozenset(cls.inputs))
 
 
 def _as_real(value) -> float:

@@ -10,12 +10,13 @@ encodings rely on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from construct import mexpr
 from construct.cparse import (
-    Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit, Return,
-    Ternary, Unary, map_expr,
+    MAX_EXPR_DEPTH, Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit,
+    Return, Ternary, Unary, height, iter_stmts, map_expr,
 )
 from construct.errors import ConstructError
 from construct.isolate import RuleConfig, StepBody
@@ -87,40 +88,21 @@ class EquationModel:
     def num_slots(self) -> int:
         return len(self.slots)
 
-    def slot_by_origin(self, origin: str) -> SymbolSlot:
-        for s in self.slots:
-            if s.origin == origin:
-                return s
-        raise KeyError(origin)
-
 
 # ---------------------------------------------------------------------------
 # Temporary elimination
 # ---------------------------------------------------------------------------
 
-def _count_writes(stmts, top: dict, branch: dict, in_branch: bool) -> None:
+def _writes(stmts) -> Counter:
+    """How often the given statements write each identifier, by an
+    initialized declaration or an assignment."""
+    names: Counter = Counter()
     for s in stmts:
         if isinstance(s, Decl) and s.init is not None:
-            (branch if in_branch else top)[s.name] = \
-                (branch if in_branch else top).get(s.name, 0) + 1
+            names[s.name] += 1
         elif isinstance(s, Assign) and isinstance(s.target, Ident):
-            (branch if in_branch else top)[s.target.name] = \
-                (branch if in_branch else top).get(s.target.name, 0) + 1
-        elif isinstance(s, If):
-            _count_writes(s.then, top, branch, True)
-            _count_writes(s.orelse, top, branch, True)
-
-
-def _check_branch_paths(stmts, declared: set) -> None:
-    """Reject a local written twice along a single branch path."""
-    for s in stmts:
-        if isinstance(s, If):
-            for path in (s.then, s.orelse):
-                counts: dict = {}
-                _count_writes(path, counts, counts, False)
-                for name, n in counts.items():
-                    if name in declared and n > 1:
-                        raise ReassignedTemporary(name)
+            names[s.target.name] += 1
+    return names
 
 
 def _subst(pending: dict, e):
@@ -137,23 +119,33 @@ def eliminate_temporaries(body: StepBody) -> StepBody:
 
     Dereferenced slots are never eliminated. Locals written only inside
     branch arms survive (they become identifier slots); a local written
-    twice along one path is out of subset.
+    twice along one path is out of subset. An emitted expression deeper
+    than MAX_EXPR_DEPTH after inlining raises TranslateError.
     """
-    declared = set(body.locals_)
-    top: dict = {}
-    branch: dict = {}
-    _count_writes(body.statements, top, branch, False)
-    for name in declared:
-        t = top.get(name, 0)
-        b = branch.get(name, 0)
-        if t >= 2 or (t >= 1 and b >= 1):
+    top = _writes(body.statements)
+    branch = _writes(iter_stmts(body.statements)) - top
+    for name in body.locals_:
+        if top[name] >= 2 or (top[name] >= 1 and branch[name] >= 1):
             raise ReassignedTemporary(name)
-    _check_branch_paths(body.statements, declared)
+    # a local written twice along one arm of a top-level branch
+    for s in body.statements:
+        if isinstance(s, If):
+            for arm in (s.then, s.orelse):
+                for name, n in _writes(iter_stmts(arm)).items():
+                    if n > 1 and name in body.locals_:
+                        raise ReassignedTemporary(name)
 
-    eliminable = {name for name in declared
-                  if top.get(name, 0) == 1 and branch.get(name, 0) == 0}
+    eliminable = {name for name in body.locals_ if top[name] == 1 and branch[name] == 0}
 
     pending: dict = {}
+
+    def emit(e, line: int):
+        e = _subst(pending, e)
+        if height(e) > MAX_EXPR_DEPTH:
+            raise TranslateError(
+                f"line {line}: inlining temporaries makes an expression deeper "
+                f"than {MAX_EXPR_DEPTH} levels")
+        return e
 
     def walk(stmts):
         out = []
@@ -167,12 +159,12 @@ def eliminate_temporaries(body: StepBody) -> StepBody:
                 pending[s.target.name] = _subst(pending, s.value)
                 continue
             if isinstance(s, Assign):
-                out.append(Assign(s.target, _subst(pending, s.value), line=s.line))
+                out.append(Assign(s.target, emit(s.value, s.line), line=s.line))
             elif isinstance(s, If):
-                out.append(If(_subst(pending, s.cond), walk(s.then),
+                out.append(If(emit(s.cond, s.line), walk(s.then),
                               walk(s.orelse), line=s.line))
             elif isinstance(s, Return):
-                value = None if s.value is None else _subst(pending, s.value)
+                value = None if s.value is None else emit(s.value, s.line)
                 out.append(Return(value, line=s.line))
             else:
                 out.append(s)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -143,6 +144,65 @@ def test_synth_non_finite_reference_cell_exits_1(pi_case, tmp_path, capsys, cell
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err and "line 6" in err
+
+
+def _pi_copy(pi_case, tmp_path):
+    work = tmp_path / "pi"
+    shutil.copytree(pi_case["root"], work)
+    return work
+
+
+def test_translate_non_ascii_digit_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace("dVar1 * 1.25", "dVar1 * 1²"))
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("damage", ["drop_output_column", "drop_last_row"])
+def test_synth_reference_not_matching_outputs_exits_1(pi_case, tmp_path, capsys,
+                                                      damage):
+    work = _pi_copy(pi_case, tmp_path)
+    ref = work / "traces" / "reference.csv"
+    lines = ref.read_text().splitlines()
+    if damage == "drop_output_column":
+        lines = [line.replace(",command", ",other") for line in lines]
+    else:
+        lines = lines[:-1]
+    ref.write_text("\n".join(lines) + "\n")
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10",
+                 "--gens", "2", "--seed", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _pi_with_temporary_chain(pi_case, tmp_path, links):
+    """pi whose 0x30 slot is computed through a chain of single-use
+    temporaries; the inlined expression is links + 2 levels deep."""
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    chain = ["double c0 = dVar1 * 1.25;"]
+    chain += [f"double c{i} = c{i - 1} + 1.0;" for i in range(1, links + 1)]
+    chain.append(f"double dVar2 = c{links};")
+    src.write_text(src.read_text().replace("double dVar2 = dVar1 * 1.25;",
+                                           "\n  ".join(chain)))
+    return work
+
+
+def test_translate_temporary_chain_at_depth_bound(pi_case, tmp_path):
+    from construct.cparse import MAX_EXPR_DEPTH
+    work = _pi_with_temporary_chain(pi_case, tmp_path, MAX_EXPR_DEPTH - 2)
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 0
+
+
+def test_translate_temporary_chain_past_depth_bound_exits_1(pi_case, tmp_path, capsys):
+    from construct.cparse import MAX_EXPR_DEPTH
+    work = _pi_with_temporary_chain(pi_case, tmp_path, MAX_EXPR_DEPTH - 1)
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "levels" in err
 
 
 def test_help_lists_flags(capsys):

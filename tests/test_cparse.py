@@ -171,3 +171,9 @@ def test_long_flat_sum_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_c_unit(text)
     assert "levels deep" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["1²", "²", "٣", "٣ + 1"])
+def test_non_ascii_digits_are_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_c_expr(text)

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from construct import isolate
 from construct.cparse import (
     Assign, Binary, Call, Deref, Ident, RealLit, Unary, parse_c_expr,
     parse_c_unit,
 )
 from construct.isolate import (
-    AmbiguousStepFunction, NoDerefBase, NoStepFunction, RuleConfig, StepBody,
-    isolate_step_function, load_rule_config, normalize_primitives,
+    AmbiguousStepFunction, DivergingRewrite, NoDerefBase, NoStepFunction,
+    RuleConfig, StepBody, isolate_step_function, load_rule_config,
+    normalize_primitives,
 )
 from interp import eval_code_expr
 
@@ -122,6 +124,17 @@ _SNIPPETS = [
 ]
 
 
+def test_rule_that_never_settles_diverges(monkeypatch):
+    def swap_add(e, cfg):
+        if isinstance(e, Binary) and e.op == "add":
+            return Binary("add", e.right, e.left)
+        return None
+
+    monkeypatch.setattr(isolate, "_EXPR_RULES", (swap_add,))
+    with pytest.raises(DivergingRewrite):
+        norm_expr("a + b")
+
+
 def test_idempotence():
     for text in _SNIPPETS:
         body = StepBody((Assign(Deref("p", 0, "double"), parse_c_expr(text)),),
@@ -181,6 +194,36 @@ def test_no_deref_base_when_base_is_not_a_param():
     text = "void f(long p, double h) { *(double *)(q + 0x8) = h; }"
     with pytest.raises(NoDerefBase):
         isolate_step_function(parse_c_unit(text))
+
+
+NESTED = ("void f(long p, double h, long q) {"
+          " *(double *)(p + 0x8) = h;"
+          " if (h > 0.0) { *(double *)(p + 0x20) = h; }"
+          " else { if (COND) { *(double *)(p + 0x10) = 1.0; }"
+          " else { *(double *)(p + 0x10) = 2.0; } }"
+          " return RET; }")
+
+
+@pytest.mark.parametrize("cond, ret", [
+    ("*(bool *)(B + 0x18)", "h"),
+    ("h > 1.0", "*(double *)(B + 0x18)"),
+])
+def test_deref_base_found_in_nested_condition_and_return(cond, ret):
+    text = NESTED.replace("COND", cond).replace("RET", ret)
+    assert isolate_step_function(parse_c_unit(text.replace("B", "p"))).base_pointer == "p"
+    with pytest.raises(NoDerefBase) as exc:
+        isolate_step_function(parse_c_unit(text.replace("B", "q")))
+    assert "['p', 'q']" in str(exc.value)
+
+
+def test_locals_in_nested_arms_keep_document_order():
+    text = ("void f(long p, double h) { double z = h;"
+            " if (h > 0.0) { double y = 1.0;"
+            " if (h > 1.0) { double x = 2.0; } else { double w = 3.0; }"
+            " double v = 4.0; } else { double u = 5.0; }"
+            " double a = 6.0; *(double *)(p + 0x8) = z; }")
+    body = isolate_step_function(parse_c_unit(text))
+    assert body.locals_ == ("z", "y", "x", "w", "v", "u", "a")
 
 
 def test_step_param_override():

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import construct
 from construct import mexpr
 from construct.cparse import parse_c_unit
 from construct.isolate import RuleConfig, isolate_step_function, normalize_primitives
@@ -77,6 +82,31 @@ def test_twice_on_one_path_rejected():
            " *(double *)(p + 0x10) = m; }")
     with pytest.raises(ReassignedTemporary):
         eliminate_temporaries(make_body(src))
+
+
+_FIRST_DECLARED = """
+from construct.cparse import parse_c_unit
+from construct.isolate import isolate_step_function
+from construct.translate import ReassignedTemporary, eliminate_temporaries
+body = isolate_step_function(parse_c_unit(
+    "void f(long p, double h) { double b = 1.0; double a = 2.0;"
+    " b = 3.0; a = 4.0; *(double *)(p + 0x8) = a + b; }"))
+try:
+    eliminate_temporaries(body)
+except ReassignedTemporary as exc:
+    print(exc.name)
+"""
+
+
+def test_reassigned_temporary_names_first_declared_local():
+    src = str(Path(construct.__file__).resolve().parents[1])
+    names = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _FIRST_DECLARED], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        names.add(out.stdout.strip())
+    assert names == {"b"}
 
 
 # ---------------------------------------------------------------------------
