@@ -27,6 +27,7 @@ AST nodes because downstream passes key on their byte offsets.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 from construct.errors import ConstructError
@@ -162,6 +163,9 @@ _PUNCT = ("<=", ">=", "==", "!=", "&&", "||",
           "(", ")", "{", "}", ";", ",", "=", "+", "-", "*", "/",
           "<", ">", "!", "?", ":")
 _DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٣"
+# str.isalpha/isalnum also accept "ｘ", "²" and "٣"
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -207,9 +211,9 @@ def _tokenize(text: str) -> list[_Token]:
             col = (len(skipped) - skipped.rfind("\n")) if "\n" in skipped else col + len(skipped)
             i = j + 2
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j]
             tokens.append(_Token("ident", word, word, line, col))
@@ -295,8 +299,15 @@ _UNARY_PREC = 7
 # limpid).
 MAX_EXPR_DEPTH = 64
 
+# Most nodes in an expression that temporary elimination emits. A
+# temporary used twice is inlined twice, so a chain of doubling
+# temporaries stays shallow while its tree grows 2^n nodes, and every
+# later walk with it. The largest emitted expression in the committed
+# containers has 7 nodes (pi), 9 (pid) and 11 (limpid).
+MAX_EXPR_NODES = 1023
 
-def _operands(e: CodeExpr) -> tuple:
+
+def operands(e: CodeExpr) -> tuple:
     if isinstance(e, Unary):
         return (e.operand,)
     if isinstance(e, Binary):
@@ -314,7 +325,7 @@ def height(e: CodeExpr) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((c, depth + 1) for c in _operands(node))
+        stack.extend((c, depth + 1) for c in operands(node))
     return deepest
 
 

@@ -12,8 +12,10 @@ Two operator suites share one evolution loop:
     bound model causalizes, so every individual in every generation
     simulates.
 
-Fitness is evaluated serially, once per distinct chromosome. Chromosome
-position i names the variable assigned to symbol slot i.
+Fitness is evaluated serially, once per distinct chromosome, and each
+problem binds and causalizes a distinct chromosome once: constructibility
+checks and fitness share one memo. Chromosome position i names the
+variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
@@ -123,6 +125,10 @@ class GaProblem:
     state_slots: frozenset = field(init=False)
     # per algebraic equation: the non-state slots it could be solved for
     solve_candidates: tuple = field(init=False)
+    # genes -> its SimPlan until fitness_of has scored it, then True;
+    # False when the genome does not causalize
+    _causalized: dict = field(init=False, default_factory=dict, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         cls = classify_variables(self.vars)
@@ -170,19 +176,35 @@ class GaProblem:
         """The bound model, carrying the slot-level structure."""
         return apply_assignment(self.model, genes, self.vars, self.structure)
 
+    def _causalize(self, genes: tuple):
+        """The memo entry of genes, binding and causalizing them on the
+        first call only."""
+        entry = self._causalized.get(genes)
+        if entry is None:
+            try:
+                entry = sim.causalize(self.bind(genes))
+            except sim.CausalizeError:
+                entry = False
+            self._causalized[genes] = entry
+        return entry
+
     def constructible(self, genes) -> bool:
         """Statically causalizable at slot level, which implies C0..C4:
         duplicate genes, type groups (seeded with the slot types), state,
         input and balance checks and the perfect matching together cover
         every constraint, so no separate validation runs."""
-        try:
-            sim.causalize(self.bind(genes))
-        except sim.CausalizeError:
-            return False
-        return True
+        return self._causalize(tuple(genes)) is not False
 
     def fitness_of(self, genes) -> sim.Fitness:
-        return sim.fitness(self.bind(genes), self.input_trace, self.reference_trace)
+        """The genome's fitness. Its plan leaves the memo once scored, so
+        scoring a genome again causalizes it again."""
+        genes = tuple(genes)
+        plan = self._causalize(genes)
+        if plan is True:
+            plan = sim.causalize(self.bind(genes))
+        self._causalized[genes] = plan is not False
+        return sim.score(None if plan is False else plan, self.input_trace,
+                         self.reference_trace, self.classification.outputs)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
         """Bind, causalize and simulate the output variables; errors raise."""

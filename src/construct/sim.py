@@ -9,9 +9,12 @@ references must share a type) does not depend on the binding, so
 then checked against it: its types, its states, its balance, a maximum
 matching of equations to unknowns, and a topological order of the
 matched equations (BLT sorting). The resulting plan is integrated with
-forward Euler on the input trace's time grid. Models that fail any
-static or runtime check are rejected, which is exactly how
-non-simulatable candidates are discovered.
+forward Euler on the input trace's time grid by a kernel that simulate
+generates from the plan and compiles on each call: straight-line
+Python, one statement per expression node, with mexpr.eval_expr as its
+reference semantics. Models that fail any static or runtime check are
+rejected, which is exactly how non-simulatable candidates are
+discovered.
 
 Static rejection is deliberately at least as strict as the constraint
 validator: with the slot-level Structure, whose type groups carry the
@@ -391,9 +394,171 @@ def _diagnose_matching_failure(st: Structure, name, to_solve, isolated) -> None:
 # Simulation
 # ---------------------------------------------------------------------------
 
+# Source of the kernel statement for each operator. A comparison or a
+# logical operator yields 1.0/0.0, and `and`/`or` read both operands, as
+# in mexpr.eval_expr.
+_BINARY = {
+    "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
+    "lt": "1.0 if {} < {} else 0.0", "le": "1.0 if {} <= {} else 0.0",
+    "gt": "1.0 if {} > {} else 0.0", "ge": "1.0 if {} >= {} else 0.0",
+    "eq": "1.0 if {} == {} else 0.0", "ne": "1.0 if {} != {} else 0.0",
+    "and": "1.0 if {} != 0.0 and {} != 0.0 else 0.0",
+    "or": "1.0 if {} != 0.0 or {} != 0.0 else 0.0",
+}
+_UNARY = {"neg": "-{}", "not": "0.0 if {} != 0.0 else 1.0"}
+_CALLS = {mexpr.Min: "min({}, {})", mexpr.Max: "max({}, {})", mexpr.Abs: "abs({})"}
+
+
+def _evaluated_der():
+    """Raise mexpr.eval_expr's error for der() in an evaluated position."""
+    return mexpr.eval_expr(mexpr.Der(None), {})
+
+
+class _KernelSource:
+    """The statements of one plan's per-sample loop, one per expression
+    node. Variables, constants and temporaries live in generated locals
+    (v*, c*, t*); variable names and constant values stay out of the
+    source and reach the kernel as data."""
+
+    def __init__(self):
+        self.lines: list = []
+        self.vars: dict = {}  # variable name -> local
+        self.consts: dict = {}  # (type, repr) -> (local, value)
+        self.temps = 0
+        self.guards = 0
+        self.labels: list = []  # DivisionByZero labels, indexed by w
+        self.label = None  # of the expression being emitted, until recorded
+
+    def var(self, name) -> str:
+        return self.vars.setdefault(name, f"v{len(self.vars)}")
+
+    def const(self, value) -> str:
+        if isinstance(value, bool):
+            value = 1.0 if value else 0.0
+        # by repr, so that 0.0 and -0.0 stay apart
+        key = (type(value), repr(value))
+        if key not in self.consts:
+            self.consts[key] = (f"c{len(self.consts)}", value)
+        return self.consts[key][0]
+
+    def expression(self, e, dest: str, label: str) -> None:
+        """Emit the statements that compute e into dest. Its first
+        division records label for DivisionByZero in w."""
+        self.label = label
+        self._node(e, None, dest)
+
+    def _node(self, e, guard, dest=None) -> str:
+        """Emit the statements computing e on the samples where guard
+        holds (all, for None); return the local that holds its value.
+        Each statement sits one block below the loop at most: an If
+        branch is a guard flag, and its statements are predicated on it."""
+        when = f"if {guard}: " if guard else ""
+        if isinstance(e, (mexpr.Sym, mexpr.Const)):
+            leaf = self.var(e.ref) if isinstance(e, mexpr.Sym) else self.const(e.value)
+            if dest is None:
+                return leaf
+            self.lines.append(f"{when}{dest} = {leaf}")
+            return dest
+        if dest is None:
+            dest = f"t{self.temps}"
+            self.temps += 1
+        if isinstance(e, mexpr.If):
+            cond = self._node(e.cond, guard)
+            then, orelse = f"g{self.guards}", f"g{self.guards + 1}"
+            self.guards += 2
+            held = f"{guard} and " if guard else ""
+            self.lines += [f"{then} = {held}{cond} != 0.0",
+                           f"{orelse} = {held}{cond} == 0.0"]
+            self._node(e.then, then, dest)
+            self._node(e.orelse, orelse, dest)
+            return dest
+        if isinstance(e, mexpr.Der):
+            self.lines.append(f"{when}{dest} = E()")
+            return dest
+        if isinstance(e, mexpr.Binary) and e.op in _BINARY:
+            text = _BINARY[e.op]
+        elif isinstance(e, mexpr.Unary) and e.op in _UNARY:
+            text = _UNARY[e.op]
+        elif type(e) in _CALLS:
+            text = _CALLS[type(e)]
+        else:
+            raise TypeError(f"not a ModelExpr: {e!r}")
+        operands = [self._node(c, guard) for c in mexpr.children(e)]
+        if isinstance(e, mexpr.Binary) and e.op == "div" and self.label is not None:
+            self.lines.append(f"w = {len(self.labels)}")
+            self.labels.append(self.label)
+            self.label = None
+        self.lines.append(f"{when}{dest} = {text.format(*operands)}")
+        return dest
+
+
+def _kernel_source(plan: SimPlan, out_names) -> tuple:
+    """The source of the kernel for plan and the namespace it runs in.
+
+    kernel(T, I, A, h, last) runs the loop over the times T: I holds the
+    input columns in plan.input_names order, A the append methods of the
+    recorded output lists in out_names order, h is the step and last the
+    index of the last sample. Its locals follow the env of the tree walk
+    statement by statement, so the results are bit-identical. `if x - x:`
+    is the finiteness check: x - x is 0.0 for a finite x and nan for inf
+    and nan.
+    """
+    src = _KernelSource()
+    loop, checked = src.lines, []
+
+    def check_finite(local: str, name) -> None:
+        loop.append(f"if {local} - {local}: F(T[k], {len(checked)})")
+        checked.append(name)
+
+    for j, name in enumerate(plan.input_names):
+        loop.append(f"{src.var(name)} = i{j}[k]")
+    for eq_index, name, expr in plan.algebraic_order:
+        src.expression(expr, src.var(name), f"equation {eq_index}")
+        check_finite(src.var(name), name)
+    for j, name in enumerate(out_names):
+        loop.append(f"a{j}({src.var(name)})")
+    if plan.state_vars:
+        loop.append("if k == last: break")
+        for j, (name, _, rhs) in enumerate(plan.state_vars):
+            src.expression(rhs, f"d{j}", f"der({name})")
+        for j, (name, _, _) in enumerate(plan.state_vars):
+            local = src.var(name)
+            loop.append(f"{local} = {local} + h * d{j}")
+            check_finite(local, name)
+
+    def non_finite(t, j):
+        raise NonFiniteValue(t, checked[j])
+
+    # only the parameters the loop reads are loaded
+    params = {src.vars[n]: v for n, v in plan.param_env.items() if n in src.vars}
+    namespace = {
+        "P": tuple(params.values()),
+        "S": tuple(start for _, start, _ in plan.state_vars),
+        "C": tuple(value for _, value in src.consts.values()),
+        "L": tuple(src.labels), "E": _evaluated_der, "F": non_finite,
+        "DivisionByZero": DivisionByZero,
+    }
+    head = ["def kernel(T, I, A, h, last):"]
+    for targets, data in (
+            (params, "P"), ([src.var(n) for n, _, _ in plan.state_vars], "S"),
+            ([c for c, _ in src.consts.values()], "C"),
+            ([f"i{j}" for j in range(len(plan.input_names))], "I"),
+            ([f"a{j}" for j in range(len(out_names))], "A")):
+        if targets:
+            head.append(f" {', '.join(targets)}, = {data}")
+    source = "\n".join(head + [" try:", "  for k in range(len(T)):"]
+                       + [f"   {line}" for line in loop]
+                       + [" except ZeroDivisionError:",
+                          "  raise DivisionByZero(T[k], L[w]) from None", ""])
+    return source, namespace
+
+
 def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
     """Forward Euler on the trace grid: read inputs (zero-order hold),
-    evaluate algebraic equations, record outputs, advance states."""
+    evaluate algebraic equations, record outputs, advance states.
+
+    The per-sample loop is a kernel compiled from the plan for this call
+    (see _kernel_source); mexpr.eval_expr is its reference semantics."""
     for name in sorted(plan.input_names):
         if name not in inputs.columns:
             raise MissingInput(name)
@@ -407,52 +572,39 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
         if abs((t - a) - h) > GRID_RTOL * abs(h):
             raise NonUniformGrid(f"non-uniform sample spacing near t={t}")
 
-    env = dict(plan.param_env)
-    for name, start, _ in plan.state_vars:
-        env[name] = start
-
     out_names = sorted(outputs_of_interest)
     recorded = {n: [] for n in out_names}
-    n = len(times)
-    for k in range(n):
-        t = times[k]
-        for name in plan.input_names:
-            env[name] = inputs.columns[name][k]
-        for eq_index, name, expr in plan.algebraic_order:
-            try:
-                value = mexpr.eval_expr(expr, env)
-            except ZeroDivisionError:
-                raise DivisionByZero(t, f"equation {eq_index}") from None
-            if not math.isfinite(value):
-                raise NonFiniteValue(t, name)
-            env[name] = value
-        for name in out_names:
-            recorded[name].append(env[name])
-        if k + 1 < n:
-            ders = []
-            for name, _, rhs in plan.state_vars:
-                try:
-                    ders.append(mexpr.eval_expr(rhs, env))
-                except ZeroDivisionError:
-                    raise DivisionByZero(t, f"der({name})") from None
-            for (name, _, _), d in zip(plan.state_vars, ders):
-                nxt = env[name] + h * d
-                if not math.isfinite(nxt):
-                    raise NonFiniteValue(t, name)
-                env[name] = nxt
-
+    source, namespace = _kernel_source(plan, out_names)
+    exec(compile(source, "<simulate kernel>", "exec"), namespace)
+    # popped, so that the namespace and the kernel form no reference cycle
+    # and are freed when the call returns
+    kernel = namespace.pop("kernel")
+    kernel(times, tuple(inputs.columns[n] for n in plan.input_names),
+           tuple(recorded[n].append for n in out_names), h, len(times) - 1)
     return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
 
 
 def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
     """Mean squared output distance against the reference; any causalize
     or simulate failure folds into Invalid."""
+    try:
+        plan = causalize(candidate)
+    except CausalizeError:
+        plan = None
     outputs = check.classify_variables(candidate.variable_table).outputs
+    return score(plan, inputs, reference, outputs)
+
+
+def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs) -> Fitness:
+    """Mean squared distance of the plan's outputs from the reference.
+    No plan (the model does not causalize), a simulate failure and a sum
+    of squares that overflows all fold into Invalid."""
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")
+    if plan is None:
+        return INVALID
     try:
-        plan = causalize(candidate)
         result = simulate(plan, inputs, outputs)
     except SimError:
         return INVALID
@@ -463,4 +615,8 @@ def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
         ys = result.columns[name]
         rs = reference.columns[name]
         sq.extend((y - r) * (y - r) for y, r in zip(ys, rs))
-    return Fitness.finite(math.fsum(sq) / len(sq))
+    try:
+        mse = math.fsum(sq) / len(sq)
+    except OverflowError:  # finite squares whose sum overflows
+        return INVALID
+    return Fitness.finite(mse) if math.isfinite(mse) else INVALID

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from construct import mexpr
 from construct.cparse import (
-    MAX_EXPR_DEPTH, Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit,
-    Return, Ternary, Unary, height, iter_stmts, map_expr,
+    MAX_EXPR_DEPTH, MAX_EXPR_NODES, Assign, Binary, Call, Decl, Deref, Ident, If,
+    IntLit, RealLit, Return, Ternary, Unary, iter_stmts, map_expr, operands,
 )
 from construct.errors import ConstructError
 from construct.isolate import RuleConfig, StepBody
@@ -114,13 +114,24 @@ def _subst(pending: dict, e):
     return map_expr(repl, e)
 
 
+def _extent(e, inlined: dict) -> tuple:
+    """(tree height, node count) of e once every identifier in inlined is
+    replaced by the expression it stands for. inlined holds the extents
+    of those expressions, so no inlined copy is walked."""
+    if isinstance(e, Ident) and e.name in inlined:
+        return inlined[e.name]
+    parts = [_extent(c, inlined) for c in operands(e)]
+    return 1 + max((h for h, _ in parts), default=0), 1 + sum(n for _, n in parts)
+
+
 def eliminate_temporaries(body: StepBody) -> StepBody:
     """Inline every local assigned exactly once at the top level.
 
     Dereferenced slots are never eliminated. Locals written only inside
     branch arms survive (they become identifier slots); a local written
     twice along one path is out of subset. An emitted expression deeper
-    than MAX_EXPR_DEPTH after inlining raises TranslateError.
+    than MAX_EXPR_DEPTH or larger than MAX_EXPR_NODES after inlining
+    raises TranslateError.
     """
     top = _writes(body.statements)
     branch = _writes(iter_stmts(body.statements)) - top
@@ -138,25 +149,34 @@ def eliminate_temporaries(body: StepBody) -> StepBody:
     eliminable = {name for name in body.locals_ if top[name] == 1 and branch[name] == 0}
 
     pending: dict = {}
+    extents: dict = {}  # of the pending expressions, see _extent
+
+    def define(name: str, e) -> None:
+        extents[name] = _extent(e, extents)
+        pending[name] = _subst(pending, e)
 
     def emit(e, line: int):
-        e = _subst(pending, e)
-        if height(e) > MAX_EXPR_DEPTH:
+        depth, nodes = _extent(e, extents)
+        if depth > MAX_EXPR_DEPTH:
             raise TranslateError(
                 f"line {line}: inlining temporaries makes an expression deeper "
                 f"than {MAX_EXPR_DEPTH} levels")
-        return e
+        if nodes > MAX_EXPR_NODES:
+            raise TranslateError(
+                f"line {line}: inlining temporaries makes an expression of more "
+                f"than {MAX_EXPR_NODES} nodes")
+        return _subst(pending, e)
 
     def walk(stmts):
         out = []
         for s in stmts:
             if isinstance(s, Decl):
                 if s.name in eliminable and s.init is not None:
-                    pending[s.name] = _subst(pending, s.init)
+                    define(s.name, s.init)
                 continue  # declarations never survive as statements
             if isinstance(s, Assign) and isinstance(s.target, Ident) \
                     and s.target.name in eliminable:
-                pending[s.target.name] = _subst(pending, s.value)
+                define(s.target.name, s.value)
                 continue
             if isinstance(s, Assign):
                 out.append(Assign(s.target, emit(s.value, s.line), line=s.line))

@@ -220,3 +220,57 @@ def test_unknown_flag_is_hard_error(pi_case, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", str(pi_case["root"]), "--mode", "cbc", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_translate_non_ascii_identifier_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace("dVar2", "dVär2"))
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_synth_with_overflowing_mse_ends_without_traceback(pi_case, tmp_path):
+    work = _pi_copy(pi_case, tmp_path)
+    trace = work / "traces" / "input.csv"
+    header, *rows = trace.read_text().splitlines()
+    scaled = [",".join([cells[0]] + [repr(float(c) * 1e200) for c in cells[1:]])
+              for cells in (row.split(",") for row in rows)]
+    trace.write_text("\n".join([header] + scaled) + "\n")
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10", "--gens", "2",
+                 "--seed", "0", "-o", str(tmp_path / "best.mo")])
+    assert code in (0, 2)
+
+
+def _pi_with_doubling_chain(pi_case, tmp_path, links):
+    """pi whose 0x30 slot is computed through c0 = dVar1 and
+    c(i) = c(i-1) + c(i-1): inlined, 2^(links+1) - 1 nodes."""
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    chain = ["double c0 = dVar1;"]
+    chain += [f"double c{i} = c{i - 1} + c{i - 1};" for i in range(1, links + 1)]
+    chain.append(f"double dVar2 = c{links};")
+    src.write_text(src.read_text().replace("double dVar2 = dVar1 * 1.25;",
+                                           "\n  ".join(chain)))
+    return work
+
+
+def test_translate_doubling_chain_at_node_bound(pi_case, tmp_path):
+    from construct.cparse import MAX_EXPR_NODES
+    links = (MAX_EXPR_NODES + 1).bit_length() - 2  # the longest chain that fits
+    assert 2 ** (links + 1) - 1 <= MAX_EXPR_NODES < 2 ** (links + 2) - 1
+    work = _pi_with_doubling_chain(pi_case, tmp_path, links)
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 0
+    work = _pi_with_doubling_chain(pi_case, tmp_path / "next", links + 1)
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 1
+
+
+def test_translate_long_doubling_chain_exits_1_quickly(pi_case, tmp_path, capsys):
+    import time
+    work = _pi_with_doubling_chain(pi_case, tmp_path, 40)
+    start = time.perf_counter()
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nodes" in err

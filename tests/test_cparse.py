@@ -177,3 +177,9 @@ def test_long_flat_sum_is_a_parse_error():
 def test_non_ascii_digits_are_a_parse_error(text):
     with pytest.raises(ParseError):
         parse_c_expr(text)
+
+
+@pytest.mark.parametrize("text", ["x²", "dVar٣", "ｘ", "x² + dVar٣ + ｘ"])
+def test_non_ascii_identifiers_are_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_c_expr(text)

@@ -288,3 +288,27 @@ def test_ga_config_invariants():
         GaConfig(population_size=4, elitism=4)
     with pytest.raises(ValueError):
         GaConfig(crossover_rate=1.5)
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cbt"])
+def test_run_ga_causalizes_each_genome_once(pi_case, monkeypatch, mode):
+    from collections import Counter
+
+    from construct import ga, sim
+
+    problem = ga.problem_from_container(pi_case["container"])
+    calls = Counter()
+    causalize = sim.causalize
+
+    def counting(bound):
+        calls[bound.bindings] += 1
+        return causalize(bound)
+
+    monkeypatch.setattr(sim, "causalize", counting)
+    scored = set()
+    cfg = GaConfig(population_size=30, max_generations=6, rng_seed=3, early_stop=False)
+    run_ga(mode, problem, cfg, on_individual=lambda c, f: scored.add(c.genes))
+    assert len(calls) >= len(scored) > 1
+    assert max(calls.values()) == 1
+    # a scored genome keeps its verdict, not its plan
+    assert all(problem._causalized[genes] in (True, False) for genes in scored)

@@ -1,0 +1,330 @@
+"""The compiled simulation kernel against the tree walk over mexpr.eval_expr.
+
+tree_walk below is the per-sample loop of simulate written directly over
+the reference semantics. Every case must give bit-identical outputs, or
+the same exception class and message.
+"""
+
+import io
+import math
+import random
+import struct
+import tokenize
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from construct import mexpr, sim
+from construct.container import Trace
+from construct.ga import generate_individual
+from construct.sim import DivisionByZero, NonFiniteValue, SimPlan
+
+Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
+
+
+def tree_walk(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
+    times = inputs.times
+    h = times[1] - times[0]
+    env = dict(plan.param_env)
+    for name, start, _ in plan.state_vars:
+        env[name] = start
+    out_names = sorted(outputs_of_interest)
+    recorded = {n: [] for n in out_names}
+    n = len(times)
+    for k in range(n):
+        t = times[k]
+        for name in plan.input_names:
+            env[name] = inputs.columns[name][k]
+        for eq_index, name, expr in plan.algebraic_order:
+            try:
+                value = mexpr.eval_expr(expr, env)
+            except ZeroDivisionError:
+                raise DivisionByZero(t, f"equation {eq_index}") from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(t, name)
+            env[name] = value
+        for name in out_names:
+            recorded[name].append(env[name])
+        if k + 1 < n:
+            ders = []
+            for name, _, rhs in plan.state_vars:
+                try:
+                    ders.append(mexpr.eval_expr(rhs, env))
+                except ZeroDivisionError:
+                    raise DivisionByZero(t, f"der({name})") from None
+            for (name, _, _), d in zip(plan.state_vars, ders):
+                nxt = env[name] + h * d
+                if not math.isfinite(nxt):
+                    raise NonFiniteValue(t, name)
+                env[name] = nxt
+    return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
+
+
+def _outcome(run, plan, inputs, outputs):
+    """Outputs as bit patterns, or the exception class and message."""
+    try:
+        trace = run(plan, inputs, outputs)
+    except Exception as exc:  # the class is what is compared
+        return type(exc), str(exc)
+    return trace.times, {name: tuple(struct.pack("<d", v) for v in values)
+                         for name, values in trace.columns.items()}
+
+
+def assert_same(plan, inputs, outputs):
+    expected = _outcome(tree_walk, plan, inputs, outputs)
+    assert _outcome(sim.simulate, plan, inputs, outputs) == expected
+    return expected
+
+
+def _trace(inputs, n=4, value=1.0, h=0.01):
+    times = tuple(k * h for k in range(n))
+    return Trace(times, {name: (value,) * n for name in inputs})
+
+
+def _plan(algebraic, states=(), params=None, inputs=("u",)):
+    """A plan solving algebraic = [(name, expr)] in order."""
+    return SimPlan(tuple(states), tuple((i, n, e) for i, (n, e) in enumerate(algebraic)),
+                   dict(params or {}), frozenset(inputs))
+
+
+# ---------------------------------------------------------------------------
+# The committed fixtures
+# ---------------------------------------------------------------------------
+
+def _fixture_plans(case, rng, n):
+    problem = case["problem"]
+    genomes = [case["ground_truth"]]
+    genomes += [generate_individual("cbc", problem, rng).genes for _ in range(n)]
+    return [sim.causalize(problem.bind(genes)) for genes in genomes]
+
+
+def test_fixture_plans_match_tree_walk(all_cases):
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        outputs = problem.classification.outputs
+        for plan in _fixture_plans(case, random.Random(name), 12):
+            assert_same(plan, problem.input_trace, outputs)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e200, -1e200, 1e308, math.inf])
+def test_fixture_plans_on_constant_inputs(all_cases, value):
+    outcomes = set()
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        times = problem.input_trace.times
+        inputs = _trace(problem.input_trace.columns, len(times), value, times[1])
+        for plan in _fixture_plans(case, random.Random(name), 6):
+            outcome = assert_same(plan, inputs, problem.classification.outputs)
+            outcomes.add(outcome[0] if isinstance(outcome[0], type) else "ok")
+    if value in (1e308, math.inf):
+        assert NonFiniteValue in outcomes
+
+
+# ---------------------------------------------------------------------------
+# Hand-made plans
+# ---------------------------------------------------------------------------
+
+def test_division_by_zero_in_untaken_branch_is_not_raised():
+    div = Binary("div", Const(1.0), Sym("u"))
+    plan = _plan([("y", If(Sym("u"), div, Const(2.0)))])
+    _, columns = assert_same(plan, _trace(["u"], value=0.0), ["y"])
+    assert columns["y"] == (struct.pack("<d", 2.0),) * 4
+
+
+def test_division_by_zero_in_right_operand_of_and_is_raised():
+    div = Binary("div", Const(1.0), Sym("u"))
+    plan = _plan([("z", Const(3.0)), ("y", Binary("and", Sym("u"), div))])
+    cls, message = assert_same(plan, _trace(["u"], value=0.0), ["y"])
+    assert cls is DivisionByZero and message.endswith("in equation 1")
+
+
+def test_division_by_zero_in_derivative_names_the_state():
+    plan = _plan([("y", Sym("x"))], inputs=("u",),
+                 states=[("x", 1.0, Binary("div", Const(1.0), Sym("u")))])
+    cls, message = assert_same(plan, _trace(["u"], value=0.0), ["y"])
+    assert cls is DivisionByZero and message.endswith("in der(x)")
+
+
+def test_division_by_zero_names_the_equation_that_divides():
+    u = Sym("u")
+    plan = _plan([("y0", Binary("div", u, Const(2.0))),
+                  ("y1", Binary("div", Const(1.0), Binary("sub", u, Const(1.0)))),
+                  ("y2", Binary("div", u, Const(4.0)))],
+                 states=[("x", 0.0, Binary("div", Const(1.0), Binary("sub", u, Const(3.0))))])
+    for value, label in ((1.0, "equation 1"), (3.0, "der(x)")):
+        cls, message = assert_same(plan, _trace(["u"], value=value), ["y0"])
+        assert cls is DivisionByZero and message.endswith(f"in {label}")
+
+
+def test_nan_through_comparisons_min_and_max():
+    u = Sym("u")
+    exprs = [Binary(op, u, Const(1.0)) for op in ("lt", "le", "gt", "ge", "eq", "ne")]
+    exprs += [mexpr.Min(Const(1.0), u), mexpr.Max(Const(1.0), u),
+              Unary("not", u), If(u, Const(4.0), Const(5.0)),
+              Binary("and", u, Const(0.0)), Binary("or", u, Const(0.0))]
+    plan = _plan([(f"y{i}", e) for i, e in enumerate(exprs)])
+    _, columns = assert_same(plan, _trace(["u"], value=math.nan), [f"y{i}" for i in
+                                                                   range(len(exprs))])
+    assert [struct.unpack("<d", columns[f"y{i}"][0])[0] for i in range(len(exprs))] \
+        == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 4.0, 0.0, 1.0]
+    for first in (mexpr.Min(Sym("u"), Const(1.0)), mexpr.Max(Sym("u"), Const(1.0))):
+        cls, message = assert_same(_plan([("y", first)]),
+                                   _trace(["u"], value=math.nan), ["y"])
+        assert cls is NonFiniteValue and "'y'" in message
+
+
+def test_boolean_constants_evaluate_to_one_and_zero():
+    plan = _plan([("y", Binary("add", Const(True), Const(False)))], inputs=())
+    _, columns = assert_same(plan, _trace([]), ["y"])
+    assert columns["y"][0] == struct.pack("<d", 1.0)
+
+
+def test_signed_zero_constants_stay_apart():
+    plan = _plan([("y", Binary("mul", Sym("u"), Const(-0.0))),
+                  ("z", Binary("mul", Sym("u"), Const(0.0)))])
+    _, columns = assert_same(plan, _trace(["u"]), ["y", "z"])
+    assert columns["y"][0] == struct.pack("<d", -0.0)
+    assert columns["z"][0] == struct.pack("<d", 0.0)
+
+
+def test_der_in_an_evaluated_position_raises_like_the_tree_walk():
+    plan = _plan([("y", Binary("add", Sym("u"), mexpr.Der("u")))])
+    cls, _ = assert_same(plan, _trace(["u"]), ["y"])
+    assert cls is ValueError
+
+
+def test_deep_if_chain_and_binary_chain():
+    u = Sym("u")
+    chain = Const(7.0)
+    for i in range(300):
+        chain = If(Binary("gt", u, Const(float(i))), Const(float(i)), chain)
+    total = u
+    for i in range(300):
+        total = Binary("add" if i % 2 else "mul", total, Const(1.0 + i / 1000))
+    plan = _plan([("y", chain), ("z", total)])
+    for value in (-1.0, 150.5, 1e9):
+        assert_same(plan, _trace(["u"], value=value), ["y", "z"])
+    source, _ = sim._kernel_source(plan, ["y", "z"])
+    assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 3
+
+
+@pytest.mark.parametrize("names", [('a"b', "x\ny", "1/0"), ("v0", "\\", "k")])
+def test_arbitrary_variable_names(names):
+    u, y, p = names
+    plan = _plan([(y, Binary("mul", Sym(u), Sym(p)))], params={p: 2.5}, inputs=(u,),
+                 states=[(p, 0.5, Binary("div", Const(1.0), Sym(u)))])
+    inputs = Trace((0.0, 0.1, 0.2), {u: (1.0, 2.0, 0.0)})
+    assert_same(plan, inputs, [y, p])
+    source, _ = sim._kernel_source(plan, [y, p])
+    assert all(repr(name) not in source for name in names)
+    assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
+
+
+# ---------------------------------------------------------------------------
+# Generated plans
+# ---------------------------------------------------------------------------
+
+VALUES = [0.0, -0.0, 1.0, -1.5, 0.5, 3.0, 1e200, -1e200, 1e308, math.inf, -math.inf,
+          math.nan]
+BINOPS = ("add", "sub", "mul", "div", "lt", "le", "gt", "ge", "eq", "ne", "and", "or")
+
+
+def _expressions():
+    """Expressions whose Sym/Der refs are indices, resolved by _resolve.
+    One reference leaf in 40 is a der(), which eval_expr rejects."""
+    refs = st.integers(0, 39).map(lambda j: mexpr.Der(0) if j == 39 else Sym(j % 10))
+    leaves = st.one_of(st.sampled_from(VALUES).map(Const), st.booleans().map(Const),
+                       refs, refs)
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(("neg", "not")), sub),
+            st.builds(Binary, st.sampled_from(BINOPS), sub, sub),
+            st.builds(If, sub, sub, sub),
+            st.builds(mexpr.Min, sub, sub), st.builds(mexpr.Max, sub, sub),
+            st.builds(mexpr.Abs, sub))
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+EXPRESSIONS = _expressions()
+
+
+def _resolve(e, known):
+    return mexpr.map_refs(e, lambda j: known[j % len(known)])
+
+
+@st.composite
+def plans(draw):
+    """A plan over two inputs, two parameters and up to two states whose
+    algebraic equations read only names set before them."""
+    known = ["u0", "u1", "p0", "p1"]
+    states = [f"x{i}" for i in range(draw(st.integers(0, 2)))]
+    known += states
+    algebraic = []
+    for i in range(draw(st.integers(1, 4))):
+        algebraic.append((f"y{i}", _resolve(draw(EXPRESSIONS), known)))
+        known.append(f"y{i}")
+    state_vars = [(x, draw(st.sampled_from([0.0, 1.0, -2.0])),
+                   _resolve(draw(EXPRESSIONS), known)) for x in states]
+    params = {p: draw(st.sampled_from(VALUES[:8])) for p in ("p0", "p1")}
+    plan = _plan(algebraic, state_vars, params, ("u0", "u1"))
+    columns = {u: tuple(draw(st.sampled_from(VALUES)) for _ in range(3))
+               for u in ("u0", "u1")}
+    return plan, Trace((0.0, 0.5, 1.0), columns), [n for n, _ in algebraic] + states
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plans())
+def test_generated_plans_match_tree_walk(case):
+    plan, inputs, outputs = case
+    assert_same(plan, inputs, outputs)
+
+
+# ---------------------------------------------------------------------------
+# The generated source
+# ---------------------------------------------------------------------------
+
+FIXED = {"def", "kernel", "try", "for", "in", "range", "len", "if", "and", "or", "not",
+         "else", "break", "except", "ZeroDivisionError", "raise", "from", "None",
+         "T", "I", "A", "h", "last", "k", "w", "P", "S", "C", "L", "E", "F",
+         "DivisionByZero", "min", "max", "abs"}
+
+
+def _identifiers(source: str) -> set:
+    return {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME}
+
+
+def _generated(ident: str) -> bool:
+    return ident[0] in "vctgdia" and ident[1:].isdigit()
+
+
+def _numbers(source: str) -> set:
+    return {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NUMBER}
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans())
+def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
+    plan, _, outputs = case
+    source, _ = sim._kernel_source(plan, sorted(outputs))
+    assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
+    assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
+    assert not any(tok.type == tokenize.STRING for tok in
+                   tokenize.generate_tokens(io.StringIO(source).readline))
+    assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) <= 3
+
+
+def test_fixture_sources_hold_no_names_or_constants(all_cases):
+    for case in all_cases.values():
+        problem = case["problem"]
+        plan = sim.causalize(problem.bind(case["ground_truth"]))
+        source, _ = sim._kernel_source(plan, sorted(problem.classification.outputs))
+        constants = {repr(n.value) for _, _, e in plan.algebraic_order
+                     for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
+        assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
+        assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
+        assert constants - {"0.0", "1.0"}, "the fixture has constants to look for"
+        for text in constants - {"0.0", "1.0"}:
+            assert text not in source

@@ -352,3 +352,12 @@ def test_constructible_genomes_satisfy_c0_to_c4(all_cases):
                 accepted += 1
                 assert problem.validate(genes).valid, (name, genes)
         assert accepted > 10, name
+
+
+def test_fitness_invalid_when_the_mse_overflows():
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
+    b = bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars)
+    reference = Trace((0.0, 0.1), {"y": (0.0, 0.0)})
+    # every output sample is finite; the squares are not, or their sum is not
+    for samples in ((1e200, -1e200), (1e154, 1.3e154)):
+        assert fitness(b, Trace((0.0, 0.1), {"u": samples}), reference) == INVALID
