@@ -21,7 +21,7 @@ from construct.container import (
     VariableDescriptor, VariableTable, load_container, load_trace, write_trace,
 )
 from construct.errors import ConstructError
-from construct.model import apply_assignment, emit_modelica
+from construct.model import apply_assignment, bound_names, emit_modelica
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
@@ -58,19 +58,30 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _ga_config(args) -> ga.GaConfig:
-    return ga.GaConfig(
-        population_size=args.pop, max_generations=args.gens,
-        crossover_rate=args.pc, mutation_rate=args.pm,
-        tournament_size=args.tournament, elitism=args.elitism,
-        rng_seed=args.seed, early_stop=not args.no_early_stop,
-        cbt_repair=args.cbt_repair)
+    try:
+        return ga.GaConfig(
+            population_size=args.pop, max_generations=args.gens,
+            crossover_rate=args.pc, mutation_rate=args.pm,
+            tournament_size=args.tournament, elitism=args.elitism,
+            rng_seed=args.seed, early_stop=not args.no_early_stop,
+            cbt_repair=args.cbt_repair)
+    except ValueError as exc:
+        raise ConstructError(f"invalid search settings: {exc}") from None
 
 
-def _load_mapping(path: str) -> tuple:
-    data = json.loads(Path(path).read_text())
-    genes = data.get("genes")
-    if not isinstance(genes, list) or not all(isinstance(g, int) for g in genes):
+def _load_mapping(path: str, problem: ga.GaProblem) -> tuple:
+    """The genes of a {"genes": [int, ...]} file, one per slot of the
+    problem, each the index of one of its variables."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConstructError(f"{path}: not JSON: {exc}") from None
+    genes = data.get("genes") if isinstance(data, dict) else None
+    if not isinstance(genes, list) or not all(type(g) is int for g in genes):
         raise ConstructError(f"{path}: expected {{\"genes\": [int, ...]}}")
+    if len(genes) != problem.num_slots:
+        raise ConstructError(f"{path}: {len(genes)} genes for {problem.num_slots} slots")
+    bound_names(problem.model, genes, problem.vars)  # raises GeneOutOfRange
     return tuple(genes)
 
 
@@ -127,7 +138,7 @@ def cmd_translate(args) -> int:
 
 def cmd_validate(args) -> int:
     cm, problem = _load_problem(args)
-    genes = _load_mapping(args.mapping)
+    genes = _load_mapping(args.mapping, problem)
     report = check.validate_assignment(problem.model, problem.vars, genes,
                                        strict_unknown=args.strict_unknown)
     if report.valid:
@@ -142,7 +153,8 @@ def cmd_simulate(args) -> int:
     cm, problem = _load_problem(args)
     if cm.input_trace is None:
         raise ConstructError("container has no traces/input.csv")
-    result = problem.simulate_outputs(_load_mapping(args.mapping), cm.input_trace)
+    result = problem.simulate_outputs(_load_mapping(args.mapping, problem),
+                                      cm.input_trace)
     write_trace(result, args.out)
     print(f"wrote {args.out} ({len(result.times)} samples, "
           f"{len(result.columns)} outputs)")
@@ -157,7 +169,7 @@ def cmd_make_reference(args) -> int:
         input_trace = load_trace(args.input)
     if input_trace is None:
         raise ConstructError("no input trace given and none in the container")
-    genes = _load_mapping(args.mapping)
+    genes = _load_mapping(args.mapping, problem)
     report = check.validate_assignment(problem.model, problem.vars, genes)
     if not report.valid:
         for cid, detail in report.violations:
@@ -233,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConstructError as exc:
+    except (ConstructError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,11 @@ Two operator suites share one evolution loop:
     simulates.
 
 Fitness is evaluated serially, once per distinct chromosome, and each
-problem binds and causalizes a distinct chromosome once: constructibility
-checks and fitness share one memo. Chromosome position i names the
-variable assigned to symbol slot i.
+problem binds (at slot level) and causalizes a distinct chromosome once:
+constructibility checks and fitness share one memo. A plan left unscored
+at the end of a generation is dropped, so such a chromosome is
+causalized again if a later generation scores it. Chromosome position i
+names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from construct.errors import ConstructError
 from construct.isolate import (
     RuleConfig, isolate_step_function, load_rule_config, normalize_primitives,
 )
-from construct.model import BoundModel, apply_assignment
+from construct.model import BoundModel, apply_assignment, bound_names
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
 EARLY_STOP_MSE = 1e-12
 BACKTRACK_BUDGET = 1000  # failed placements per CbC construction attempt
+RETRY_BUDGET = 100  # CbC attempts per generated, mutated or crossed chromosome
 
 
 class GaError(ConstructError):
@@ -61,6 +64,8 @@ class NoReferenceTrace(GaError):
 
 def search_space_size(num_slots: int, num_variables: int) -> int:
     """Count of injective assignments: P(V, S) = V! / (V - S)!."""
+    if num_slots < 0:
+        raise GaError(f"negative slot count {num_slots}")
     if num_slots > num_variables:
         raise SlotsExceedVariables(f"{num_slots} slots > {num_variables} variables")
     return math.perm(num_variables, num_slots)
@@ -83,13 +88,14 @@ class GaConfig:
     tournament_size: int = 2
     elitism: int = 2
     rng_seed: int = 0
-    retry_budget: int = 100
     early_stop: bool = True
     cbt_repair: bool = False
 
     def __post_init__(self):
         if not 0 < self.elitism < self.population_size:
             raise ValueError("need 0 < elitism < population_size")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must be within [0, 1]")
@@ -125,8 +131,8 @@ class GaProblem:
     state_slots: frozenset = field(init=False)
     # per algebraic equation: the non-state slots it could be solved for
     solve_candidates: tuple = field(init=False)
-    # genes -> its SimPlan until fitness_of has scored it, then True;
-    # False when the genome does not causalize
+    # genes -> its SimPlan until fitness_of has scored it or its generation
+    # is evaluated, then True; False when the genome does not causalize
     _causalized: dict = field(init=False, default_factory=dict, compare=False,
                               repr=False)
 
@@ -173,8 +179,10 @@ class GaProblem:
         return check.validate_assignment(self.model, self.vars, genes)
 
     def bind(self, genes) -> BoundModel:
-        """The bound model, carrying the slot-level structure."""
-        return apply_assignment(self.model, genes, self.vars, self.structure)
+        """The slot-level bound model: no equation is rewritten to names."""
+        names = bound_names(self.model, genes, self.vars)
+        states = frozenset(names[s] for s in self.state_slots)
+        return BoundModel(self.model.equations, self.vars, states, names, self.structure)
 
     def _causalize(self, genes: tuple):
         """The memo entry of genes, binding and causalizing them on the
@@ -206,9 +214,16 @@ class GaProblem:
         return sim.score(None if plan is False else plan, self.input_trace,
                          self.reference_trace, self.classification.outputs)
 
+    def drop_unscored_plans(self) -> None:
+        """Keep only the verdict of genomes that passed constructible but
+        were never scored, so their plans do not outlive a generation."""
+        for genes, entry in self._causalized.items():
+            if isinstance(entry, sim.SimPlan):
+                self._causalized[genes] = True
+
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
-        """Bind, causalize and simulate the output variables; errors raise."""
-        plan = sim.causalize(self.bind(genes))
+        """Bind by name, causalize and simulate the output variables; errors raise."""
+        plan = sim.causalize(apply_assignment(self.model, genes, self.vars))
         return sim.simulate(plan, inputs, self.classification.outputs)
 
 
@@ -356,13 +371,12 @@ def _construct_constrained(problem: GaProblem, rng):
     return assignment
 
 
-def generate_individual(mode: str, problem: GaProblem, rng,
-                        cfg: GaConfig = GaConfig()) -> Chromosome:
+def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
     """Draw one chromosome.
 
     CbT: a uniform random injective assignment, nothing else enforced.
     CbC: constraint-guided construction, accepted only when the result
-    is constructible; retried up to the retry budget.
+    is constructible; retried up to RETRY_BUDGET times.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(
@@ -372,7 +386,7 @@ def generate_individual(mode: str, problem: GaProblem, rng,
                                            problem.num_slots)))
 
     last_failure = "no construction attempt finished"
-    for _ in range(cfg.retry_budget):
+    for _ in range(RETRY_BUDGET):
         try:
             genes = _construct_constrained(problem, rng)
         except _Exhausted:
@@ -392,8 +406,7 @@ def generate_individual(mode: str, problem: GaProblem, rng,
 # Mutation and crossover
 # ---------------------------------------------------------------------------
 
-def mutate(mode: str, c: Chromosome, problem: GaProblem, rng,
-           cfg: GaConfig = GaConfig()) -> Chromosome:
+def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
     """Swap two genes. CbC additionally requires the swapped slots to be
     type-compatible both ways and the result to stay constructible; when
     no acceptable swap is found the chromosome is returned unchanged."""
@@ -407,7 +420,7 @@ def mutate(mode: str, c: Chromosome, problem: GaProblem, rng,
         return Chromosome(tuple(genes))
 
     compat_sets = [set(cs) for cs in problem.compat]
-    for _ in range(cfg.retry_budget):
+    for _ in range(RETRY_BUDGET):
         i, j = rng.sample(range(n), 2)
         if genes[j] not in compat_sets[i] or genes[i] not in compat_sets[j]:
             continue
@@ -468,7 +481,7 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
         return Chromosome(c1), Chromosome(c2)
 
     assert problem is not None, "CbC crossover needs the problem"
-    for _ in range(cfg.retry_budget):
+    for _ in range(RETRY_BUDGET):
         k = rng.randrange(n)
         c1 = _pmx_child(a.genes, b.genes, k, problem)
         c2 = _pmx_child(b.genes, a.genes, k, problem)
@@ -504,7 +517,7 @@ def _generation_stats(gen: int, fitnesses) -> dict:
     }
 
 
-def run_ga(mode: str, problem: GaProblem, cfg: GaConfig, rng=None,
+def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
            on_individual=None) -> GaResult:
     """Generational GA with tournament selection and elitism.
 
@@ -525,12 +538,11 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig, rng=None,
     if len(reference.times) != len(problem.input_trace.times):
         raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
                              f"input trace {len(problem.input_trace.times)}")
-    if rng is None:
-        rng = _random.Random(cfg.rng_seed)
+    rng = _random.Random(cfg.rng_seed)
 
     cache: dict = {}
     evaluations = 0
-    population = [generate_individual(mode, problem, rng, cfg)
+    population = [generate_individual(mode, problem, rng)
                   for _ in range(cfg.population_size)]
     stats = []
     best_c = None
@@ -556,12 +568,13 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig, rng=None,
                     c1, c2 = Chromosome(p1.genes), Chromosome(p2.genes)
                 for child in (c1, c2):
                     if rng.random() < cfg.mutation_rate:
-                        child = mutate(mode, child, problem, rng, cfg)
+                        child = mutate(mode, child, problem, rng)
                     if len(next_pop) < cfg.population_size:
                         next_pop.append(child)
             population = next_pop
 
         fitnesses, n_eval = _evaluate(problem, population, cache)
+        problem.drop_unscored_plans()
         evaluations += n_eval
         if on_individual is not None:
             for c, f in zip(population, fitnesses):

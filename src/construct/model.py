@@ -19,13 +19,13 @@ class GeneOutOfRange(ConstructError):
 
 @dataclass(frozen=True)
 class BoundModel:
-    """An equation model with slots substituted by real variable names."""
+    """An equation model bound to variables: equations over variable names,
+    or, with a slot-level sim.Structure, over slot ids, each named by bindings."""
 
-    equations: tuple  # of (lhs, rhs) over variable names
+    equations: tuple  # of (lhs, rhs) over variable names, or slot ids
     variable_table: VariableTable
     states: frozenset  # variable names appearing under der()
     bindings: tuple  # per-slot variable names, in slot order
-    # slot-level sim.Structure, if given; else causalize analyses the names
     structure: object = field(default=None, compare=False, repr=False)
 
     def used_names(self) -> list:
@@ -37,22 +37,25 @@ class BoundModel:
         return list(seen)
 
 
-def apply_assignment(m: EquationModel, c, vars: VariableTable,
-                     structure=None) -> BoundModel:
-    """Rewrite every slot reference to the variable its gene selects.
-    structure, the slot-level sim.Structure of m, is kept for causalize."""
+def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
+    """The variable name each gene of c selects, one gene per slot."""
     genes = genes_of(c)
     if len(genes) != m.num_slots:
         raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
     for pos, g in enumerate(genes):
         if not 0 <= g < len(vars):
             raise GeneOutOfRange(pos, g, len(vars))
-    names = tuple(vars[g].name for g in genes)
+    return tuple(vars[g].name for g in genes)
+
+
+def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
+    """The name-level model, for emission and mappings from outside a search."""
+    names = bound_names(m, c, vars)
     equations = tuple(
         (mexpr.map_refs(lhs, lambda r: names[r]), mexpr.map_refs(rhs, lambda r: names[r]))
         for lhs, rhs in m.equations)
     states = frozenset(names[s.id] for s in m.slots if s.is_state)
-    return BoundModel(equations, vars, states, names, structure)
+    return BoundModel(equations, vars, states, names)
 
 
 # ---------------------------------------------------------------------------

@@ -295,12 +295,12 @@ def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
     The model's Structure is the slot-level one it carries, read through
-    its bindings, or else its own, analysed over its names. State
+    its bindings, or else its own, analysed over its names. The plan is
+    over names: only the expressions it keeps are renamed. State
     equations bind their state directly. The remaining equations are
-    matched one-to-one to the remaining unknowns, where a match requires
-    the unknown to occur exactly once and be isolatable; matched
-    equations are then ordered topologically. A state without a start
-    value starts at 0.0.
+    matched one-to-one to the remaining unknowns (one occurrence, and
+    isolatable); matched equations are then ordered topologically. A
+    state without a start value starts at 0.0.
     """
     if len(set(b.bindings)) != len(b.bindings):
         dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
@@ -329,7 +329,7 @@ def causalize(b: BoundModel) -> SimPlan:
             raise CausalizeError(f"two state equations for {state!r}")
         start = table.by_name(state).start
         state_vars.append((state, 0.0 if start is None else _as_real(start),
-                           b.equations[index][1]))
+                           mexpr.map_refs(b.equations[index][1], name)))
 
     occurring = {name(r) for r in st.occurring}
     cls = check.classify_variables(table)

@@ -274,3 +274,88 @@ def test_translate_long_doubling_chain_exits_1_quickly(pi_case, tmp_path, capsys
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nodes" in err
+
+
+def _mapping_file(tmp_path, text):
+    path = tmp_path / "mapping.json"
+    path.write_text(text)
+    return path
+
+
+def _ground_truth_with(pi_case, position, gene):
+    genes = list(pi_case["ground_truth"])
+    genes[position] = gene
+    return json.dumps({"genes": genes})
+
+
+HOSTILE_MAPPINGS = {
+    "missing": None,
+    "not-json": "{genes: [1, 2",
+    "json-list": "[3, 1, 2]",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "make-reference"])
+@pytest.mark.parametrize("kind", sorted(HOSTILE_MAPPINGS))
+def test_unreadable_mapping_exits_1(pi_case, tmp_path, capsys, command, kind):
+    work = _pi_copy(pi_case, tmp_path)
+    text = HOSTILE_MAPPINGS[kind]
+    mapping = tmp_path / "absent.json" if text is None else _mapping_file(tmp_path, text)
+    argv = [command, str(work), "--mapping", str(mapping)]
+    if command == "simulate":
+        argv += ["-o", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "make-reference"])
+@pytest.mark.parametrize("kind", ["too-short", "too-long", "out-of-range", "negative"])
+def test_mapping_not_fitting_the_problem_exits_1(pi_case, tmp_path, capsys, command,
+                                                  kind):
+    work = _pi_copy(pi_case, tmp_path)
+    genes = list(pi_case["ground_truth"])
+    n_vars = pi_case["problem"].num_variables
+    text = {"too-short": json.dumps({"genes": genes[:-1]}),
+            "too-long": json.dumps({"genes": genes + [n_vars - 1]}),
+            "out-of-range": _ground_truth_with(pi_case, 0, n_vars),
+            "negative": _ground_truth_with(pi_case, 0, -1)}[kind]
+    argv = [command, str(work), "--mapping", str(_mapping_file(tmp_path, text))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_boolean_gene_in_mapping_exits_1(pi_case, tmp_path, capsys):
+    # true would otherwise be read as gene 1
+    position = pi_case["ground_truth"].index(1)
+    mapping = _mapping_file(tmp_path, _ground_truth_with(pi_case, position, True))
+    assert main(["validate", str(pi_case["root"]), "--mapping", str(mapping)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_make_reference_missing_input_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    code = main(["make-reference", str(work), "--mapping",
+                 str(work / "ground_truth.json"), "--input", str(tmp_path / "absent.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [("--pop", "1"), ("--pc", "2"), ("--pm", "-0.5"),
+                                   ("--tournament", "0"), ("--gens", "0"),
+                                   ("--elitism", "0")])
+def test_synth_invalid_settings_exit_1(pi_case, capsys, flags):
+    code = main(["synth", str(pi_case["root"]), "--mode", "cbc", "--pop", "20", *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: invalid search settings")
+
+
+def test_space_negative_slot_count_exits_1(capsys):
+    assert main(["space", "-1", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_synth_out_into_missing_directory_exits_1(pi_case, tmp_path, capsys):
+    code = main(["synth", str(pi_case["root"]), "--mode", "cbc", "--pop", "10",
+                 "--gens", "1", "-o", str(tmp_path / "absent" / "best.mo")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

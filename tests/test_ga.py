@@ -115,8 +115,7 @@ def test_cbc_unsatisfiable_when_no_boolean_variable():
     trace = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
     problem = GaProblem(model, vars, trace, trace)
     with pytest.raises(ConstraintsUnsatisfiable):
-        generate_individual("cbc", problem, random.Random(1),
-                            GaConfig(population_size=4, elitism=1, retry_budget=5))
+        generate_individual("cbc", problem, random.Random(1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,8 @@ def test_cbc_crossover_children_constructible(pi_case):
     problem = pi_case["problem"]
     rng = random.Random(23)
     cfg = GaConfig(population_size=4, elitism=1)
-    a = generate_individual("cbc", problem, rng, cfg)
-    b = generate_individual("cbc", problem, rng, cfg)
+    a = generate_individual("cbc", problem, rng)
+    b = generate_individual("cbc", problem, rng)
     for _ in range(20):
         c1, c2 = crossover("cbc", a, b, rng, cfg, problem)
         for child in (c1, c2):
@@ -312,3 +311,42 @@ def test_run_ga_causalizes_each_genome_once(pi_case, monkeypatch, mode):
     assert max(calls.values()) == 1
     # a scored genome keeps its verdict, not its plan
     assert all(problem._causalized[genes] in (True, False) for genes in scored)
+
+
+def test_run_ga_leaves_no_plan_in_the_memo(all_cases):
+    # CbC checks genomes it never scores: a crossover child whose sibling
+    # does not causalize, a child past the population cap
+    from construct import ga, sim
+
+    for name, case in all_cases.items():
+        problem = ga.problem_from_container(case["container"])
+        cfg = GaConfig(population_size=50, max_generations=10, rng_seed=1,
+                       early_stop=False)
+        run_ga("cbc", problem, cfg)
+        assert problem._causalized, name
+        assert not any(isinstance(entry, sim.SimPlan)
+                       for entry in problem._causalized.values()), name
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cbt"])
+def test_run_ga_binds_genomes_at_slot_level(all_cases, monkeypatch, mode):
+    from construct import ga, model
+
+    calls = []
+    apply_assignment = model.apply_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return apply_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(model, "apply_assignment", counting)
+    monkeypatch.setattr(ga, "apply_assignment", counting)
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        cfg = GaConfig(population_size=20, max_generations=3, rng_seed=2)
+        best, _ = run_ga(mode, problem, cfg).best
+        assert calls == [], name
+        bound = problem.bind(best.genes)
+        assert bound.equations is problem.model.equations
+        assert bound.structure is problem.structure
+        assert bound.bindings == tuple(problem.vars[g].name for g in best.genes)
