@@ -31,6 +31,12 @@ class TypeConflict(ConstructError):
         super().__init__(f"conflicting type demands on {where}: {self.demands}")
 
 
+class GeneOutOfRange(ConstructError, ValueError):
+    def __init__(self, position: int, gene: int, limit: int):
+        self.position = position
+        super().__init__(f"gene {gene} at position {position} outside [0, {limit})")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -202,9 +208,17 @@ def infer_symbol_types(m: EquationModel) -> EquationModel:
 # Constraint validation
 # ---------------------------------------------------------------------------
 
-def genes_of(c) -> tuple:
-    """Accept a Chromosome or any sequence of gene values."""
-    return tuple(getattr(c, "genes", c))
+def genes_of(m: EquationModel, c, vars: VariableTable) -> tuple:
+    """The genes of c, a Chromosome or any sequence of gene values: one
+    per slot of m (else ValueError), each the index of a variable of vars
+    (else GeneOutOfRange)."""
+    genes = tuple(getattr(c, "genes", c))
+    if len(genes) != m.num_slots:
+        raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
+    for pos, g in enumerate(genes):
+        if not 0 <= g < len(vars):
+            raise GeneOutOfRange(pos, g, len(vars))
+    return genes
 
 
 def validate_assignment(m: EquationModel, vars: VariableTable, c,
@@ -215,13 +229,7 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
     already be inferred (infer_symbol_types). With strict_unknown, slots
     whose type could not be inferred are themselves C1 violations.
     """
-    genes = genes_of(c)
-    if len(genes) != m.num_slots:
-        raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
-    for pos, g in enumerate(genes):
-        if not 0 <= g < len(vars):
-            raise ValueError(f"gene {g} at position {pos} out of range")
-
+    genes = genes_of(m, c, vars)
     cls = classify_variables(vars)
     violations = []
 
@@ -251,13 +259,12 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
         if not names & unknowns:
             violations.append(("C2", f"equation {i} references no unknown"))
 
-    mapped_unknowns = {vars[g].name for g in genes} & unknowns
-    if len(mapped_unknowns) != len(m.equations):
+    image = {vars[g].name for g in genes}
+    if len(image & unknowns) != len(m.equations):
         violations.append(
-            ("C3", f"{len(mapped_unknowns)} mapped unknowns for "
+            ("C3", f"{len(image & unknowns)} mapped unknowns for "
                    f"{len(m.equations)} equations"))
 
-    image = {vars[g].name for g in genes}
     for name in list(cls.inputs) + list(cls.outputs):
         if name not in image:
             violations.append(("C4", f"I/O variable {name!r} is not mapped"))

@@ -21,7 +21,7 @@ from construct.container import (
     VariableDescriptor, VariableTable, load_container, load_trace, write_trace,
 )
 from construct.errors import ConstructError
-from construct.model import apply_assignment, bound_names, emit_modelica
+from construct.model import apply_assignment, emit_modelica
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
@@ -79,10 +79,10 @@ def _load_mapping(path: str, problem: ga.GaProblem) -> tuple:
     genes = data.get("genes") if isinstance(data, dict) else None
     if not isinstance(genes, list) or not all(type(g) is int for g in genes):
         raise ConstructError(f"{path}: expected {{\"genes\": [int, ...]}}")
-    if len(genes) != problem.num_slots:
-        raise ConstructError(f"{path}: {len(genes)} genes for {problem.num_slots} slots")
-    bound_names(problem.model, genes, problem.vars)  # raises GeneOutOfRange
-    return tuple(genes)
+    try:
+        return check.genes_of(problem.model, genes, problem.vars)
+    except ValueError as exc:  # a GeneOutOfRange too
+        raise ConstructError(f"{path}: {exc}") from None
 
 
 def _model_name(container: Path) -> str:
@@ -95,6 +95,9 @@ def _model_name(container: Path) -> str:
 def cmd_synth(args) -> int:
     cm, problem = _load_problem(args)
     cfg = _ga_config(args)
+    for path in filter(None, (args.out, args.report, args.curves)):
+        if not Path(path).parent.is_dir():
+            raise ConstructError(f"{path}: no such directory to write into")
     result = ga.run_ga(args.mode, problem, cfg)
     best_c, best_f = result.best
 

@@ -16,8 +16,10 @@ Fitness is evaluated serially, once per distinct chromosome, and each
 problem binds (at slot level) and causalizes a distinct chromosome once:
 constructibility checks and fitness share one memo. A plan left unscored
 at the end of a generation is dropped, so such a chromosome is
-causalized again if a later generation scores it. Chromosome position i
-names the variable assigned to symbol slot i.
+causalized again if a later generation scores it. Each problem compiles
+one simulation kernel per slot-level plan shape (sim.KernelCache) and
+runs every scored chromosome of that shape through it. Chromosome
+position i names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
@@ -135,24 +137,19 @@ class GaProblem:
     # is evaluated, then True; False when the genome does not causalize
     _causalized: dict = field(init=False, default_factory=dict, compare=False,
                               repr=False)
+    # the simulation kernels of scored genomes, one per slot-level shape
+    kernels: sim.KernelCache = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cls = classify_variables(self.vars)
-        unknown_names = cls.unknowns
         unknown_idx = frozenset(
-            i for i, v in enumerate(self.vars.variables) if v.name in unknown_names)
-        compat = []
-        for slot in self.model.slots:
-            ok = []
-            for i, v in enumerate(self.vars.variables):
-                if slot.inferred_type not in ("Unknown", v.vtype):
-                    continue
-                # a state must be determined by the system, so its slot
-                # can only take an unknown
-                if slot.is_state and i not in unknown_idx:
-                    continue
-                ok.append(i)
-            compat.append(tuple(ok))
+            i for i, v in enumerate(self.vars.variables) if v.name in cls.unknowns)
+        # a state must be determined by the system, so its slot can only
+        # take an unknown
+        compat = tuple(tuple(i for i, v in enumerate(self.vars.variables)
+                             if slot.inferred_type in ("Unknown", v.vtype)
+                             and (i in unknown_idx or not slot.is_state))
+                       for slot in self.model.slots)
         io = tuple(i for i, v in enumerate(self.vars.variables)
                    if v.causality in ("input", "output"))
         structure = sim.analyse(self.model.equations, self.model.slots)
@@ -160,12 +157,13 @@ class GaProblem:
         candidates = tuple(tuple(r for r in iso if r not in states)
                            for iso in structure.isolated)
         object.__setattr__(self, "classification", cls)
-        object.__setattr__(self, "compat", tuple(compat))
+        object.__setattr__(self, "compat", compat)
         object.__setattr__(self, "unknown_indices", unknown_idx)
         object.__setattr__(self, "io_indices", io)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "state_slots", states)
         object.__setattr__(self, "solve_candidates", candidates)
+        object.__setattr__(self, "kernels", sim.KernelCache(structure))
 
     @property
     def num_slots(self) -> int:
@@ -212,7 +210,7 @@ class GaProblem:
             plan = sim.causalize(self.bind(genes))
         self._causalized[genes] = plan is not False
         return sim.score(None if plan is False else plan, self.input_trace,
-                         self.reference_trace, self.classification.outputs)
+                         self.reference_trace, self.classification.outputs, self.kernels)
 
     def drop_unscored_plans(self) -> None:
         """Keep only the verdict of genomes that passed constructible but
@@ -227,13 +225,6 @@ class GaProblem:
         return sim.simulate(plan, inputs, self.classification.outputs)
 
 
-def merge_units(units) -> CodeUnit:
-    functions = []
-    for u in units:
-        functions.extend(u.functions)
-    return CodeUnit(tuple(functions))
-
-
 def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
     """Run the front half of the pipeline: parse, isolate, normalize,
     eliminate temporaries, translate, infer types. The rules come from
@@ -242,7 +233,7 @@ def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
     if cm.root is not None and (cm.root / "rules.toml").is_file():
         rule_cfg = load_rule_config((cm.root / "rules.toml").read_text())
     rule_cfg = replace(rule_cfg, **rule_overrides)
-    unit = merge_units(parse_c_unit(text) for _, text in cm.sources)
+    unit = CodeUnit(tuple(f for _, text in cm.sources for f in parse_c_unit(text).functions))
     body = isolate_step_function(unit, rule_cfg)
     body = normalize_primitives(body, rule_cfg)
     body = eliminate_temporaries(body)

@@ -5,16 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from construct import mexpr
-from construct.check import genes_of
+from construct.check import GeneOutOfRange, genes_of  # GeneOutOfRange re-exported
 from construct.container import VariableTable
-from construct.errors import ConstructError
 from construct.translate import EquationModel
-
-
-class GeneOutOfRange(ConstructError):
-    def __init__(self, position: int, gene: int, limit: int):
-        self.position = position
-        super().__init__(f"gene {gene} at position {position} outside [0, {limit})")
 
 
 @dataclass(frozen=True)
@@ -28,24 +21,10 @@ class BoundModel:
     bindings: tuple  # per-slot variable names, in slot order
     structure: object = field(default=None, compare=False, repr=False)
 
-    def used_names(self) -> list:
-        """Names referenced by the equations, in first-use order."""
-        seen: dict = {}
-        for lhs, rhs in self.equations:
-            for ref in mexpr.refs(lhs) + mexpr.refs(rhs):
-                seen.setdefault(ref, None)
-        return list(seen)
-
 
 def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
     """The variable name each gene of c selects, one gene per slot."""
-    genes = genes_of(c)
-    if len(genes) != m.num_slots:
-        raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
-    for pos, g in enumerate(genes):
-        if not 0 <= g < len(vars):
-            raise GeneOutOfRange(pos, g, len(vars))
-    return tuple(vars[g].name for g in genes)
+    return tuple(vars[g].name for g in genes_of(m, c, vars))
 
 
 def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
@@ -133,7 +112,7 @@ def emit_modelica(b: BoundModel, model_name: str) -> str:
     (input, output, parameter, local) and sorted by name; parameters
     carry their start as a binding, other variables as a modifier.
     """
-    used = set(b.used_names())
+    used = {r for lhs, rhs in b.equations for r in mexpr.refs(lhs) + mexpr.refs(rhs)}
     groups = {"input": [], "output": [], "parameter": [], "local": []}
     for v in b.variable_table.variables:
         if v.name in used:

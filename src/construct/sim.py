@@ -9,12 +9,13 @@ references must share a type) does not depend on the binding, so
 then checked against it: its types, its states, its balance, a maximum
 matching of equations to unknowns, and a topological order of the
 matched equations (BLT sorting). The resulting plan is integrated with
-forward Euler on the input trace's time grid by a kernel that simulate
-generates from the plan and compiles on each call: straight-line
-Python, one statement per expression node, with mexpr.eval_expr as its
-reference semantics. Models that fail any static or runtime check are
-rejected, which is exactly how non-simulatable candidates are
-discovered.
+forward Euler on the input trace's time grid by a generated kernel:
+straight-line Python, one statement per expression node, with
+mexpr.eval_expr as its reference semantics. simulate compiles one for
+the plan on each call, unless given a KernelCache, which compiles one
+per slot-level plan shape and passes each plan's names and values as
+data. Models that fail any static or runtime check are rejected, which
+is exactly how non-simulatable candidates are discovered.
 
 Static rejection is deliberately at least as strict as the constraint
 validator: with the slot-level Structure, whose type groups carry the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 from construct import check, mexpr
@@ -128,10 +129,6 @@ class Fitness:
             raise ValueError(f"not a valid MSE: {mse}")
         return cls(mse)
 
-    @classmethod
-    def invalid(cls) -> "Fitness":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.mse is not None
@@ -143,7 +140,7 @@ class Fitness:
         return self.sort_key() < other.sort_key()
 
 
-INVALID = Fitness.invalid()
+INVALID = Fitness(None)
 
 
 @dataclass(frozen=True)
@@ -152,6 +149,8 @@ class SimPlan:
     algebraic_order: tuple  # of (equation index, solved name, expression)
     param_env: dict
     input_names: frozenset
+    # the name at each slot, for a plan causalized at slot level
+    bindings: tuple = field(default=(), compare=False)
 
     @property
     def solved_names(self) -> frozenset:
@@ -163,15 +162,11 @@ class SimPlan:
 # Isolation (symbolic inversion along the path to the unknown)
 # ---------------------------------------------------------------------------
 
-def _contains(e, name) -> bool:
-    return name in mexpr.refs(e)
-
-
 def isolate_expression(lhs, rhs, name):
     """Solve ``lhs = rhs`` for name, which must occur exactly once.
     Returns the isolated expression or None when the path is not
     invertible (only +, -, *, / and unary minus invert)."""
-    if _contains(lhs, name):
+    if name in mexpr.refs(lhs):
         expr, target = lhs, rhs
     else:
         expr, target = rhs, lhs
@@ -183,7 +178,7 @@ def isolate_expression(lhs, rhs, name):
             continue
         if isinstance(expr, mexpr.Binary) and expr.op in mexpr.NUMERIC_BINOPS:
             a, b = expr.left, expr.right
-            in_left = _contains(a, name)
+            in_left = name in mexpr.refs(a)
             if expr.op == "add":
                 expr, target = (a, mexpr.Binary("sub", target, b)) if in_left \
                     else (b, mexpr.Binary("sub", target, a))
@@ -209,7 +204,7 @@ class Structure:
     """The binding-independent facts of an equation system, over its own
     references (slot ids, or variable names for a hand-built model)."""
 
-    states: tuple  # of (state ref, equation index), in model order
+    states: tuple  # of (state ref, right-hand side), in model order
     counts: tuple  # per algebraic equation: {ref: occurrences}, first use first
     isolated: tuple  # per algebraic equation: {ref: isolated expression}
     occurring: frozenset  # every ref in the equations
@@ -225,11 +220,11 @@ def analyse(equations, slots=()) -> Structure:
     Boolean constants, is a group without members that no binding meets.
     """
     states, counts, isolated, occurring = [], [], [], set()
-    for index, (lhs, rhs) in enumerate(equations):
+    for lhs, rhs in equations:
         refs = mexpr.refs(lhs) + mexpr.refs(rhs)
         occurring.update(refs)
         if isinstance(lhs, mexpr.Der):
-            states.append((lhs.ref, index))
+            states.append((lhs.ref, rhs))
             continue
         count = Counter(refs)
         counts.append(count)
@@ -320,7 +315,7 @@ def causalize(b: BoundModel) -> SimPlan:
 
     causality = {v.name: v.causality for v in table.variables}
     state_vars = []
-    for ref, index in st.states:
+    for ref, rhs in st.states:
         state = name(ref)
         if causality[state] not in ("output", "local"):
             raise InvalidStateVariable(
@@ -329,7 +324,7 @@ def causalize(b: BoundModel) -> SimPlan:
             raise CausalizeError(f"two state equations for {state!r}")
         start = table.by_name(state).start
         state_vars.append((state, 0.0 if start is None else _as_real(start),
-                           mexpr.map_refs(b.equations[index][1], name)))
+                           mexpr.map_refs(rhs, name)))
 
     occurring = {name(r) for r in st.occurring}
     cls = check.classify_variables(table)
@@ -363,7 +358,7 @@ def causalize(b: BoundModel) -> SimPlan:
     algebraic_order = tuple(
         (i, solved[i], mexpr.map_refs(isolated[i][solved[i]], name)) for i in order)
     return SimPlan(tuple(state_vars), algebraic_order, param_env,
-                   frozenset(cls.inputs))
+                   frozenset(cls.inputs), () if b.structure is None else b.bindings)
 
 
 def _as_real(value) -> float:
@@ -422,15 +417,15 @@ class _KernelSource:
 
     def __init__(self):
         self.lines: list = []
-        self.vars: dict = {}  # variable name -> local
+        self.vars: dict = {}  # ref -> local
         self.consts: dict = {}  # (type, repr) -> (local, value)
         self.temps = 0
         self.guards = 0
-        self.labels: list = []  # DivisionByZero labels, indexed by w
+        self.labels: list = []  # (error label template, ref), indexed in L
         self.label = None  # of the expression being emitted, until recorded
 
-    def var(self, name) -> str:
-        return self.vars.setdefault(name, f"v{len(self.vars)}")
+    def var(self, ref) -> str:
+        return self.vars.setdefault(ref, f"v{len(self.vars)}")
 
     def const(self, value) -> str:
         if isinstance(value, bool):
@@ -441,11 +436,16 @@ class _KernelSource:
             self.consts[key] = (f"c{len(self.consts)}", value)
         return self.consts[key][0]
 
-    def expression(self, e, dest: str, label: str) -> None:
+    def expression(self, e, dest: str, label: str, ref) -> None:
         """Emit the statements that compute e into dest. Its first
-        division records label for DivisionByZero in w."""
-        self.label = label
+        division records label, formatted with the name of ref, for
+        DivisionByZero in w."""
+        self.label = (label, ref)
         self._node(e, None, dest)
+
+    def check_finite(self, local: str, ref) -> None:
+        self.lines.append(f"if {local} - {local}: raise F(T[k], L[{len(self.labels)}])")
+        self.labels.append(("{}", ref))
 
     def _node(self, e, guard, dest=None) -> str:
         """Emit the statements computing e on the samples where guard
@@ -493,56 +493,45 @@ class _KernelSource:
 
 
 def _kernel_source(plan: SimPlan, out_names) -> tuple:
-    """The source of the kernel for plan and the namespace it runs in.
+    """The source of the kernel for plan and the namespace it runs in,
+    which also holds the kernel's data layout under "layout".
 
-    kernel(T, I, A, h, last) runs the loop over the times T: I holds the
-    input columns in plan.input_names order, A the append methods of the
-    recorded output lists in out_names order, h is the step and last the
-    index of the last sample. Its locals follow the env of the tree walk
-    statement by statement, so the results are bit-identical. `if x - x:`
-    is the finiteness check: x - x is 0.0 for a finite x and nan for inf
-    and nan.
+    kernel(T, I, A, P, S, L, h, last) runs the loop over the times T. I,
+    A and P hold the input columns, the append methods of the lists
+    recording out_names and the parameter values, in the layout's orders
+    of refs; S the state starts; L the layout's error label templates,
+    formatted with names; h is the step and last the index of the last
+    sample. Its locals follow the env of the tree walk statement by
+    statement, so the results are bit-identical. `if x - x:` is the
+    finiteness check: x - x is 0.0 for a finite x and nan for inf and nan.
     """
     src = _KernelSource()
-    loop, checked = src.lines, []
-
-    def check_finite(local: str, name) -> None:
-        loop.append(f"if {local} - {local}: F(T[k], {len(checked)})")
-        checked.append(name)
-
-    for j, name in enumerate(plan.input_names):
-        loop.append(f"{src.var(name)} = i{j}[k]")
-    for eq_index, name, expr in plan.algebraic_order:
-        src.expression(expr, src.var(name), f"equation {eq_index}")
-        check_finite(src.var(name), name)
-    for j, name in enumerate(out_names):
-        loop.append(f"a{j}({src.var(name)})")
+    loop = src.lines
+    inputs = tuple(plan.input_names)
+    for j, ref in enumerate(inputs):
+        loop.append(f"{src.var(ref)} = i{j}[k]")
+    for eq_index, ref, expr in plan.algebraic_order:
+        src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
+        src.check_finite(src.var(ref), ref)
+    for j, ref in enumerate(out_names):
+        loop.append(f"a{j}({src.var(ref)})")
     if plan.state_vars:
         loop.append("if k == last: break")
-        for j, (name, _, rhs) in enumerate(plan.state_vars):
-            src.expression(rhs, f"d{j}", f"der({name})")
-        for j, (name, _, _) in enumerate(plan.state_vars):
-            local = src.var(name)
+        for j, (ref, _, rhs) in enumerate(plan.state_vars):
+            src.expression(rhs, f"d{j}", "der({})", ref)
+        for j, (ref, _, _) in enumerate(plan.state_vars):
+            local = src.var(ref)
             loop.append(f"{local} = {local} + h * d{j}")
-            check_finite(local, name)
-
-    def non_finite(t, j):
-        raise NonFiniteValue(t, checked[j])
+            src.check_finite(local, ref)
 
     # only the parameters the loop reads are loaded
-    params = {src.vars[n]: v for n, v in plan.param_env.items() if n in src.vars}
-    namespace = {
-        "P": tuple(params.values()),
-        "S": tuple(start for _, start, _ in plan.state_vars),
-        "C": tuple(value for _, value in src.consts.values()),
-        "L": tuple(src.labels), "E": _evaluated_der, "F": non_finite,
-        "DivisionByZero": DivisionByZero,
-    }
-    head = ["def kernel(T, I, A, h, last):"]
+    params = tuple(r for r in plan.param_env if r in src.vars)
+    head = ["def kernel(T, I, A, P, S, L, h, last):"]
     for targets, data in (
-            (params, "P"), ([src.var(n) for n, _, _ in plan.state_vars], "S"),
+            ([src.vars[r] for r in params], "P"),
+            ([src.var(r) for r, _, _ in plan.state_vars], "S"),
             ([c for c, _ in src.consts.values()], "C"),
-            ([f"i{j}" for j in range(len(plan.input_names))], "I"),
+            ([f"i{j}" for j in range(len(inputs))], "I"),
             ([f"a{j}" for j in range(len(out_names))], "A")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
@@ -550,15 +539,72 @@ def _kernel_source(plan: SimPlan, out_names) -> tuple:
                        + [f"   {line}" for line in loop]
                        + [" except ZeroDivisionError:",
                           "  raise DivisionByZero(T[k], L[w]) from None", ""])
+    namespace = {"C": tuple(value for _, value in src.consts.values()),
+                 "E": _evaluated_der, "F": NonFiniteValue, "DivisionByZero": DivisionByZero,
+                 "layout": (params, inputs, tuple(out_names), tuple(src.labels))}
     return source, namespace
 
 
-def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
+def _compile_kernel(plan: SimPlan, recorded) -> tuple:
+    """The kernel of plan, recording recorded, and its data layout: (run,
+    refs of P, refs of I, refs of A, labels), see _kernel_source."""
+    source, namespace = _kernel_source(plan, recorded)
+    exec(compile(source, "<simulate kernel>", "exec"), namespace)
+    # popped, so that the namespace and the kernel form no reference cycle
+    return (namespace.pop("kernel"), *namespace.pop("layout"))
+
+
+class KernelCache:
+    """The kernels of one slot-level Structure, compiled once per plan
+    shape, and the step of the last input grid checked. A shape, the
+    (algebraic equation, solved slot) pairs in plan order and the slots
+    that hold parameters and inputs, fixes the source; its kernel records
+    every solved slot, so names, values and outputs reach it as data."""
+
+    def __init__(self, structure: Structure):
+        self.structure = structure
+        self.kernels: dict = {}
+        self.grid = (None, None)  # (times, step)
+
+    def step(self, times) -> float:
+        if self.grid[0] is not times:
+            self.grid = (times, grid_step(times))
+        return self.grid[1]
+
+    def kernel(self, plan: SimPlan) -> tuple:
+        """The compiled kernel of a plan causalized at slot level."""
+        slot = {n: s for s, n in enumerate(plan.bindings)}
+        key = (tuple((i, slot[n]) for i, n, _ in plan.algebraic_order),
+               tuple(s for s, n in enumerate(plan.bindings) if n in plan.param_env),
+               tuple(s for s, n in enumerate(plan.bindings) if n in plan.input_names))
+        if key not in self.kernels:
+            pairs, params, inputs = key
+            st = self.structure
+            shape = SimPlan(tuple((r, None, rhs) for r, rhs in st.states),
+                            tuple((i, s, st.isolated[i][s]) for i, s in pairs),
+                            dict.fromkeys(params), frozenset(inputs))
+            self.kernels[key] = _compile_kernel(shape, sorted(shape.solved_names))
+        return self.kernels[key]
+
+
+def grid_step(times) -> float:
+    """The step of a uniform time grid; NonUniformGrid otherwise."""
+    h = times[1] - times[0]
+    for a, t in zip(times, times[1:]):
+        if abs((t - a) - h) > GRID_RTOL * abs(h):
+            raise NonUniformGrid(f"non-uniform sample spacing near t={t}")
+    return h
+
+
+def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
+             kernels: KernelCache | None = None) -> Trace:
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is a kernel compiled from the plan for this call
-    (see _kernel_source); mexpr.eval_expr is its reference semantics."""
+    The per-sample loop is a kernel compiled from the plan for this call,
+    recording only the outputs of interest, or, with kernels, the one of
+    the plan's slot-level shape (see _kernel_source); mexpr.eval_expr is
+    its reference semantics."""
     for name in sorted(plan.input_names):
         if name not in inputs.columns:
             raise MissingInput(name)
@@ -567,21 +613,20 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
             raise SimulateError(f"output {name!r} is not computed by the plan")
 
     times = inputs.times
-    h = times[1] - times[0]
-    for a, t in zip(times, times[1:]):
-        if abs((t - a) - h) > GRID_RTOL * abs(h):
-            raise NonUniformGrid(f"non-uniform sample spacing near t={t}")
-
     out_names = sorted(outputs_of_interest)
-    recorded = {n: [] for n in out_names}
-    source, namespace = _kernel_source(plan, out_names)
-    exec(compile(source, "<simulate kernel>", "exec"), namespace)
-    # popped, so that the namespace and the kernel form no reference cycle
-    # and are freed when the call returns
-    kernel = namespace.pop("kernel")
-    kernel(times, tuple(inputs.columns[n] for n in plan.input_names),
-           tuple(recorded[n].append for n in out_names), h, len(times) - 1)
-    return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
+    if kernels is None:
+        h, name, kernel = grid_step(times), (lambda r: r), _compile_kernel(plan, out_names)
+    else:
+        h, name, kernel = kernels.step(times), plan.bindings.__getitem__, kernels.kernel(plan)
+    run, params, reads, recorded, labels = kernel
+    columns = [[] for _ in recorded]
+    run(times, tuple(inputs.columns[name(r)] for r in reads),
+        tuple(column.append for column in columns),
+        tuple(plan.param_env[name(r)] for r in params),
+        tuple(start for _, start, _ in plan.state_vars),
+        tuple(label.format(name(r)) for label, r in labels), h, len(times) - 1)
+    by_name = dict(zip(map(name, recorded), columns))
+    return Trace(times, {n: tuple(by_name[n]) for n in out_names})
 
 
 def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
@@ -595,26 +640,25 @@ def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
     return score(plan, inputs, reference, outputs)
 
 
-def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs) -> Fitness:
-    """Mean squared distance of the plan's outputs from the reference.
-    No plan (the model does not causalize), a simulate failure and a sum
-    of squares that overflows all fold into Invalid."""
+def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
+          kernels: KernelCache | None = None) -> Fitness:
+    """Mean squared distance of the plan's outputs, simulated with
+    kernels, from the reference. No plan (the model does not causalize),
+    a simulate failure and a sum of squares that overflows all fold into
+    Invalid."""
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")
     if plan is None:
         return INVALID
     try:
-        result = simulate(plan, inputs, outputs)
+        result = simulate(plan, inputs, outputs, kernels)
     except SimError:
         return INVALID
     if len(result.times) != len(reference.times):
         raise ValueError("reference and simulation grids differ in length")
-    sq = []
-    for name in outputs:
-        ys = result.columns[name]
-        rs = reference.columns[name]
-        sq.extend((y - r) * (y - r) for y, r in zip(ys, rs))
+    sq = [(y - r) * (y - r) for name in outputs
+          for y, r in zip(result.columns[name], reference.columns[name])]
     try:
         mse = math.fsum(sq) / len(sq)
     except OverflowError:  # finite squares whose sum overflows

@@ -4,7 +4,8 @@ import pytest
 
 from construct import mexpr
 from construct.check import (
-    TypeConflict, classify_variables, infer_symbol_types, validate_assignment,
+    GeneOutOfRange, TypeConflict, classify_variables, infer_symbol_types,
+    validate_assignment,
 )
 from construct.container import VariableDescriptor, VariableTable
 from construct.translate import EquationModel, SymbolSlot
@@ -188,3 +189,12 @@ def test_ground_truths_validate(all_cases):
         report = validate_assignment(problem.model, problem.vars,
                                      case["ground_truth"])
         assert report.valid, report.summary()
+
+
+def test_out_of_range_gene_precondition(tiny_model):
+    m, vars = tiny_model
+    for gene in (-1, len(vars)):
+        with pytest.raises(GeneOutOfRange) as exc:
+            validate_assignment(m, vars, (0, 1, gene))
+        assert exc.value.position == 2
+        assert isinstance(exc.value, ValueError)

@@ -359,3 +359,21 @@ def test_synth_out_into_missing_directory_exits_1(pi_case, tmp_path, capsys):
                  "--gens", "1", "-o", str(tmp_path / "absent" / "best.mo")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["-o", "--report", "--curves"])
+def test_synth_checks_output_paths_before_searching(pi_case, tmp_path, capsys, flag):
+    code = main(["synth", str(pi_case["root"]), "--mode", "cbc",
+                 flag, str(tmp_path / "missing" / "x.mo")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "search finished" not in captured.out
+
+
+def test_out_of_range_gene_error_names_the_mapping_file(pi_case, tmp_path, capsys):
+    n_vars = pi_case["problem"].num_variables
+    mapping = _mapping_file(tmp_path, _ground_truth_with(pi_case, 0, n_vars))
+    assert main(["validate", str(pi_case["root"]), "--mapping", str(mapping)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mapping}: gene {n_vars} at position 0 outside")

@@ -350,3 +350,58 @@ def test_run_ga_binds_genomes_at_slot_level(all_cases, monkeypatch, mode):
         assert bound.equations is problem.model.equations
         assert bound.structure is problem.structure
         assert bound.bindings == tuple(problem.vars[g].name for g in best.genes)
+
+
+def _shape_key(problem, genes):
+    """The slot-level shape of a genome's plan: its (equation, solved slot)
+    pairs in order, and the slots that hold parameters and inputs."""
+    from construct import sim
+
+    plan = sim.causalize(problem.bind(genes))
+    names = [problem.vars[g].name for g in genes]
+    causality = [problem.vars[g].causality for g in genes]
+    return (tuple((i, names.index(n)) for i, n, _ in plan.algebraic_order),
+            tuple(s for s, c in enumerate(causality) if c == "parameter"),
+            tuple(s for s, c in enumerate(causality) if c == "input"))
+
+
+def _scored_run(case):
+    """A fresh problem and the fitness of every genome its CbC run scored."""
+    from construct import ga
+
+    problem = ga.problem_from_container(case["container"])
+    scored: dict = {}
+    cfg = GaConfig(population_size=50, max_generations=10, rng_seed=1)
+    run_ga("cbc", problem, cfg, on_individual=lambda c, f: scored.setdefault(c.genes, f))
+    return problem, scored
+
+
+def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
+    from construct import sim
+
+    for name, case in all_cases.items():
+        problem, scored = _scored_run(case)
+        for genes, fit in scored.items():
+            plan = sim.causalize(problem.bind(genes))
+            uncached = sim.score(plan, problem.input_trace, problem.reference_trace,
+                                 problem.classification.outputs)
+            assert repr(uncached) == repr(fit), (name, genes)
+
+
+def test_search_compiles_one_kernel_per_slot_level_shape(all_cases, monkeypatch):
+    from construct import sim
+
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(sim, "compile", counting, raising=False)
+    for name, case in all_cases.items():
+        compiled.clear()
+        problem, scored = _scored_run(case)
+        shapes = {_shape_key(problem, genes) for genes in scored}
+        assert len(compiled) == len(shapes), name
+        assert len(problem.kernels.kernels) == len(shapes), name
+        assert 1 < len(shapes) < len(scored), name

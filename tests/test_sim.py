@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 
 import pytest
 
 from construct import mexpr
+from construct.check import infer_symbol_types
 from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
@@ -12,8 +14,9 @@ from construct.sim import (
     NonUniformGrid, NotIsolatable, StructurallySingular, UnbalancedSystem,
     UnusedInput, causalize, fitness, simulate,
 )
-from construct.ga import generate_individual
-from construct.sim import CausalizeError, SimPlan
+from construct.ga import GaProblem, generate_individual
+from construct.sim import CausalizeError, NonFiniteValue, SimPlan
+from construct.translate import EquationModel, SymbolSlot
 
 
 def table(*rows):
@@ -361,3 +364,72 @@ def test_fitness_invalid_when_the_mse_overflows():
     # every output sample is finite; the squares are not, or their sum is not
     for samples in ((1e200, -1e200), (1e154, 1.3e154)):
         assert fitness(b, Trace((0.0, 0.1), {"u": samples}), reference) == INVALID
+
+
+# ---------------------------------------------------------------------------
+# One kernel per slot-level shape
+# ---------------------------------------------------------------------------
+
+FIRST = (0, 2, 4, 1, 6)  # y = k_a * x_a, der(x_a) = (u - x_a) / d
+
+
+def _shape_problem():
+    """y = k * x and der(x) = (u - x) / d over slots 0-4. Genomes that bind
+    the parameter slots and the state slot to other variables keep the
+    shape of FIRST."""
+    s = mexpr.Sym
+    model = infer_symbol_types(EquationModel(
+        ((s(0), mexpr.Binary("mul", s(1), s(2))),
+         (mexpr.Der(2), mexpr.Binary("div", mexpr.Binary("sub", s(3), s(2)), s(4)))),
+        tuple(SymbolSlot(i, f"s{i}", "Unknown", is_state=(i == 2)) for i in range(5))))
+    vars = table(("y", 1, "Real", "output", None), ("u", 2, "Real", "input", None),
+                 ("k_a", 3, "Real", "parameter", 2.0), ("k_b", 4, "Real", "parameter", 3.0),
+                 ("x_a", 5, "Real", "local", 1.0), ("x_b", 6, "Real", "local", -2.0),
+                 ("d", 7, "Real", "parameter", 0.5), ("zero", 8, "Real", "parameter", 0.0))
+    trace = Trace((0.0, 0.1, 0.2, 0.3), {"u": (1.0, 0.5, -1.0, 2.0)})
+    return GaProblem(model, vars, trace, trace)
+
+
+def _bits(trace):
+    return {name: tuple(struct.pack("<d", v) for v in values)
+            for name, values in trace.columns.items()}
+
+
+def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
+    problem = _shape_problem()
+    first = causalize(problem.bind(FIRST))
+    # other names, parameter value and state start at the same slots
+    second = causalize(problem.bind((0, 3, 5, 1, 6)))
+    outputs = sorted(second.solved_names)
+    assert outputs == ["x_b", "y"]
+    before = simulate(first, problem.input_trace, ["y"], problem.kernels)
+    cached = simulate(second, problem.input_trace, outputs, problem.kernels)
+    assert len(problem.kernels.kernels) == 1
+    assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
+    assert cached.columns["y"] != before.columns["y"]
+
+
+@pytest.mark.parametrize("genes, u, error, label", [
+    ((0, 3, 5, 1, 7), 1.0, DivisionByZero, "in der(x_b)"),
+    ((0, 3, 5, 1, 6), math.inf, NonFiniteValue, "'x_b'"),
+])
+def test_cached_kernel_errors_name_the_genome_that_ran(genes, u, error, label):
+    problem = _shape_problem()
+    simulate(causalize(problem.bind(FIRST)), problem.input_trace, ["y"], problem.kernels)
+    plan = causalize(problem.bind(genes))
+    inputs = Trace(problem.input_trace.times, {"u": (u,) * 4})
+    with pytest.raises(error) as cached:
+        simulate(plan, inputs, ["y"], problem.kernels)
+    with pytest.raises(error) as uncached:
+        simulate(plan, inputs, ["y"])
+    assert len(problem.kernels.kernels) == 1
+    assert label in str(cached.value)
+    assert str(cached.value) == str(uncached.value)
+
+
+def test_kernel_cache_checks_each_input_grid():
+    problem = _shape_problem()
+    plan = causalize(problem.bind(FIRST))
+    simulate(plan, problem.input_trace, ["y"], problem.kernels)
+    with pytest.raises(NonUniformGrid):
+        simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"], problem.kernels)
