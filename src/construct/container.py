@@ -39,6 +39,10 @@ class MissingSources(ContainerError):
     pass
 
 
+class UndecodableText(ContainerError):
+    pass
+
+
 class MalformedDescription(ContainerError):
     def __init__(self, reason: str, line: int | None = None):
         self.reason = reason
@@ -102,12 +106,6 @@ class VariableTable:
 
     def __getitem__(self, i: int) -> VariableDescriptor:
         return self.variables[i]
-
-    def by_name(self, name: str) -> VariableDescriptor:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -221,11 +219,19 @@ def parse_model_description(text: str, warnings: list | None = None) -> Variable
     return VariableTable(tuple(variables))
 
 
+def read_text(path: Path) -> str:
+    """The text of a container file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableText(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_trace(path: Path | str) -> Trace:
     """Load a CSV trace: header ``time,<name>,...``, finite numeric
     cells, strictly increasing time."""
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
     if not lines:
         raise MalformedTrace(f"{path.name} is empty")
@@ -284,9 +290,9 @@ def load_container(path: Path | str) -> ContainerModel:
     if not src_dir.is_dir():
         raise MissingSources(f"{src_dir} not found")
     warnings: list = []
-    table = parse_model_description(desc.read_text(), warnings)
+    table = parse_model_description(read_text(desc), warnings)
     sources = tuple(
-        (p.name, p.read_text()) for p in sorted(src_dir.glob("*.c")))
+        (p.name, read_text(p)) for p in sorted(src_dir.glob("*.c")))
     if not sources:
         raise MissingSources(f"no .c files under {src_dir}")
     input_trace = None

@@ -16,10 +16,10 @@ Fitness is evaluated serially, once per distinct chromosome, and each
 problem binds (at slot level) and causalizes a distinct chromosome once:
 constructibility checks and fitness share one memo. A plan left unscored
 at the end of a generation is dropped, so such a chromosome is
-causalized again if a later generation scores it. Each problem compiles
-one simulation kernel per slot-level plan shape (sim.KernelCache) and
-runs every scored chromosome of that shape through it. Chromosome
-position i names the variable assigned to symbol slot i.
+causalized again if a later generation scores it. Plans keep slot ids;
+each problem compiles one kernel per plan shape (sim.KernelCache) and
+runs every scored chromosome of that shape through it, names as data.
+Chromosome position i names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from construct import check, sim
 from construct.check import Classification, classify_variables, infer_symbol_types
-from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable
+from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable, read_text
 from construct.cparse import parse_c_unit, CodeUnit
 from construct.errors import ConstructError
 from construct.isolate import (
@@ -163,7 +163,7 @@ class GaProblem:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "state_slots", states)
         object.__setattr__(self, "solve_candidates", candidates)
-        object.__setattr__(self, "kernels", sim.KernelCache(structure))
+        object.__setattr__(self, "kernels", sim.KernelCache())
 
     @property
     def num_slots(self) -> int:
@@ -231,7 +231,7 @@ def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
     the container's rules.toml, if any, with rule_overrides applied."""
     rule_cfg = RuleConfig()
     if cm.root is not None and (cm.root / "rules.toml").is_file():
-        rule_cfg = load_rule_config((cm.root / "rules.toml").read_text())
+        rule_cfg = load_rule_config(read_text(cm.root / "rules.toml"))
     rule_cfg = replace(rule_cfg, **rule_overrides)
     unit = CodeUnit(tuple(f for _, text in cm.sources for f in parse_c_unit(text).functions))
     body = isolate_step_function(unit, rule_cfg)

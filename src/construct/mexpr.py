@@ -1,9 +1,9 @@
 """Model-level (equation) expression nodes.
 
-Shared by translation, binding, validation, and simulation. While the
-equation model is symbolic, Sym/Der carry integer slot ids; binding a
-chromosome rewrites them to variable names (strings). Everything else is
-agnostic of that distinction.
+Shared by translation, binding, validation, and simulation. Sym/Der
+carry integer slot ids, in a search's plans too; model.apply_assignment
+rewrites them to variable names (strings) for emission and for mappings
+from outside a search. Everything else is agnostic of that distinction.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ references must share a type) does not depend on the binding, so
 `analyse` computes it once per model as a Structure. Each binding is
 then checked against it: its types, its states, its balance, a maximum
 matching of equations to unknowns, and a topological order of the
-matched equations (BLT sorting). The resulting plan is integrated with
-forward Euler on the input trace's time grid by a generated kernel:
-straight-line Python, one statement per expression node, with
-mexpr.eval_expr as its reference semantics. simulate compiles one for
-the plan on each call, unless given a KernelCache, which compiles one
-per slot-level plan shape and passes each plan's names and values as
-data. Models that fail any static or runtime check are rejected, which
-is exactly how non-simulatable candidates are discovered.
+matched equations (BLT sorting). The plan keeps the Structure's own
+references and expressions, and is integrated with forward Euler on the
+input trace's time grid by a generated kernel: straight-line Python,
+one statement per expression node, with mexpr.eval_expr as its
+reference semantics. simulate compiles one for the plan on each call,
+unless given a KernelCache, which compiles one per slot-level plan
+shape; names and values reach a kernel as data. Models that fail any
+static or runtime check are rejected, which is exactly how
+non-simulatable candidates are discovered.
 
 Static rejection is deliberately at least as strict as the constraint
 validator: with the slot-level Structure, whose type groups carry the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import total_ordering
 
 from construct import check, mexpr
@@ -145,17 +146,25 @@ INVALID = Fitness(None)
 
 @dataclass(frozen=True)
 class SimPlan:
-    state_vars: tuple  # of (name, start, rhs expression), in model order
-    algebraic_order: tuple  # of (equation index, solved name, expression)
-    param_env: dict
-    input_names: frozenset
-    # the name at each slot, for a plan causalized at slot level
-    bindings: tuple = field(default=(), compare=False)
+    """An executable plan over its Structure's own references and
+    expressions: slot ids, each named by bindings, or variable names,
+    with no bindings, for a name-level model."""
+
+    state_vars: tuple  # of (ref, start, rhs expression), in model order
+    algebraic_order: tuple  # of (equation index, solved ref, expression)
+    param_env: dict  # ref -> value, for each parameter the equations read
+    input_names: frozenset  # of refs
+    bindings: tuple = ()  # the variable name at each slot
+
+    def name(self, ref) -> str:
+        """The variable name of a reference of this plan."""
+        return self.bindings[ref] if self.bindings else ref
 
     @property
-    def solved_names(self) -> frozenset:
-        return frozenset(n for _, n, _ in self.algebraic_order) \
-            | frozenset(n for n, _, _ in self.state_vars)
+    def solved_names(self) -> dict:
+        """The reference of each variable the plan solves for, by name."""
+        return {self.name(r): r for r in
+                [r for _, r, _ in self.algebraic_order] + [r for r, _, _ in self.state_vars]}
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +299,12 @@ def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
     The model's Structure is the slot-level one it carries, read through
-    its bindings, or else its own, analysed over its names. The plan is
-    over names: only the expressions it keeps are renamed. State
+    its bindings, or else its own, analysed over its names. The plan
+    keeps the Structure's references and expressions as they are. State
     equations bind their state directly. The remaining equations are
     matched one-to-one to the remaining unknowns (one occurrence, and
-    isolatable); matched equations are then ordered topologically. A
-    state without a start value starts at 0.0.
+    isolatable), tried in name order; matched equations are then ordered
+    topologically. A state without a start value starts at 0.0.
     """
     if len(set(b.bindings)) != len(b.bindings):
         dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
@@ -305,83 +314,72 @@ def causalize(b: BoundModel) -> SimPlan:
     else:
         st, name = b.structure, b.bindings.__getitem__
 
-    table = b.variable_table
-    vtype = {v.name: v.vtype for v in table.variables}
+    var = {v.name: v for v in b.variable_table.variables}
     for demanded, members, ordered in st.type_groups:
-        types = demanded | {vtype[name(r)] for r in members}
+        types = demanded | {var[name(r)].vtype for r in members}
         if len(types) > 1 or (ordered and "Boolean" in types):
             raise IllTypedModel(f"{sorted(map(name, members))} typed {sorted(types)}"
                                 + (" under an ordering comparison" if ordered else ""))
 
-    causality = {v.name: v.causality for v in table.variables}
     state_vars = []
     for ref, rhs in st.states:
-        state = name(ref)
-        if causality[state] not in ("output", "local"):
+        state = var[name(ref)]
+        if state.causality not in ("output", "local"):
             raise InvalidStateVariable(
-                f"der() of {causality[state]} variable {state!r}")
-        if any(state == s for s, _, _ in state_vars):
-            raise CausalizeError(f"two state equations for {state!r}")
-        start = table.by_name(state).start
-        state_vars.append((state, 0.0 if start is None else _as_real(start),
-                           mexpr.map_refs(rhs, name)))
+                f"der() of {state.causality} variable {state.name!r}")
+        if any(ref == s for s, _, _ in state_vars):
+            raise CausalizeError(f"two state equations for {state.name!r}")
+        state_vars.append((ref, 0.0 if state.start is None else float(state.start), rhs))
 
-    occurring = {name(r) for r in st.occurring}
-    cls = check.classify_variables(table)
-    for input_name in cls.inputs:
-        if input_name not in occurring:
-            raise UnusedInput(input_name)
+    ref_of = {name(r): r for r in st.occurring}
+    for v in var.values():
+        if v.causality == "input" and v.name not in ref_of:
+            raise UnusedInput(v.name)
 
-    unknowns = (occurring & cls.unknowns) | set(cls.outputs)
-    to_solve = sorted(unknowns - {s for s, _, _ in state_vars})
+    # The unknowns in name order. An output the equations do not hold
+    # stays its name, which no equation can be solved for.
+    unknowns = sorted(n for n, v in var.items() if v.causality == "output"
+                      or v.causality == "local" and n in ref_of)
+    states = {s for s, _, _ in state_vars}
+    to_solve = [r for r in (ref_of.get(n, n) for n in unknowns) if r not in states]
     if len(st.counts) != len(to_solve):
         raise UnbalancedSystem(len(st.counts), len(to_solve))
 
     # Edges pair an equation with an unknown it can actually be solved
     # for: one occurrence, invertible path.
-    unknowns = set(to_solve)
-    isolated = [{name(r): e for r, e in iso.items()} for iso in st.isolated]
-    matched = _max_matching([sorted(u for u in iso if u in unknowns)
-                             for iso in isolated])
+    matched = _max_matching([[u for u in to_solve if u in iso] for iso in st.isolated])
     if len(matched) != len(to_solve):
-        _diagnose_matching_failure(st, name, to_solve, isolated)
+        _diagnose_matching_failure(st, name, to_solve)
 
     solved = {eq: u for u, eq in matched.items()}
-    deps = {i: {matched[u] for u in map(name, st.counts[i])
-                if u in matched and u != solved[i]} for i in solved}
+    deps = {i: {matched[u] for u in st.counts[i] if u in matched and u != solved[i]}
+            for i in solved}
     order, stuck = topological_order(deps)
     if stuck:
-        raise AlgebraicLoop(sorted(solved[i] for i in stuck))
+        raise AlgebraicLoop(sorted(name(solved[i]) for i in stuck))
 
-    param_env = {v.name: _as_real(v.start) for v in table.variables
-                 if v.causality == "parameter"}
-    algebraic_order = tuple(
-        (i, solved[i], mexpr.map_refs(isolated[i][solved[i]], name)) for i in order)
-    return SimPlan(tuple(state_vars), algebraic_order, param_env,
-                   frozenset(cls.inputs), () if b.structure is None else b.bindings)
-
-
-def _as_real(value) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    return float(value)
+    param_env = {r: float(var[name(r)].start) for r in sorted(st.occurring)
+                 if var[name(r)].causality == "parameter"}
+    inputs = frozenset(ref_of[n] for n, v in var.items() if v.causality == "input")
+    algebraic_order = tuple((i, solved[i], st.isolated[i][solved[i]]) for i in order)
+    return SimPlan(tuple(state_vars), algebraic_order, param_env, inputs,
+                   () if b.structure is None else b.bindings)
 
 
-def _diagnose_matching_failure(st: Structure, name, to_solve, isolated) -> None:
+def _diagnose_matching_failure(st: Structure, name, to_solve) -> None:
     """Distinguish the reason no perfect matching exists. A perfect
     matching over single occurrences must use a pair that cannot be
     isolated; one over any occurrence must use a repeated one."""
-    counts = [{name(r): c for r, c in count.items()} for count in st.counts]
     once = _max_matching([[u for u in to_solve if count.get(u) == 1]
-                          for count in counts])
+                          for count in st.counts])
     if len(once) == len(to_solve):
-        raise NotIsolatable(min(i for u, i in once.items() if u not in isolated[i]))
+        raise NotIsolatable(min(i for u, i in once.items() if u not in st.isolated[i]))
     if len(_max_matching([[u for u in to_solve if u in count]
-                          for count in counts])) == len(to_solve):
-        raise MultipleOccurrence(*next((u, i) for i, count in enumerate(counts)
+                          for count in st.counts])) == len(to_solve):
+        raise MultipleOccurrence(*next((name(u), i) for i, count in enumerate(st.counts)
                                        for u in to_solve if count.get(u, 0) > 1))
     raise StructurallySingular(
-        f"no perfect matching between {len(counts)} equations and "
+        f"no perfect matching between {len(st.counts)} equations and "
         f"{len(to_solve)} unknowns")
 
 
@@ -555,14 +553,14 @@ def _compile_kernel(plan: SimPlan, recorded) -> tuple:
 
 
 class KernelCache:
-    """The kernels of one slot-level Structure, compiled once per plan
-    shape, and the step of the last input grid checked. A shape, the
+    """The kernels of one problem's slot-level plans, compiled once per
+    plan shape, and the step of the last input grid checked. A shape, the
     (algebraic equation, solved slot) pairs in plan order and the slots
-    that hold parameters and inputs, fixes the source; its kernel records
+    that hold parameters and inputs, fixes the source, since every plan
+    of a problem shares its Structure's expressions; its kernel records
     every solved slot, so names, values and outputs reach it as data."""
 
-    def __init__(self, structure: Structure):
-        self.structure = structure
+    def __init__(self):
         self.kernels: dict = {}
         self.grid = (None, None)  # (times, step)
 
@@ -573,17 +571,10 @@ class KernelCache:
 
     def kernel(self, plan: SimPlan) -> tuple:
         """The compiled kernel of a plan causalized at slot level."""
-        slot = {n: s for s, n in enumerate(plan.bindings)}
-        key = (tuple((i, slot[n]) for i, n, _ in plan.algebraic_order),
-               tuple(s for s, n in enumerate(plan.bindings) if n in plan.param_env),
-               tuple(s for s, n in enumerate(plan.bindings) if n in plan.input_names))
+        key = (tuple((i, s) for i, s, _ in plan.algebraic_order),
+               tuple(plan.param_env), tuple(sorted(plan.input_names)))
         if key not in self.kernels:
-            pairs, params, inputs = key
-            st = self.structure
-            shape = SimPlan(tuple((r, None, rhs) for r, rhs in st.states),
-                            tuple((i, s, st.isolated[i][s]) for i, s in pairs),
-                            dict.fromkeys(params), frozenset(inputs))
-            self.kernels[key] = _compile_kernel(shape, sorted(shape.solved_names))
+            self.kernels[key] = _compile_kernel(plan, sorted(plan.solved_names.values()))
         return self.kernels[key]
 
 
@@ -605,27 +596,28 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     recording only the outputs of interest, or, with kernels, the one of
     the plan's slot-level shape (see _kernel_source); mexpr.eval_expr is
     its reference semantics."""
-    for name in sorted(plan.input_names):
+    for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
             raise MissingInput(name)
-    for name in sorted(outputs_of_interest):
-        if name not in plan.solved_names:
+    solved = plan.solved_names
+    out_names = sorted(outputs_of_interest)
+    for name in out_names:
+        if name not in solved:
             raise SimulateError(f"output {name!r} is not computed by the plan")
 
     times = inputs.times
-    out_names = sorted(outputs_of_interest)
     if kernels is None:
-        h, name, kernel = grid_step(times), (lambda r: r), _compile_kernel(plan, out_names)
+        h, kernel = grid_step(times), _compile_kernel(plan, [solved[n] for n in out_names])
     else:
-        h, name, kernel = kernels.step(times), plan.bindings.__getitem__, kernels.kernel(plan)
+        h, kernel = kernels.step(times), kernels.kernel(plan)
     run, params, reads, recorded, labels = kernel
     columns = [[] for _ in recorded]
-    run(times, tuple(inputs.columns[name(r)] for r in reads),
+    run(times, tuple(inputs.columns[plan.name(r)] for r in reads),
         tuple(column.append for column in columns),
-        tuple(plan.param_env[name(r)] for r in params),
+        tuple(plan.param_env[r] for r in params),
         tuple(start for _, start, _ in plan.state_vars),
-        tuple(label.format(name(r)) for label, r in labels), h, len(times) - 1)
-    by_name = dict(zip(map(name, recorded), columns))
+        tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
+    by_name = dict(zip(map(plan.name, recorded), columns))
     return Trace(times, {n: tuple(by_name[n]) for n in out_names})
 
 

@@ -3,11 +3,14 @@
 Used as the independent oracle in tests: it executes the decompiled C
 subset directly (memory slots keyed by byte offset, locals by name) so
 translated equation models can be checked against plain statement
-semantics without going through the translation path itself.
+semantics without going through the translation path itself. `named`
+renames a slot-level simulation plan to the name-level plan it stands
+for, so that plans can be compared and run through the tree walk.
 """
 
 from __future__ import annotations
 
+from construct import mexpr, sim
 from construct.cparse import (
     Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit, Return,
     Ternary, Unary,
@@ -80,3 +83,15 @@ def exec_stmts(stmts, mem: dict, env: dict) -> None:
             return
         else:
             raise TypeError(f"not a CodeStmt: {s!r}")
+
+
+def named(plan: sim.SimPlan) -> sim.SimPlan:
+    """The plan over variable names: a slot-level plan renamed through its
+    bindings; a name-level plan as it is."""
+    name = plan.name
+    return sim.SimPlan(
+        tuple((name(r), start, mexpr.map_refs(rhs, name))
+              for r, start, rhs in plan.state_vars),
+        tuple((i, name(r), mexpr.map_refs(e, name)) for i, r, e in plan.algebraic_order),
+        {name(r): value for r, value in plan.param_env.items()},
+        frozenset(map(name, plan.input_names)))

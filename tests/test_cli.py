@@ -377,3 +377,15 @@ def test_out_of_range_gene_error_names_the_mapping_file(pi_case, tmp_path, capsy
     assert main(["validate", str(pi_case["root"]), "--mapping", str(mapping)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {mapping}: gene {n_vars} at position 0 outside")
+
+
+@pytest.mark.parametrize("relpath", ["modelDescription.xml", "sources/controller.c",
+                                     "traces/input.csv", "traces/reference.csv",
+                                     "rules.toml"])
+def test_non_utf8_container_file_exits_1(pi_case, tmp_path, capsys, relpath):
+    root = tmp_path / "pi"
+    shutil.copytree(pi_case["root"], root)
+    with open(root / relpath, "ab") as f:
+        f.write(b"\xff\xfe")
+    assert main(["translate", str(root), "--out", str(tmp_path / "skeleton.mo")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {root / relpath}: not UTF-8")

@@ -352,15 +352,38 @@ def test_run_ga_binds_genomes_at_slot_level(all_cases, monkeypatch, mode):
         assert bound.bindings == tuple(problem.vars[g].name for g in best.genes)
 
 
+@pytest.mark.parametrize("mode", ["cbc", "cbt"])
+def test_run_ga_renames_no_expression(all_cases, monkeypatch, mode):
+    # slot-level plans keep the Structure's own expressions, and the
+    # variable table is read once per genome, not classified
+    from construct import check, ga, mexpr
+
+    problems = {name: ga.problem_from_container(case["container"])
+                for name, case in all_cases.items()}
+    calls = []
+
+    def counting(attr, original):
+        def counted(*args):
+            calls.append(attr)
+            return original(*args)
+        return counted
+
+    for module, attr in ((mexpr, "map_refs"), (check, "classify_variables")):
+        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+    for name, problem in problems.items():
+        cfg = GaConfig(population_size=20, max_generations=3, rng_seed=2)
+        run_ga(mode, problem, cfg)
+        assert calls == [], name
+
+
 def _shape_key(problem, genes):
     """The slot-level shape of a genome's plan: its (equation, solved slot)
     pairs in order, and the slots that hold parameters and inputs."""
     from construct import sim
 
     plan = sim.causalize(problem.bind(genes))
-    names = [problem.vars[g].name for g in genes]
     causality = [problem.vars[g].causality for g in genes]
-    return (tuple((i, names.index(n)) for i, n, _ in plan.algebraic_order),
+    return (tuple((i, s) for i, s, _ in plan.algebraic_order),
             tuple(s for s, c in enumerate(causality) if c == "parameter"),
             tuple(s for s, c in enumerate(causality) if c == "input"))
 

@@ -18,6 +18,7 @@ from construct import mexpr, sim
 from construct.container import Trace
 from construct.ga import generate_individual
 from construct.sim import DivisionByZero, NonFiniteValue, SimPlan
+from interp import named
 
 Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
 
@@ -71,7 +72,8 @@ def _outcome(run, plan, inputs, outputs):
 
 
 def assert_same(plan, inputs, outputs):
-    expected = _outcome(tree_walk, plan, inputs, outputs)
+    """simulate on plan against the tree walk on its name-level form."""
+    expected = _outcome(tree_walk, named(plan), inputs, outputs)
     assert _outcome(sim.simulate, plan, inputs, outputs) == expected
     return expected
 
@@ -319,12 +321,14 @@ def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
 def test_fixture_sources_hold_no_names_or_constants(all_cases):
     for case in all_cases.values():
         problem = case["problem"]
-        plan = sim.causalize(problem.bind(case["ground_truth"]))
-        source, _ = sim._kernel_source(plan, sorted(problem.classification.outputs))
-        constants = {repr(n.value) for _, _, e in plan.algebraic_order
-                     for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
-        assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
-        assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
-        assert constants - {"0.0", "1.0"}, "the fixture has constants to look for"
-        for text in constants - {"0.0", "1.0"}:
-            assert text not in source
+        slot_level = sim.causalize(problem.bind(case["ground_truth"]))
+        for plan in (slot_level, named(slot_level)):
+            outputs = sorted(plan.solved_names[n] for n in problem.classification.outputs)
+            source, _ = sim._kernel_source(plan, outputs)
+            constants = {repr(n.value) for _, _, e in plan.algebraic_order
+                         for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
+            assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
+            assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
+            assert constants - {"0.0", "1.0"}, "the fixture has constants to look for"
+            for text in constants - {"0.0", "1.0"}:
+                assert text not in source

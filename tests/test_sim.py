@@ -17,6 +17,7 @@ from construct.sim import (
 from construct.ga import GaProblem, generate_individual
 from construct.sim import CausalizeError, NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
+from interp import named
 
 
 def table(*rows):
@@ -326,7 +327,7 @@ def _genome_families(problem, rng, n):
 
 def _outcome(b):
     try:
-        return causalize(b)
+        return named(causalize(b))
     except CausalizeError as exc:
         return type(exc)
 
