@@ -143,41 +143,39 @@ def unify_types(equations, slots=()) -> tuple:
         unify(term, ("type", t))
 
     def ty(e):
-        if isinstance(e, mexpr.Const):
-            return ("type", "Boolean" if isinstance(e.value, bool) else "Real")
-        if isinstance(e, mexpr.Sym):
-            return ("slot", e.ref)
-        if isinstance(e, mexpr.Der):
-            groups.demand(e.ref, "Real")
-            return ("type", "Real")
-        if isinstance(e, mexpr.Unary):
-            t = "Real" if e.op == "neg" else "Boolean"
-            demand(ty(e.operand), t)
-            return ("type", t)
-        if isinstance(e, (mexpr.Min, mexpr.Max)):
-            demand(ty(e.left), "Real")
-            demand(ty(e.right), "Real")
-            return ("type", "Real")
-        if isinstance(e, mexpr.Abs):
-            demand(ty(e.operand), "Real")
-            return ("type", "Real")
-        if isinstance(e, mexpr.If):
-            demand(ty(e.cond), "Boolean")
-            return unify(ty(e.then), ty(e.orelse))
-        if isinstance(e, mexpr.Binary):
-            lt, rt = ty(e.left), ty(e.right)
-            if e.op in mexpr.NUMERIC_BINOPS:
-                demand(lt, "Real")
-                demand(rt, "Real")
+        match e:
+            case mexpr.Const(value):
+                return ("type", "Boolean" if isinstance(value, bool) else "Real")
+            case mexpr.Sym(ref):
+                return ("slot", ref)
+            case mexpr.Der(ref):
+                groups.demand(ref, "Real")
                 return ("type", "Real")
-            if e.op in mexpr.LOGIC_BINOPS:
-                demand(lt, "Boolean")
-                demand(rt, "Boolean")
+            case mexpr.Unary(op, operand):
+                t = "Real" if op == "neg" else "Boolean"
+                demand(ty(operand), t)
+                return ("type", t)
+            case mexpr.Call(_, args):
+                for a in args:
+                    demand(ty(a), "Real")
+                return ("type", "Real")
+            case mexpr.If(cond, then, orelse):
+                demand(ty(cond), "Boolean")
+                return unify(ty(then), ty(orelse))
+            case mexpr.Binary(op, left, right):
+                lt, rt = ty(left), ty(right)
+                if op in mexpr.NUMERIC_BINOPS:
+                    demand(lt, "Real")
+                    demand(rt, "Real")
+                    return ("type", "Real")
+                if op in mexpr.LOGIC_BINOPS:
+                    demand(lt, "Boolean")
+                    demand(rt, "Boolean")
+                    return ("type", "Boolean")
+                operands = unify(lt, rt)
+                if op not in ("eq", "ne"):
+                    ordered.append(operands)
                 return ("type", "Boolean")
-            operands = unify(lt, rt)
-            if e.op not in ("eq", "ne"):
-                ordered.append(operands)
-            return ("type", "Boolean")
         raise TypeError(f"not a ModelExpr: {e!r}")
 
     for lhs, rhs in equations:

@@ -32,9 +32,7 @@ from construct.check import Classification, classify_variables, infer_symbol_typ
 from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable, read_text
 from construct.cparse import parse_c_unit, CodeUnit
 from construct.errors import ConstructError
-from construct.isolate import (
-    RuleConfig, isolate_step_function, load_rule_config, normalize_primitives,
-)
+from construct.isolate import isolate_step_function, load_rule_config, normalize_primitives
 from construct.model import BoundModel, apply_assignment, bound_names
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
@@ -229,10 +227,12 @@ def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
     """Run the front half of the pipeline: parse, isolate, normalize,
     eliminate temporaries, translate, infer types. The rules come from
     the container's rules.toml, if any, with rule_overrides applied."""
-    rule_cfg = RuleConfig()
-    if cm.root is not None and (cm.root / "rules.toml").is_file():
-        rule_cfg = load_rule_config(read_text(cm.root / "rules.toml"))
-    rule_cfg = replace(rule_cfg, **rule_overrides)
+    rules = None if cm.root is None else cm.root / "rules.toml"
+    rules_text = read_text(rules) if rules is not None and rules.is_file() else ""
+    try:
+        rule_cfg = replace(load_rule_config(rules_text), **rule_overrides)
+    except ValueError as exc:
+        raise ConstructError(f"invalid rule settings: {exc}") from None
     unit = CodeUnit(tuple(f for _, text in cm.sources for f in parse_c_unit(text).functions))
     body = isolate_step_function(unit, rule_cfg)
     body = normalize_primitives(body, rule_cfg)
@@ -526,9 +526,14 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     for name in problem.classification.outputs:
         if name not in reference.columns:
             raise MalformedTrace(f"reference trace lacks output column {name!r}")
-    if len(reference.times) != len(problem.input_trace.times):
+    times = problem.input_trace.times
+    if len(reference.times) != len(times):
         raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
-                             f"input trace {len(problem.input_trace.times)}")
+                             f"input trace {len(times)}")
+    h = problem.kernels.step(times)  # NonUniformGrid, once for every genome
+    for t, r in zip(times, reference.times):
+        if abs(r - t) > sim.GRID_RTOL * abs(h):
+            raise MalformedTrace(f"reference time {r!r} differs from input time {t!r}")
     rng = _random.Random(cfg.rng_seed)
 
     cache: dict = {}

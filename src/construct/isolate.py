@@ -14,6 +14,7 @@ Rules run innermost-first, left to right, to a fixpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from construct import cparse
@@ -55,8 +56,8 @@ class RuleConfig:
     step_param_name: str | None = None
 
     def __post_init__(self):
-        if not self.reciprocal_tolerance > 0:
-            raise ValueError("reciprocal_tolerance must be positive")
+        if not 0 < self.reciprocal_tolerance < math.inf:
+            raise ValueError("reciprocal_tolerance must be finite and positive")
         if self.reciprocal_max_denominator < 2:
             raise ValueError("reciprocal_max_denominator must be >= 2")
 
@@ -77,10 +78,12 @@ def load_rule_config(text: str) -> RuleConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip().strip('"').strip("'")
-        if key == "reciprocal_tolerance":
-            kwargs["reciprocal_tolerance"] = float(value)
-        elif key == "reciprocal_max_denominator":
-            kwargs["reciprocal_max_denominator"] = int(value)
+        if key in ("reciprocal_tolerance", "reciprocal_max_denominator"):
+            try:
+                kwargs[key] = (float if key == "reciprocal_tolerance" else int)(value)
+            except ValueError:
+                raise IsolateError(f"rules file line {lineno}: {key} = {value!r} "
+                                   f"is not a number") from None
         elif key == "step_function":
             kwargs["step_function_name"] = value
         elif key == "step_param":

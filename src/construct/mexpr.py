@@ -1,4 +1,5 @@
-"""Model-level (equation) expression nodes.
+"""Model-level (equation) expression nodes: Const, Sym, Der, Unary (neg,
+not), Binary, If, and Call, a call of a built-in function (min, max, abs).
 
 Shared by translation, binding, validation, and simulation. Sym/Der
 carry integer slot ids, in a search's plans too; model.apply_assignment
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 NUMERIC_BINOPS = ("add", "sub", "mul", "div")
 LOGIC_BINOPS = ("and", "or")
+FUNCTIONS = {"min": min, "max": max, "abs": abs}  # the built-ins a Call names
 
 
 @dataclass(frozen=True)
@@ -50,34 +52,26 @@ class If:
 
 
 @dataclass(frozen=True)
-class Min:
-    left: "ModelExpr"
-    right: "ModelExpr"
+class Call:
+    fn: str  # a key of FUNCTIONS
+    args: tuple  # of ModelExpr
 
 
-@dataclass(frozen=True)
-class Max:
-    left: "ModelExpr"
-    right: "ModelExpr"
-
-
-@dataclass(frozen=True)
-class Abs:
-    operand: "ModelExpr"
-
-
-ModelExpr = Const | Sym | Der | Unary | Binary | If | Min | Max | Abs
+ModelExpr = Const | Sym | Der | Unary | Binary | If | Call
 
 
 def children(e: ModelExpr) -> tuple:
-    if isinstance(e, (Const, Sym, Der)):
-        return ()
-    if isinstance(e, (Unary, Abs)):
-        return (e.operand,)
-    if isinstance(e, (Binary, Min, Max)):
-        return (e.left, e.right)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.orelse)
+    match e:
+        case Const() | Sym() | Der():
+            return ()
+        case Unary(_, operand):
+            return (operand,)
+        case Binary(_, left, right):
+            return (left, right)
+        case If(cond, then, orelse):
+            return (cond, then, orelse)
+        case Call(_, args):
+            return args
     raise TypeError(f"not a ModelExpr: {e!r}")
 
 
@@ -93,24 +87,21 @@ def refs(e: ModelExpr) -> list:
 
 
 def map_refs(e: ModelExpr, fn) -> ModelExpr:
-    if isinstance(e, Sym):
-        return Sym(fn(e.ref))
-    if isinstance(e, Der):
-        return Der(fn(e.ref))
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Unary):
-        return Unary(e.op, map_refs(e.operand, fn))
-    if isinstance(e, Abs):
-        return Abs(map_refs(e.operand, fn))
-    if isinstance(e, Binary):
-        return Binary(e.op, map_refs(e.left, fn), map_refs(e.right, fn))
-    if isinstance(e, Min):
-        return Min(map_refs(e.left, fn), map_refs(e.right, fn))
-    if isinstance(e, Max):
-        return Max(map_refs(e.left, fn), map_refs(e.right, fn))
-    if isinstance(e, If):
-        return If(map_refs(e.cond, fn), map_refs(e.then, fn), map_refs(e.orelse, fn))
+    match e:
+        case Sym(ref):
+            return Sym(fn(ref))
+        case Der(ref):
+            return Der(fn(ref))
+        case Const():
+            return e
+        case Unary(op, operand):
+            return Unary(op, map_refs(operand, fn))
+        case Binary(op, left, right):
+            return Binary(op, map_refs(left, fn), map_refs(right, fn))
+        case If(cond, then, orelse):
+            return If(map_refs(cond, fn), map_refs(then, fn), map_refs(orelse, fn))
+        case Call(name, args):
+            return Call(name, tuple(map_refs(a, fn) for a in args))
     raise TypeError(f"not a ModelExpr: {e!r}")
 
 
@@ -120,55 +111,52 @@ def eval_expr(e: ModelExpr, env: dict) -> float:
     Division by zero raises ZeroDivisionError for the caller to map to
     its own error type.
     """
-    if isinstance(e, Const):
-        if isinstance(e.value, bool):
-            return 1.0 if e.value else 0.0
-        return e.value
-    if isinstance(e, Sym):
-        return env[e.ref]
-    if isinstance(e, Der):
-        raise ValueError("der() cannot appear in an evaluated position")
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, env)
-        if e.op == "neg":
-            return -v
-        return 0.0 if v != 0.0 else 1.0
-    if isinstance(e, Abs):
-        return abs(eval_expr(e.operand, env))
-    if isinstance(e, Min):
-        return min(eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, Max):
-        return max(eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, If):
-        if eval_expr(e.cond, env) != 0.0:
-            return eval_expr(e.then, env)
-        return eval_expr(e.orelse, env)
-    if isinstance(e, Binary):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        op = e.op
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b
-        if op == "lt":
-            return 1.0 if a < b else 0.0
-        if op == "le":
-            return 1.0 if a <= b else 0.0
-        if op == "gt":
-            return 1.0 if a > b else 0.0
-        if op == "ge":
-            return 1.0 if a >= b else 0.0
-        if op == "eq":
-            return 1.0 if a == b else 0.0
-        if op == "ne":
-            return 1.0 if a != b else 0.0
-        if op == "and":
-            return 1.0 if (a != 0.0 and b != 0.0) else 0.0
-        if op == "or":
-            return 1.0 if (a != 0.0 or b != 0.0) else 0.0
+    match e:
+        case Const(value):
+            if isinstance(value, bool):
+                return 1.0 if value else 0.0
+            return value
+        case Sym(ref):
+            return env[ref]
+        case Der():
+            raise ValueError("der() cannot appear in an evaluated position")
+        case Unary(op, operand):
+            v = eval_expr(operand, env)
+            if op == "neg":
+                return -v
+            return 0.0 if v != 0.0 else 1.0
+        case Call(name, args) if name in FUNCTIONS:
+            return FUNCTIONS[name](*[eval_expr(a, env) for a in args])
+        case If(cond, then, orelse):
+            if eval_expr(cond, env) != 0.0:
+                return eval_expr(then, env)
+            return eval_expr(orelse, env)
+        case Binary(op, left, right):
+            a = eval_expr(left, env)
+            b = eval_expr(right, env)
+            match op:
+                case "add":
+                    return a + b
+                case "sub":
+                    return a - b
+                case "mul":
+                    return a * b
+                case "div":
+                    return a / b
+                case "lt":
+                    return 1.0 if a < b else 0.0
+                case "le":
+                    return 1.0 if a <= b else 0.0
+                case "gt":
+                    return 1.0 if a > b else 0.0
+                case "ge":
+                    return 1.0 if a >= b else 0.0
+                case "eq":
+                    return 1.0 if a == b else 0.0
+                case "ne":
+                    return 1.0 if a != b else 0.0
+                case "and":
+                    return 1.0 if (a != 0.0 and b != 0.0) else 0.0
+                case "or":
+                    return 1.0 if (a != 0.0 or b != 0.0) else 0.0
     raise TypeError(f"not a ModelExpr: {e!r}")

@@ -48,13 +48,16 @@ _OPTEXT = {"or": "or", "and": "and", "eq": "==", "ne": "<>", "lt": "<", "le": "<
 
 
 def _prec(e) -> int:
-    if isinstance(e, mexpr.If):
-        return 0
-    if isinstance(e, mexpr.Binary):
-        return _PREC[e.op]
-    if isinstance(e, mexpr.Unary):
-        return 3 if e.op == "not" else 7
-    return 8
+    match e:
+        case mexpr.If():
+            return 0
+        case mexpr.Binary(op):
+            return _PREC[op]
+        case mexpr.Unary(op):
+            return 3 if op == "not" else 7
+        case mexpr.Const() | mexpr.Sym() | mexpr.Der() | mexpr.Call():
+            return 8
+    raise TypeError(f"not a ModelExpr: {e!r}")
 
 
 def format_real(v: float) -> str:
@@ -63,36 +66,32 @@ def format_real(v: float) -> str:
 
 
 def _fmt(e) -> str:
-    if isinstance(e, mexpr.Const):
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        return format_real(e.value)
-    if isinstance(e, mexpr.Sym):
-        return str(e.ref)
-    if isinstance(e, mexpr.Der):
-        return f"der({e.ref})"
-    if isinstance(e, mexpr.Unary):
-        inner = _fmt(e.operand)
-        if _prec(e.operand) < _prec(e) or isinstance(e.operand, mexpr.Unary):
-            inner = f"({inner})"
-        return f"not {inner}" if e.op == "not" else f"-{inner}"
-    if isinstance(e, mexpr.Binary):
-        p = _prec(e)
-        left = _fmt(e.left)
-        if _prec(e.left) < p:
-            left = f"({left})"
-        right = _fmt(e.right)
-        if _prec(e.right) <= p:
-            right = f"({right})"
-        return f"{left} {_OPTEXT[e.op]} {right}"
-    if isinstance(e, mexpr.If):
-        return f"if {_fmt(e.cond)} then {_fmt(e.then)} else {_fmt(e.orelse)}"
-    if isinstance(e, mexpr.Min):
-        return f"min({_fmt(e.left)}, {_fmt(e.right)})"
-    if isinstance(e, mexpr.Max):
-        return f"max({_fmt(e.left)}, {_fmt(e.right)})"
-    if isinstance(e, mexpr.Abs):
-        return f"abs({_fmt(e.operand)})"
+    match e:
+        case mexpr.Const(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return format_real(value)
+        case mexpr.Sym(ref):
+            return str(ref)
+        case mexpr.Der(ref):
+            return f"der({ref})"
+        case mexpr.Unary(op, operand):
+            inner = _fmt(operand)
+            if _prec(operand) < _prec(e) or isinstance(operand, mexpr.Unary):
+                inner = f"({inner})"
+            return f"not {inner}" if op == "not" else f"-{inner}"
+        case mexpr.Binary(op, left, right):
+            p = _prec(e)
+            lhs, rhs = _fmt(left), _fmt(right)
+            if _prec(left) < p:
+                lhs = f"({lhs})"
+            if _prec(right) <= p:
+                rhs = f"({rhs})"
+            return f"{lhs} {_OPTEXT[op]} {rhs}"
+        case mexpr.If(cond, then, orelse):
+            return f"if {_fmt(cond)} then {_fmt(then)} else {_fmt(orelse)}"
+        case mexpr.Call(fn, args):
+            return f"{fn}({', '.join(map(_fmt, args))})"
     raise TypeError(f"not a ModelExpr: {e!r}")
 
 

@@ -30,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import count
 
 from construct import check, mexpr
 from construct.container import Trace
@@ -180,28 +181,29 @@ def isolate_expression(lhs, rhs, name):
     else:
         expr, target = rhs, lhs
     while True:
-        if isinstance(expr, mexpr.Sym) and expr.ref == name:
-            return target
-        if isinstance(expr, mexpr.Unary) and expr.op == "neg":
-            expr, target = expr.operand, mexpr.Unary("neg", target)
-            continue
-        if isinstance(expr, mexpr.Binary) and expr.op in mexpr.NUMERIC_BINOPS:
-            a, b = expr.left, expr.right
-            in_left = name in mexpr.refs(a)
-            if expr.op == "add":
-                expr, target = (a, mexpr.Binary("sub", target, b)) if in_left \
-                    else (b, mexpr.Binary("sub", target, a))
-            elif expr.op == "sub":
-                expr, target = (a, mexpr.Binary("add", target, b)) if in_left \
-                    else (b, mexpr.Binary("sub", a, target))
-            elif expr.op == "mul":
-                expr, target = (a, mexpr.Binary("div", target, b)) if in_left \
-                    else (b, mexpr.Binary("div", target, a))
-            else:  # div
-                expr, target = (a, mexpr.Binary("mul", target, b)) if in_left \
-                    else (b, mexpr.Binary("div", a, target))
-            continue
-        return None
+        match expr:
+            case mexpr.Sym(ref) if ref == name:
+                return target
+            case mexpr.Unary("neg", operand):
+                expr, target = operand, mexpr.Unary("neg", target)
+            case mexpr.Binary(op, a, b) if op in mexpr.NUMERIC_BINOPS:
+                in_left = name in mexpr.refs(a)
+                if op == "add":
+                    expr, target = (a, mexpr.Binary("sub", target, b)) if in_left \
+                        else (b, mexpr.Binary("sub", target, a))
+                elif op == "sub":
+                    expr, target = (a, mexpr.Binary("add", target, b)) if in_left \
+                        else (b, mexpr.Binary("sub", a, target))
+                elif op == "mul":
+                    expr, target = (a, mexpr.Binary("div", target, b)) if in_left \
+                        else (b, mexpr.Binary("div", target, a))
+                else:  # div
+                    expr, target = (a, mexpr.Binary("mul", target, b)) if in_left \
+                        else (b, mexpr.Binary("div", a, target))
+            case mexpr.Call() | mexpr.If() | mexpr.Unary() | mexpr.Binary():
+                return None  # calls, conditionals, not, comparisons and logic
+            case _:
+                raise TypeError(f"not a ModelExpr holding {name!r}: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,7 @@ _BINARY = {
     "or": "1.0 if {} != 0.0 or {} != 0.0 else 0.0",
 }
 _UNARY = {"neg": "-{}", "not": "0.0 if {} != 0.0 else 1.0"}
-_CALLS = {mexpr.Min: "min({}, {})", mexpr.Max: "max({}, {})", mexpr.Abs: "abs({})"}
+_CALLS = {"min": "min({}, {})", "max": "max({}, {})", "abs": "abs({})"}
 
 
 def _evaluated_der():
@@ -417,8 +419,7 @@ class _KernelSource:
         self.lines: list = []
         self.vars: dict = {}  # ref -> local
         self.consts: dict = {}  # (type, repr) -> (local, value)
-        self.temps = 0
-        self.guards = 0
+        self.temps, self.guards = count(), count()  # numbering t* and g*
         self.labels: list = []  # (error label template, ref), indexed in L
         self.label = None  # of the expression being emitted, until recorded
 
@@ -451,36 +452,34 @@ class _KernelSource:
         Each statement sits one block below the loop at most: an If
         branch is a guard flag, and its statements are predicated on it."""
         when = f"if {guard}: " if guard else ""
-        if isinstance(e, (mexpr.Sym, mexpr.Const)):
-            leaf = self.var(e.ref) if isinstance(e, mexpr.Sym) else self.const(e.value)
-            if dest is None:
-                return leaf
-            self.lines.append(f"{when}{dest} = {leaf}")
-            return dest
-        if dest is None:
-            dest = f"t{self.temps}"
-            self.temps += 1
-        if isinstance(e, mexpr.If):
-            cond = self._node(e.cond, guard)
-            then, orelse = f"g{self.guards}", f"g{self.guards + 1}"
-            self.guards += 2
-            held = f"{guard} and " if guard else ""
-            self.lines += [f"{then} = {held}{cond} != 0.0",
-                           f"{orelse} = {held}{cond} == 0.0"]
-            self._node(e.then, then, dest)
-            self._node(e.orelse, orelse, dest)
-            return dest
-        if isinstance(e, mexpr.Der):
-            self.lines.append(f"{when}{dest} = E()")
-            return dest
-        if isinstance(e, mexpr.Binary) and e.op in _BINARY:
-            text = _BINARY[e.op]
-        elif isinstance(e, mexpr.Unary) and e.op in _UNARY:
-            text = _UNARY[e.op]
-        elif type(e) in _CALLS:
-            text = _CALLS[type(e)]
-        else:
-            raise TypeError(f"not a ModelExpr: {e!r}")
+        match e:
+            case mexpr.Sym() | mexpr.Const():
+                leaf = self.var(e.ref) if isinstance(e, mexpr.Sym) else self.const(e.value)
+                if dest is None:
+                    return leaf
+                self.lines.append(f"{when}{dest} = {leaf}")
+                return dest
+            case mexpr.If():
+                dest = dest or f"t{next(self.temps)}"
+                cond = self._node(e.cond, guard)
+                then, orelse = f"g{next(self.guards)}", f"g{next(self.guards)}"
+                held = f"{guard} and " if guard else ""
+                self.lines += [f"{then} = {held}{cond} != 0.0",
+                               f"{orelse} = {held}{cond} == 0.0"]
+                self._node(e.then, then, dest)
+                self._node(e.orelse, orelse, dest)
+                return dest
+            case mexpr.Der():
+                text = "E()"
+            case mexpr.Binary(op) if op in _BINARY:
+                text = _BINARY[op]
+            case mexpr.Unary(op) if op in _UNARY:
+                text = _UNARY[op]
+            case mexpr.Call(fn) if fn in _CALLS:
+                text = _CALLS[fn]
+            case _:
+                raise TypeError(f"not a ModelExpr: {e!r}")
+        dest = dest or f"t{next(self.temps)}"
         operands = [self._node(c, guard) for c in mexpr.children(e)]
         if isinstance(e, mexpr.Binary) and e.op == "div" and self.label is not None:
             self.lines.append(f"w = {len(self.labels)}")

@@ -22,6 +22,8 @@ from construct.errors import ConstructError
 from construct.isolate import RuleConfig, StepBody
 
 CAST_TO_TYPE = {"double": "Real", "float": "Real", "int": "Integer", "bool": "Boolean"}
+CALLEE_TO_FN = {"fmin": "min", "fminf": "min", "fmax": "max", "fmaxf": "max",
+                "fabs": "abs", "fabsf": "abs"}
 
 
 class TranslateError(ConstructError):
@@ -275,12 +277,7 @@ def translate_to_equations(body: StepBody, cfg: RuleConfig = RuleConfig()) -> Eq
             return mexpr.If(trans(e.cond, line), trans(e.then, line),
                             trans(e.orelse, line))
         if isinstance(e, Call):
-            args = tuple(trans(a, line) for a in e.args)
-            if e.callee in ("fmin", "fminf"):
-                return mexpr.Min(*args)
-            if e.callee in ("fmax", "fmaxf"):
-                return mexpr.Max(*args)
-            return mexpr.Abs(*args)
+            return mexpr.Call(CALLEE_TO_FN[e.callee], tuple(trans(a, line) for a in e.args))
         raise TranslateError(f"line {line}: untranslatable expression {e!r}")
 
     def target_slot(target, line: int) -> int:

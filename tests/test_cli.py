@@ -389,3 +389,46 @@ def test_non_utf8_container_file_exits_1(pi_case, tmp_path, capsys, relpath):
         f.write(b"\xff\xfe")
     assert main(["translate", str(root), "--out", str(tmp_path / "skeleton.mo")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {root / relpath}: not UTF-8")
+
+
+@pytest.mark.parametrize("flags, rule", [
+    (("--reciprocal-tolerance", "0"), None), (("--reciprocal-tolerance", "nan"), None),
+    (("--reciprocal-tolerance", "inf"), None), (("--reciprocal-max-denominator", "1"), None),
+    ((), "reciprocal_tolerance = abc"), ((), "reciprocal_tolerance = -1")])
+def test_translate_bad_rule_setting_exits_1(pi_case, tmp_path, capsys, flags, rule):
+    work = _pi_copy(pi_case, tmp_path)
+    if rule is not None:
+        (work / "rules.toml").write_text(f"# pi\n{rule}\n")
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    if rule == "reciprocal_tolerance = abc":
+        assert err.startswith("error: rules file line 2: reciprocal_tolerance = 'abc'")
+    else:
+        assert err.startswith("error: invalid rule settings: reciprocal_")
+
+
+def _retime(trace, times):
+    lines = trace.read_text().splitlines()
+    rows = [[repr(t)] + line.split(",")[1:] for t, line in zip(times, lines[1:])]
+    trace.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+
+
+def test_synth_non_uniform_input_grid_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    times = list(pi_case["container"].input_trace.times)
+    times[4] += 0.003
+    for name in ("input.csv", "reference.csv"):
+        _retime(work / "traces" / name, times)
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10", "--gens", "2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-uniform sample spacing")
+
+
+def test_synth_reference_on_another_time_grid_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    rows = len(pi_case["container"].input_trace.times)
+    _retime(work / "traces" / "reference.csv", [k * 0.02 for k in range(rows)])
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10", "--gens", "2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: malformed trace: reference time 0.02")

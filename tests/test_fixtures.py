@@ -57,9 +57,9 @@ def test_limpid_has_clamp(limpid_case):
     found = False
     for _, rhs in limpid_case["problem"].model.equations:
         for node in mexpr.iter_nodes(rhs):
-            if isinstance(node, mexpr.Min):
-                inner = node.left
-                found = found or isinstance(inner, mexpr.Max)
+            if isinstance(node, mexpr.Call) and node.fn == "min":
+                inner = node.args[0]
+                found = found or isinstance(inner, mexpr.Call) and inner.fn == "max"
     assert found, "canonical min(max(..)) clamp missing"
 
 

@@ -161,7 +161,7 @@ def test_division_by_zero_names_the_equation_that_divides():
 def test_nan_through_comparisons_min_and_max():
     u = Sym("u")
     exprs = [Binary(op, u, Const(1.0)) for op in ("lt", "le", "gt", "ge", "eq", "ne")]
-    exprs += [mexpr.Min(Const(1.0), u), mexpr.Max(Const(1.0), u),
+    exprs += [mexpr.Call("min", (Const(1.0), u)), mexpr.Call("max", (Const(1.0), u)),
               Unary("not", u), If(u, Const(4.0), Const(5.0)),
               Binary("and", u, Const(0.0)), Binary("or", u, Const(0.0))]
     plan = _plan([(f"y{i}", e) for i, e in enumerate(exprs)])
@@ -169,7 +169,8 @@ def test_nan_through_comparisons_min_and_max():
                                                                    range(len(exprs))])
     assert [struct.unpack("<d", columns[f"y{i}"][0])[0] for i in range(len(exprs))] \
         == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 4.0, 0.0, 1.0]
-    for first in (mexpr.Min(Sym("u"), Const(1.0)), mexpr.Max(Sym("u"), Const(1.0))):
+    for first in (mexpr.Call("min", (Sym("u"), Const(1.0))),
+                  mexpr.Call("max", (Sym("u"), Const(1.0)))):
         cls, message = assert_same(_plan([("y", first)]),
                                    _trace(["u"], value=math.nan), ["y"])
         assert cls is NonFiniteValue and "'y'" in message
@@ -243,8 +244,8 @@ def _expressions():
             st.builds(Unary, st.sampled_from(("neg", "not")), sub),
             st.builds(Binary, st.sampled_from(BINOPS), sub, sub),
             st.builds(If, sub, sub, sub),
-            st.builds(mexpr.Min, sub, sub), st.builds(mexpr.Max, sub, sub),
-            st.builds(mexpr.Abs, sub))
+            st.builds(mexpr.Call, st.sampled_from(("min", "max")), st.tuples(sub, sub)),
+            st.builds(mexpr.Call, st.just("abs"), st.tuples(sub)))
     return st.recursive(leaves, extend, max_leaves=12)
 
 

@@ -94,7 +94,7 @@ def test_causalize_not_isolatable():
     # y occurs once but behind min(): cannot invert
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
                  ("k", 3, "Real", "parameter", 2.0))
-    eqs = [(mexpr.Sym("k"), mexpr.Min(mexpr.Sym("y"), mexpr.Sym("u")))]
+    eqs = [(mexpr.Sym("k"), mexpr.Call("min", (mexpr.Sym("y"), mexpr.Sym("u"))))]
     with pytest.raises(NotIsolatable):
         causalize(bound(eqs, vars))
 

@@ -8,8 +8,10 @@ import pytest
 
 import construct
 from construct import mexpr
+from construct.container import VariableDescriptor, VariableTable
 from construct.cparse import parse_c_unit
 from construct.isolate import RuleConfig, isolate_step_function, normalize_primitives
+from construct.model import apply_assignment, emit_modelica
 from construct.translate import (
     EquationModel, ReassignedTemporary, SymbolSlot, UnboundIdentifier,
     UnsupportedControlFlow, eliminate_temporaries, translate_to_equations,
@@ -183,9 +185,22 @@ def test_clamp_maps_to_min_max():
         "void f(long p, double h) { *(double *)(p + 0x10) = "
         "fmax(fmin(*(double *)(p + 0x8), 1.5), -1.5); }")
     lhs, rhs = m.equations[0]
-    assert rhs == mexpr.Min(
-        mexpr.Max(mexpr.Sym(1), mexpr.Unary("neg", mexpr.Const(1.5))),
-        mexpr.Const(1.5))
+    assert rhs == mexpr.Call("min", (
+        mexpr.Call("max", (mexpr.Sym(1), mexpr.Unary("neg", mexpr.Const(1.5)))),
+        mexpr.Const(1.5)))
+
+
+@pytest.mark.parametrize("callee, fn", [("fmin", "min"), ("fminf", "min"), ("fmax", "max"),
+                                        ("fmaxf", "max"), ("fabs", "abs"), ("fabsf", "abs")])
+def test_every_callee_spelling_translates_and_emits(callee, fn):
+    args = "*(double *)(p + 0x8)" if fn == "abs" else "*(double *)(p + 0x8), 1.5"
+    m = pipeline(f"void f(long p, double h) {{ *(double *)(p + 0x10) = {callee}({args}); }}")
+    operands = (mexpr.Sym(1),) if fn == "abs" else (mexpr.Sym(1), mexpr.Const(1.5))
+    assert m.equations[0][1] == mexpr.Call(fn, operands)
+    names = VariableTable(tuple(VariableDescriptor(f"s{s.id}", s.id, "Real", "local")
+                                for s in m.slots))
+    text = emit_modelica(apply_assignment(m, range(m.num_slots), names), "M")
+    assert f"  s0 = {fn}({'s1' if fn == 'abs' else 's1, 1.5'});\n" in text
 
 
 def test_slot_numbering_deterministic():
