@@ -12,14 +12,18 @@ Two operator suites share one evolution loop:
     bound model causalizes, so every individual in every generation
     simulates.
 
-Fitness is evaluated serially, once per distinct chromosome, and each
-problem binds (at slot level) and causalizes a distinct chromosome once:
-constructibility checks and fitness share one memo. A plan left unscored
-at the end of a generation is dropped, so such a chromosome is
-causalized again if a later generation scores it. Plans keep slot ids;
-each problem compiles one kernel per plan shape (sim.KernelCache) and
-runs every scored chromosome of that shape through it, names as data.
-Chromosome position i names the variable assigned to symbol slot i.
+Fitness is evaluated serially, and each problem binds (at slot level)
+and causalizes a distinct chromosome once: constructibility checks and
+fitness share one memo. A plan left unscored at the end of a generation
+is dropped, so such a chromosome is causalized again if a later
+generation scores it. Plans keep slot ids; each problem compiles one
+kernel per matching (sim.KernelCache) and runs every scored chromosome
+of that matching through it, names and values as data. A run simulates
+once per distinct signature (GaProblem.signature): a distinct chromosome
+that hands the kernel the same data as an earlier one of the run, such
+as swapped algebraic locals or equal parameter values, takes its
+fitness. Chromosome position i names the variable assigned to symbol
+slot i.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ class GaProblem:
     # is evaluated, then True; False when the genome does not causalize
     _causalized: dict = field(init=False, default_factory=dict, compare=False,
                               repr=False)
-    # the simulation kernels of scored genomes, one per slot-level shape
+    # the simulation kernels of scored genomes, one per matching
     kernels: sim.KernelCache = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -199,16 +203,30 @@ class GaProblem:
         every constraint, so no separate validation runs."""
         return self._causalize(tuple(genes)) is not False
 
+    def _plan(self, genes: tuple) -> sim.SimPlan | None:
+        """The genome's plan, or None when it does not causalize; a plan
+        dropped from the memo is causalized again and kept."""
+        plan = self._causalize(genes)
+        if plan is True:
+            plan = self._causalized[genes] = sim.causalize(self.bind(genes))
+        return None if plan is False else plan
+
+    def signature(self, genes):
+        """What scoring the genome simulates (sim.KernelCache.signature),
+        or None when it does not causalize: genomes with equal signatures
+        have equal fitness."""
+        plan = self._plan(tuple(genes))
+        return None if plan is None else self.kernels.signature(
+            plan, self.classification.outputs)
+
     def fitness_of(self, genes) -> sim.Fitness:
         """The genome's fitness. Its plan leaves the memo once scored, so
         scoring a genome again causalizes it again."""
         genes = tuple(genes)
-        plan = self._causalize(genes)
-        if plan is True:
-            plan = sim.causalize(self.bind(genes))
-        self._causalized[genes] = plan is not False
-        return sim.score(None if plan is False else plan, self.input_trace,
-                         self.reference_trace, self.classification.outputs, self.kernels)
+        plan = self._plan(genes)
+        self._causalized[genes] = plan is not None
+        return sim.score(plan, self.input_trace, self.reference_trace,
+                         self.classification.outputs, self.kernels)
 
     def drop_unscored_plans(self) -> None:
         """Keep only the verdict of genomes that passed constructible but
@@ -487,13 +505,18 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
 # Evolution loop
 # ---------------------------------------------------------------------------
 
-def _evaluate(problem: GaProblem, population, cache: dict):
+def _evaluate(problem: GaProblem, population, cache: dict, scored: dict):
     """Fitness for each individual, evaluated serially in population
-    order; cache keyed by genes. Returns the fitnesses and the number of
-    new evaluations."""
+    order; cache keyed by genes, scored by signature, so a genome that
+    simulates as an earlier one did takes its fitness. Returns the
+    fitnesses and the number of new (distinct genome) evaluations."""
     todo = list(dict.fromkeys(
         c.genes for c in population if c.genes not in cache))
-    cache.update((genes, problem.fitness_of(genes)) for genes in todo)
+    for genes in todo:
+        key = problem.signature(genes)
+        if key not in scored:
+            scored[key] = problem.fitness_of(genes)
+        cache[genes] = scored[key]
     return [cache[c.genes] for c in population], len(todo)
 
 
@@ -536,7 +559,8 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
             raise MalformedTrace(f"reference time {r!r} differs from input time {t!r}")
     rng = _random.Random(cfg.rng_seed)
 
-    cache: dict = {}
+    cache: dict = {}  # genes -> Fitness
+    scored: dict = {}  # signature -> Fitness
     evaluations = 0
     population = [generate_individual(mode, problem, rng)
                   for _ in range(cfg.population_size)]
@@ -569,7 +593,7 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
                         next_pop.append(child)
             population = next_pop
 
-        fitnesses, n_eval = _evaluate(problem, population, cache)
+        fitnesses, n_eval = _evaluate(problem, population, cache, scored)
         problem.drop_unscored_plans()
         evaluations += n_eval
         if on_individual is not None:

@@ -13,9 +13,11 @@ references and expressions, and is integrated with forward Euler on the
 input trace's time grid by a generated kernel: straight-line Python,
 one statement per expression node, with mexpr.eval_expr as its
 reference semantics. simulate compiles one for the plan on each call,
-unless given a KernelCache, which compiles one per slot-level plan
-shape; names and values reach a kernel as data. Models that fail any
-static or runtime check are rejected, which is exactly how
+unless given a KernelCache, which compiles one per matching of a
+problem's equations to its slots. Names, parameter values, state starts
+and input columns reach a kernel as data, a column for each data slot;
+KernelCache.signature tells which plans simulate alike. Models that
+fail any static or runtime check are rejected, which is exactly how
 non-simulatable candidates are discovered.
 
 Static rejection is deliberately at least as strict as the constraint
@@ -489,23 +491,32 @@ class _KernelSource:
         return dest
 
 
+def _data_slots(plan: SimPlan) -> tuple:
+    """The refs a kernel reads a column for each sample, sorted: the
+    inputs and the parameters the equations read, less the states, which
+    keep their Euler values."""
+    states = {r for r, _, _ in plan.state_vars}
+    return tuple(sorted(plan.input_names.union(plan.param_env) - states))
+
+
 def _kernel_source(plan: SimPlan, out_names) -> tuple:
     """The source of the kernel for plan and the namespace it runs in,
     which also holds the kernel's data layout under "layout".
 
-    kernel(T, I, A, P, S, L, h, last) runs the loop over the times T. I,
-    A and P hold the input columns, the append methods of the lists
-    recording out_names and the parameter values, in the layout's orders
-    of refs; S the state starts; L the layout's error label templates,
-    formatted with names; h is the step and last the index of the last
-    sample. Its locals follow the env of the tree walk statement by
-    statement, so the results are bit-identical. `if x - x:` is the
-    finiteness check: x - x is 0.0 for a finite x and nan for inf and nan.
+    kernel(T, I, A, S, L, h, last) runs the loop over the times T. I and
+    A hold a column for each data slot (see _data_slots; a parameter's
+    column repeats its value) and the append methods of the lists
+    recording out_names, in the layout's orders of refs; S the state
+    starts; L the layout's error label templates, formatted with names;
+    h is the step and last the index of the last sample. Its locals
+    follow the env of the tree walk statement by statement, so the
+    results are bit-identical. `if x - x:` is the finiteness check: x - x
+    is 0.0 for a finite x and nan for inf and nan.
     """
     src = _KernelSource()
     loop = src.lines
-    inputs = tuple(plan.input_names)
-    for j, ref in enumerate(inputs):
+    reads = _data_slots(plan)
+    for j, ref in enumerate(reads):
         loop.append(f"{src.var(ref)} = i{j}[k]")
     for eq_index, ref, expr in plan.algebraic_order:
         src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
@@ -521,14 +532,11 @@ def _kernel_source(plan: SimPlan, out_names) -> tuple:
             loop.append(f"{local} = {local} + h * d{j}")
             src.check_finite(local, ref)
 
-    # only the parameters the loop reads are loaded
-    params = tuple(r for r in plan.param_env if r in src.vars)
-    head = ["def kernel(T, I, A, P, S, L, h, last):"]
+    head = ["def kernel(T, I, A, S, L, h, last):"]
     for targets, data in (
-            ([src.vars[r] for r in params], "P"),
             ([src.var(r) for r, _, _ in plan.state_vars], "S"),
             ([c for c, _ in src.consts.values()], "C"),
-            ([f"i{j}" for j in range(len(inputs))], "I"),
+            ([f"i{j}" for j in range(len(reads))], "I"),
             ([f"a{j}" for j in range(len(out_names))], "A")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
@@ -538,13 +546,13 @@ def _kernel_source(plan: SimPlan, out_names) -> tuple:
                           "  raise DivisionByZero(T[k], L[w]) from None", ""])
     namespace = {"C": tuple(value for _, value in src.consts.values()),
                  "E": _evaluated_der, "F": NonFiniteValue, "DivisionByZero": DivisionByZero,
-                 "layout": (params, inputs, tuple(out_names), tuple(src.labels))}
+                 "layout": (reads, tuple(out_names), tuple(src.labels))}
     return source, namespace
 
 
 def _compile_kernel(plan: SimPlan, recorded) -> tuple:
     """The kernel of plan, recording recorded, and its data layout: (run,
-    refs of P, refs of I, refs of A, labels), see _kernel_source."""
+    refs of I, refs of A, labels), see _kernel_source."""
     source, namespace = _kernel_source(plan, recorded)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
@@ -553,11 +561,13 @@ def _compile_kernel(plan: SimPlan, recorded) -> tuple:
 
 class KernelCache:
     """The kernels of one problem's slot-level plans, compiled once per
-    plan shape, and the step of the last input grid checked. A shape, the
-    (algebraic equation, solved slot) pairs in plan order and the slots
-    that hold parameters and inputs, fixes the source, since every plan
-    of a problem shares its Structure's expressions; its kernel records
-    every solved slot, so names, values and outputs reach it as data."""
+    matching, and the step of the last input grid checked. The matching,
+    the (algebraic equation, solved slot) pairs in plan order, fixes the
+    source, since every plan of a problem shares its Structure's
+    expressions, states and data slots (the occurring slots neither
+    solved nor states); its kernel reads a column for every data slot and
+    records every solved slot, so names, values and outputs reach it as
+    data."""
 
     def __init__(self):
         self.kernels: dict = {}
@@ -568,13 +578,30 @@ class KernelCache:
             self.grid = (times, grid_step(times))
         return self.grid[1]
 
+    @staticmethod
+    def matching(plan: SimPlan) -> tuple:
+        """The kernel key of a plan causalized at slot level."""
+        return tuple((i, s) for i, s, _ in plan.algebraic_order)
+
     def kernel(self, plan: SimPlan) -> tuple:
         """The compiled kernel of a plan causalized at slot level."""
-        key = (tuple((i, s) for i, s, _ in plan.algebraic_order),
-               tuple(plan.param_env), tuple(sorted(plan.input_names)))
+        key = self.matching(plan)
         if key not in self.kernels:
             self.kernels[key] = _compile_kernel(plan, sorted(plan.solved_names.values()))
         return self.kernels[key]
+
+    def signature(self, plan: SimPlan, outputs) -> tuple:
+        """Everything the simulation of a slot-level plan, with outputs
+        recorded, depends on: the kernel key, what each data slot reads
+        (an input name, or a parameter value, each by repr so that they
+        cannot meet, nor 0.0 and -0.0), the state starts by repr and the
+        slot of each output. Plans with equal signatures simulate alike."""
+        solved = plan.solved_names
+        return (self.matching(plan),
+                tuple(repr(plan.name(r) if r in plan.input_names else plan.param_env[r])
+                      for r in _data_slots(plan)),
+                tuple(repr(start) for _, start, _ in plan.state_vars),
+                tuple(solved.get(name) for name in sorted(outputs)))
 
 
 def grid_step(times) -> float:
@@ -593,8 +620,8 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
 
     The per-sample loop is a kernel compiled from the plan for this call,
     recording only the outputs of interest, or, with kernels, the one of
-    the plan's slot-level shape (see _kernel_source); mexpr.eval_expr is
-    its reference semantics."""
+    the plan's matching (see _kernel_source); mexpr.eval_expr is its
+    reference semantics."""
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
             raise MissingInput(name)
@@ -609,11 +636,11 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
         h, kernel = grid_step(times), _compile_kernel(plan, [solved[n] for n in out_names])
     else:
         h, kernel = kernels.step(times), kernels.kernel(plan)
-    run, params, reads, recorded, labels = kernel
+    run, reads, recorded, labels = kernel
     columns = [[] for _ in recorded]
-    run(times, tuple(inputs.columns[plan.name(r)] for r in reads),
+    run(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
+                     else (plan.param_env[r],) * len(times) for r in reads),
         tuple(column.append for column in columns),
-        tuple(plan.param_env[r] for r in params),
         tuple(start for _, start, _ in plan.state_vars),
         tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
     by_name = dict(zip(map(plan.name, recorded), columns))

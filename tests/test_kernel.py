@@ -333,3 +333,35 @@ def test_fixture_sources_hold_no_names_or_constants(all_cases):
             assert constants - {"0.0", "1.0"}, "the fixture has constants to look for"
             for text in constants - {"0.0", "1.0"}:
                 assert text not in source
+
+
+_PI_KERNEL_SOURCE = """
+import json, sys
+from construct import ga, sim
+from construct.container import load_container
+from construct.model import apply_assignment
+root = sys.argv[1]
+problem = ga.problem_from_container(load_container(root))
+genes = json.load(open(root + "/ground_truth.json"))["genes"]
+plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
+outputs = sorted(problem.classification.outputs)
+print(sim._kernel_source(plan, outputs)[0])
+"""
+
+
+def test_name_level_kernel_source_does_not_depend_on_the_hash_seed(pi_case):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(sim.__file__).resolve().parents[1])
+    sources = set()
+    # pi's two inputs, in frozenset order, take both orders over these seeds
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _PI_KERNEL_SOURCE, str(pi_case["root"])],
+                             env=env, capture_output=True, text=True, check=True, timeout=60)
+        sources.add(out.stdout)
+    assert len(sources) == 1
+    assert "i1[k]" in sources.pop(), "pi's plan reads several input columns"

@@ -434,3 +434,40 @@ def test_kernel_cache_checks_each_input_grid():
     simulate(plan, problem.input_trace, ["y"], problem.kernels)
     with pytest.raises(NonUniformGrid):
         simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"], problem.kernels)
+
+
+def test_one_kernel_reads_a_slot_as_parameter_and_as_input_bit_for_bit():
+    problem = _shape_problem()
+    first = causalize(problem.bind(FIRST))  # k_a at slot 1, u at slot 3
+    swapped = causalize(problem.bind((0, 1, 4, 2, 6)))  # u at slot 1, k_a at slot 3
+    assert first.param_env.keys() & swapped.input_names == {1}
+    outputs = ["x_a", "y"]
+    results = []
+    for plan in (first, swapped):
+        cached = simulate(plan, problem.input_trace, outputs, problem.kernels)
+        assert _bits(cached) == _bits(simulate(plan, problem.input_trace, outputs))
+        results.append(cached)
+    assert len(problem.kernels.kernels) == 1
+    assert results[0].columns["y"] != results[1].columns["y"]
+    signatures = {problem.signature(g) for g in (FIRST, (0, 1, 4, 2, 6))}
+    assert len(signatures) == 2
+
+
+def test_signature_tells_what_a_genome_simulates():
+    problem = _shape_problem()
+    assert problem.signature(FIRST) != problem.signature((0, 3, 4, 1, 6))  # k_b for k_a
+    assert problem.signature(FIRST) != problem.signature((0, 2, 5, 1, 6))  # x_b for x_a
+    assert problem.signature((0, 0, 4, 1, 6)) is None  # does not causalize
+    # equal values under other names simulate alike; repr keeps 0.0 and -0.0 apart
+    s = mexpr.Sym
+    model = infer_symbol_types(EquationModel(
+        ((s(0), mexpr.Binary("mul", s(1), s(2))),),
+        tuple(SymbolSlot(i, f"s{i}", "Unknown") for i in range(3))))
+    vars = table(("y", 1, "Real", "output", None), ("u", 2, "Real", "input", None),
+                 ("zero", 3, "Real", "parameter", 0.0),
+                 ("minus_zero", 4, "Real", "parameter", -0.0),
+                 ("also_zero", 5, "Real", "parameter", 0.0))
+    trace = Trace((0.0, 0.1), {"u": (1.0, -1.0)})
+    zeros = GaProblem(model, vars, trace, trace)
+    assert zeros.signature((0, 1, 2)) == zeros.signature((0, 1, 4))
+    assert zeros.signature((0, 1, 2)) != zeros.signature((0, 1, 3))
