@@ -115,16 +115,6 @@ class Trace:
     times: tuple
     columns: dict
 
-    def __post_init__(self):
-        if len(self.times) < 2:
-            raise MalformedTrace("a trace needs at least 2 samples")
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise MalformedTrace(f"time not strictly increasing at t={b}")
-        for name, vals in self.columns.items():
-            if len(vals) != len(self.times):
-                raise MalformedTrace(f"column {name!r} length {len(vals)} != {len(self.times)}")
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -146,7 +136,11 @@ class ContainerModel:
 def _parse_start(text: str, vtype: str, name: str):
     try:
         if vtype == "Real":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise MalformedDescription(
+                    f"non-finite start {text!r} for Real variable {name!r}")
+            return value
         if vtype == "Integer":
             return int(text)
         if text == "true":

@@ -20,6 +20,8 @@ emit for exported step functions:
                  literals, lvalues
     intlit    := decimal | 0x-hex
 
+Tokens are the alternatives of one pattern, _TOKEN_RE, ASCII only.
+
 Anything outside the subset is a hard ParseError, never a best-effort
 skip. Dereferences like ``*(double *)(p + 0x10)`` are kept as first-class
 AST nodes because downstream passes key on their byte offsets.
@@ -27,7 +29,7 @@ AST nodes because downstream passes key on their byte offsets.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
 
 from construct.errors import ConstructError
@@ -150,22 +152,34 @@ class CodeUnit:
     functions: tuple
 
     def __post_init__(self):
-        names = [f.name for f in self.functions]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate function names in unit: {names}")
+        names = set()
+        for f in self.functions:
+            if f.name in names:
+                raise ParseError(f.line, 1, "a unique function name", f.name)
+            names.add(f.name)
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = ("<=", ">=", "==", "!=", "&&", "||",
-          "(", ")", "{", "}", ";", ",", "=", "+", "-", "*", "/",
-          "<", ">", "!", "?", ":")
-_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٣"
-# str.isalpha/isalnum also accept "ｘ", "²" and "٣"
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+# One alternative per token kind, tried in order. Character classes are
+# spelled out in ASCII: \d and \w would also accept "²", "٣" and "ｘ".
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<unclosed>/\*)
+  | (?P<hex>0[xX][0-9a-fA-F]+)
+  | (?P<badhex>0[xX])
+  | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?
+             |[0-9]+[eE][+-]?[0-9]+[fF]?)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct><=|>=|==|!=|&&|\|\||[(){};,=+\-*/<>!?:])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_ERRORS = {"unclosed": "closing */", "badhex": "hex digits", "other": "a token"}
 
 
 @dataclass(frozen=True)
@@ -179,94 +193,27 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def err(expected):
-        raise ParseError(line, col, expected, text[i:i + 1])
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err("closing */")
-            skipped = text[i:j + 2]
-            line += skipped.count("\n")
-            col = (len(skipped) - skipped.rfind("\n")) if "\n" in skipped else col + len(skipped)
-            i = j + 2
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("ident", word, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            is_float = False
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    err("hex digits")
-                tok = _Token("int", text[i:j], int(text[i:j], 16), line, col)
-            else:
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                if j < n and text[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k] in _DIGITS:
-                        is_float = True
-                        j = k
-                        while j < n and text[j] in _DIGITS:
-                            j += 1
-                lexeme = text[i:j]
-                if j < n and text[j] in "fF" and is_float:
-                    j += 1  # float suffix, value normalized to double
-                if is_float:
-                    tok = _Token("float", text[i:j], float(lexeme), line, col)
-                else:
-                    tok = _Token("int", lexeme, int(lexeme), line, col)
-            tokens.append(tok)
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("punct", p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            err("a token")
-    tokens.append(_Token("eof", "", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "comment":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rfind("\n") + 1
+        elif kind in _ERRORS:
+            raise ParseError(line, col, _ERRORS[kind], lexeme[0])
+        elif kind == "hex":
+            tokens.append(_Token("int", lexeme, int(lexeme, 16), line, col))
+        elif kind == "float":
+            tokens.append(_Token("float", lexeme, float(lexeme.rstrip("fF")), line, col))
+        elif kind == "int":
+            tokens.append(_Token("int", lexeme, int(lexeme), line, col))
+        elif kind != "blank":
+            tokens.append(_Token(kind, lexeme, lexeme, line, col))
+    tokens.append(_Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -367,13 +314,8 @@ class _Parser:
 
     def parse_unit(self) -> CodeUnit:
         functions = []
-        names = set()
         while self.peek().kind != "eof":
-            fn = self.parse_function()
-            if fn.name in names:
-                raise ParseError(fn.line, 1, "a unique function name", fn.name)
-            names.add(fn.name)
-            functions.append(fn)
+            functions.append(self.parse_function())
         return CodeUnit(tuple(functions))
 
     def parse_function(self) -> Function:

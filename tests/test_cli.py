@@ -432,3 +432,26 @@ def test_synth_reference_on_another_time_grid_exits_1(pi_case, tmp_path, capsys)
     code = main(["synth", str(work), "--mode", "cbc", "--pop", "10", "--gens", "2"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: malformed trace: reference time 0.02")
+
+
+def test_translate_function_defined_in_two_sources_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    shutil.copy(work / "sources" / "controller.c", work / "sources" / "zz_copy.c")
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'fmu_step'" in err
+
+
+@pytest.mark.parametrize("start", ["nan", "inf", "-inf", "1e400"])
+def test_synth_non_finite_start_exits_1(pi_case, tmp_path, capsys, start):
+    work = _pi_copy(pi_case, tmp_path)
+    desc = work / "modelDescription.xml"
+    desc.write_text(desc.read_text().replace('start="0.15"', f'start="{start}"'))
+    out = tmp_path / "m.mo"
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "50", "--gens", "10",
+                 "--seed", "0", "-o", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'track_error'" in err and "non-finite" in err
+    assert not out.exists()

@@ -4,8 +4,8 @@ import pytest
 
 from construct.cparse import (
     Assign, Binary, Call, CodeUnit, Decl, Deref, Ident, If, IntLit, ParseError,
-    RealLit, Return, Ternary, Unary, parse_c_expr, parse_c_unit, print_expr,
-    print_unit,
+    RealLit, Return, Ternary, Unary, _tokenize, parse_c_expr, parse_c_unit,
+    print_expr, print_unit,
 )
 
 
@@ -91,8 +91,9 @@ def test_missing_semicolon():
 
 
 def test_duplicate_function_names():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_c_unit("void f(long p, double h) { }\nvoid f(long q, double g) { }")
+    assert (exc.value.line, exc.value.column, exc.value.found) == (2, 1, "f")
 
 
 def test_return_forms():
@@ -183,3 +184,40 @@ def test_non_ascii_digits_are_a_parse_error(text):
 def test_non_ascii_identifiers_are_a_parse_error(text):
     with pytest.raises(ParseError):
         parse_c_expr(text)
+
+
+# Each row: the text, then either its tokens as (kind, text, value, line,
+# column), the eof token last, or the (line, column, expected, found) of
+# its ParseError.
+LEXICAL_GRAMMAR = [
+    ("1.", [("float", "1.", 1.0, 1, 1), ("eof", "", None, 1, 3)]),
+    (".5", [("float", ".5", 0.5, 1, 1), ("eof", "", None, 1, 3)]),
+    ("1e5f", [("float", "1e5f", 1e5, 1, 1), ("eof", "", None, 1, 5)]),
+    ("1.0F", [("float", "1.0F", 1.0, 1, 1), ("eof", "", None, 1, 5)]),
+    ("08", [("int", "08", 8, 1, 1), ("eof", "", None, 1, 3)]),
+    ("0x1F", [("int", "0x1F", 31, 1, 1), ("eof", "", None, 1, 5)]),
+    ("0X1f", [("int", "0X1f", 31, 1, 1), ("eof", "", None, 1, 5)]),
+    ("1e", [("int", "1", 1, 1, 1), ("ident", "e", "e", 1, 2), ("eof", "", None, 1, 3)]),
+    ("1.5e+", [("float", "1.5", 1.5, 1, 1), ("ident", "e", "e", 1, 4),
+               ("punct", "+", "+", 1, 5), ("eof", "", None, 1, 6)]),
+    ("1f", [("int", "1", 1, 1, 1), ("ident", "f", "f", 1, 2), ("eof", "", None, 1, 3)]),
+    ("0x", (1, 1, "hex digits", "0")),
+    ("0xg", (1, 1, "hex digits", "0")),
+    ("a\n  /* open", (2, 3, "closing */", "/")),
+    ("a.b", (1, 2, "a token", ".")),
+    ("\f", (1, 1, "a token", "\f")),
+    ("/* one\ntwo\nthree */ x", [("ident", "x", "x", 3, 10), ("eof", "", None, 3, 11)]),
+    ("x // c", [("ident", "x", "x", 1, 1), ("eof", "", None, 1, 7)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", LEXICAL_GRAMMAR)
+def test_lexical_grammar(text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as exc:
+            _tokenize(text)
+        e = exc.value
+        assert (e.line, e.column, e.expected, e.found) == expected
+    else:
+        assert [(t.kind, t.text, t.value, t.line, t.column)
+                for t in _tokenize(text)] == expected
