@@ -7,9 +7,14 @@ A candidate mapping is only worth simulating when it satisfies:
     C2  each equation references at least one unknown
     C3  the number of distinct mapped unknowns equals the equation count
     C4  every input and output variable appears in the mapping image
+    C5  code causality: a slot the step function writes (the left-hand
+        side of an equation, or a state) takes an unknown, and a slot it
+        only reads takes an input or a parameter
 
 "Unknown" here means a variable the equation system must determine,
-i.e. one of output or local causality.
+i.e. one of output or local causality. The decompiled step function is
+executable, so it is causal already: each equation is solved for the
+slot it writes (C5), which with C0 implies C2 and C3.
 """
 
 from __future__ import annotations
@@ -221,7 +226,7 @@ def genes_of(m: EquationModel, c, vars: VariableTable) -> tuple:
 
 def validate_assignment(m: EquationModel, vars: VariableTable, c,
                         strict_unknown: bool = False) -> ValidationReport:
-    """Check a slot-to-variable mapping against C0 through C4.
+    """Check a slot-to-variable mapping against C0 through C5.
 
     All violations are collected, never short-circuited. Slot types must
     already be inferred (infer_symbol_types). With strict_unknown, slots
@@ -266,5 +271,14 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
     for name in list(cls.inputs) + list(cls.outputs):
         if name not in image:
             violations.append(("C4", f"I/O variable {name!r} is not mapped"))
+
+    written = {lhs.ref for lhs, _ in m.equations}
+    for slot, g in zip(m.slots, genes):
+        v = vars[g]
+        if (slot.id in written) != (v.name in unknowns):
+            role = "written" if slot.id in written else "only read"
+            violations.append(
+                ("C5", f"slot {slot.id} ({slot.origin}) is {role}, "
+                       f"{v.name!r} is {v.causality}"))
 
     return ValidationReport(not violations, tuple(violations))

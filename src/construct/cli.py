@@ -145,7 +145,7 @@ def cmd_validate(args) -> int:
     report = check.validate_assignment(problem.model, problem.vars, genes,
                                        strict_unknown=args.strict_unknown)
     if report.valid:
-        print("valid: constraints C0-C4 all hold")
+        print("valid: constraints C0-C5 all hold")
         return 0
     for cid, detail in report.violations:
         print(f"{cid}: {detail}")
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("validate", help="check a mapping against C0-C4")
+    p = sub.add_parser("validate", help="check a mapping against C0-C5")
     p.add_argument("container")
     _add_rule_flags(p)
     p.add_argument("--mapping", required=True, help="JSON {\"genes\": [...]}")

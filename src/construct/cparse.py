@@ -40,13 +40,20 @@ CALLEES = {"fmin": 2, "fmax": 2, "fminf": 2, "fmaxf": 2, "fabs": 1, "fabsf": 1}
 
 
 class ParseError(ConstructError):
-    def __init__(self, line: int, column: int, expected: str, found: str = ""):
+    def __init__(self, line: int, column: int, expected: str, found: str = "",
+                 source: str = ""):
         self.line = line
         self.column = column
         self.expected = expected
         self.found = found
+        self.source = source
         detail = f" (found {found!r})" if found else ""
-        super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
+        where = f"{source}: " if source else ""
+        super().__init__(f"{where}line {line}, column {column}: expected {expected}{detail}")
+
+    def in_source(self, source: str) -> "ParseError":
+        """The same error, located in the named source file."""
+        return ParseError(self.line, self.column, self.expected, self.found, source)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +212,17 @@ def _tokenize(text: str) -> list[_Token]:
                 line_start = m.start() + lexeme.rfind("\n") + 1
         elif kind in _ERRORS:
             raise ParseError(line, col, _ERRORS[kind], lexeme[0])
-        elif kind == "hex":
-            tokens.append(_Token("int", lexeme, int(lexeme, 16), line, col))
+        elif kind in ("hex", "int"):
+            # no C integer type holds 2**64, which has 20 decimal digits;
+            # the length test comes first, as int() refuses very long strings
+            value = 2 ** 64 if kind == "int" and len(lexeme.lstrip("0")) > 20 \
+                else int(lexeme, 16 if kind == "hex" else 10)
+            if value >= 2 ** 64:
+                raise ParseError(line, col, "an integer literal below 2**64",
+                                 lexeme if len(lexeme) <= 24 else lexeme[:20] + "...")
+            tokens.append(_Token("int", lexeme, value, line, col))
         elif kind == "float":
             tokens.append(_Token("float", lexeme, float(lexeme.rstrip("fF")), line, col))
-        elif kind == "int":
-            tokens.append(_Token("int", lexeme, int(lexeme), line, col))
         elif kind != "blank":
             tokens.append(_Token(kind, lexeme, lexeme, line, col))
     tokens.append(_Token("eof", "", None, line, len(text) - line_start + 1))

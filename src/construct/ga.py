@@ -12,18 +12,19 @@ Two operator suites share one evolution loop:
     bound model causalizes, so every individual in every generation
     simulates.
 
+Every equation is solved for the slot the code writes (constraint C5),
+so a problem has one causal plan (sim.Structure), built with the
+problem, and one simulation kernel (sim.KernelCache), compiled at its
+first score; a chromosome only binds variables to the plan's slots.
 Fitness is evaluated serially, and each problem binds (at slot level)
-and causalizes a distinct chromosome once: constructibility checks and
+and checks a distinct chromosome once: constructibility checks and
 fitness share one memo. A plan left unscored at the end of a generation
 is dropped, so such a chromosome is causalized again if a later
-generation scores it. Plans keep slot ids; each problem compiles one
-kernel per matching (sim.KernelCache) and runs every scored chromosome
-of that matching through it, names and values as data. A run simulates
-once per distinct signature (GaProblem.signature): a distinct chromosome
-that hands the kernel the same data as an earlier one of the run, such
-as swapped algebraic locals or equal parameter values, takes its
-fitness. Chromosome position i names the variable assigned to symbol
-slot i.
+generation scores it. A run simulates once per distinct signature
+(GaProblem.signature): a distinct chromosome that hands the kernel the
+same data as an earlier one of the run, such as swapped algebraic
+locals or equal parameter values, takes its fitness. Chromosome
+position i names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from construct import check, sim
 from construct.check import Classification, classify_variables, infer_symbol_types
 from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable, read_text
-from construct.cparse import parse_c_unit, CodeUnit
+from construct.cparse import CodeUnit, ParseError, parse_c_unit
 from construct.errors import ConstructError
 from construct.isolate import isolate_step_function, load_rule_config, normalize_primitives
 from construct.model import BoundModel, apply_assignment, bound_names
@@ -128,43 +129,36 @@ class GaProblem:
     input_trace: Trace | None
     reference_trace: Trace | None
     classification: Classification = field(init=False)
-    compat: tuple = field(init=False)  # per slot: tuple of variable indices
-    unknown_indices: frozenset = field(init=False)
+    # per slot: the indices of the variables it can take (its domain)
+    compat: tuple = field(init=False)
     io_indices: tuple = field(init=False)
     structure: sim.Structure = field(init=False)  # slot-level, see sim.analyse
     state_slots: frozenset = field(init=False)
-    # per algebraic equation: the non-state slots it could be solved for
-    solve_candidates: tuple = field(init=False)
     # genes -> its SimPlan until fitness_of has scored it or its generation
     # is evaluated, then True; False when the genome does not causalize
     _causalized: dict = field(init=False, default_factory=dict, compare=False,
                               repr=False)
-    # the simulation kernels of scored genomes, one per matching
+    # the simulation kernel of the problem, compiled at its first score
     kernels: sim.KernelCache = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cls = classify_variables(self.vars)
-        unknown_idx = frozenset(
-            i for i, v in enumerate(self.vars.variables) if v.name in cls.unknowns)
-        # a state must be determined by the system, so its slot can only
-        # take an unknown
+        structure = sim.analyse(self.model.equations, self.model.slots)
+        unknowns = cls.unknowns
+        # C1 and C5: a slot takes a variable of its inferred type, an
+        # unknown where the code writes it and a known where it only reads
         compat = tuple(tuple(i for i, v in enumerate(self.vars.variables)
                              if slot.inferred_type in ("Unknown", v.vtype)
-                             and (i in unknown_idx or not slot.is_state))
+                             and (v.name in unknowns) == (slot.id in structure.written))
                        for slot in self.model.slots)
         io = tuple(i for i, v in enumerate(self.vars.variables)
                    if v.causality in ("input", "output"))
-        structure = sim.analyse(self.model.equations, self.model.slots)
-        states = frozenset(s.id for s in self.model.slots if s.is_state)
-        candidates = tuple(tuple(r for r in iso if r not in states)
-                           for iso in structure.isolated)
         object.__setattr__(self, "classification", cls)
         object.__setattr__(self, "compat", compat)
-        object.__setattr__(self, "unknown_indices", unknown_idx)
         object.__setattr__(self, "io_indices", io)
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "state_slots", states)
-        object.__setattr__(self, "solve_candidates", candidates)
+        object.__setattr__(self, "state_slots",
+                           frozenset(s.id for s in self.model.slots if s.is_state))
         object.__setattr__(self, "kernels", sim.KernelCache())
 
     @property
@@ -197,10 +191,10 @@ class GaProblem:
         return entry
 
     def constructible(self, genes) -> bool:
-        """Statically causalizable at slot level, which implies C0..C4:
-        duplicate genes, type groups (seeded with the slot types), state,
-        input and balance checks and the perfect matching together cover
-        every constraint, so no separate validation runs."""
+        """Statically causalizable at slot level, which implies C0..C5:
+        duplicate genes, type groups (seeded with the slot types), seated
+        inputs and outputs and an unknown on each written slot together
+        cover every constraint, so no separate validation runs."""
         return self._causalize(tuple(genes)) is not False
 
     def _plan(self, genes: tuple) -> sim.SimPlan | None:
@@ -251,8 +245,13 @@ def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
         rule_cfg = replace(load_rule_config(rules_text), **rule_overrides)
     except ValueError as exc:
         raise ConstructError(f"invalid rule settings: {exc}") from None
-    unit = CodeUnit(tuple(f for _, text in cm.sources for f in parse_c_unit(text).functions))
-    body = isolate_step_function(unit, rule_cfg)
+    functions = ()
+    for name, text in cm.sources:
+        try:  # the functions so far, so that a duplicate names its file
+            functions = CodeUnit(functions + parse_c_unit(text).functions).functions
+        except ParseError as exc:
+            raise exc.in_source(f"sources/{name}") from None
+    body = isolate_step_function(CodeUnit(functions), rule_cfg)
     body = normalize_primitives(body, rule_cfg)
     body = eliminate_temporaries(body)
     model = translate_to_equations(body, rule_cfg)
@@ -268,81 +267,24 @@ class _Exhausted(Exception):
     pass
 
 
-def _sample_responsibility(problem: GaProblem, rng, tries: int = 50):
-    """Pick, for every algebraic equation, the slot it will be solved
-    for: injective over slots and acyclic in the induced dependency
-    order. An acyclic assignment is the unique perfect matching of the
-    solvability graph, so causalization is guaranteed to find it.
-    Returns {algebraic equation index: slot id} or None."""
-    alg = range(len(problem.solve_candidates))
-    if not all(problem.solve_candidates):
-        return None
-
-    for _ in range(tries):
-        resp: dict = {}
-        used: set = set()
-        order = list(alg)
-        rng.shuffle(order)
-
-        def pick(k: int) -> bool:
-            if k == len(order):
-                return True
-            i = order[k]
-            opts = [s for s in problem.solve_candidates[i] if s not in used]
-            rng.shuffle(opts)
-            for s in opts:
-                resp[i] = s
-                used.add(s)
-                if pick(k + 1):
-                    return True
-                del resp[i]
-                used.discard(s)
-            return False
-
-        if not pick(0):
-            return None  # no injective assignment exists at all
-
-        owner = {s: i for i, s in resp.items()}
-        deps = {i: {owner[r] for r in problem.structure.counts[i]
-                    if r in owner and owner[r] != i} for i in alg}
-        if not sim.topological_order(deps)[1]:  # else cyclic, resample
-            return resp
-    return None
-
-
 def _construct_constrained(problem: GaProblem, rng):
     """One constraint-guided construction attempt.
 
-    A responsibility map fixes which slots carry the system's unknowns;
-    inputs and outputs are seated next (C4), and the remaining slots are
-    filled most-constrained-first with backtracking over type-compatible
-    variables. Unknown variables land exactly on responsible and state
-    slots, which settles C2, C3, and causalizability structurally.
-    Returns a gene list or None on a dead end.
+    Inputs and outputs are seated first (C4), and the remaining slots are
+    filled most-constrained-first with backtracking over their domains
+    (GaProblem.compat), so unknown variables land exactly on the slots
+    the code writes, which settles C2, C3 and C5 structurally. Returns a
+    gene list or None on a dead end.
     """
-    resp = _sample_responsibility(problem, rng)
-    if resp is None:
-        return None
     n_slots = problem.num_slots
-    unknown_slots = set(resp.values()) | set(problem.state_slots)
-    unknown_idx = problem.unknown_indices
-
     assignment: list = [None] * n_slots
     used: set = set()
-
-    def domain_of(slot: int) -> list:
-        pool = problem.compat[slot]
-        if slot in unknown_slots:
-            return [v for v in pool if v in unknown_idx and v not in used]
-        return [v for v in pool if v not in unknown_idx and v not in used]
 
     # seat every input and output first (C4)
     io = list(problem.io_indices)
     rng.shuffle(io)
     for var in io:
-        side = unknown_slots if var in unknown_idx else \
-            set(range(n_slots)) - unknown_slots
-        options = [s for s in sorted(side)
+        options = [s for s in range(n_slots)
                    if assignment[s] is None and var in problem.compat[s]]
         if not options:
             return None
@@ -357,7 +299,7 @@ def _construct_constrained(problem: GaProblem, rng):
         free = [s for s in range(n_slots) if assignment[s] is None]
         if not free:
             return True
-        domains = {s: domain_of(s) for s in free}
+        domains = {s: [v for v in problem.compat[s] if v not in used] for s in free}
         slot = min(free, key=lambda s: (len(domains[s]), s))
         opts = domains[slot]
         if not opts:
@@ -385,7 +327,8 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
 
     CbT: a uniform random injective assignment, nothing else enforced.
     CbC: constraint-guided construction, accepted only when the result
-    is constructible; retried up to RETRY_BUDGET times.
+    is constructible; retried up to RETRY_BUDGET times. Equations without
+    a causal order (sim.Structure.error) admit no chromosome at all.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(
@@ -393,6 +336,8 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
     if mode == "cbt":
         return Chromosome(tuple(rng.sample(range(problem.num_variables),
                                            problem.num_slots)))
+    if problem.structure.error is not None:
+        raise ConstraintsUnsatisfiable(str(problem.structure.error))
 
     last_failure = "no construction attempt finished"
     for _ in range(RETRY_BUDGET):

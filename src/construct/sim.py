@@ -1,38 +1,40 @@
 """Causalization and fixed-step simulation of bound models.
 
-This is the internal stand-in for an external Modelica tool. What
-causalization needs to know about an equation model (which equations
-are state equations, how often each reference occurs, what each
-equation solves to for each reference it can be solved for, and which
-references must share a type) does not depend on the binding, so
-`analyse` computes it once per model as a Structure. Each binding is
-then checked against it: its types, its states, its balance, a maximum
-matching of equations to unknowns, and a topological order of the
-matched equations (BLT sorting). The plan keeps the Structure's own
-references and expressions, and is integrated with forward Euler on the
-input trace's time grid by a generated kernel: straight-line Python,
-one statement per expression node, with mexpr.eval_expr as its
-reference semantics. simulate compiles one for the plan on each call,
-unless given a KernelCache, which compiles one per matching of a
-problem's equations to its slots. Names, parameter values, state starts
-and input columns reach a kernel as data, a column for each data slot;
-KernelCache.signature tells which plans simulate alike. Models that
-fail any static or runtime check are rejected, which is exactly how
-non-simulatable candidates are discovered.
+This is the internal stand-in for an external Modelica tool. The
+decompiled step function is executable, so its equations are causal
+already: each algebraic equation is solved for the reference it writes,
+and each state equation integrates its state. What causalization knows
+about an equation model (its states, the topological order of its
+algebraic equations, the references the equations only read, and which
+references must share a type) therefore does not depend on the binding,
+so `analyse` computes it once per model as a Structure, or finds the
+equation that admits no causal order. A binding is then only checked
+against it: no variable twice, its types, an output or a local on each
+state, every input seated, its balance, and an unknown on each written
+reference. The plan keeps the Structure's own order, references and
+expressions, and is integrated with forward Euler on the input trace's
+time grid by a generated kernel: straight-line Python, one statement
+per expression node, with mexpr.eval_expr as its reference semantics.
+simulate compiles one for the plan on each call, unless given a
+KernelCache, which compiles one per problem. Names, parameter values,
+state starts, input columns and the slots of the recorded outputs reach
+a kernel as data; KernelCache.signature tells which plans simulate
+alike. Models that fail any static or runtime check are rejected, which
+is exactly how non-simulatable candidates are discovered.
 
 Static rejection is deliberately at least as strict as the constraint
 validator: with the slot-level Structure, whose type groups carry the
-slots' inferred types, a mapping that violates C0 through C4 never
+slots' inferred types, a mapping that violates C0 through C5 never
 causalizes, let alone simulates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import count
+from operator import mul, sub
 
 from construct import check, mexpr
 from construct.container import Trace
@@ -79,14 +81,15 @@ class StructurallySingular(CausalizeError):
 
 class AlgebraicLoop(CausalizeError):
     def __init__(self, members):
-        self.members = tuple(members)
-        super().__init__(f"algebraic loop through {', '.join(self.members)}")
+        self.members = tuple(members)  # of (equation index, written ref)
+        super().__init__("algebraic loop through " + ", ".join(
+            f"equation {i} ({ref})" for i, ref in self.members))
 
 
 class NotIsolatable(CausalizeError):
     def __init__(self, eq_index: int):
         self.eq_index = eq_index
-        super().__init__(f"equation {eq_index}: matched unknown cannot be isolated")
+        super().__init__(f"equation {eq_index}: the left-hand side is not a variable")
 
 
 class MultipleOccurrence(CausalizeError):
@@ -171,78 +174,66 @@ class SimPlan:
 
 
 # ---------------------------------------------------------------------------
-# Isolation (symbolic inversion along the path to the unknown)
-# ---------------------------------------------------------------------------
-
-def isolate_expression(lhs, rhs, name):
-    """Solve ``lhs = rhs`` for name, which must occur exactly once.
-    Returns the isolated expression or None when the path is not
-    invertible (only +, -, *, / and unary minus invert)."""
-    if name in mexpr.refs(lhs):
-        expr, target = lhs, rhs
-    else:
-        expr, target = rhs, lhs
-    while True:
-        match expr:
-            case mexpr.Sym(ref) if ref == name:
-                return target
-            case mexpr.Unary("neg", operand):
-                expr, target = operand, mexpr.Unary("neg", target)
-            case mexpr.Binary(op, a, b) if op in mexpr.NUMERIC_BINOPS:
-                in_left = name in mexpr.refs(a)
-                if op == "add":
-                    expr, target = (a, mexpr.Binary("sub", target, b)) if in_left \
-                        else (b, mexpr.Binary("sub", target, a))
-                elif op == "sub":
-                    expr, target = (a, mexpr.Binary("add", target, b)) if in_left \
-                        else (b, mexpr.Binary("sub", a, target))
-                elif op == "mul":
-                    expr, target = (a, mexpr.Binary("div", target, b)) if in_left \
-                        else (b, mexpr.Binary("div", target, a))
-                else:  # div
-                    expr, target = (a, mexpr.Binary("mul", target, b)) if in_left \
-                        else (b, mexpr.Binary("div", a, target))
-            case mexpr.Call() | mexpr.If() | mexpr.Unary() | mexpr.Binary():
-                return None  # calls, conditionals, not, comparisons and logic
-            case _:
-                raise TypeError(f"not a ModelExpr holding {name!r}: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
 # Structure: what causalization knows before any binding
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Structure:
-    """The binding-independent facts of an equation system, over its own
-    references (slot ids, or variable names for a hand-built model)."""
+    """The binding-independent facts of an equation system in code form,
+    over its own references (slot ids, or variable names for a name-level
+    model): each algebraic equation is solved for the reference it
+    assigns, and each state equation integrates its state."""
 
     states: tuple  # of (state ref, right-hand side), in model order
-    counts: tuple  # per algebraic equation: {ref: occurrences}, first use first
-    isolated: tuple  # per algebraic equation: {ref: isolated expression}
+    algebraic_order: tuple  # of (equation index, written ref, right-hand side)
+    written: frozenset  # every ref an equation assigns or integrates
+    reads: tuple  # the refs the equations only read, sorted
     occurring: frozenset  # every ref in the equations
     type_groups: tuple  # of (demanded types, member refs, ordering-compared)
+    error: CausalizeError | None  # why the equations have no causal order
 
 
 def analyse(equations, slots=()) -> Structure:
     """Compute the Structure of an equation system once.
 
-    `isolated` holds, in first-use order, the refs an algebraic equation
-    can be solved for (one occurrence, invertible path). Type groups come
-    from check.unify_types; a clash of constants, or an ordering of
-    Boolean constants, is a group without members that no binding meets.
+    The algebraic equations are ordered topologically by the refs they
+    read and write. Equations without that order (a left-hand side that
+    is no reference, a reference written twice or read by the equation
+    that writes it, a cycle) leave the first such fault, naming the
+    equation, as the error. Type groups come from check.unify_types; a
+    clash of constants, or an ordering of Boolean constants, is a group
+    without members that no binding meets.
     """
-    states, counts, isolated, occurring = [], [], [], set()
-    for lhs, rhs in equations:
-        refs = mexpr.refs(lhs) + mexpr.refs(rhs)
-        occurring.update(refs)
+    def label(r):
+        return f"sym_{slots[r].origin}" if slots else r
+
+    states, algebraic, owner, occurring, faults = [], {}, {}, set(), []
+    for i, (lhs, rhs) in enumerate(equations):
+        read = mexpr.refs(rhs)
+        occurring.update(mexpr.refs(lhs) + read)
         if isinstance(lhs, mexpr.Der):
             states.append((lhs.ref, rhs))
+        elif isinstance(lhs, mexpr.Sym):
+            algebraic[i] = (lhs.ref, rhs)
+            if lhs.ref in read:
+                faults.append(MultipleOccurrence(label(lhs.ref), i))
+        else:
+            faults.append(NotIsolatable(i))
             continue
-        count = Counter(refs)
-        counts.append(count)
-        isolated.append({r: e for r in count if count[r] == 1
-                         and (e := isolate_expression(lhs, rhs, r)) is not None})
+        if lhs.ref in owner:
+            faults.append(StructurallySingular(
+                f"equations {owner[lhs.ref]} and {i} both write {label(lhs.ref)}"))
+        owner.setdefault(lhs.ref, i)
+
+    order = []
+    if not faults:
+        writer = {ref: i for i, (ref, _) in algebraic.items()}
+        deps = {i: {writer[r] for r in mexpr.refs(rhs) if r in writer} - {i}
+                for i, (_, rhs) in algebraic.items()}
+        order, stuck = topological_order(deps)
+        if stuck:
+            faults.append(AlgebraicLoop((i, label(algebraic[i][0])) for i in stuck))
+
     try:
         groups, ordered = check.unify_types(equations, slots)
     except check.TypeConflict as exc:
@@ -256,28 +247,9 @@ def analyse(equations, slots=()) -> Structure:
                              root in ordered_roots) for root, rs in members.items())
         if ("type", "Boolean") in ordered:
             type_groups += ((frozenset({"Boolean"}), (), True),)
-    return Structure(tuple(states), tuple(counts), tuple(isolated),
-                     frozenset(occurring), type_groups)
-
-
-def _max_matching(edges: list) -> dict:
-    """Augmenting-path bipartite matching of equation i to the unknowns in
-    edges[i], tried in list order; returns {unknown: eq_index}."""
-    matched: dict = {}
-
-    def augment(eq: int, visited: set) -> bool:
-        for u in edges[eq]:
-            if u in visited:
-                continue
-            visited.add(u)
-            if u not in matched or augment(matched[u], visited):
-                matched[u] = eq
-                return True
-        return False
-
-    for eq in range(len(edges)):
-        augment(eq, set())
-    return matched
+    return Structure(tuple(states), tuple((i, *algebraic[i]) for i in order),
+                     frozenset(owner), tuple(sorted(occurring - owner.keys())),
+                     frozenset(occurring), type_groups, faults[0] if faults else None)
 
 
 def topological_order(deps: dict) -> tuple:
@@ -303,12 +275,14 @@ def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
     The model's Structure is the slot-level one it carries, read through
-    its bindings, or else its own, analysed over its names. The plan
-    keeps the Structure's references and expressions as they are. State
-    equations bind their state directly. The remaining equations are
-    matched one-to-one to the remaining unknowns (one occurrence, and
-    isolatable), tried in name order; matched equations are then ordered
-    topologically. A state without a start value starts at 0.0.
+    its bindings, or else its own, analysed over its names. Its causal
+    order is the plan's; what is left to check is the binding: no
+    variable twice, the type groups, an output or a local on each state,
+    every input seated, as many unknowns (outputs, and locals the
+    equations hold) as algebraic equations, and an unknown on each
+    written reference, so that the references the equations only read
+    hold the inputs and parameters. A state without a start value
+    starts at 0.0.
     """
     if len(set(b.bindings)) != len(b.bindings):
         dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
@@ -317,6 +291,8 @@ def causalize(b: BoundModel) -> SimPlan:
         st, name = analyse(b.equations), (lambda r: r)
     else:
         st, name = b.structure, b.bindings.__getitem__
+    if st.error is not None:
+        raise st.error.with_traceback(None)
 
     var = {v.name: v for v in b.variable_table.variables}
     for demanded, members, ordered in st.type_groups:
@@ -331,60 +307,27 @@ def causalize(b: BoundModel) -> SimPlan:
         if state.causality not in ("output", "local"):
             raise InvalidStateVariable(
                 f"der() of {state.causality} variable {state.name!r}")
-        if any(ref == s for s, _, _ in state_vars):
-            raise CausalizeError(f"two state equations for {state.name!r}")
         state_vars.append((ref, 0.0 if state.start is None else float(state.start), rhs))
 
-    ref_of = {name(r): r for r in st.occurring}
+    seated = {name(r) for r in st.occurring}
     for v in var.values():
-        if v.causality == "input" and v.name not in ref_of:
+        if v.causality == "input" and v.name not in seated:
             raise UnusedInput(v.name)
+    # an output the equations do not hold is an unknown no equation solves
+    unknowns = sum(1 for n, v in var.items() if v.causality == "output"
+                   or v.causality == "local" and n in seated)
+    if len(st.algebraic_order) != unknowns - len(state_vars):
+        raise UnbalancedSystem(len(st.algebraic_order), unknowns - len(state_vars))
+    for i, ref, _ in st.algebraic_order:
+        v = var[name(ref)]
+        if v.causality not in ("output", "local"):
+            raise StructurallySingular(f"equation {i} writes {v.causality} {v.name!r}")
 
-    # The unknowns in name order. An output the equations do not hold
-    # stays its name, which no equation can be solved for.
-    unknowns = sorted(n for n, v in var.items() if v.causality == "output"
-                      or v.causality == "local" and n in ref_of)
-    states = {s for s, _, _ in state_vars}
-    to_solve = [r for r in (ref_of.get(n, n) for n in unknowns) if r not in states]
-    if len(st.counts) != len(to_solve):
-        raise UnbalancedSystem(len(st.counts), len(to_solve))
-
-    # Edges pair an equation with an unknown it can actually be solved
-    # for: one occurrence, invertible path.
-    matched = _max_matching([[u for u in to_solve if u in iso] for iso in st.isolated])
-    if len(matched) != len(to_solve):
-        _diagnose_matching_failure(st, name, to_solve)
-
-    solved = {eq: u for u, eq in matched.items()}
-    deps = {i: {matched[u] for u in st.counts[i] if u in matched and u != solved[i]}
-            for i in solved}
-    order, stuck = topological_order(deps)
-    if stuck:
-        raise AlgebraicLoop(sorted(name(solved[i]) for i in stuck))
-
-    param_env = {r: float(var[name(r)].start) for r in sorted(st.occurring)
+    param_env = {r: float(var[name(r)].start) for r in st.reads
                  if var[name(r)].causality == "parameter"}
-    inputs = frozenset(ref_of[n] for n, v in var.items() if v.causality == "input")
-    algebraic_order = tuple((i, solved[i], st.isolated[i][solved[i]]) for i in order)
-    return SimPlan(tuple(state_vars), algebraic_order, param_env, inputs,
+    inputs = frozenset(r for r in st.reads if var[name(r)].causality == "input")
+    return SimPlan(tuple(state_vars), st.algebraic_order, param_env, inputs,
                    () if b.structure is None else b.bindings)
-
-
-def _diagnose_matching_failure(st: Structure, name, to_solve) -> None:
-    """Distinguish the reason no perfect matching exists. A perfect
-    matching over single occurrences must use a pair that cannot be
-    isolated; one over any occurrence must use a repeated one."""
-    once = _max_matching([[u for u in to_solve if count.get(u) == 1]
-                          for count in st.counts])
-    if len(once) == len(to_solve):
-        raise NotIsolatable(min(i for u, i in once.items() if u not in st.isolated[i]))
-    if len(_max_matching([[u for u in to_solve if u in count]
-                          for count in st.counts])) == len(to_solve):
-        raise MultipleOccurrence(*next((name(u), i) for i, count in enumerate(st.counts)
-                                       for u in to_solve if count.get(u, 0) > 1))
-    raise StructurallySingular(
-        f"no perfect matching between {len(st.counts)} equations and "
-        f"{len(to_solve)} unknowns")
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +442,33 @@ def _data_slots(plan: SimPlan) -> tuple:
     return tuple(sorted(plan.input_names.union(plan.param_env) - states))
 
 
-def _kernel_source(plan: SimPlan, out_names) -> tuple:
+def _kernel_source(plan: SimPlan) -> tuple:
     """The source of the kernel for plan and the namespace it runs in,
     which also holds the kernel's data layout under "layout".
 
-    kernel(T, I, A, S, L, h, last) runs the loop over the times T. I and
-    A hold a column for each data slot (see _data_slots; a parameter's
-    column repeats its value) and the append methods of the lists
-    recording out_names, in the layout's orders of refs; S the state
-    starts; L the layout's error label templates, formatted with names;
-    h is the step and last the index of the last sample. Its locals
-    follow the env of the tree walk statement by statement, so the
-    results are bit-identical. `if x - x:` is the finiteness check: x - x
-    is 0.0 for a finite x and nan for inf and nan.
+    kernel(T, I, A, S, L, h, last) runs the loop over the times T. I
+    holds a column for each data slot (see _data_slots; a parameter's
+    column repeats its value), in the layout's order of refs; A a
+    (position, append method) pair for each recorded output, the
+    position of its ref in the layout's solved refs; S the state starts;
+    L the layout's error label templates, formatted with names; h is the
+    step and last the index of the last sample. Its locals follow the
+    env of the tree walk statement by statement, so the results are
+    bit-identical. `if x - x:` is the finiteness check: x - x is 0.0 for
+    a finite x and nan for inf and nan.
     """
     src = _KernelSource()
     loop = src.lines
     reads = _data_slots(plan)
+    solved = tuple(r for _, r, _ in plan.algebraic_order) \
+        + tuple(r for r, _, _ in plan.state_vars)
     for j, ref in enumerate(reads):
         loop.append(f"{src.var(ref)} = i{j}[k]")
     for eq_index, ref, expr in plan.algebraic_order:
         src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
         src.check_finite(src.var(ref), ref)
-    for j, ref in enumerate(out_names):
-        loop.append(f"a{j}({src.var(ref)})")
+    loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
+    loop.append("for p, a in A: a(o[p])")
     if plan.state_vars:
         loop.append("if k == last: break")
         for j, (ref, _, rhs) in enumerate(plan.state_vars):
@@ -536,8 +482,7 @@ def _kernel_source(plan: SimPlan, out_names) -> tuple:
     for targets, data in (
             ([src.var(r) for r, _, _ in plan.state_vars], "S"),
             ([c for c, _ in src.consts.values()], "C"),
-            ([f"i{j}" for j in range(len(reads))], "I"),
-            ([f"a{j}" for j in range(len(out_names))], "A")):
+            ([f"i{j}" for j in range(len(reads))], "I")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
     source = "\n".join(head + [" try:", "  for k in range(len(T)):"]
@@ -546,28 +491,28 @@ def _kernel_source(plan: SimPlan, out_names) -> tuple:
                           "  raise DivisionByZero(T[k], L[w]) from None", ""])
     namespace = {"C": tuple(value for _, value in src.consts.values()),
                  "E": _evaluated_der, "F": NonFiniteValue, "DivisionByZero": DivisionByZero,
-                 "layout": (reads, tuple(out_names), tuple(src.labels))}
+                 "layout": (reads, solved, tuple(src.labels))}
     return source, namespace
 
 
-def _compile_kernel(plan: SimPlan, recorded) -> tuple:
-    """The kernel of plan, recording recorded, and its data layout: (run,
-    refs of I, refs of A, labels), see _kernel_source."""
-    source, namespace = _kernel_source(plan, recorded)
+def _compile_kernel(plan: SimPlan) -> tuple:
+    """The kernel of plan and its data layout: (run, refs of I, solved
+    refs, labels), see _kernel_source."""
+    source, namespace = _kernel_source(plan)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
     return (namespace.pop("kernel"), *namespace.pop("layout"))
 
 
 class KernelCache:
-    """The kernels of one problem's slot-level plans, compiled once per
-    matching, and the step of the last input grid checked. The matching,
-    the (algebraic equation, solved slot) pairs in plan order, fixes the
-    source, since every plan of a problem shares its Structure's
-    expressions, states and data slots (the occurring slots neither
-    solved nor states); its kernel reads a column for every data slot and
-    records every solved slot, so names, values and outputs reach it as
-    data."""
+    """The kernels of one problem's slot-level plans, by matching, and
+    the step of the last input grid checked. The matching, the
+    (algebraic equation, solved slot) pairs in plan order, fixes the
+    source, since every plan of a problem shares its Structure's order,
+    expressions, states and data slots (the slots the equations only
+    read); names, values and the slots of the outputs reach the kernel
+    as data. Every plan of a problem has one matching, so a problem
+    compiles one kernel, at its first simulation."""
 
     def __init__(self):
         self.kernels: dict = {}
@@ -587,7 +532,7 @@ class KernelCache:
         """The compiled kernel of a plan causalized at slot level."""
         key = self.matching(plan)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan, sorted(plan.solved_names.values()))
+            self.kernels[key] = _compile_kernel(plan)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
@@ -619,8 +564,8 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     evaluate algebraic equations, record outputs, advance states.
 
     The per-sample loop is a kernel compiled from the plan for this call,
-    recording only the outputs of interest, or, with kernels, the one of
-    the plan's matching (see _kernel_source); mexpr.eval_expr is its
+    or, with kernels, the one of the plan's problem (see _kernel_source),
+    recording only the outputs of interest; mexpr.eval_expr is its
     reference semantics."""
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
@@ -633,18 +578,18 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
 
     times = inputs.times
     if kernels is None:
-        h, kernel = grid_step(times), _compile_kernel(plan, [solved[n] for n in out_names])
+        h, kernel = grid_step(times), _compile_kernel(plan)
     else:
         h, kernel = kernels.step(times), kernels.kernel(plan)
-    run, reads, recorded, labels = kernel
-    columns = [[] for _ in recorded]
+    run, reads, layout, labels = kernel
+    columns = [[] for _ in out_names]
     run(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
                      else (plan.param_env[r],) * len(times) for r in reads),
-        tuple(column.append for column in columns),
+        tuple((layout.index(solved[n]), column.append)
+              for n, column in zip(out_names, columns)),
         tuple(start for _, start, _ in plan.state_vars),
         tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
-    by_name = dict(zip(map(plan.name, recorded), columns))
-    return Trace(times, {n: tuple(by_name[n]) for n in out_names})
+    return Trace(times, {n: tuple(column) for n, column in zip(out_names, columns)})
 
 
 def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
@@ -663,7 +608,8 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
     """Mean squared distance of the plan's outputs, simulated with
     kernels, from the reference. No plan (the model does not causalize),
     a simulate failure and a sum of squares that overflows all fold into
-    Invalid."""
+    Invalid. math.fsum rounds the sum exactly, whatever the order of the
+    squares."""
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")
@@ -675,8 +621,10 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
         return INVALID
     if len(result.times) != len(reference.times):
         raise ValueError("reference and simulation grids differ in length")
-    sq = [(y - r) * (y - r) for name in outputs
-          for y, r in zip(result.columns[name], reference.columns[name])]
+    sq = []
+    for name in outputs:
+        errors = list(map(sub, result.columns[name], reference.columns[name]))
+        sq += map(mul, errors, errors)
     try:
         mse = math.fsum(sq) / len(sq)
     except OverflowError:  # finite squares whose sum overflows

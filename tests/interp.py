@@ -5,12 +5,16 @@ subset directly (memory slots keyed by byte offset, locals by name) so
 translated equation models can be checked against plain statement
 semantics without going through the translation path itself. `named`
 renames a slot-level simulation plan to the name-level plan it stands
-for, so that plans can be compared and run through the tree walk.
+for, so that plans can be compared and run through `tree_walk`, the
+per-sample loop of sim.simulate over mexpr.eval_expr.
 """
 
 from __future__ import annotations
 
+import math
+
 from construct import mexpr, sim
+from construct.container import Trace
 from construct.cparse import (
     Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit, Return,
     Ternary, Unary,
@@ -95,3 +99,43 @@ def named(plan: sim.SimPlan) -> sim.SimPlan:
         tuple((i, name(r), mexpr.map_refs(e, name)) for i, r, e in plan.algebraic_order),
         {name(r): value for r, value in plan.param_env.items()},
         frozenset(map(name, plan.input_names)))
+
+
+def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
+    """simulate's outputs for a name-level plan, evaluated node by node
+    with mexpr.eval_expr: the same values, errors and messages."""
+    times = inputs.times
+    h = times[1] - times[0]
+    env = dict(plan.param_env)
+    for name, start, _ in plan.state_vars:
+        env[name] = start
+    out_names = sorted(outputs_of_interest)
+    recorded = {n: [] for n in out_names}
+    n = len(times)
+    for k in range(n):
+        t = times[k]
+        for name in plan.input_names:
+            env[name] = inputs.columns[name][k]
+        for eq_index, name, expr in plan.algebraic_order:
+            try:
+                value = mexpr.eval_expr(expr, env)
+            except ZeroDivisionError:
+                raise sim.DivisionByZero(t, f"equation {eq_index}") from None
+            if not math.isfinite(value):
+                raise sim.NonFiniteValue(t, name)
+            env[name] = value
+        for name in out_names:
+            recorded[name].append(env[name])
+        if k + 1 < n:
+            ders = []
+            for name, _, rhs in plan.state_vars:
+                try:
+                    ders.append(mexpr.eval_expr(rhs, env))
+                except ZeroDivisionError:
+                    raise sim.DivisionByZero(t, f"der({name})") from None
+            for (name, _, _), d in zip(plan.state_vars, ders):
+                nxt = env[name] + h * d
+                if not math.isfinite(nxt):
+                    raise sim.NonFiniteValue(t, name)
+                env[name] = nxt
+    return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})

@@ -107,8 +107,9 @@ def test_criterion_5_brute_force_oracle_equivalence(tiny_case):
     valid = [genes for genes in itertools.permutations(range(3))
              if problem.validate(genes).valid]
     # slot order is (result, condition, branch): the Boolean parameter is
-    # pinned to the condition slot, output and input take the Real slots
-    assert valid == [(0, 2, 1), (1, 2, 0)]
+    # pinned to the condition slot, the output to the written result slot
+    # (C5) and the input to the branch slot
+    assert valid == [(0, 2, 1)]
     brute_best = min(problem.fitness_of(genes) for genes in valid)
     for seed in SEEDS:
         cfg = GaConfig(population_size=20, max_generations=5, rng_seed=seed)
@@ -116,7 +117,7 @@ def test_criterion_5_brute_force_oracle_equivalence(tiny_case):
         assert result.best[1] == brute_best, seed
         assert tuple(result.best[0].genes) in valid
     print(f"criterion 5 PASS: GA best equals brute-force best {brute_best.mse!r} "
-          f"over {len(list(SEEDS))} seeds; valid set has 2 members")
+          f"over {len(list(SEEDS))} seeds; valid set has 1 member")
 
 
 def test_criterion_6_search_space_arithmetic():

@@ -123,13 +123,17 @@ def tiny_model():
     return m, vars
 
 
-def test_tiny_instance_exactly_two_valid(tiny_model):
+def test_tiny_instance_exactly_one_valid(tiny_model):
     m, vars = tiny_model
     valid = [genes for genes in itertools.permutations(range(3))
              if validate_assignment(m, vars, genes).valid]
     # slot order is (result, branch, condition): f is pinned to the
-    # Boolean slot, y and u take the two Real slots either way
-    assert valid == [(0, 1, 2), (1, 0, 2)]
+    # Boolean slot, and the result slot, which the code writes, takes y
+    assert valid == [(0, 1, 2)]
+    report = validate_assignment(m, vars, (1, 0, 2))
+    assert [cid for cid, _ in report.violations] == ["C5", "C5"]
+    assert "slot 0 (s0) is written, 'u' is input" in report.summary()
+    assert "slot 1 (s1) is only read, 'y' is output" in report.summary()
 
 
 def test_tiny_boolean_on_real_slot_violates_c1(tiny_model):

@@ -97,16 +97,20 @@ def test_synth_cbc_pi(pi_case, tmp_path, capsys):
     assert len(lines) == 11
 
 
-def test_synth_early_stop_shortens_report(pi_case, tmp_path):
-    # the search stops once the best MSE drops under the threshold
-    report = tmp_path / "r.json"
-    code = main(["synth", str(pi_case["root"]), "--mode", "cbc",
-                 "--pop", "50", "--gens", "10", "--seed", "7",
-                 "--report", str(report)])
-    assert code == 0
-    data = json.loads(report.read_text())
-    assert data["best_mse"] < 1e-12
-    assert len(data["per_generation"]) <= 10
+def test_synth_early_stop_shortens_report(tiny_case, tmp_path):
+    # the search stops once the best MSE drops under the threshold: on the
+    # tiny container every CbC chromosome is the ground truth
+    lengths = []
+    for flags in ((), ("--no-early-stop",)):
+        report = tmp_path / "r.json"
+        code = main(["synth", str(tiny_case["root"]), "--mode", "cbc",
+                     "--pop", "10", "--gens", "8", "--seed", "7",
+                     "--report", str(report), *flags])
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["best_mse"] < 1e-12
+        lengths.append(len(data["per_generation"]))
+    assert lengths == [1, 8]
 
 
 def test_synth_cbt_mixed_exits_2(pid_case, tmp_path):
@@ -455,3 +459,66 @@ def test_synth_non_finite_start_exits_1(pi_case, tmp_path, capsys, start):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'track_error'" in err and "non-finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_translate_long_decimal_literal_exits_1(pi_case, tmp_path, capsys, digits):
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace("dVar1 * 1.25", "dVar1 * " + "7" * digits))
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sources/controller.c: line 6, column 26: expected an "
+                          "integer literal below 2**64 (found '77777777777777777777...')")
+
+
+def test_translate_largest_integer_literal_is_accepted(pi_case, tmp_path):
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace("dVar1 * 1.25", f"dVar1 * {2 ** 64 - 1}"))
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 0
+    assert "1.8446744073709552e+19" in (tmp_path / "s.mo").read_text()
+
+
+def test_parse_error_names_its_source_file(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    shutil.copy(work / "sources" / "controller.c", work / "sources" / "zz_copy.c")
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sources/zz_copy.c: line 1, column 1: expected a unique function "
+        "name (found 'fmu_step')\n")
+
+
+def _chain_container(root, links: int):
+    """A container whose step function is a chain of `links` stores, each
+    reading the slot the one before it wrote: u -> x1 -> ... -> y."""
+    names = ["u"] + [f"x{k}" for k in range(1, links)] + ["y"]
+    causality = ["input"] + ["local"] * (links - 1) + ["output"]
+    (root / "sources").mkdir(parents=True)
+    (root / "traces").mkdir()
+    (root / "modelDescription.xml").write_text("\n".join(
+        ['<?xml version="1.0" encoding="UTF-8"?>',
+         '<fmiModelDescription fmiVersion="2.0" modelName="chain">', "<ModelVariables>"]
+        + [f'<ScalarVariable name="{n}" valueReference="{8 * k + 8}" causality="{c}">'
+           "<Real/></ScalarVariable>" for k, (n, c) in enumerate(zip(names, causality))]
+        + ["</ModelVariables>", "</fmiModelDescription>", ""]))
+    (root / "sources" / "controller.c").write_text("\n".join(
+        ["void fmu_step(long param_1, double param_2)", "{"]
+        + [f"  *(double *)(param_1 + {hex(8 * k + 16)}) = "
+           f"*(double *)(param_1 + {hex(8 * k + 8)}) + 1.0;" for k in range(links)]
+        + ["}", ""]))
+    times = [k / 100 for k in range(5)]
+    (root / "traces" / "input.csv").write_text(
+        "time,u\n" + "".join(f"{t!r},{t!r}\n" for t in times))
+    (root / "traces" / "reference.csv").write_text(
+        "time,y\n" + "".join(f"{t!r},{t + links!r}\n" for t in times))
+
+
+def test_synth_on_a_long_chain_of_stores(tmp_path, capsys):
+    # each store is solved for the slot it writes: no search over which
+    # equation solves which slot, whose cost grew exponentially in the links
+    root = tmp_path / "chain"
+    _chain_container(root, 200)
+    assert main(["synth", str(root), "--mode", "cbc", "--pop", "4", "--gens", "1"]) == 0
+    assert "best MSE" in capsys.readouterr().out

@@ -88,7 +88,7 @@ def test_cbc_generation_tiny_instance_is_valid(tiny_case):
     problem = tiny_case["problem"]
     valid = {genes for genes in itertools.permutations(range(3))
              if problem.validate(genes).valid}
-    assert len(valid) == 2
+    assert len(valid) == 1  # the output on the written slot (C5)
     rng = random.Random(9)
     for _ in range(25):
         c = generate_individual("cbc", problem, rng)
@@ -116,6 +116,24 @@ def test_cbc_unsatisfiable_when_no_boolean_variable():
     problem = GaProblem(model, vars, trace, trace)
     with pytest.raises(ConstraintsUnsatisfiable):
         generate_individual("cbc", problem, random.Random(1))
+
+
+def test_cbc_unsatisfiable_names_the_equation_without_a_causal_order():
+    # y = z + u and z = y - u: each store reads the slot the other writes
+    s = mexpr.Sym
+    model = infer_symbol_types(EquationModel(
+        ((s(0), mexpr.Binary("add", s(1), s(2))), (s(1), mexpr.Binary("sub", s(0), s(2)))),
+        tuple(SymbolSlot(i, f"s{i}", "Real") for i in range(3))))
+    vars = VariableTable((
+        VariableDescriptor("y", 1, "Real", "output", None),
+        VariableDescriptor("z", 2, "Real", "local", None),
+        VariableDescriptor("u", 3, "Real", "input", None)))
+    problem = GaProblem(model, vars, Trace((0.0, 0.1), {"u": (1.0, 1.0)}),
+                        Trace((0.0, 0.1), {"y": (2.0, 2.0)}))
+    with pytest.raises(ConstraintsUnsatisfiable, match=r"algebraic loop through "
+                       r"equation 0 \(sym_s0\), equation 1 \(sym_s1\)$"):
+        generate_individual("cbc", problem, random.Random(1))
+    assert problem.fitness_of((0, 1, 2)) == INVALID
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +394,6 @@ def test_run_ga_renames_no_expression(all_cases, monkeypatch, mode):
         assert calls == [], name
 
 
-def _shape_key(problem, genes):
-    """The slot-level shape of a genome's plan: its (equation, solved slot)
-    pairs in order, and the slots that hold parameters and inputs."""
-    from construct import sim
-
-    plan = sim.causalize(problem.bind(genes))
-    causality = [problem.vars[g].causality for g in genes]
-    return (tuple((i, s) for i, s, _ in plan.algebraic_order),
-            tuple(s for s, c in enumerate(causality) if c == "parameter"),
-            tuple(s for s, c in enumerate(causality) if c == "input"))
-
-
 def _scored_run(case):
     """A fresh problem and the fitness of every genome its CbC run scored."""
     from construct import ga
@@ -411,8 +417,10 @@ def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
             assert repr(uncached) == repr(fit), (name, genes)
 
 
-def test_search_compiles_one_kernel_per_matching(all_cases, monkeypatch):
-    from construct import sim
+def test_search_compiles_one_kernel_per_problem(all_cases, monkeypatch):
+    # every genome of a problem has the written-slot matching; the kernel
+    # is compiled at the first score, not when the problem is built
+    from construct import ga, sim
 
     compiled = []
 
@@ -423,14 +431,16 @@ def test_search_compiles_one_kernel_per_matching(all_cases, monkeypatch):
     monkeypatch.setattr(sim, "compile", counting, raising=False)
     for name, case in all_cases.items():
         compiled.clear()
-        problem, scored = _scored_run(case)
-        matchings = {_shape_key(problem, genes)[0] for genes in scored}
-        shapes = {_shape_key(problem, genes) for genes in scored}
-        assert len(compiled) == len(matchings), name
-        assert len(problem.kernels.kernels) == len(matchings), name
-        assert 1 < len(matchings) <= len(shapes) < len(scored), name
-        if name != "pi":  # on pi, a scored genome's matching fixes its shape
-            assert len(matchings) < len(shapes), name
+        problem = ga.problem_from_container(case["container"])
+        assert compiled == [] and problem.kernels.kernels == {}, name
+        scored: dict = {}
+        cfg = GaConfig(population_size=50, max_generations=10, rng_seed=1)
+        run_ga("cbc", problem, cfg, on_individual=lambda c, f: scored.setdefault(c.genes, f))
+        assert len(compiled) == len(problem.kernels.kernels) == 1, name
+        matchings = {sim.KernelCache.matching(sim.causalize(problem.bind(genes)))
+                     for genes in scored}
+        assert len(matchings) == 1, name
+        assert len(scored) > 1, name
 
 
 def test_search_simulates_once_per_distinct_signature(all_cases, monkeypatch):

@@ -1,6 +1,6 @@
 """The compiled simulation kernel against the tree walk over mexpr.eval_expr.
 
-tree_walk below is the per-sample loop of simulate written directly over
+interp.tree_walk is the per-sample loop of simulate written directly over
 the reference semantics. Every case must give bit-identical outputs, or
 the same exception class and message.
 """
@@ -18,47 +18,9 @@ from construct import mexpr, sim
 from construct.container import Trace
 from construct.ga import generate_individual
 from construct.sim import DivisionByZero, NonFiniteValue, SimPlan
-from interp import named
+from interp import named, tree_walk
 
 Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
-
-
-def tree_walk(plan: SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
-    times = inputs.times
-    h = times[1] - times[0]
-    env = dict(plan.param_env)
-    for name, start, _ in plan.state_vars:
-        env[name] = start
-    out_names = sorted(outputs_of_interest)
-    recorded = {n: [] for n in out_names}
-    n = len(times)
-    for k in range(n):
-        t = times[k]
-        for name in plan.input_names:
-            env[name] = inputs.columns[name][k]
-        for eq_index, name, expr in plan.algebraic_order:
-            try:
-                value = mexpr.eval_expr(expr, env)
-            except ZeroDivisionError:
-                raise DivisionByZero(t, f"equation {eq_index}") from None
-            if not math.isfinite(value):
-                raise NonFiniteValue(t, name)
-            env[name] = value
-        for name in out_names:
-            recorded[name].append(env[name])
-        if k + 1 < n:
-            ders = []
-            for name, _, rhs in plan.state_vars:
-                try:
-                    ders.append(mexpr.eval_expr(rhs, env))
-                except ZeroDivisionError:
-                    raise DivisionByZero(t, f"der({name})") from None
-            for (name, _, _), d in zip(plan.state_vars, ders):
-                nxt = env[name] + h * d
-                if not math.isfinite(nxt):
-                    raise NonFiniteValue(t, name)
-                env[name] = nxt
-    return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
 
 
 def _outcome(run, plan, inputs, outputs):
@@ -207,7 +169,7 @@ def test_deep_if_chain_and_binary_chain():
     plan = _plan([("y", chain), ("z", total)])
     for value in (-1.0, 150.5, 1e9):
         assert_same(plan, _trace(["u"], value=value), ["y", "z"])
-    source, _ = sim._kernel_source(plan, ["y", "z"])
+    source, _ = sim._kernel_source(plan)
     assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 3
 
 
@@ -218,7 +180,7 @@ def test_arbitrary_variable_names(names):
                  states=[(p, 0.5, Binary("div", Const(1.0), Sym(u)))])
     inputs = Trace((0.0, 0.1, 0.2), {u: (1.0, 2.0, 0.0)})
     assert_same(plan, inputs, [y, p])
-    source, _ = sim._kernel_source(plan, [y, p])
+    source, _ = sim._kernel_source(plan)
     assert all(repr(name) not in source for name in names)
     assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
 
@@ -289,7 +251,7 @@ def test_generated_plans_match_tree_walk(case):
 
 FIXED = {"def", "kernel", "try", "for", "in", "range", "len", "if", "and", "or", "not",
          "else", "break", "except", "ZeroDivisionError", "raise", "from", "None",
-         "T", "I", "A", "h", "last", "k", "w", "P", "S", "C", "L", "E", "F",
+         "T", "I", "A", "h", "last", "k", "w", "P", "S", "C", "L", "E", "F", "o", "p", "a",
          "DivisionByZero", "min", "max", "abs"}
 
 
@@ -310,8 +272,8 @@ def _numbers(source: str) -> set:
 @settings(max_examples=100, deadline=None)
 @given(plans())
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
-    plan, _, outputs = case
-    source, _ = sim._kernel_source(plan, sorted(outputs))
+    plan, _, _ = case
+    source, _ = sim._kernel_source(plan)
     assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
     assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
     assert not any(tok.type == tokenize.STRING for tok in
@@ -324,8 +286,7 @@ def test_fixture_sources_hold_no_names_or_constants(all_cases):
         problem = case["problem"]
         slot_level = sim.causalize(problem.bind(case["ground_truth"]))
         for plan in (slot_level, named(slot_level)):
-            outputs = sorted(plan.solved_names[n] for n in problem.classification.outputs)
-            source, _ = sim._kernel_source(plan, outputs)
+            source, _ = sim._kernel_source(plan)
             constants = {repr(n.value) for _, _, e in plan.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
@@ -344,8 +305,7 @@ root = sys.argv[1]
 problem = ga.problem_from_container(load_container(root))
 genes = json.load(open(root + "/ground_truth.json"))["genes"]
 plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
-outputs = sorted(problem.classification.outputs)
-print(sim._kernel_source(plan, outputs)[0])
+print(sim._kernel_source(plan)[0])
 """
 
 

@@ -17,7 +17,7 @@ from construct.sim import (
 from construct.ga import GaProblem, generate_individual
 from construct.sim import CausalizeError, NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
-from interp import named
+from interp import named, tree_walk
 
 
 def table(*rows):
@@ -45,19 +45,6 @@ def test_causalize_direct_assignment():
     assert plan.algebraic_order[0][1] == "y"
     assert plan.param_env["k"] == 2.0
     assert plan.input_names == {"u"}
-
-
-def test_causalize_residual_isolation():
-    # 0 = u - 2*y  ->  y := u / 2
-    eq = (mexpr.Const(0.0),
-          mexpr.Binary("sub", mexpr.Sym("u"),
-                       mexpr.Binary("mul", mexpr.Const(2.0), mexpr.Sym("y"))))
-    b = bound([eq], V_UYK, bindings=("u", "y"))
-    plan = causalize(b)
-    _, name, expr = plan.algebraic_order[0]
-    assert name == "y"
-    env = {"u": 3.0}
-    assert mexpr.eval_expr(expr, env) == pytest.approx(1.5)
 
 
 def test_causalize_algebraic_loop():
@@ -91,11 +78,22 @@ def test_causalize_structurally_singular():
 
 
 def test_causalize_not_isolatable():
-    # y occurs once but behind min(): cannot invert
+    # an equation is solved for the variable it assigns; 0 = u - 2*y
+    # assigns none
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
+    eqs = [(mexpr.Const(0.0),
+            mexpr.Binary("sub", mexpr.Sym("u"),
+                         mexpr.Binary("mul", mexpr.Const(2.0), mexpr.Sym("y"))))]
+    with pytest.raises(NotIsolatable, match="equation 0"):
+        causalize(bound(eqs, vars))
+
+
+def test_causalize_solves_each_equation_for_what_it_writes():
+    # k = min(y, u) writes the parameter k: y is read, never solved for
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
                  ("k", 3, "Real", "parameter", 2.0))
     eqs = [(mexpr.Sym("k"), mexpr.Call("min", (mexpr.Sym("y"), mexpr.Sym("u"))))]
-    with pytest.raises(NotIsolatable):
+    with pytest.raises(StructurallySingular, match="equation 0 writes parameter 'k'"):
         causalize(bound(eqs, vars))
 
 
@@ -105,6 +103,18 @@ def test_causalize_multiple_occurrence():
     eqs = [(mexpr.Sym("y"), mexpr.Binary("add", mexpr.Sym("y"), mexpr.Sym("u")))]
     with pytest.raises(MultipleOccurrence):
         causalize(bound(eqs, vars))
+
+
+@pytest.mark.parametrize("eqs, written", [
+    ([(mexpr.Sym("y"), mexpr.Sym("u")), (mexpr.Sym("y"), mexpr.Const(1.0))], "y"),
+    ([(mexpr.Der("x"), mexpr.Sym("u")), (mexpr.Sym("x"), mexpr.Sym("u")),
+      (mexpr.Sym("y"), mexpr.Sym("x"))], "x"),
+])
+def test_causalize_a_variable_written_twice(eqs, written):
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
+                 ("x", 3, "Real", "local", 0.0))
+    with pytest.raises(StructurallySingular, match=f"equations 0 and 1 both write {written}$"):
+        causalize(bound(eqs, vars, states=("x",) if written == "x" else ()))
 
 
 def test_duplicate_binding_rejected():
@@ -214,6 +224,27 @@ def test_fitness_ground_truth_is_zero(all_cases):
     for case in all_cases.values():
         fit = case["problem"].fitness_of(case["ground_truth"])
         assert fit.is_finite and fit.mse < 1e-18
+
+
+def test_fitness_is_the_tree_walk_mse_bit_for_bit(all_cases):
+    # the ground truth and the best genome of one CbC run per container:
+    # math.fsum of the squared output errors of the tree walk, over their count
+    from construct.ga import GaConfig, problem_from_container, run_ga
+
+    for name, case in all_cases.items():
+        problem = problem_from_container(case["container"])
+        cfg = GaConfig(population_size=50, max_generations=10, rng_seed=0)
+        best = run_ga("cbc", problem, cfg).best[0].genes
+        outputs = problem.classification.outputs
+        reference = problem.reference_trace.columns
+        for genes in (case["ground_truth"], best):
+            walked = tree_walk(named(causalize(problem.bind(genes))),
+                               problem.input_trace, outputs).columns
+            squares = [(y - r) * (y - r) for n in outputs
+                       for y, r in zip(walked[n], reference[n])]
+            expected = math.fsum(squares) / len(squares)
+            assert struct.pack("<d", problem.fitness_of(genes).mse) \
+                == struct.pack("<d", expected), (name, genes)
 
 
 def test_fitness_simple_mse():
