@@ -1,9 +1,13 @@
-"""Symbol type inference, variable classification, and validity checks.
+"""Symbol type inference, variable classification, the causal structure
+of an equation model, and the validity constraints on a mapping.
 
 A candidate mapping is only worth simulating when it satisfies:
 
     C0  injectivity: no two slots receive the same variable
-    C1  type compliance: inferred slot type equals the variable type
+    C1  type compliance: a slot takes a variable of the type its type
+        group demands, and the variables of a group with no demanded
+        type share one type, which is not Boolean under an ordering
+        comparison
     C2  each equation references at least one unknown
     C3  the number of distinct mapped unknowns equals the equation count
     C4  every input and output variable appears in the mapping image
@@ -13,8 +17,13 @@ A candidate mapping is only worth simulating when it satisfies:
 
 "Unknown" here means a variable the equation system must determine,
 i.e. one of output or local causality. The decompiled step function is
-executable, so it is causal already: each equation is solved for the
-slot it writes (C5), which with C0 implies C2 and C3.
+executable, so it is causal already: analyse computes what causalization
+knows about a model once, as a Structure, and each equation is solved
+for the slot it writes (C5), which with C0 implies C2 and C3. One
+function, binding_faults, states C0, C1, C4 and C5 over a Structure:
+validate_assignment reports every fault it yields, sim.causalize raises
+the first, and a search's slot domains (GaProblem.compat) are the
+variables domain_fault lets through.
 """
 
 from __future__ import annotations
@@ -40,6 +49,47 @@ class GeneOutOfRange(ConstructError, ValueError):
     def __init__(self, position: int, gene: int, limit: int):
         self.position = position
         super().__init__(f"gene {gene} at position {position} outside [0, {limit})")
+
+
+class CausalizeError(ConstructError):
+    """Why a bound model has no causal plan."""
+
+
+class DuplicateBinding(CausalizeError):
+    pass
+
+
+class IllTypedModel(CausalizeError):
+    pass
+
+
+class InvalidStateVariable(CausalizeError):
+    pass
+
+
+class UnusedInput(CausalizeError):
+    pass
+
+
+class UnbalancedSystem(CausalizeError):
+    pass
+
+
+class StructurallySingular(CausalizeError):
+    pass
+
+
+class NotIsolatable(CausalizeError):
+    def __init__(self, eq_index: int):
+        self.eq_index = eq_index
+        super().__init__(f"equation {eq_index}: the left-hand side is not a variable")
+
+
+class InexpressibleRead(CausalizeError):
+    """A read that the equation model, which evaluates each sample's
+    stores in code order and updates its states after them, cannot
+    express: the previous step's value of a slot stored later, or a
+    state after its update."""
 
 
 @dataclass(frozen=True)
@@ -208,8 +258,156 @@ def infer_symbol_types(m: EquationModel) -> EquationModel:
 
 
 # ---------------------------------------------------------------------------
-# Constraint validation
+# Structure: what causalization knows before any binding
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Structure:
+    """The binding-independent facts of an equation system in code form,
+    over its own references (slot ids, or variable names for a name-level
+    model): each algebraic equation is solved for the reference it
+    assigns, in code order, and each state equation integrates its state."""
+
+    states: tuple  # of (state ref, right-hand side), in code order
+    algebraic_order: tuple  # of (equation index, written ref, right-hand side)
+    written: frozenset  # every ref an equation assigns or integrates
+    reads: tuple  # the refs the equations only read, sorted
+    types: dict  # ref -> the one type its group demands, if it demands one
+    untyped: tuple  # of (member refs, ordering-compared): groups demanding none
+    slots: tuple  # the SymbolSlot of each slot id, or () over names
+    error: CausalizeError | None  # why no binding of the equations causalizes
+
+
+def analyse(equations, slots=()) -> Structure:
+    """Compute the Structure of an equation system once.
+
+    Code order is the causal order: the step function evaluates its
+    stores in it, and the model evaluates every store of a sample before
+    it updates the states. The first fault in code order, naming its
+    equations, is the error, before any type fault: a left-hand side that is no reference (NotIsolatable), a
+    reference written twice (StructurallySingular), a read of a slot that
+    an algebraic store writes at or after the reading equation, or of a
+    state that an earlier equation updated (InexpressibleRead), and a
+    type group that no binding meets (IllTypedModel: constants of two
+    types, a group demanded two types, or Boolean under an ordering
+    comparison). Type groups come from unify_types.
+    """
+    def label(r):
+        return f"sym_{slots[r].origin}" if slots else r
+
+    stores = {lhs.ref: i for i, (lhs, _) in enumerate(equations) if isinstance(lhs, mexpr.Sym)}
+    owner, updated, occurring, faults = {}, {}, set(), []
+    for i, (lhs, rhs) in enumerate(equations):
+        if not isinstance(lhs, (mexpr.Sym, mexpr.Der)):
+            faults.append(NotIsolatable(i))
+        elif lhs.ref in owner:
+            faults.append(StructurallySingular(
+                f"equations {owner[lhs.ref]} and {i} both write {label(lhs.ref)}"))
+        for r in mexpr.refs(rhs):
+            if stores.get(r, -1) >= i:
+                faults.append(InexpressibleRead(
+                    f"equation {i} reads {label(r)} before equation {stores[r]} stores it"))
+            elif r in updated:
+                faults.append(InexpressibleRead(
+                    f"equation {i} reads {label(r)} after equation {updated[r]} updated it"))
+        occurring.update(mexpr.refs(lhs) + mexpr.refs(rhs))
+        if isinstance(lhs, (mexpr.Sym, mexpr.Der)):
+            owner.setdefault(lhs.ref, i)
+        if isinstance(lhs, mexpr.Der):
+            updated.setdefault(lhs.ref, i)
+
+    types, untyped = {}, []
+    try:
+        groups, ordered = unify_types(equations, slots)
+    except TypeConflict as exc:
+        faults.append(IllTypedModel(str(exc)))
+    else:
+        if ("type", "Boolean") in ordered:
+            faults.append(IllTypedModel("Boolean constants under an ordering comparison"))
+        compared = {groups.find(ref) for kind, ref in ordered if kind == "slot"}
+        members: dict = {}
+        for r in sorted(occurring):
+            members.setdefault(groups.find(r), []).append(r)
+        for root, rs in members.items():
+            demanded, is_ordered = sorted(groups.demands[root]), root in compared
+            if len(demanded) > 1 or is_ordered and demanded == ["Boolean"]:
+                faults.append(IllTypedModel(
+                    f"{list(map(label, rs))} typed {demanded}"
+                    + (" under an ordering comparison" if is_ordered else "")))
+            elif demanded:
+                types.update(dict.fromkeys(rs, demanded[0]))
+            elif len(rs) > 1 or is_ordered:
+                untyped.append((tuple(rs), is_ordered))
+
+    return Structure(
+        tuple((lhs.ref, rhs) for lhs, rhs in equations if isinstance(lhs, mexpr.Der)),
+        tuple((i, lhs.ref, rhs) for i, (lhs, rhs) in enumerate(equations)
+              if isinstance(lhs, mexpr.Sym)),
+        frozenset(owner), tuple(sorted(occurring - owner.keys())), types, tuple(untyped),
+        tuple(slots), faults[0] if faults else None)
+
+
+# ---------------------------------------------------------------------------
+# The binding rules and constraint validation
+# ---------------------------------------------------------------------------
+
+def domain_fault(st: Structure, ref, v) -> str | None:
+    """Why variable v lies outside the domain of ref in st: "C1" when it
+    is not of the type ref's group demands, "C5" when it is an unknown on
+    a ref the code only reads, or an input or a parameter on one it
+    writes; None when it lies inside."""
+    if st.types.get(ref, v.vtype) != v.vtype:
+        return "C1"
+    if (ref in st.written) != (v.causality in ("output", "local")):
+        return "C5"
+    return None
+
+
+def binding_faults(st: Structure, vars: VariableTable, bindings: tuple):
+    """Yield (constraint id, CausalizeError) for each rule broken by
+    binding the refs of st to the variables of vars that bindings names,
+    one per slot in slot order; the refs are slot ids or, over names,
+    the bound names themselves. The order is fixed: C0 for each variable
+    bound to a second slot; st.error, as C5; C1 or C5 for each slot, in
+    slot order, whose variable lies outside its domain (domain_fault);
+    C4 for each input and output left unbound, in table order; C1 for
+    each type group with no demanded type (Structure.untyped) whose
+    variables differ in type, or are Boolean under an ordering
+    comparison. Only the bound variables and the table's inputs and
+    outputs are read."""
+    slot_of: dict = {}
+    for pos, name in enumerate(bindings):
+        if name in slot_of:
+            yield "C0", DuplicateBinding(f"slots {slot_of[name]} and {pos} both map to {name!r}")
+        else:
+            slot_of[name] = pos
+    if st.error is not None:
+        yield "C5", st.error
+    var = vars.by_name
+    for pos, name in enumerate(bindings):
+        ref, v = (pos if st.slots else name), var[name]
+        cid = domain_fault(st, ref, v)
+        if cid is None:
+            continue
+        where = f"slot {pos} ({st.slots[pos].origin})" if st.slots else f"slot {pos}"
+        if cid == "C1":
+            yield cid, IllTypedModel(f"{where} needs {st.types[ref]}, {name!r} is {v.vtype}")
+        elif ref not in st.written:
+            yield cid, UnbalancedSystem(f"{where} is only read, {name!r} is {v.causality}")
+        else:
+            error = InvalidStateVariable if ref in dict(st.states) else StructurallySingular
+            yield cid, error(f"{where} is written, {name!r} is {v.causality}")
+    for v in vars.io:
+        if v.name not in slot_of:
+            error = UnusedInput if v.causality == "input" else UnbalancedSystem
+            yield "C4", error(f"{v.causality} {v.name!r} is not mapped")
+    for members, ordered in st.untyped:
+        names = [bindings[r] for r in members] if st.slots else list(members)
+        types = sorted({var[n].vtype for n in names})
+        if len(types) > 1 or ordered and types == ["Boolean"]:
+            yield "C1", IllTypedModel(f"{names} typed {types}"
+                                      + (" under an ordering comparison" if ordered else ""))
+
 
 def genes_of(m: EquationModel, c, vars: VariableTable) -> tuple:
     """The genes of c, a Chromosome or any sequence of gene values: one
@@ -228,57 +426,26 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
                         strict_unknown: bool = False) -> ValidationReport:
     """Check a slot-to-variable mapping against C0 through C5.
 
-    All violations are collected, never short-circuited. Slot types must
-    already be inferred (infer_symbol_types). With strict_unknown, slots
-    whose type could not be inferred are themselves C1 violations.
+    Every fault of binding_faults is collected, never short-circuited;
+    C2 and C3, which C0 and C5 imply, are reported as well, and the
+    violations are grouped by constraint id. Slot types must already be
+    inferred (infer_symbol_types). With strict_unknown, slots whose type
+    could not be inferred are themselves C1 violations.
     """
-    genes = genes_of(m, c, vars)
-    cls = classify_variables(vars)
-    violations = []
+    names = tuple(vars[g].name for g in genes_of(m, c, vars))
+    violations = [(cid, str(fault)) for cid, fault
+                  in binding_faults(analyse(m.equations, m.slots), vars, names)]
+    if strict_unknown:
+        violations += [("C1", f"slot {s.id} ({s.origin}) has no inferred type")
+                       for s in m.slots if s.inferred_type == "Unknown"]
 
-    seen: dict = {}
-    for pos, g in enumerate(genes):
-        if g in seen:
-            violations.append(
-                ("C0", f"slots {seen[g]} and {pos} both map to {vars[g].name!r}"))
-        else:
-            seen[g] = pos
-
-    for slot, g in zip(m.slots, genes):
-        v = vars[g]
-        if slot.inferred_type == "Unknown":
-            if strict_unknown:
-                violations.append(
-                    ("C1", f"slot {slot.id} ({slot.origin}) has no inferred type"))
-            continue
-        if slot.inferred_type != v.vtype:
-            violations.append(
-                ("C1", f"slot {slot.id} ({slot.origin}) needs {slot.inferred_type}, "
-                       f"{v.name!r} is {v.vtype}"))
-
-    unknowns = cls.unknowns
+    unknowns = classify_variables(vars).unknowns
     for i, (lhs, rhs) in enumerate(m.equations):
-        names = {vars[genes[r]].name for r in mexpr.refs(lhs) + mexpr.refs(rhs)}
-        if not names & unknowns:
+        if not {names[r] for r in mexpr.refs(lhs) + mexpr.refs(rhs)} & unknowns:
             violations.append(("C2", f"equation {i} references no unknown"))
+    mapped = len(set(names) & unknowns)
+    if mapped != len(m.equations):
+        violations.append(("C3", f"{mapped} mapped unknowns for {len(m.equations)} equations"))
 
-    image = {vars[g].name for g in genes}
-    if len(image & unknowns) != len(m.equations):
-        violations.append(
-            ("C3", f"{len(image & unknowns)} mapped unknowns for "
-                   f"{len(m.equations)} equations"))
-
-    for name in list(cls.inputs) + list(cls.outputs):
-        if name not in image:
-            violations.append(("C4", f"I/O variable {name!r} is not mapped"))
-
-    written = {lhs.ref for lhs, _ in m.equations}
-    for slot, g in zip(m.slots, genes):
-        v = vars[g]
-        if (slot.id in written) != (v.name in unknowns):
-            role = "written" if slot.id in written else "only read"
-            violations.append(
-                ("C5", f"slot {slot.id} ({slot.origin}) is {role}, "
-                       f"{v.name!r} is {v.causality}"))
-
+    violations.sort(key=lambda violation: violation[0])
     return ValidationReport(not violations, tuple(violations))

@@ -74,7 +74,7 @@ def _load_mapping(path: str, problem: ga.GaProblem) -> tuple:
     problem, each the index of one of its variables."""
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nested past the decoder's depth
         raise ConstructError(f"{path}: not JSON: {exc}") from None
     genes = data.get("genes") if isinstance(data, dict) else None
     if not isinstance(genes, list) or not all(type(g) is int for g in genes):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from construct.errors import ConstructError
@@ -97,9 +98,18 @@ class VariableTable:
             seen_names.add(v.name)
             seen_refs.add(v.value_reference)
 
-    @property
+    @cached_property
     def index(self) -> dict:
         return {v.name: i for i, v in enumerate(self.variables)}
+
+    @cached_property
+    def by_name(self) -> dict:
+        return {v.name: v for v in self.variables}
+
+    @cached_property
+    def io(self) -> tuple:
+        """The input and output variables, in table order."""
+        return tuple(v for v in self.variables if v.causality in ("input", "output"))
 
     def __len__(self) -> int:
         return len(self.variables)

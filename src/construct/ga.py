@@ -8,14 +8,15 @@ Two operator suites share one evolution loop:
     discovered when the simulator rejects them.
 
   * correct-by-construction (CbC): generation, mutation, and crossover
-    only emit assignments that pass the constraint validator and whose
-    bound model causalizes, so every individual in every generation
-    simulates.
+    only emit assignments whose bound model causalizes, which is exactly
+    passing the constraint validator (both run check.binding_faults), so
+    every individual in every generation simulates.
 
 Every equation is solved for the slot the code writes (constraint C5),
-so a problem has one causal plan (sim.Structure), built with the
+so a problem has one causal plan (check.Structure), built with the
 problem, and one simulation kernel (sim.KernelCache), compiled at its
-first score; a chromosome only binds variables to the plan's slots.
+first score; a chromosome only binds variables to the plan's slots,
+each slot drawing from its domain (check.domain_fault).
 Fitness is evaluated serially, and each problem binds (at slot level)
 and checks a distinct chromosome once: constructibility checks and
 fitness share one memo. A plan left unscored at the end of a generation
@@ -129,11 +130,10 @@ class GaProblem:
     input_trace: Trace | None
     reference_trace: Trace | None
     classification: Classification = field(init=False)
-    # per slot: the indices of the variables it can take (its domain)
+    # per slot: the indices of the variables in its domain (check.domain_fault)
     compat: tuple = field(init=False)
     io_indices: tuple = field(init=False)
-    structure: sim.Structure = field(init=False)  # slot-level, see sim.analyse
-    state_slots: frozenset = field(init=False)
+    structure: check.Structure = field(init=False)  # slot-level, see check.analyse
     # genes -> its SimPlan until fitness_of has scored it or its generation
     # is evaluated, then True; False when the genome does not causalize
     _causalized: dict = field(init=False, default_factory=dict, compare=False,
@@ -143,22 +143,15 @@ class GaProblem:
 
     def __post_init__(self):
         cls = classify_variables(self.vars)
-        structure = sim.analyse(self.model.equations, self.model.slots)
-        unknowns = cls.unknowns
-        # C1 and C5: a slot takes a variable of its inferred type, an
-        # unknown where the code writes it and a known where it only reads
+        structure = check.analyse(self.model.equations, self.model.slots)
         compat = tuple(tuple(i for i, v in enumerate(self.vars.variables)
-                             if slot.inferred_type in ("Unknown", v.vtype)
-                             and (v.name in unknowns) == (slot.id in structure.written))
+                             if check.domain_fault(structure, slot.id, v) is None)
                        for slot in self.model.slots)
-        io = tuple(i for i, v in enumerate(self.vars.variables)
-                   if v.causality in ("input", "output"))
+        io = tuple(self.vars.index[v.name] for v in self.vars.io)
         object.__setattr__(self, "classification", cls)
         object.__setattr__(self, "compat", compat)
         object.__setattr__(self, "io_indices", io)
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "state_slots",
-                           frozenset(s.id for s in self.model.slots if s.is_state))
         object.__setattr__(self, "kernels", sim.KernelCache())
 
     @property
@@ -175,7 +168,7 @@ class GaProblem:
     def bind(self, genes) -> BoundModel:
         """The slot-level bound model: no equation is rewritten to names."""
         names = bound_names(self.model, genes, self.vars)
-        states = frozenset(names[s] for s in self.state_slots)
+        states = frozenset(names[s] for s, _ in self.structure.states)
         return BoundModel(self.model.equations, self.vars, states, names, self.structure)
 
     def _causalize(self, genes: tuple):
@@ -185,16 +178,15 @@ class GaProblem:
         if entry is None:
             try:
                 entry = sim.causalize(self.bind(genes))
-            except sim.CausalizeError:
+            except check.CausalizeError:
                 entry = False
             self._causalized[genes] = entry
         return entry
 
     def constructible(self, genes) -> bool:
-        """Statically causalizable at slot level, which implies C0..C5:
-        duplicate genes, type groups (seeded with the slot types), seated
-        inputs and outputs and an unknown on each written slot together
-        cover every constraint, so no separate validation runs."""
+        """Statically causalizable at slot level, which is exactly
+        validate(genes).valid: causalize raises the first fault of the
+        same check.binding_faults that validation reports in full."""
         return self._causalize(tuple(genes)) is not False
 
     def _plan(self, genes: tuple) -> sim.SimPlan | None:
@@ -293,28 +285,41 @@ def _construct_constrained(problem: GaProblem, rng):
         used.add(var)
 
     budget = BACKTRACK_BUDGET
+    free = {s for s in range(n_slots) if assignment[s] is None}
+    left = dict.fromkeys(free, 0)  # per free slot, the unused variables of its domain
+    holders: dict = {}  # per variable, the free slots whose domain holds it
+    for s in free:
+        for v in problem.compat[s]:
+            holders.setdefault(v, []).append(s)
+            left[s] += v not in used
+
+    def take(var, step: int) -> None:
+        for s in holders[var]:
+            left[s] -= step
 
     def extend() -> bool:
         nonlocal budget
-        free = [s for s in range(n_slots) if assignment[s] is None]
         if not free:
             return True
-        domains = {s: [v for v in problem.compat[s] if v not in used] for s in free}
-        slot = min(free, key=lambda s: (len(domains[s]), s))
-        opts = domains[slot]
+        slot = min(free, key=lambda s: (left[s], s))
+        opts = [v for v in problem.compat[slot] if v not in used]
         if not opts:
             return False
         rng.shuffle(opts)
+        free.remove(slot)
         for var in opts:
             assignment[slot] = var
             used.add(var)
+            take(var, 1)
             if extend():
                 return True
             assignment[slot] = None
             used.discard(var)
+            take(var, -1)
             budget -= 1
             if budget < 0:
                 raise _Exhausted
+        free.add(slot)
         return False
 
     if not extend():
@@ -328,7 +333,7 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
     CbT: a uniform random injective assignment, nothing else enforced.
     CbC: constraint-guided construction, accepted only when the result
     is constructible; retried up to RETRY_BUDGET times. Equations without
-    a causal order (sim.Structure.error) admit no chromosome at all.
+    a causal order (check.Structure.error) admit no chromosome at all.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(

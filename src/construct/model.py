@@ -13,7 +13,7 @@ from construct.translate import EquationModel
 @dataclass(frozen=True)
 class BoundModel:
     """An equation model bound to variables: equations over variable names,
-    or, with a slot-level sim.Structure, over slot ids, each named by bindings."""
+    or, with a slot-level check.Structure, over slot ids, each named by bindings."""
 
     equations: tuple  # of (lhs, rhs) over variable names, or slot ids
     variable_table: VariableTable

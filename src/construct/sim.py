@@ -2,16 +2,14 @@
 
 This is the internal stand-in for an external Modelica tool. The
 decompiled step function is executable, so its equations are causal
-already: each algebraic equation is solved for the reference it writes,
-and each state equation integrates its state. What causalization knows
-about an equation model (its states, the topological order of its
-algebraic equations, the references the equations only read, and which
-references must share a type) therefore does not depend on the binding,
-so `analyse` computes it once per model as a Structure, or finds the
-equation that admits no causal order. A binding is then only checked
-against it: no variable twice, its types, an output or a local on each
-state, every input seated, its balance, and an unknown on each written
-reference. The plan keeps the Structure's own order, references and
+already, in code order: each algebraic equation is solved for the
+reference it writes, and each state equation integrates its state. What
+causalization knows about an equation model therefore does not depend
+on the binding, and check.analyse computes it once per model as a
+Structure, or finds the equation that admits no causal order. A binding
+is then only checked against it, by the one function that states the
+binding rules, check.binding_faults, which constraint validation also
+reports from. The plan keeps the Structure's own order, references and
 expressions, and is integrated with forward Euler on the input trace's
 time grid by a generated kernel: straight-line Python, one statement
 per expression node, with mexpr.eval_expr as its reference semantics.
@@ -21,11 +19,6 @@ state starts, input columns and the slots of the recorded outputs reach
 a kernel as data; KernelCache.signature tells which plans simulate
 alike. Models that fail any static or runtime check are rejected, which
 is exactly how non-simulatable candidates are discovered.
-
-Static rejection is deliberately at least as strict as the constraint
-validator: with the slot-level Structure, whose type groups carry the
-slots' inferred types, a mapping that violates C0 through C5 never
-causalizes, let alone simulates.
 """
 
 from __future__ import annotations
@@ -44,62 +37,7 @@ from construct.model import BoundModel
 GRID_RTOL = 1e-9
 
 
-class SimError(ConstructError):
-    pass
-
-
-class CausalizeError(SimError):
-    pass
-
-
-class DuplicateBinding(CausalizeError):
-    pass
-
-
-class IllTypedModel(CausalizeError):
-    pass
-
-
-class InvalidStateVariable(CausalizeError):
-    pass
-
-
-class UnusedInput(CausalizeError):
-    pass
-
-
-class UnbalancedSystem(CausalizeError):
-    def __init__(self, n_eq: int, n_unknowns: int):
-        self.n_eq = n_eq
-        self.n_unknowns = n_unknowns
-        super().__init__(f"{n_eq} algebraic equations for {n_unknowns} unknowns")
-
-
-class StructurallySingular(CausalizeError):
-    pass
-
-
-class AlgebraicLoop(CausalizeError):
-    def __init__(self, members):
-        self.members = tuple(members)  # of (equation index, written ref)
-        super().__init__("algebraic loop through " + ", ".join(
-            f"equation {i} ({ref})" for i, ref in self.members))
-
-
-class NotIsolatable(CausalizeError):
-    def __init__(self, eq_index: int):
-        self.eq_index = eq_index
-        super().__init__(f"equation {eq_index}: the left-hand side is not a variable")
-
-
-class MultipleOccurrence(CausalizeError):
-    def __init__(self, name: str, eq_index: int):
-        self.name = name
-        self.eq_index = eq_index
-        super().__init__(f"equation {eq_index}: {name!r} occurs more than once")
-
-
-class SimulateError(SimError):
+class SimulateError(ConstructError):
     pass
 
 
@@ -174,100 +112,6 @@ class SimPlan:
 
 
 # ---------------------------------------------------------------------------
-# Structure: what causalization knows before any binding
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Structure:
-    """The binding-independent facts of an equation system in code form,
-    over its own references (slot ids, or variable names for a name-level
-    model): each algebraic equation is solved for the reference it
-    assigns, and each state equation integrates its state."""
-
-    states: tuple  # of (state ref, right-hand side), in model order
-    algebraic_order: tuple  # of (equation index, written ref, right-hand side)
-    written: frozenset  # every ref an equation assigns or integrates
-    reads: tuple  # the refs the equations only read, sorted
-    occurring: frozenset  # every ref in the equations
-    type_groups: tuple  # of (demanded types, member refs, ordering-compared)
-    error: CausalizeError | None  # why the equations have no causal order
-
-
-def analyse(equations, slots=()) -> Structure:
-    """Compute the Structure of an equation system once.
-
-    The algebraic equations are ordered topologically by the refs they
-    read and write. Equations without that order (a left-hand side that
-    is no reference, a reference written twice or read by the equation
-    that writes it, a cycle) leave the first such fault, naming the
-    equation, as the error. Type groups come from check.unify_types; a
-    clash of constants, or an ordering of Boolean constants, is a group
-    without members that no binding meets.
-    """
-    def label(r):
-        return f"sym_{slots[r].origin}" if slots else r
-
-    states, algebraic, owner, occurring, faults = [], {}, {}, set(), []
-    for i, (lhs, rhs) in enumerate(equations):
-        read = mexpr.refs(rhs)
-        occurring.update(mexpr.refs(lhs) + read)
-        if isinstance(lhs, mexpr.Der):
-            states.append((lhs.ref, rhs))
-        elif isinstance(lhs, mexpr.Sym):
-            algebraic[i] = (lhs.ref, rhs)
-            if lhs.ref in read:
-                faults.append(MultipleOccurrence(label(lhs.ref), i))
-        else:
-            faults.append(NotIsolatable(i))
-            continue
-        if lhs.ref in owner:
-            faults.append(StructurallySingular(
-                f"equations {owner[lhs.ref]} and {i} both write {label(lhs.ref)}"))
-        owner.setdefault(lhs.ref, i)
-
-    order = []
-    if not faults:
-        writer = {ref: i for i, (ref, _) in algebraic.items()}
-        deps = {i: {writer[r] for r in mexpr.refs(rhs) if r in writer} - {i}
-                for i, (_, rhs) in algebraic.items()}
-        order, stuck = topological_order(deps)
-        if stuck:
-            faults.append(AlgebraicLoop((i, label(algebraic[i][0])) for i in stuck))
-
-    try:
-        groups, ordered = check.unify_types(equations, slots)
-    except check.TypeConflict as exc:
-        type_groups = ((frozenset(exc.demands), (), False),)
-    else:
-        members: dict = {}
-        for r in sorted(occurring):
-            members.setdefault(groups.find(r), []).append(r)
-        ordered_roots = {groups.find(ref) for kind, ref in ordered if kind == "slot"}
-        type_groups = tuple((frozenset(groups.demands[root]), tuple(rs),
-                             root in ordered_roots) for root, rs in members.items())
-        if ("type", "Boolean") in ordered:
-            type_groups += ((frozenset({"Boolean"}), (), True),)
-    return Structure(tuple(states), tuple((i, *algebraic[i]) for i in order),
-                     frozenset(owner), tuple(sorted(occurring - owner.keys())),
-                     frozenset(occurring), type_groups, faults[0] if faults else None)
-
-
-def topological_order(deps: dict) -> tuple:
-    """Kahn's algorithm in levels over the sorted keys of deps, which maps
-    each item to the items that must come before it. Returns the order
-    and the items left over, which lie on or behind a cycle."""
-    order, placed, remaining = [], set(), sorted(deps)
-    while remaining:
-        level = [i for i in remaining if deps[i] <= placed]
-        if not level:
-            break
-        order.extend(level)
-        placed.update(level)
-        remaining = [i for i in remaining if i not in placed]
-    return order, remaining
-
-
-# ---------------------------------------------------------------------------
 # Causalization
 # ---------------------------------------------------------------------------
 
@@ -275,59 +119,24 @@ def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
     The model's Structure is the slot-level one it carries, read through
-    its bindings, or else its own, analysed over its names. Its causal
-    order is the plan's; what is left to check is the binding: no
-    variable twice, the type groups, an output or a local on each state,
-    every input seated, as many unknowns (outputs, and locals the
-    equations hold) as algebraic equations, and an unknown on each
-    written reference, so that the references the equations only read
-    hold the inputs and parameters. A state without a start value
-    starts at 0.0.
+    its bindings, or else its own, analysed over its names. The first
+    fault of check.binding_faults is raised. Otherwise the Structure's
+    code order is the plan's, and the references the equations only read
+    hold the inputs and parameters. A state without a start value starts
+    at 0.0.
     """
-    if len(set(b.bindings)) != len(b.bindings):
-        dupes = sorted({n for n in b.bindings if b.bindings.count(n) > 1})
-        raise DuplicateBinding(f"variables bound to several slots: {', '.join(dupes)}")
-    if b.structure is None:
-        st, name = analyse(b.equations), (lambda r: r)
-    else:
-        st, name = b.structure, b.bindings.__getitem__
-    if st.error is not None:
-        raise st.error.with_traceback(None)
-
-    var = {v.name: v for v in b.variable_table.variables}
-    for demanded, members, ordered in st.type_groups:
-        types = demanded | {var[name(r)].vtype for r in members}
-        if len(types) > 1 or (ordered and "Boolean" in types):
-            raise IllTypedModel(f"{sorted(map(name, members))} typed {sorted(types)}"
-                                + (" under an ordering comparison" if ordered else ""))
-
-    state_vars = []
-    for ref, rhs in st.states:
-        state = var[name(ref)]
-        if state.causality not in ("output", "local"):
-            raise InvalidStateVariable(
-                f"der() of {state.causality} variable {state.name!r}")
-        state_vars.append((ref, 0.0 if state.start is None else float(state.start), rhs))
-
-    seated = {name(r) for r in st.occurring}
-    for v in var.values():
-        if v.causality == "input" and v.name not in seated:
-            raise UnusedInput(v.name)
-    # an output the equations do not hold is an unknown no equation solves
-    unknowns = sum(1 for n, v in var.items() if v.causality == "output"
-                   or v.causality == "local" and n in seated)
-    if len(st.algebraic_order) != unknowns - len(state_vars):
-        raise UnbalancedSystem(len(st.algebraic_order), unknowns - len(state_vars))
-    for i, ref, _ in st.algebraic_order:
-        v = var[name(ref)]
-        if v.causality not in ("output", "local"):
-            raise StructurallySingular(f"equation {i} writes {v.causality} {v.name!r}")
-
-    param_env = {r: float(var[name(r)].start) for r in st.reads
-                 if var[name(r)].causality == "parameter"}
-    inputs = frozenset(r for r in st.reads if var[name(r)].causality == "input")
-    return SimPlan(tuple(state_vars), st.algebraic_order, param_env, inputs,
-                   () if b.structure is None else b.bindings)
+    st = check.analyse(b.equations) if b.structure is None else b.structure
+    for _, fault in check.binding_faults(st, b.variable_table, b.bindings):
+        raise fault.with_traceback(None)
+    var = b.variable_table.by_name
+    of = [var[n] for n in b.bindings] if st.slots else var  # each ref's variable
+    return SimPlan(
+        tuple((r, 0.0 if of[r].start is None else float(of[r].start), rhs)
+              for r, rhs in st.states),
+        st.algebraic_order,
+        {r: float(of[r].start) for r in st.reads if of[r].causality == "parameter"},
+        frozenset(r for r in st.reads if of[r].causality == "input"),
+        b.bindings if st.slots else ())
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +406,7 @@ def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
     or simulate failure folds into Invalid."""
     try:
         plan = causalize(candidate)
-    except CausalizeError:
+    except check.CausalizeError:
         plan = None
     outputs = check.classify_variables(candidate.variable_table).outputs
     return score(plan, inputs, reference, outputs)
@@ -617,7 +426,7 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
         return INVALID
     try:
         result = simulate(plan, inputs, outputs, kernels)
-    except SimError:
+    except SimulateError:
         return INVALID
     if len(result.times) != len(reference.times):
         raise ValueError("reference and simulation grids differ in length")

@@ -328,6 +328,14 @@ def test_mapping_not_fitting_the_problem_exits_1(pi_case, tmp_path, capsys, comm
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_deeply_nested_mapping_exits_1(pi_case, tmp_path, capsys):
+    # valid JSON, nested past the decoder's recursion limit
+    depth = 100_000
+    mapping = _mapping_file(tmp_path, '{"genes": ' + "[" * depth + "]" * depth + "}")
+    assert main(["validate", str(pi_case["root"]), "--mapping", str(mapping)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {mapping}: not JSON")
+
+
 def test_boolean_gene_in_mapping_exits_1(pi_case, tmp_path, capsys):
     # true would otherwise be read as gene 1
     position = pi_case["ground_truth"].index(1)
@@ -522,3 +530,32 @@ def test_synth_on_a_long_chain_of_stores(tmp_path, capsys):
     _chain_container(root, 200)
     assert main(["synth", str(root), "--mode", "cbc", "--pop", "4", "--gens", "1"]) == 0
     assert "best MSE" in capsys.readouterr().out
+
+
+def test_read_of_a_later_store_exits_with_both_equations(tmp_path, capsys):
+    # y = z + 1 reads the z of the previous step, which the C stores after
+    # it: the C gives y = 6, 2, 3 for u = 1, 2, 3 (z starts at 5), which
+    # no ordering of the equations y = z + 1 and z = u reproduces
+    root = tmp_path / "stale"
+    (root / "sources").mkdir(parents=True)
+    (root / "traces").mkdir()
+    rows = [("u", 8, "input", ""), ("y", 16, "output", ""), ("z", 24, "local", ' start="5.0"')]
+    (root / "modelDescription.xml").write_text("\n".join(
+        ['<?xml version="1.0" encoding="UTF-8"?>',
+         '<fmiModelDescription fmiVersion="2.0" modelName="stale">', "<ModelVariables>"]
+        + [f'<ScalarVariable name="{n}" valueReference="{r}" causality="{c}">'
+           f"<Real{start}/></ScalarVariable>" for n, r, c, start in rows]
+        + ["</ModelVariables>", "</fmiModelDescription>", ""]))
+    (root / "sources" / "controller.c").write_text(
+        "void fmu_step(long param_1, double param_2)\n{\n"
+        "  *(double *)(param_1 + 0x10) = *(double *)(param_1 + 0x18) + 1.0;\n"
+        "  *(double *)(param_1 + 0x18) = *(double *)(param_1 + 0x8);\n}\n")
+    (root / "traces" / "input.csv").write_text("time,u\n0.0,1.0\n0.01,2.0\n0.02,3.0\n")
+    mapping = _mapping_file(tmp_path, json.dumps({"genes": [1, 2, 0]}))
+    fault = "equation 0 reads sym_0x18 before equation 1 stores it"
+    assert main(["validate", str(root), "--mapping", str(mapping)]) == 2
+    assert capsys.readouterr().out == f"C5: {fault}\n"
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(root), "--mapping", str(mapping), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: equation 0 reads z before equation 1 stores it\n"
+    assert not out.exists()

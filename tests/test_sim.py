@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -5,17 +6,19 @@ import struct
 import pytest
 
 from construct import mexpr
-from construct.check import infer_symbol_types
+from construct.check import (
+    CausalizeError, DuplicateBinding, IllTypedModel, InexpressibleRead,
+    InvalidStateVariable, NotIsolatable, StructurallySingular, UnbalancedSystem,
+    UnusedInput, infer_symbol_types,
+)
 from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
-    INVALID, AlgebraicLoop, DivisionByZero, DuplicateBinding, Fitness,
-    IllTypedModel, InvalidStateVariable, MissingInput, MultipleOccurrence,
-    NonUniformGrid, NotIsolatable, StructurallySingular, UnbalancedSystem,
-    UnusedInput, causalize, fitness, simulate,
+    INVALID, DivisionByZero, Fitness, MissingInput, NonUniformGrid, causalize,
+    fitness, simulate,
 )
 from construct.ga import GaProblem, generate_individual
-from construct.sim import CausalizeError, NonFiniteValue, SimPlan
+from construct.sim import NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
 from interp import named, tree_walk
 
@@ -54,7 +57,9 @@ def test_causalize_algebraic_loop():
         (mexpr.Sym("y"), mexpr.Binary("add", mexpr.Sym("z"), mexpr.Sym("u"))),
         (mexpr.Sym("z"), mexpr.Binary("sub", mexpr.Sym("y"), mexpr.Sym("u"))),
     ]
-    with pytest.raises(AlgebraicLoop):
+    # a loop holds a read of a slot stored later in the same step
+    with pytest.raises(InexpressibleRead,
+                       match="^equation 0 reads z before equation 1 stores it$"):
         causalize(bound(eqs, vars))
 
 
@@ -88,20 +93,35 @@ def test_causalize_not_isolatable():
         causalize(bound(eqs, vars))
 
 
+def test_causalize_reads_a_state_after_its_update():
+    # x = x + h*u; y = x + 1: the C reads the new x, the model the old one
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
+                 ("x", 3, "Real", "local", 0.0))
+    eqs = [(mexpr.Der("x"), mexpr.Sym("u")),
+           (mexpr.Sym("y"), mexpr.Binary("add", mexpr.Sym("x"), mexpr.Const(1.0)))]
+    with pytest.raises(InexpressibleRead,
+                       match="^equation 1 reads x after equation 0 updated it$"):
+        causalize(bound(eqs, vars, states=("x",)))
+    # read before the update, x is the value the model reads too
+    plan = causalize(bound(eqs[::-1], vars, states=("x",)))
+    assert [ref for _, ref, _ in plan.algebraic_order] == ["y"]
+
+
 def test_causalize_solves_each_equation_for_what_it_writes():
     # k = min(y, u) writes the parameter k: y is read, never solved for
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
                  ("k", 3, "Real", "parameter", 2.0))
     eqs = [(mexpr.Sym("k"), mexpr.Call("min", (mexpr.Sym("y"), mexpr.Sym("u"))))]
-    with pytest.raises(StructurallySingular, match="equation 0 writes parameter 'k'"):
+    with pytest.raises(StructurallySingular, match="^slot 0 is written, 'k' is parameter$"):
         causalize(bound(eqs, vars))
 
 
 def test_causalize_multiple_occurrence():
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
-    # y = y + u: y occurs twice, no other unknown
+    # y = y + u: the C reads the previous step's y, which the model cannot
     eqs = [(mexpr.Sym("y"), mexpr.Binary("add", mexpr.Sym("y"), mexpr.Sym("u")))]
-    with pytest.raises(MultipleOccurrence):
+    with pytest.raises(InexpressibleRead,
+                       match="^equation 0 reads y before equation 0 stores it$"):
         causalize(bound(eqs, vars))
 
 
@@ -134,8 +154,8 @@ def test_unused_input_rejected():
 
 def test_der_of_input_rejected():
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
-    eqs = [(mexpr.Der("u"), mexpr.Const(1.0)),
-           (mexpr.Sym("y"), mexpr.Sym("u"))]
+    eqs = [(mexpr.Sym("y"), mexpr.Sym("u")),
+           (mexpr.Der("u"), mexpr.Const(1.0))]
     with pytest.raises(InvalidStateVariable):
         causalize(bound(eqs, vars))
 
@@ -378,15 +398,84 @@ def test_slot_level_causalize_matches_name_level(all_cases):
         assert len(outcomes) >= 6, (name, outcomes)
 
 
-def test_constructible_genomes_satisfy_c0_to_c4(all_cases):
-    for name, case in all_cases.items():
+def _boolean_ordering_problem():
+    """y = if s1 < s2 then 1.0 else 0.0, where s1 and s2 are untyped: their
+    variables must share a type, and not Boolean, which is unordered."""
+    s = mexpr.Sym
+    model = infer_symbol_types(EquationModel(
+        ((s(0), mexpr.If(mexpr.Binary("lt", s(1), s(2)), mexpr.Const(1.0),
+                         mexpr.Const(0.0))),),
+        tuple(SymbolSlot(i, f"s{i}", "Unknown") for i in range(3))))
+    assert [slot.inferred_type for slot in model.slots] == ["Real", "Unknown", "Unknown"]
+    vars = table(("y", 1, "Real", "output", None),
+                 ("a", 2, "Boolean", "parameter", True), ("b", 3, "Boolean", "parameter", False),
+                 ("i", 4, "Integer", "parameter", 1), ("j", 5, "Integer", "parameter", 2),
+                 ("r", 6, "Real", "parameter", 0.5))
+    return GaProblem(model, vars, None, None)
+
+
+def test_validate_agrees_with_constructible(all_cases, tiny_case):
+    cases = dict(all_cases, tiny=tiny_case)
+    for name, case in cases.items():
         problem = case["problem"]
         accepted = 0
         for genes in _genome_families(problem, random.Random(name + "/c"), 300):
-            if problem.constructible(genes):
-                accepted += 1
-                assert problem.validate(genes).valid, (name, genes)
+            valid = problem.validate(genes).valid
+            assert valid == problem.constructible(genes), (name, genes)
+            accepted += valid
         assert accepted > 10, name
+    problem = _boolean_ordering_problem()
+    verdicts = {}
+    for genes in itertools.product(range(problem.num_variables), repeat=3):
+        verdicts[genes] = problem.validate(genes).valid
+        assert verdicts[genes] == problem.constructible(genes), genes
+    assert {g for g, valid in verdicts.items() if valid} == {(0, 3, 4), (0, 4, 3)}
+    report = problem.validate((0, 1, 2))  # two Booleans under "<"
+    assert report.violations == (
+        ("C1", "['a', 'b'] typed ['Boolean'] under an ordering comparison"),)
+    with pytest.raises(IllTypedModel, match=r"^\['i', 'r'\] typed \['Integer', 'Real'\]"):
+        causalize(problem.bind((0, 3, 5)))
+
+
+_FAULTS_OF_A_NAME_LEVEL_MODEL = """
+import json, sys
+from construct import check, ga, sim
+from construct.container import load_container
+from construct.model import apply_assignment
+root = sys.argv[1]
+problem = ga.problem_from_container(load_container(root))
+genes = json.load(open(root + "/ground_truth.json"))["genes"][::-1]
+bound = apply_assignment(problem.model, genes, problem.vars)
+faults = check.binding_faults(check.analyse(bound.equations), bound.variable_table,
+                              bound.bindings)
+print([(cid, type(fault).__name__, str(fault)) for cid, fault in faults])
+try:
+    sim.causalize(bound)
+except check.CausalizeError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_first_fault_of_a_name_level_model_does_not_depend_on_the_hash_seed(pi_case):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import construct
+
+    src = str(Path(construct.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_OF_A_NAME_LEVEL_MODEL, str(pi_case["root"])],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+    faults, first = outputs.pop().splitlines()
+    assert faults.count("C5") == 4, "pi's reversed ground truth breaks C5 on four slots"
+    assert first == "UnbalancedSystem slot 1 is only read, 'drift_comp' is local"
 
 
 def test_fitness_invalid_when_the_mse_overflows():
