@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from pathlib import Path
@@ -187,7 +188,8 @@ def cmd_make_reference(args) -> int:
 
 
 def cmd_space(args) -> int:
-    print(ga.search_space_size(args.slots, args.variables))
+    # Decimal prints every digit, past the int-to-str digit limit
+    print(decimal.Decimal(ga.search_space_size(args.slots, args.variables)))
     return 0
 
 

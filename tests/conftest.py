@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,21 +7,20 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).parent))  # for the interp helper
 
-from construct import fixtures, ga  # noqa: E402
+from construct import ga  # noqa: E402
 from construct.container import load_container  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     d = REPO / "fixtures"
-    assert d.is_dir(), "committed fixtures missing; run python -m construct.fixtures"
+    assert d.is_dir(), f"committed containers missing: {d}; restore them from git"
     return d
 
 
 def _bundle(root: Path):
     cm = load_container(root)
     problem = ga.problem_from_container(cm)
-    import json
     genes = tuple(json.loads((root / "ground_truth.json").read_text())["genes"])
     return {"root": root, "container": cm, "problem": problem, "ground_truth": genes}
 
@@ -46,8 +46,6 @@ def all_cases(pi_case, pid_case, limpid_case):
 
 
 @pytest.fixture(scope="session")
-def tiny_case(tmp_path_factory):
-    root, genes = fixtures.build_tiny_fixture(tmp_path_factory.mktemp("tiny") / "tiny")
-    cm = load_container(root)
-    problem = ga.problem_from_container(cm)
-    return {"root": root, "container": cm, "problem": problem, "ground_truth": genes}
+def tiny_case():
+    """3 slots, 3 variables, 1 equation: small enough for oracle tests."""
+    return _bundle(REPO / "tests" / "data" / "tiny")

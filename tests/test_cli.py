@@ -1,10 +1,13 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from construct.cli import main
 from construct.container import load_trace
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_space_outputs(capsys):
@@ -12,6 +15,14 @@ def test_space_outputs(capsys):
     assert capsys.readouterr().out.strip() == "479001600"
     assert main(["space", "12", "13"]) == 0
     assert capsys.readouterr().out.strip() == "6227020800"
+
+
+def test_space_prints_every_digit_of_a_large_count(capsys):
+    # past the int-to-str digit limit (4,300 digits) of Python 3.11+
+    assert main(["space", "2000", "3000"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 6564
+    assert out.startswith("10311856301421854586")
 
 
 def test_space_error_exit_code(capsys):
@@ -47,10 +58,12 @@ def test_simulate_writes_trace(pi_case, tmp_path):
     assert trace.columns == reference.columns
 
 
-def test_make_reference_regenerates_byte_identical(pi_case, tmp_path):
-    import shutil
-    work = tmp_path / "pi"
-    shutil.copytree(pi_case["root"], work)
+@pytest.mark.parametrize("container", ["fixtures/pi", "fixtures/pid", "fixtures/limpid",
+                                       "tests/data/tiny"],
+                         ids=["pi", "pid", "limpid", "tiny"])
+def test_make_reference_regenerates_byte_identical(container, tmp_path):
+    work = tmp_path / "container"
+    shutil.copytree(REPO / container, work)
     before = (work / "traces" / "reference.csv").read_bytes()
     code = main(["make-reference", str(work),
                  "--mapping", str(work / "ground_truth.json")])

@@ -1,13 +1,13 @@
 import json
 
-from construct import fixtures, mexpr
+from construct import mexpr
 from construct.check import classify_variables
 from construct.container import load_container
 
 EXPECTED = {
-    "pi": {"equations": 8, "variables": 18, "max_slots": 18, "symbols": 23},
-    "pid": {"equations": 6, "variables": 37, "max_slots": 20, "symbols": 20},
-    "limpid": {"equations": 13, "variables": 80, "max_slots": 39, "symbols": 39},
+    "pi": {"equations": 8, "variables": 18, "slots": 10, "symbols": 23},
+    "pid": {"equations": 6, "variables": 37, "slots": 10, "symbols": 20},
+    "limpid": {"equations": 13, "variables": 80, "slots": 18, "symbols": 39},
 }
 
 
@@ -17,7 +17,8 @@ def test_counts_match_expectations(all_cases):
         want = EXPECTED[name]
         assert len(problem.model.equations) == want["equations"], name
         assert len(problem.vars) == want["variables"], name
-        assert problem.num_slots <= want["max_slots"], name
+        assert problem.num_slots == want["slots"], name
+        assert len(case["ground_truth"]) == want["slots"], name
 
 
 def test_symbol_counts_before_elimination(all_cases):
@@ -77,17 +78,6 @@ def test_ground_truth_round_trips(all_cases):
         assert tuple(data["genes"]) == case["ground_truth"]
 
 
-def test_regeneration_is_byte_identical(all_cases, tmp_path):
-    for name, case in all_cases.items():
-        rebuilt = fixtures.build_fixture(name, tmp_path / name)
-        for rel in ("modelDescription.xml", "sources/controller.c",
-                    "traces/input.csv", "traces/reference.csv",
-                    "ground_truth.json", "README.md"):
-            a = (case["root"] / rel).read_bytes()
-            b = (rebuilt.root / rel).read_bytes()
-            assert a == b, f"{name}/{rel} differs"
-
-
 def test_boolean_input_columns_are_binary(pid_case, limpid_case):
     for case, col in ((pid_case, "enabled"), (limpid_case, "drv_enable")):
         values = set(case["container"].input_trace.columns[col])
@@ -104,14 +94,3 @@ def test_enable_gate_changes_output(pid_case):
     off = [a for a, e in zip(actuator, enabled) if e == 0.0]
     assert off and all(a == -0.25 for a in off)
 
-
-def test_validate_fixture_runs(all_cases):
-    for name, case in all_cases.items():
-        fx = fixtures.Fixture(
-            name=name, root=case["root"], ground_truth=case["ground_truth"],
-            n_equations=len(case["problem"].model.equations),
-            n_variables=len(case["problem"].vars),
-            n_slots=case["problem"].num_slots,
-            n_symbols_pre_elimination=EXPECTED[name]["symbols"],
-            type_mix="real" if name == "pi" else "mixed")
-        fixtures.validate_fixture(fx)
