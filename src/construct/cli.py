@@ -153,12 +153,24 @@ def cmd_validate(args) -> int:
     return 2
 
 
+def _valid_mapping(path: str, problem: ga.GaProblem):
+    """The genes of the mapping file at path when they meet C0-C5;
+    otherwise None, after printing each violation."""
+    genes = _load_mapping(path, problem)
+    report = check.validate_assignment(problem.model, problem.vars, genes)
+    for cid, detail in report.violations:
+        print(f"{cid}: {detail}")
+    return genes if report.valid else None
+
+
 def cmd_simulate(args) -> int:
     cm, problem = _load_problem(args)
     if cm.input_trace is None:
         raise ConstructError("container has no traces/input.csv")
-    result = problem.simulate_outputs(_load_mapping(args.mapping, problem),
-                                      cm.input_trace)
+    genes = _valid_mapping(args.mapping, problem)
+    if genes is None:
+        return 1
+    result = problem.simulate_outputs(genes, cm.input_trace)
     write_trace(result, args.out)
     print(f"wrote {args.out} ({len(result.times)} samples, "
           f"{len(result.columns)} outputs)")
@@ -173,11 +185,8 @@ def cmd_make_reference(args) -> int:
         input_trace = load_trace(args.input)
     if input_trace is None:
         raise ConstructError("no input trace given and none in the container")
-    genes = _load_mapping(args.mapping, problem)
-    report = check.validate_assignment(problem.model, problem.vars, genes)
-    if not report.valid:
-        for cid, detail in report.violations:
-            print(f"{cid}: {detail}")
+    genes = _valid_mapping(args.mapping, problem)
+    if genes is None:
         return 1
     # a ground truth must simulate; errors are fatal
     result = problem.simulate_outputs(genes, input_trace)

@@ -152,7 +152,9 @@ def _parse_start(text: str, vtype: str, name: str):
                     f"non-finite start {text!r} for Real variable {name!r}")
             return value
         if vtype == "Integer":
-            return int(text)
+            value = int(text)
+            float(value)  # simulated as a float: OverflowError past its range
+            return value
         if text == "true":
             return True
         if text == "false":
@@ -161,6 +163,9 @@ def _parse_start(text: str, vtype: str, name: str):
     except ValueError:
         raise MalformedDescription(
             f"unparseable start {text!r} for {vtype} variable {name!r}") from None
+    except OverflowError:
+        raise MalformedDescription(
+            f"start of Integer variable {name!r} is beyond the float range") from None
 
 
 def parse_model_description(text: str, warnings: list | None = None) -> VariableTable:

@@ -18,10 +18,10 @@ problem, and one simulation kernel (sim.KernelCache), compiled at its
 first score; a chromosome only binds variables to the plan's slots,
 each slot drawing from its domain (check.domain_fault).
 Fitness is evaluated serially, and each problem binds (at slot level)
-and checks a distinct chromosome once: constructibility checks and
-fitness share one memo. A plan left unscored at the end of a generation
-is dropped, so such a chromosome is causalized again if a later
-generation scores it. A run simulates once per distinct signature
+and causalizes a distinct chromosome once: constructibility checks,
+signatures and fitness read one memo of plans, kept for the problem's
+life, so a chromosome that later runs score again is not causalized
+again. A run simulates once per distinct signature
 (GaProblem.signature): a distinct chromosome that hands the kernel the
 same data as an earlier one of the run, such as swapped algebraic
 locals or equal parameter values, takes its fitness. Chromosome
@@ -31,10 +31,10 @@ position i names the variable assigned to symbol slot i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from construct import check, sim
-from construct.check import Classification, classify_variables, infer_symbol_types
+from construct.check import classify_variables, infer_symbol_types
 from construct.container import ContainerModel, MalformedTrace, Trace, VariableTable, read_text
 from construct.cparse import CodeUnit, ParseError, parse_c_unit
 from construct.errors import ConstructError
@@ -120,39 +120,25 @@ class GaResult:
 # Problem bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaProblem:
     """Everything the operators need, with type-compatibility tables
-    precomputed."""
+    precomputed, and the plan of each genome checked so far."""
 
-    model: EquationModel  # slot types inferred
-    vars: VariableTable
-    input_trace: Trace | None
-    reference_trace: Trace | None
-    classification: Classification = field(init=False)
-    # per slot: the indices of the variables in its domain (check.domain_fault)
-    compat: tuple = field(init=False)
-    io_indices: tuple = field(init=False)
-    structure: check.Structure = field(init=False)  # slot-level, see check.analyse
-    # genes -> its SimPlan until fitness_of has scored it or its generation
-    # is evaluated, then True; False when the genome does not causalize
-    _causalized: dict = field(init=False, default_factory=dict, compare=False,
-                              repr=False)
-    # the simulation kernel of the problem, compiled at its first score
-    kernels: sim.KernelCache = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        cls = classify_variables(self.vars)
-        structure = check.analyse(self.model.equations, self.model.slots)
-        compat = tuple(tuple(i for i, v in enumerate(self.vars.variables)
-                             if check.domain_fault(structure, slot.id, v) is None)
-                       for slot in self.model.slots)
-        io = tuple(self.vars.index[v.name] for v in self.vars.io)
-        object.__setattr__(self, "classification", cls)
-        object.__setattr__(self, "compat", compat)
-        object.__setattr__(self, "io_indices", io)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "kernels", sim.KernelCache())
+    def __init__(self, model: EquationModel, vars: VariableTable,
+                 input_trace: Trace | None, reference_trace: Trace | None):
+        self.model = model  # slot types inferred
+        self.vars = vars
+        self.input_trace = input_trace
+        self.reference_trace = reference_trace
+        self.classification = classify_variables(vars)
+        self.structure = check.analyse(model.equations, model.slots)  # slot-level
+        # per slot: the indices of the variables in its domain (check.domain_fault)
+        self.compat = tuple(tuple(i for i, v in enumerate(vars.variables)
+                                  if check.domain_fault(self.structure, slot.id, v) is None)
+                            for slot in model.slots)
+        self.io_indices = tuple(vars.index[v.name] for v in vars.io)
+        self.kernels = sim.KernelCache()  # the problem's kernel, compiled at its first score
+        self._plans: dict = {}  # genes -> SimPlan, or None when it does not causalize
 
     @property
     def num_slots(self) -> int:
@@ -171,55 +157,35 @@ class GaProblem:
         states = frozenset(names[s] for s, _ in self.structure.states)
         return BoundModel(self.model.equations, self.vars, states, names, self.structure)
 
-    def _causalize(self, genes: tuple):
-        """The memo entry of genes, binding and causalizing them on the
-        first call only."""
-        entry = self._causalized.get(genes)
-        if entry is None:
+    def _plan(self, genes) -> sim.SimPlan | None:
+        """The genome's plan, or None when it does not causalize; bound
+        at slot level and causalized on the first call only."""
+        genes = tuple(genes)
+        if genes not in self._plans:
             try:
-                entry = sim.causalize(self.bind(genes))
+                self._plans[genes] = sim.causalize(self.bind(genes))
             except check.CausalizeError:
-                entry = False
-            self._causalized[genes] = entry
-        return entry
+                self._plans[genes] = None
+        return self._plans[genes]
 
     def constructible(self, genes) -> bool:
         """Statically causalizable at slot level, which is exactly
         validate(genes).valid: causalize raises the first fault of the
         same check.binding_faults that validation reports in full."""
-        return self._causalize(tuple(genes)) is not False
-
-    def _plan(self, genes: tuple) -> sim.SimPlan | None:
-        """The genome's plan, or None when it does not causalize; a plan
-        dropped from the memo is causalized again and kept."""
-        plan = self._causalize(genes)
-        if plan is True:
-            plan = self._causalized[genes] = sim.causalize(self.bind(genes))
-        return None if plan is False else plan
+        return self._plan(genes) is not None
 
     def signature(self, genes):
         """What scoring the genome simulates (sim.KernelCache.signature),
         or None when it does not causalize: genomes with equal signatures
         have equal fitness."""
-        plan = self._plan(tuple(genes))
+        plan = self._plan(genes)
         return None if plan is None else self.kernels.signature(
             plan, self.classification.outputs)
 
     def fitness_of(self, genes) -> sim.Fitness:
-        """The genome's fitness. Its plan leaves the memo once scored, so
-        scoring a genome again causalizes it again."""
-        genes = tuple(genes)
-        plan = self._plan(genes)
-        self._causalized[genes] = plan is not None
-        return sim.score(plan, self.input_trace, self.reference_trace,
+        """The genome's fitness; INVALID when it does not causalize."""
+        return sim.score(self._plan(genes), self.input_trace, self.reference_trace,
                          self.classification.outputs, self.kernels)
-
-    def drop_unscored_plans(self) -> None:
-        """Keep only the verdict of genomes that passed constructible but
-        were never scored, so their plans do not outlive a generation."""
-        for genes, entry in self._causalized.items():
-            if isinstance(entry, sim.SimPlan):
-                self._causalized[genes] = True
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
         """Bind by name, causalize and simulate the output variables; errors raise."""
@@ -544,7 +510,6 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
             population = next_pop
 
         fitnesses, n_eval = _evaluate(problem, population, cache, scored)
-        problem.drop_unscored_plans()
         evaluations += n_eval
         if on_individual is not None:
             for c, f in zip(population, fitnesses):

@@ -194,8 +194,8 @@ def _rule_reciprocal(e, cfg: RuleConfig):
         return None
     for operand, other in ((e.right, e.left), (e.left, e.right)):
         if isinstance(operand, RealLit) and operand.value != 0.0:
-            recip = 1.0 / operand.value
-            n = round(recip)
+            recip = 1.0 / operand.value  # inf for a subnormal c: no n
+            n = round(recip) if math.isfinite(recip) else 0
             if 2 <= n <= cfg.reciprocal_max_denominator and \
                     abs(recip - n) <= cfg.reciprocal_tolerance * abs(n):
                 return Binary("div", other, RealLit(float(n)))

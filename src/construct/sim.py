@@ -401,17 +401,6 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     return Trace(times, {n: tuple(column) for n, column in zip(out_names, columns)})
 
 
-def fitness(candidate: BoundModel, inputs: Trace, reference: Trace) -> Fitness:
-    """Mean squared output distance against the reference; any causalize
-    or simulate failure folds into Invalid."""
-    try:
-        plan = causalize(candidate)
-    except check.CausalizeError:
-        plan = None
-    outputs = check.classify_variables(candidate.variable_table).outputs
-    return score(plan, inputs, reference, outputs)
-
-
 def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
           kernels: KernelCache | None = None) -> Fitness:
     """Mean squared distance of the plan's outputs, simulated with

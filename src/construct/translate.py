@@ -234,8 +234,8 @@ def _match_integrator(target, value, step_symbol: str):
             if inc.right == Ident(step_symbol):
                 return inc.left
         # reciprocal rule may have rewritten h * c into h / n
-        if isinstance(inc, Binary) and inc.op == "div" \
-                and inc.left == Ident(step_symbol) and isinstance(inc.right, RealLit):
+        if isinstance(inc, Binary) and inc.op == "div" and inc.left == Ident(step_symbol) \
+                and isinstance(inc.right, RealLit) and inc.right.value != 0.0:
             return RealLit(1.0 / inc.right.value)
     return None
 

@@ -545,30 +545,95 @@ def test_synth_on_a_long_chain_of_stores(tmp_path, capsys):
     assert "best MSE" in capsys.readouterr().out
 
 
+def _one_step_container(root, rows, statements):
+    """A container of one step function: rows are (name, value reference,
+    causality, type element) and statements the lines of its body; the
+    input trace holds u = 1, 2, 3 and the reference y = 0."""
+    (root / "sources").mkdir(parents=True)
+    (root / "traces").mkdir()
+    (root / "modelDescription.xml").write_text("\n".join(
+        ['<?xml version="1.0" encoding="UTF-8"?>',
+         '<fmiModelDescription fmiVersion="2.0" modelName="one">', "<ModelVariables>"]
+        + [f'<ScalarVariable name="{n}" valueReference="{r}" causality="{c}">'
+           f"{element}</ScalarVariable>" for n, r, c, element in rows]
+        + ["</ModelVariables>", "</fmiModelDescription>", ""]))
+    (root / "sources" / "controller.c").write_text("\n".join(
+        ["void fmu_step(long param_1, double param_2)", "{"]
+        + [f"  {line}" for line in statements] + ["}", ""]))
+    (root / "traces" / "input.csv").write_text("time,u\n0.0,1.0\n0.01,2.0\n0.02,3.0\n")
+    (root / "traces" / "reference.csv").write_text("time,y\n0.0,0.0\n0.01,0.0\n0.02,0.0\n")
+
+
 def test_read_of_a_later_store_exits_with_both_equations(tmp_path, capsys):
     # y = z + 1 reads the z of the previous step, which the C stores after
     # it: the C gives y = 6, 2, 3 for u = 1, 2, 3 (z starts at 5), which
     # no ordering of the equations y = z + 1 and z = u reproduces
     root = tmp_path / "stale"
-    (root / "sources").mkdir(parents=True)
-    (root / "traces").mkdir()
-    rows = [("u", 8, "input", ""), ("y", 16, "output", ""), ("z", 24, "local", ' start="5.0"')]
-    (root / "modelDescription.xml").write_text("\n".join(
-        ['<?xml version="1.0" encoding="UTF-8"?>',
-         '<fmiModelDescription fmiVersion="2.0" modelName="stale">', "<ModelVariables>"]
-        + [f'<ScalarVariable name="{n}" valueReference="{r}" causality="{c}">'
-           f"<Real{start}/></ScalarVariable>" for n, r, c, start in rows]
-        + ["</ModelVariables>", "</fmiModelDescription>", ""]))
-    (root / "sources" / "controller.c").write_text(
-        "void fmu_step(long param_1, double param_2)\n{\n"
-        "  *(double *)(param_1 + 0x10) = *(double *)(param_1 + 0x18) + 1.0;\n"
-        "  *(double *)(param_1 + 0x18) = *(double *)(param_1 + 0x8);\n}\n")
-    (root / "traces" / "input.csv").write_text("time,u\n0.0,1.0\n0.01,2.0\n0.02,3.0\n")
+    _one_step_container(
+        root, [("u", 8, "input", "<Real/>"), ("y", 16, "output", "<Real/>"),
+               ("z", 24, "local", '<Real start="5.0"/>')],
+        ["*(double *)(param_1 + 0x10) = *(double *)(param_1 + 0x18) + 1.0;",
+         "*(double *)(param_1 + 0x18) = *(double *)(param_1 + 0x8);"])
     mapping = _mapping_file(tmp_path, json.dumps({"genes": [1, 2, 0]}))
     fault = "equation 0 reads sym_0x18 before equation 1 stores it"
     assert main(["validate", str(root), "--mapping", str(mapping)]) == 2
     assert capsys.readouterr().out == f"C5: {fault}\n"
     out = tmp_path / "out.csv"
     assert main(["simulate", str(root), "--mapping", str(mapping), "-o", str(out)]) == 1
-    assert capsys.readouterr().err == "error: equation 0 reads z before equation 1 stores it\n"
+    assert capsys.readouterr().out == f"C5: {fault}\n"
     assert not out.exists()
+
+
+def test_simulate_rejects_a_mapping_that_validate_rejects(tmp_path, capsys):
+    # the int casts type both slots Integer, which the Real y and u break;
+    # a model rewritten to names shows no casts
+    root = tmp_path / "cast"
+    _one_step_container(root, [("y", 16, "output", "<Real/>"), ("u", 8, "input", "<Real/>")],
+                        ["*(int *)(param_1 + 0x10) = *(int *)(param_1 + 0x8);"])
+    mapping = _mapping_file(tmp_path, json.dumps({"genes": [0, 1]}))
+    assert main(["validate", str(root), "--mapping", str(mapping)]) == 2
+    faults = capsys.readouterr().out
+    assert faults.count("C1: ") == 2
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(root), "--mapping", str(mapping), "-o", str(out)]) == 1
+    assert capsys.readouterr().out == faults
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["5e-324", "1e-320"])
+def test_translate_multiplier_with_an_overflowing_reciprocal(pi_case, tmp_path, literal):
+    # 1 / c is inf: the reciprocal rule does not fire
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace("dVar1 * 1.25", f"dVar1 * {literal}"))
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 0
+    assert f"sym_0x20 * {float(literal)!r};" in (tmp_path / "s.mo").read_text()
+
+
+def test_translate_step_size_divided_by_zero_exits_1(pi_case, tmp_path, capsys):
+    work = _pi_copy(pi_case, tmp_path)
+    src = work / "sources" / "controller.c"
+    src.write_text(src.read_text().replace(
+        "*(double *)(param_1 + 0x28) + dVar13;", "*(double *)(param_1 + 0x28) + param_2 / 0.0;"))
+    assert main(["translate", str(work), "--out", str(tmp_path / "s.mo")]) == 1
+    assert capsys.readouterr().err == ("error: identifier 'param_2' is not a parameter, "
+                                       "local, or slot (step size used outside an "
+                                       "integrator update)\n")
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "make-reference"])
+def test_integer_start_beyond_the_float_range_exits_1(tmp_path, capsys, command):
+    root = tmp_path / "huge"
+    _one_step_container(
+        root, [("y", 16, "output", "<Real/>"), ("u", 8, "input", "<Integer/>"),
+               ("k", 24, "parameter", f'<Integer start="1{"0" * 400}"/>')],
+        ["*(double *)(param_1 + 0x10) = "
+         "*(int *)(param_1 + 0x8) < *(int *)(param_1 + 0x18) ? 1.0 : 0.0;"])
+    mapping = _mapping_file(tmp_path, json.dumps({"genes": [0, 1, 2]}))
+    argv = {"synth": ["synth", str(root), "--mode", "cbc", "--pop", "4", "--gens", "1"],
+            "simulate": ["simulate", str(root), "--mapping", str(mapping),
+                         "-o", str(tmp_path / "out.csv")],
+            "make-reference": ["make-reference", str(root), "--mapping", str(mapping)]}
+    assert main(argv[command]) == 1
+    assert capsys.readouterr().err == ("error: malformed model description: start of Integer "
+                                       "variable 'k' is beyond the float range\n")

@@ -2,11 +2,14 @@
 in a traceback.
 
 Each input damages one file of a committed container (the C source, the
-description XML, a trace CSV or ground_truth.json): it inserts a C or
-XML token, or deletes, duplicates or overwrites a span. It then runs
-translate, synth, simulate or validate in-process through cli.main,
-and the outcome must be exit code 0, 1 or 2. Inputs are drawn from
-random.Random(seed), so a failure names everything needed to replay it.
+description XML, a trace CSV, ground_truth.json or limpid's rules.toml):
+it inserts a C, XML or rules token, deletes, duplicates or overwrites a
+span, or puts an edge value (EDGES) in place of a number, in the XML of
+a start attribute. It then runs translate, synth, simulate or validate
+in-process through cli.main, with search and rule flags drawn from small
+bounded sets, and the outcome must be exit code 0, 1 or 2; a usage error
+ends in SystemExit(2). Inputs are drawn from random.Random(seed), so a
+failure names everything needed to replay it.
 
 A longer pass over more seeds (the test's inputs come first):
     PYTHONPATH=src python tests/test_mutation.py 5000
@@ -15,6 +18,7 @@ A longer pass over more seeds (the test's inputs come first):
 import contextlib
 import io
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -28,7 +32,7 @@ REPO = Path(__file__).resolve().parent.parent
 CONTAINERS = (REPO / "fixtures" / "pi", REPO / "fixtures" / "pid",
               REPO / "fixtures" / "limpid", REPO / "tests" / "data" / "tiny")
 FILES = ("sources/controller.c", "modelDescription.xml", "traces/input.csv",
-         "traces/reference.csv", "ground_truth.json")
+         "traces/reference.csv", "ground_truth.json", "rules.toml")
 COMMANDS = ("translate", "synth", "simulate", "validate")
 TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"/", b"-", b"+", b"?", b":",
           b"=", b",", b"0", b"0x", b"1e308", b"-1e308", b"0.0", b"nan",
@@ -36,17 +40,39 @@ TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"/", b"-", b"+", b"?", b":",
           b"*(double *)(param_1 + 0x10)", b"param_1", b"0x18", b"<", b">",
           b"/>", b"</ScalarVariable>", b"<Real/>", b'"', b'causality="input"',
           b'start="', b'name="', b"&amp;", b"\n", b"true", b"]", b"[",
-          b"\xff\xfe")
+          b"\xff\xfe", b"reciprocal_tolerance = ", b"reciprocal_max_denominator = ",
+          b"step_function = ", b"step_param = ")
 FILL = b"0123456789.-+eE,;(){}*/x<>=\"' \n\xff"
+# zero, the smallest subnormal, a subnormal whose reciprocal overflows,
+# an overflowing literal and an integer beyond the float range
+EDGES = (b"0.0", b"5e-324", b"1e-320", b"1e999", b"1" + b"0" * 400)
+NUMBER = re.compile(rb"(?<![\w.])\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+START = re.compile(rb'(?<=start=")[^"]*')
+# (flag, values), each flag given with probability one half
+SEARCH_FLAGS = (("--pop", ("1", "2", "6")), ("--gens", ("0", "1", "2")),
+                ("--seed", ("0", "7", "-1")), ("--pc", ("0", "0.9", "1.5", "nan")),
+                ("--pm", ("0", "0.5", "-1")), ("--tournament", ("0", "1", "9")),
+                ("--elitism", ("0", "1", "6")), ("--no-early-stop", ()),
+                ("--cbt-repair", ()))
+RULE_FLAGS = (("--reciprocal-tolerance", ("1e-9", "0", "inf", "nan", "x")),
+              ("--reciprocal-max-denominator", ("2", "1", "1" + "0" * 400, "x")))
 SEEDS = (0, 1, 2)
 PER_SEED = 134
 
 
-def _mutate(data: bytes, rng: random.Random) -> tuple:
-    """(damaged bytes, what was done)."""
+def _mutate(data: bytes, rng: random.Random, numbers: re.Pattern) -> tuple:
+    """(damaged bytes, what was done); an edge value replaces a match of
+    numbers."""
     i = rng.randrange(len(data) + 1)
     j = min(len(data), i + rng.randrange(1, 33))
-    kind = rng.choice(("insert", "delete", "duplicate", "overwrite"))
+    kind = rng.choice(("insert", "delete", "duplicate", "overwrite", "edge"))
+    if kind == "edge":
+        edge = rng.choice(EDGES)
+        spans = [m.span() for m in numbers.finditer(data)]
+        if not spans:
+            return data[:i] + edge + data[i:], f"insert {edge[:20]!r} at {i}"
+        i, j = rng.choice(spans)
+        return data[:i] + edge + data[j:], f"replace [{i}:{j}] with {edge[:20]!r}"
     if kind == "insert":
         token = rng.choice(TOKENS)
         return data[:i] + token + data[i:], f"insert {token!r} at {i}"
@@ -58,17 +84,27 @@ def _mutate(data: bytes, rng: random.Random) -> tuple:
     return data[:i] + fill + data[j:], f"overwrite [{i}:{j}] with {fill!r}"
 
 
+def _flags(table, rng: random.Random) -> list:
+    flags = []
+    for flag, values in table:
+        if rng.random() < 0.5:
+            flags += [flag, rng.choice(values)] if values else [flag]
+    return flags
+
+
 def _argv(command: str, root: Path, out: Path, rng: random.Random) -> list:
     mapping = str(root / "ground_truth.json")
+    rules = _flags(RULE_FLAGS, rng) if rng.random() < 0.25 else []
     if command == "translate":
-        return ["translate", str(root), "--out", str(out / "skeleton.mo")]
+        return ["translate", str(root), "--out", str(out / "skeleton.mo"), *rules]
     if command == "synth":
+        search = _flags(SEARCH_FLAGS, rng) if rng.random() < 0.5 else []
         return ["synth", str(root), "--mode", rng.choice(("cbc", "cbt")),
-                "--pop", "6", "--gens", "2", "--seed", "0"]
+                "--pop", "6", "--gens", "2", "--seed", "0", *search, *rules]
     if command == "simulate":
         return ["simulate", str(root), "--mapping", mapping,
-                "-o", str(out / "out.csv")]
-    return ["validate", str(root), "--mapping", mapping]
+                "-o", str(out / "out.csv"), *rules]
+    return ["validate", str(root), "--mapping", mapping, *rules]
 
 
 def run_inputs(seed: int, count: int, work: Path) -> None:
@@ -85,9 +121,9 @@ def run_inputs(seed: int, count: int, work: Path) -> None:
     rng = random.Random(seed)
     for n in range(count):
         root = rng.choice(roots)
-        path = root / rng.choice(FILES)
+        path = root / rng.choice([f for f in FILES if (root / f).exists()])
         original = path.read_bytes()
-        damaged, how = _mutate(original, rng)
+        damaged, how = _mutate(original, rng, START if path.suffix == ".xml" else NUMBER)
         argv = _argv(rng.choice(COMMANDS), root, out, rng)
         where = f"seed {seed} input {n}: {path.relative_to(work)} {how}; {argv[0]}"
         path.write_bytes(damaged)
@@ -95,6 +131,8 @@ def run_inputs(seed: int, count: int, work: Path) -> None:
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main(argv)
+        except SystemExit as exc:  # argparse exits 2 on a usage error
+            code = exc.code
         except Exception as exc:
             raise AssertionError(f"{where}: raised {exc!r}") from exc
         finally:

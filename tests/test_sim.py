@@ -15,7 +15,7 @@ from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
     INVALID, DivisionByZero, Fitness, MissingInput, NonUniformGrid, causalize,
-    fitness, simulate,
+    score, simulate,
 )
 from construct.ga import GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
@@ -274,7 +274,7 @@ def test_fitness_simple_mse():
     inputs = Trace((0.0, 0.1), {"u": (1.0, 3.0)})
     reference = Trace((0.0, 0.1), {"y": (1.0, 2.0)})
     # model yields [1, 3] vs reference [1, 2]: MSE = (0 + 1)/2
-    assert fitness(b, inputs, reference) == Fitness.finite(0.5)
+    assert score(causalize(b), inputs, reference, ("y",)) == Fitness.finite(0.5)
 
 
 def test_fitness_invalid_on_type_violation():
@@ -283,7 +283,9 @@ def test_fitness_invalid_on_type_violation():
               vars)
     inputs = Trace((0.0, 0.1), {"b": (1.0, 1.0)})
     reference = Trace((0.0, 0.1), {"y": (1.0, 1.0)})
-    assert fitness(b, inputs, reference) == INVALID
+    with pytest.raises(IllTypedModel):
+        causalize(b)
+    assert score(None, inputs, reference, ("y",)) == INVALID
 
 
 def test_fitness_requires_reference_columns():
@@ -291,7 +293,7 @@ def test_fitness_requires_reference_columns():
     b = bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars)
     inputs = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
     with pytest.raises(ValueError):
-        fitness(b, inputs, Trace((0.0, 0.1), {"z": (1.0, 1.0)}))
+        score(causalize(b), inputs, Trace((0.0, 0.1), {"z": (1.0, 1.0)}), ("y",))
 
 
 def test_fitness_ordering_total():
@@ -484,7 +486,8 @@ def test_fitness_invalid_when_the_mse_overflows():
     reference = Trace((0.0, 0.1), {"y": (0.0, 0.0)})
     # every output sample is finite; the squares are not, or their sum is not
     for samples in ((1e200, -1e200), (1e154, 1.3e154)):
-        assert fitness(b, Trace((0.0, 0.1), {"u": samples}), reference) == INVALID
+        assert score(causalize(b), Trace((0.0, 0.1), {"u": samples}), reference,
+                     ("y",)) == INVALID
 
 
 # ---------------------------------------------------------------------------
