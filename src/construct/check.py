@@ -416,10 +416,17 @@ def genes_of(m: EquationModel, c, vars: VariableTable) -> tuple:
     genes = tuple(getattr(c, "genes", c))
     if len(genes) != m.num_slots:
         raise ValueError(f"chromosome length {len(genes)} != slot count {m.num_slots}")
+    n = len(vars.variables)
     for pos, g in enumerate(genes):
-        if not 0 <= g < len(vars):
-            raise GeneOutOfRange(pos, g, len(vars))
+        if not 0 <= g < n:
+            raise GeneOutOfRange(pos, g, n)
     return genes
+
+
+def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
+    """The variable name each gene of c selects, one gene per slot."""
+    variables = vars.variables
+    return tuple(variables[g].name for g in genes_of(m, c, vars))
 
 
 def validate_assignment(m: EquationModel, vars: VariableTable, c,
@@ -432,7 +439,7 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
     inferred (infer_symbol_types). With strict_unknown, slots whose type
     could not be inferred are themselves C1 violations.
     """
-    names = tuple(vars[g].name for g in genes_of(m, c, vars))
+    names = bound_names(m, c, vars)
     violations = [(cid, str(fault)) for cid, fault
                   in binding_faults(analyse(m.equations, m.slots), vars, names)]
     if strict_unknown:

@@ -20,6 +20,8 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import eq, lt
 from pathlib import Path
 
 from construct.errors import ConstructError
@@ -111,12 +113,6 @@ class VariableTable:
         """The input and output variables, in table order."""
         return tuple(v for v in self.variables if v.causality in ("input", "output"))
 
-    def __len__(self) -> int:
-        return len(self.variables)
-
-    def __getitem__(self, i: int) -> VariableDescriptor:
-        return self.variables[i]
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -124,9 +120,6 @@ class Trace:
 
     times: tuple
     columns: dict
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -238,55 +231,58 @@ def read_text(path: Path) -> str:
 
 def load_trace(path: Path | str) -> Trace:
     """Load a CSV trace: header ``time,<name>,...``, finite numeric
-    cells, strictly increasing time."""
+    cells, strictly increasing time; blank lines are skipped. An error
+    names its line of the file; the first reported is the first row with
+    a wrong cell count, else a non-numeric cell, then the first non-finite
+    cell by column, then the first time that does not increase."""
     path = Path(path)
-    text = read_text(path)
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
-    if not lines:
-        raise MalformedTrace(f"{path.name} is empty")
-    header = lines[0].split(",")
+    lines = read_text(path).replace("\r\n", "\n").split("\n")
+    rows = list(filter(None, lines))
+
+    def fault(reason: str, row: int | None = None) -> MalformedTrace:
+        """The error of rows[row], on the line of the file it came from."""
+        line = None if row is None else [k for k, ln in enumerate(lines, 1) if ln][row]
+        return MalformedTrace(f"{path.name}{reason}", line)
+
+    if not rows:
+        raise fault(" is empty")
+    header = rows[0].split(",")
+    names, width, body = header[1:], len(header), rows[1:]
     if header[0] != "time":
-        raise MalformedTrace(f"{path.name}: first column must be 'time'", line=1)
-    names = header[1:]
+        raise fault(": first column must be 'time'", 0)
     if len(set(names)) != len(names):
-        raise MalformedTrace(f"{path.name}: duplicate column names", line=1)
-    times = []
-    cols = {name: [] for name in names}
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise MalformedTrace(
-                f"{path.name}: row has {len(cells)} cells, expected {len(header)}", line=lineno)
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise MalformedTrace(f"{path.name}: non-numeric cell", line=lineno) from None
-        times.append(row[0])
-        for name, val in zip(names, row[1:]):
-            cols[name].append(val)
-    if len(times) < 2:
-        raise MalformedTrace(f"{path.name}: fewer than 2 data rows")
-    for column in (times, *cols.values()):
+        raise fault(": duplicate column names", 0)
+    try:
+        if not all(map(eq, map(str.count, body, repeat(",")), repeat(width - 1))):
+            raise ValueError  # a wrong cell count: find the first bad row below
+        cells = list(map(float, chain.from_iterable(map(str.split, body, repeat(",")))))
+    except ValueError:
+        for row, row_cells in enumerate(map(str.split, body, repeat(",")), start=1):
+            if len(row_cells) != width:
+                raise fault(f": row has {len(row_cells)} cells, expected {width}", row) from None
+            try:
+                list(map(float, row_cells))
+            except ValueError:
+                raise fault(": non-numeric cell", row) from None
+    if len(body) < 2:
+        raise fault(": fewer than 2 data rows")
+    columns = [tuple(islice(cells, j, None, width)) for j in range(width)]
+    for column in columns:
         if not all(map(math.isfinite, column)):
-            k = next(k for k, v in enumerate(column) if not math.isfinite(v))
-            raise MalformedTrace(f"{path.name}: non-finite cell", line=k + 2)
-    for i in range(1, len(times)):
-        if not times[i] > times[i - 1]:
-            raise MalformedTrace(
-                f"{path.name}: time not strictly increasing", line=i + 2)
-    return Trace(tuple(times), {n: tuple(vs) for n, vs in cols.items()})
+            raise fault(": non-finite cell", 1 + list(map(math.isfinite, column)).index(False))
+    times = columns[0]
+    if not all(map(lt, times, islice(times, 1, None))):
+        k = list(map(lt, times, times[1:])).index(False)  # times[k + 1] <= times[k]
+        raise fault(": time not strictly increasing", k + 2)
+    return Trace(times, dict(zip(names, columns[1:])))
 
 
 def write_trace(trace: Trace, path: Path | str) -> None:
     """Write a trace as CSV. Floats use shortest round-trip formatting,
     so load_trace(write_trace(t)) reproduces t bit-exactly."""
-    path = Path(path)
-    names = list(trace.columns)
-    lines = ["time," + ",".join(names)]
-    for k, t in enumerate(trace.times):
-        cells = [repr(t)] + [repr(trace.columns[n][k]) for n in names]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    cells = (map(repr, column) for column in (trace.times, *trace.columns.values()))
+    rows = map(",".join, zip(*cells))
+    Path(path).write_text("\n".join(chain(["time," + ",".join(trace.columns)], rows, [""])))
 
 
 def load_container(path: Path | str) -> ContainerModel:

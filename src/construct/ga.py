@@ -39,7 +39,7 @@ from construct.container import ContainerModel, MalformedTrace, Trace, VariableT
 from construct.cparse import CodeUnit, ParseError, parse_c_unit
 from construct.errors import ConstructError
 from construct.isolate import isolate_step_function, load_rule_config, normalize_primitives
-from construct.model import BoundModel, apply_assignment, bound_names
+from construct.model import BoundModel, apply_assignment
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
 EARLY_STOP_MSE = 1e-12
@@ -136,6 +136,7 @@ class GaProblem:
         self.compat = tuple(tuple(i for i, v in enumerate(vars.variables)
                                   if check.domain_fault(self.structure, slot.id, v) is None)
                             for slot in model.slots)
+        self.domains = tuple(map(frozenset, self.compat))  # compat, for membership tests
         self.io_indices = tuple(vars.index[v.name] for v in vars.io)
         self.kernels = sim.KernelCache()  # the problem's kernel, compiled at its first score
         self._plans: dict = {}  # genes -> SimPlan, or None when it does not causalize
@@ -146,14 +147,14 @@ class GaProblem:
 
     @property
     def num_variables(self) -> int:
-        return len(self.vars)
+        return len(self.vars.variables)
 
     def validate(self, genes) -> check.ValidationReport:
         return check.validate_assignment(self.model, self.vars, genes)
 
     def bind(self, genes) -> BoundModel:
         """The slot-level bound model: no equation is rewritten to names."""
-        names = bound_names(self.model, genes, self.vars)
+        names = check.bound_names(self.model, genes, self.vars)
         states = frozenset(names[s] for s, _ in self.structure.states)
         return BoundModel(self.model.equations, self.vars, states, names, self.structure)
 
@@ -243,7 +244,7 @@ def _construct_constrained(problem: GaProblem, rng):
     rng.shuffle(io)
     for var in io:
         options = [s for s in range(n_slots)
-                   if assignment[s] is None and var in problem.compat[s]]
+                   if assignment[s] is None and var in problem.domains[s]]
         if not options:
             return None
         slot = rng.choice(options)
@@ -344,10 +345,9 @@ def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
         genes[i], genes[j] = genes[j], genes[i]
         return Chromosome(tuple(genes))
 
-    compat_sets = [set(cs) for cs in problem.compat]
     for _ in range(RETRY_BUDGET):
         i, j = rng.sample(range(n), 2)
-        if genes[j] not in compat_sets[i] or genes[i] not in compat_sets[j]:
+        if genes[j] not in problem.domains[i] or genes[i] not in problem.domains[j]:
             continue
         genes[i], genes[j] = genes[j], genes[i]
         if problem.constructible(genes):
@@ -377,7 +377,7 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem | None):
             seen.add(g)
             g = mapping[g]
         if g != head[pos]:
-            if problem is not None and g not in set(problem.compat[pos]):
+            if problem is not None and g not in problem.domains[pos]:
                 return None
             head[pos] = g
     return tuple(head + tail)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from construct import mexpr
-from construct.check import GeneOutOfRange, genes_of  # GeneOutOfRange re-exported
+from construct.check import GeneOutOfRange, bound_names  # GeneOutOfRange re-exported
 from construct.container import VariableTable
 from construct.translate import EquationModel
 
@@ -20,11 +20,6 @@ class BoundModel:
     states: frozenset  # variable names appearing under der()
     bindings: tuple  # per-slot variable names, in slot order
     structure: object = field(default=None, compare=False, repr=False)
-
-
-def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
-    """The variable name each gene of c selects, one gene per slot."""
-    return tuple(vars[g].name for g in genes_of(m, c, vars))
 
 
 def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import count
+from itertools import count, islice
 from operator import mul, sub
 
 from construct import check, mexpr
@@ -361,9 +361,11 @@ class KernelCache:
 def grid_step(times) -> float:
     """The step of a uniform time grid; NonUniformGrid otherwise."""
     h = times[1] - times[0]
-    for a, t in zip(times, times[1:]):
-        if abs((t - a) - h) > GRID_RTOL * abs(h):
-            raise NonUniformGrid(f"non-uniform sample spacing near t={t}")
+    steps = list(map(sub, islice(times, 1, None), times))
+    # step - h rounds monotonically, so the extreme steps deviate the most
+    if max(abs(min(steps) - h), abs(max(steps) - h)) > GRID_RTOL * abs(h):
+        t = next(t for a, t in zip(times, times[1:]) if abs((t - a) - h) > GRID_RTOL * abs(h))
+        raise NonUniformGrid(f"non-uniform sample spacing near t={t}")
     return h
 
 

@@ -6,15 +6,17 @@ translated equation models can be checked against plain statement
 semantics without going through the translation path itself. `named`
 renames a slot-level simulation plan to the name-level plan it stands
 for, so that plans can be compared and run through `tree_walk`, the
-per-sample loop of sim.simulate over mexpr.eval_expr.
+per-sample loop of sim.simulate over mexpr.eval_expr. `load_trace_rows`
+is container.load_trace one row and one cell at a time.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 from construct import mexpr, sim
-from construct.container import Trace
+from construct.container import MalformedTrace, Trace, read_text
 from construct.cparse import (
     Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit, Return,
     Ternary, Unary,
@@ -139,3 +141,44 @@ def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
                     raise sim.NonFiniteValue(t, name)
                 env[name] = nxt
     return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
+
+
+def load_trace_rows(path) -> Trace:
+    """container.load_trace, checking each row as it is read: the same
+    trace, or the same error, message and line."""
+    path = Path(path)
+    lines = [(k, ln) for k, ln in enumerate(
+        read_text(path).replace("\r\n", "\n").split("\n"), start=1) if ln != ""]
+    if not lines:
+        raise MalformedTrace(f"{path.name} is empty")
+    header_line, header = lines[0][0], lines[0][1].split(",")
+    if header[0] != "time":
+        raise MalformedTrace(f"{path.name}: first column must be 'time'", line=header_line)
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise MalformedTrace(f"{path.name}: duplicate column names", line=header_line)
+    times = []
+    cols = {name: [] for name in names}
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise MalformedTrace(
+                f"{path.name}: row has {len(cells)} cells, expected {len(header)}", line=lineno)
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise MalformedTrace(f"{path.name}: non-numeric cell", line=lineno) from None
+        times.append(row[0])
+        for name, val in zip(names, row[1:]):
+            cols[name].append(val)
+    if len(times) < 2:
+        raise MalformedTrace(f"{path.name}: fewer than 2 data rows")
+    for column in (times, *cols.values()):
+        for k, v in enumerate(column):
+            if not math.isfinite(v):
+                raise MalformedTrace(f"{path.name}: non-finite cell", line=lines[k + 1][0])
+    for k in range(1, len(times)):
+        if not times[k] > times[k - 1]:
+            raise MalformedTrace(
+                f"{path.name}: time not strictly increasing", line=lines[k + 1][0])
+    return Trace(tuple(times), {n: tuple(vs) for n, vs in cols.items()})

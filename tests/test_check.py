@@ -197,7 +197,7 @@ def test_ground_truths_validate(all_cases):
 
 def test_out_of_range_gene_precondition(tiny_model):
     m, vars = tiny_model
-    for gene in (-1, len(vars)):
+    for gene in (-1, len(vars.variables)):
         with pytest.raises(GeneOutOfRange) as exc:
             validate_assignment(m, vars, (0, 1, gene))
         assert exc.value.position == 2

@@ -1,4 +1,7 @@
 import random
+import re
+import struct
+import tracemalloc
 
 import pytest
 
@@ -7,6 +10,7 @@ from construct.container import (
     Trace, VariableDescriptor, VariableTable, load_container, load_trace,
     parse_model_description, write_trace,
 )
+from interp import load_trace_rows
 
 DESC_3 = """<?xml version="1.0" encoding="UTF-8"?>
 <fmiModelDescription fmiVersion="2.0" modelName="m">
@@ -34,7 +38,7 @@ def make_container(tmp_path, desc=DESC_3, source=SOURCE, traces=True):
 
 def test_load_container_roundtrip(tmp_path):
     cm = load_container(make_container(tmp_path))
-    assert len(cm.variable_table) == 3
+    assert len(cm.variable_table.variables) == 3
     assert len(cm.sources) == 1
     assert cm.input_trace is not None and cm.reference_trace is not None
 
@@ -57,13 +61,13 @@ def test_traces_optional(tmp_path):
 
 
 def test_pi_fixture_has_18_variables(pi_case):
-    assert len(pi_case["container"].variable_table) == 18
+    assert len(pi_case["container"].variable_table.variables) == 18
 
 
 def test_parse_description_fields():
     table = parse_model_description(DESC_3)
-    assert table[0] == VariableDescriptor("u", 16, "Real", "input", None)
-    assert table[2] == VariableDescriptor("k", 32, "Real", "parameter", 2.0)
+    assert table.variables[0] == VariableDescriptor("u", 16, "Real", "input", None)
+    assert table.variables[2] == VariableDescriptor("k", 32, "Real", "parameter", 2.0)
 
 
 def test_parse_description_causality_default_and_types():
@@ -72,9 +76,9 @@ def test_parse_description_causality_default_and_types():
     <ScalarVariable name="b" valueReference="2"><Boolean start="true"/></ScalarVariable>
     </ModelVariables></d>"""
     table = parse_model_description(text)
-    assert table[0].causality == "local"
-    assert table[0].start == 3
-    assert table[1].vtype == "Boolean" and table[1].start is True
+    assert table.variables[0].causality == "local"
+    assert table.variables[0].start == 3
+    assert table.variables[1].vtype == "Boolean" and table.variables[1].start is True
 
 
 def test_parse_description_order_preserved():
@@ -133,7 +137,7 @@ def test_unknown_content_warns_not_errors():
     </ModelVariables></d>"""
     warnings = []
     table = parse_model_description(text, warnings)
-    assert len(table) == 1
+    assert len(table.variables) == 1
     assert len(warnings) == 4  # description, variability, unit, Annotations
 
 
@@ -151,32 +155,72 @@ def test_load_trace_crlf(tmp_path):
     assert load_trace(p).columns["u"] == (1.0, 2.0)
 
 
-def test_load_trace_non_monotone(tmp_path):
+def trace_fault(tmp_path, text: str) -> tuple:
+    """The message and line of the MalformedTrace that loading text raises."""
     p = tmp_path / "t.csv"
-    p.write_text("time,u\n0.1,1.0\n0.1,1.0\n")
-    with pytest.raises(MalformedTrace):
+    p.write_bytes(text.encode())
+    with pytest.raises(MalformedTrace) as exc:
         load_trace(p)
+    return str(exc.value), exc.value.line
+
+
+def test_load_trace_non_monotone(tmp_path):
+    assert trace_fault(tmp_path, "time,u\n0.1,1.0\n0.1,1.0\n") == (
+        "malformed trace (line 3): t.csv: time not strictly increasing", 3)
 
 
 def test_load_trace_single_row(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("time,u\n0.0,1.0\n")
-    with pytest.raises(MalformedTrace):
-        load_trace(p)
+    assert trace_fault(tmp_path, "time,u\n0.0,1.0\n") == (
+        "malformed trace: t.csv: fewer than 2 data rows", None)
 
 
 def test_load_trace_ragged_row(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("time,u\n0.0,1.0\n0.1\n")
-    with pytest.raises(MalformedTrace):
-        load_trace(p)
+    assert trace_fault(tmp_path, "time,u\n0.0,1.0\n0.1\n") == (
+        "malformed trace (line 3): t.csv: row has 1 cells, expected 2", 3)
 
 
 def test_load_trace_non_numeric(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("time,u\n0.0,one\n0.1,2.0\n")
-    with pytest.raises(MalformedTrace):
-        load_trace(p)
+    assert trace_fault(tmp_path, "time,u\n0.0,one\n0.1,2.0\n") == (
+        "malformed trace (line 2): t.csv: non-numeric cell", 2)
+
+
+@pytest.mark.parametrize("text, reason, line", [
+    ("", "t.csv is empty", None),
+    ("\n\r\n\n", "t.csv is empty", None),
+    ("\n\nstep,u\n0.0,1.0\n0.1,1.0\n", "t.csv: first column must be 'time'", 3),
+    ("\ntime,u,u\n0.0,1.0,1.0\n0.1,1.0,1.0\n", "t.csv: duplicate column names", 2),
+    ("time,u\n0.0,1.0\n\n0.01,2.0\n0.02,x\n", "t.csv: non-numeric cell", 5),
+    ("time,u\r\n\r\n0.0,1.0\r\n0.1,2.0,3.0\r\n", "t.csv: row has 3 cells, expected 2", 4),
+    ("time,u\n\n0.0,1.0\n\n\n0.1,nan\n", "t.csv: non-finite cell", 6),
+    ("time,u\n0.0,1.0\n\n0.1,1.0\n\n0.1,1.0\n", "t.csv: time not strictly increasing", 6),
+], ids=["empty", "blank", "header", "duplicate", "blank-then-non-numeric",
+        "crlf-blank-then-ragged", "blank-then-non-finite", "blank-then-time-order"])
+def test_load_trace_error_names_the_line_of_the_file(tmp_path, text, reason, line):
+    where = "" if line is None else f" (line {line})"
+    assert trace_fault(tmp_path, text) == (f"malformed trace{where}: {reason}", line)
+
+
+@pytest.mark.parametrize("text, reason, line", [
+    ("time,u\n0.0,1.0\n0.1,x\n0.2\n", "non-numeric cell", 3),
+    ("time,u\n0.0,1.0\n0.1\n0.2,x\n", "row has 1 cells, expected 2", 3),
+    ("time,u\n0.0,1.0\n0.1,x,2.0\n", "row has 3 cells, expected 2", 3),
+    ("time,u\n0.0,inf\n0.1,x\n", "non-numeric cell", 3),
+    ("time,u\n0.0,x\n", "non-numeric cell", 2),
+    ("time,u\n0.0,nan\n", "fewer than 2 data rows", None),
+    ("time,u\n0.0,inf\n0.1,1.0\nnan,1.0\n", "non-finite cell", 4),
+    ("time,u,v\n0.0,1.0,inf\n0.1,-inf,1.0\n", "non-finite cell", 3),
+    ("time,u\n0.1,1.0\n0.0,inf\n", "non-finite cell", 3),
+], ids=["non-numeric-before-ragged", "ragged-before-non-numeric",
+        "count-before-non-numeric-in-a-row", "non-numeric-before-non-finite",
+        "non-numeric-before-row-count", "row-count-before-non-finite",
+        "time-column-first", "columns-in-header-order", "non-finite-before-time-order"])
+def test_load_trace_reports_the_first_fault_in_rule_order(tmp_path, text, reason, line):
+    where = "" if line is None else f" (line {line})"
+    assert trace_fault(tmp_path, text) == (f"malformed trace{where}: t.csv: {reason}", line)
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def test_trace_roundtrip_bit_exact(tmp_path):
@@ -188,12 +232,87 @@ def test_trace_roundtrip_bit_exact(tmp_path):
         times.append(t)
     cols = {name: tuple(rng.uniform(-1e6, 1e6) for _ in times)
             for name in ("a", "b", "c")}
-    trace = Trace(tuple(times), cols)
+    awkward = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -5e-324)
+    cols["d"] = awkward * 10
+    trace = Trace((-0.0, *times[1:]), cols)
     p = tmp_path / "t.csv"
     write_trace(trace, p)
     back = load_trace(p)
-    assert back.times == trace.times
-    assert back.columns == trace.columns
+    assert bits(back.times) == bits(trace.times)
+    assert {n: bits(c) for n, c in back.columns.items()} == {
+        n: bits(c) for n, c in trace.columns.items()}
+    write_trace(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
+def damaged_csv(rng) -> str:
+    """A small trace, damaged zero or more times: blank lines, odd or
+    non-finite cells, ragged rows, moved or repeated rows, header damage,
+    CRLF endings."""
+    width = rng.randint(1, 4)
+    lines = [",".join(["time"] + [f"c{j}" for j in range(1, width)])]
+    lines += [",".join([repr(k * 0.01)] + [repr(rng.uniform(-5, 5)) for _ in range(1, width)])
+              for k in range(rng.randint(0, 6))]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(lines))
+        cells = lines[k].split(",")
+        kind = rng.randrange(7)
+        if kind == 0:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "", "\r"]))
+        elif kind == 1:
+            cells[rng.randrange(len(cells))] = rng.choice(
+                ["x", "nan", "inf", "-inf", "1e999", "", " 1.5 ", "1_0", "-0.0", "5e-324"])
+            lines[k] = ",".join(cells)
+        elif kind == 2:
+            lines[k] = ",".join(cells[:-1] if rng.random() < 0.5 else cells + ["1.0"])
+        elif kind == 3:
+            lines.insert(rng.randint(0, len(lines)), lines[k])
+        elif kind == 4:
+            lines[0] = rng.choice(["t,c1", "time,c1,c1", "time,c1", "time"])
+        elif kind == 5 and len(lines) > 1:
+            del lines[k]
+        elif kind == 6:
+            lines = [ln + "\r" for ln in lines]
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n", "\r\n"])
+
+
+def load_outcome(load, path) -> tuple:
+    """What loading path gives: the trace's bits, or the error's class,
+    message and line."""
+    try:
+        trace = load(path)
+    except MalformedTrace as exc:
+        return type(exc), str(exc), exc.line
+    return bits(trace.times), {n: bits(c) for n, c in trace.columns.items()}
+
+
+def test_load_trace_matches_the_row_by_row_loader_on_damaged_csvs(tmp_path):
+    rng = random.Random(15)
+    p = tmp_path / "t.csv"
+    outcomes = set()
+    for _ in range(600):
+        p.write_bytes(damaged_csv(rng).encode())
+        expected = load_outcome(load_trace_rows, p)
+        assert load_outcome(load_trace, p) == expected, p.read_bytes()
+        outcomes.add(re.sub(r"\d", "", expected[1]) if len(expected) == 3 else "trace")
+    assert len(outcomes) == 9  # a trace and each of the eight error kinds
+
+
+def test_loading_a_long_trace_peaks_under_eight_times_its_size(tmp_path):
+    rng = random.Random(20001)
+    times = tuple(k * 0.01 for k in range(20001))
+    trace = Trace(times, {f"c{j}": tuple(round(rng.uniform(-10, 10), 8) for _ in times)
+                          for j in range(1, 6)})
+    p = tmp_path / "long.csv"
+    write_trace(trace, p)
+    tracemalloc.start()
+    try:
+        loaded = load_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == trace
+    assert peak < 8 * p.stat().st_size
 
 
 def test_variable_table_invariants():

@@ -16,7 +16,7 @@ def test_counts_match_expectations(all_cases):
         problem = case["problem"]
         want = EXPECTED[name]
         assert len(problem.model.equations) == want["equations"], name
-        assert len(problem.vars) == want["variables"], name
+        assert len(problem.vars.variables) == want["variables"], name
         assert problem.num_slots == want["slots"], name
         assert len(case["ground_truth"]) == want["slots"], name
 

@@ -356,7 +356,7 @@ def test_run_ga_binds_genomes_at_slot_level(all_cases, monkeypatch, mode):
         bound = problem.bind(best.genes)
         assert bound.equations is problem.model.equations
         assert bound.structure is problem.structure
-        assert bound.bindings == tuple(problem.vars[g].name for g in best.genes)
+        assert bound.bindings == tuple(problem.vars.variables[g].name for g in best.genes)
 
 
 @pytest.mark.parametrize("mode", ["cbc", "cbt"])

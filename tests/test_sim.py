@@ -14,8 +14,8 @@ from construct.check import (
 from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
-    INVALID, DivisionByZero, Fitness, MissingInput, NonUniformGrid, causalize,
-    score, simulate,
+    GRID_RTOL, INVALID, DivisionByZero, Fitness, MissingInput, NonUniformGrid, causalize,
+    grid_step, score, simulate,
 )
 from construct.ga import GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
@@ -224,6 +224,27 @@ def test_simulate_non_uniform_grid():
     plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
     with pytest.raises(NonUniformGrid):
         simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"])
+
+
+def test_grid_step_names_the_first_non_uniform_sample_a_plain_loop_names():
+    rng = random.Random(15)
+    for _ in range(300):
+        h = rng.choice([0.01, 1e-7, 3.0, -0.5])
+        times = [k * h for k in range(rng.randint(2, 40))]
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(times))
+            times[k] += rng.choice([h * 1e-12, h * 1e-8, h, -h, math.nan, math.inf])
+        expected = None  # the grid check as one comparison per sample
+        for a, t in zip(times, times[1:]):
+            if abs((t - a) - (times[1] - times[0])) > GRID_RTOL * abs(times[1] - times[0]):
+                expected = f"non-uniform sample spacing near t={t}"
+                break
+        if expected is None:
+            assert repr(grid_step(times)) == repr(times[1] - times[0])
+        else:
+            with pytest.raises(NonUniformGrid) as exc:
+                grid_step(times)
+            assert str(exc.value) == expected
 
 
 def test_simulate_zero_order_hold_reads_per_sample():
