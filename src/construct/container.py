@@ -229,14 +229,31 @@ def read_text(path: Path) -> str:
         raise UndecodableText(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
+# float also reads "_" between digits, whitespace around a number and the
+# digits of other scripts; a cell holds none of them. These are "_" and
+# the characters str.isspace accepts in a line (read_text ends a line at
+# every \r).
+_NOT_IN_CELLS = "_ \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _cell(text: str) -> float:
+    """The number in a trace cell: what float reads, in ASCII, with no
+    "_" and no surrounding whitespace; ValueError otherwise."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a trace number: {text!r}")
+    return float(text)
+
+
 def load_trace(path: Path | str) -> Trace:
     """Load a CSV trace: header ``time,<name>,...``, finite numeric
-    cells, strictly increasing time; blank lines are skipped. An error
-    names its line of the file; the first reported is the first row with
-    a wrong cell count, else a non-numeric cell, then the first non-finite
-    cell by column, then the first time that does not increase."""
+    cells (see _cell), strictly increasing time; blank lines are
+    skipped. An error names its line of the file; the first reported is
+    the first row with a wrong cell count, else a non-numeric cell, then
+    the first non-finite cell by column, then the first time that does
+    not increase."""
     path = Path(path)
-    lines = read_text(path).replace("\r\n", "\n").split("\n")
+    text = read_text(path).replace("\r\n", "\n")
+    lines = text.split("\n")
     rows = list(filter(None, lines))
 
     def fault(reason: str, row: int | None = None) -> MalformedTrace:
@@ -252,16 +269,21 @@ def load_trace(path: Path | str) -> Trace:
         raise fault(": first column must be 'time'", 0)
     if len(set(names)) != len(names):
         raise fault(": duplicate column names", 0)
+    body_at = text.index(rows[0]) + len(rows[0])
+    # in an ASCII body free of _NOT_IN_CELLS, float reads each cell as _cell does
+    plain = text.isascii() and all(text.find(c, body_at) < 0 for c in _NOT_IN_CELLS)
+    del text  # not held while the cells are parsed, when memory peaks
     try:
         if not all(map(eq, map(str.count, body, repeat(",")), repeat(width - 1))):
             raise ValueError  # a wrong cell count: find the first bad row below
-        cells = list(map(float, chain.from_iterable(map(str.split, body, repeat(",")))))
+        cells = list(map(float if plain else _cell,
+                         chain.from_iterable(map(str.split, body, repeat(",")))))
     except ValueError:
         for row, row_cells in enumerate(map(str.split, body, repeat(",")), start=1):
             if len(row_cells) != width:
                 raise fault(f": row has {len(row_cells)} cells, expected {width}", row) from None
             try:
-                list(map(float, row_cells))
+                list(map(_cell, row_cells))
             except ValueError:
                 raise fault(": non-numeric cell", row) from None
     if len(body) < 2:

@@ -484,20 +484,17 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     best_c = None
     best_f = None
 
-    def tournament(fitnesses):
+    def tournament(ranks):
         picks = rng.sample(range(len(population)), min(cfg.tournament_size,
                                                        len(population)))
-        winner = min(picks, key=lambda i: (fitnesses[i].sort_key(), i))
-        return population[winner]
+        return population[min(map(ranks.__getitem__, picks))[1]]
 
     for gen in range(cfg.max_generations):
         if gen > 0:
-            ranked = sorted(range(len(population)),
-                            key=lambda i: (fitnesses[i].sort_key(), i))
-            next_pop = [population[i] for i in ranked[:cfg.elitism]]
+            next_pop = [population[i] for _, i in sorted(ranks)[:cfg.elitism]]
             while len(next_pop) < cfg.population_size:
-                p1 = tournament(fitnesses)
-                p2 = tournament(fitnesses)
+                p1 = tournament(ranks)
+                p2 = tournament(ranks)
                 if rng.random() < cfg.crossover_rate:
                     c1, c2 = crossover(mode, p1, p2, rng, cfg, problem)
                 else:
@@ -516,8 +513,8 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
                 on_individual(c, f)
         stats.append(_generation_stats(gen, fitnesses))
 
-        gen_best = min(range(len(population)),
-                       key=lambda i: (fitnesses[i].sort_key(), i))
+        ranks = [(f.sort_key(), i) for i, f in enumerate(fitnesses)]  # the selection order
+        gen_best = min(ranks)[1]
         if best_f is None or fitnesses[gen_best] < best_f:
             best_c, best_f = population[gen_best], fitnesses[gen_best]
         if cfg.early_stop and best_f.is_finite and best_f.mse < EARLY_STOP_MSE:

@@ -12,13 +12,16 @@ binding rules, check.binding_faults, which constraint validation also
 reports from. The plan keeps the Structure's own order, references and
 expressions, and is integrated with forward Euler on the input trace's
 time grid by a generated kernel: straight-line Python, one statement
-per expression node, with mexpr.eval_expr as its reference semantics.
-simulate compiles one for the plan on each call, unless given a
-KernelCache, which compiles one per problem. Names, parameter values,
-state starts, input columns and the slots of the recorded outputs reach
-a kernel as data; KernelCache.signature tells which plans simulate
-alike. Models that fail any static or runtime check are rejected, which
-is exactly how non-simulatable candidates are discovered.
+per expression node (min and max of two operands inline, as
+conditional expressions), with mexpr.eval_expr as its reference
+semantics. Its loop zips the times with one iterable per data slot and
+records a fixed number of outputs. simulate compiles one for the plan
+on each call, unless given a KernelCache, which compiles one per
+problem and number of outputs. Names, parameter values, state starts,
+input columns and the slots of the recorded outputs reach a kernel as
+data; KernelCache.signature tells which plans simulate alike. Models
+that fail any static or runtime check are rejected, which is exactly
+how non-simulatable candidates are discovered.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import mul, sub
 
 from construct import check, mexpr
@@ -155,7 +158,10 @@ _BINARY = {
     "or": "1.0 if {} != 0.0 or {} != 0.0 else 0.0",
 }
 _UNARY = {"neg": "-{}", "not": "0.0 if {} != 0.0 else 1.0"}
-_CALLS = {"min": "min({}, {})", "max": "max({}, {})", "abs": "abs({})"}
+# min(a, b) and max(a, b) are b only when b compares below (above) a, so
+# these return exactly what the builtins return, NaN and -0.0 included.
+_CALLS = {"min": "{1} if {1} < {0} else {0}", "max": "{1} if {1} > {0} else {0}",
+          "abs": "abs({})"}
 
 
 def _evaluated_der():
@@ -197,7 +203,7 @@ class _KernelSource:
         self._node(e, None, dest)
 
     def check_finite(self, local: str, ref) -> None:
-        self.lines.append(f"if {local} - {local}: raise F(T[k], L[{len(self.labels)}])")
+        self.lines.append(f"if {local} - {local}: raise F(t, L[{len(self.labels)}])")
         self.labels.append(("{}", ref))
 
     def _node(self, e, guard, dest=None) -> str:
@@ -251,33 +257,36 @@ def _data_slots(plan: SimPlan) -> tuple:
     return tuple(sorted(plan.input_names.union(plan.param_env) - states))
 
 
-def _kernel_source(plan: SimPlan) -> tuple:
-    """The source of the kernel for plan and the namespace it runs in,
-    which also holds the kernel's data layout under "layout".
+def _kernel_source(plan: SimPlan, outputs: int) -> tuple:
+    """The source of the kernel for plan, recording outputs outputs, and
+    the namespace it runs in, which also holds the kernel's data layout
+    under "layout".
 
-    kernel(T, I, A, S, L, h, last) runs the loop over the times T. I
-    holds a column for each data slot (see _data_slots; a parameter's
-    column repeats its value), in the layout's order of refs; A a
-    (position, append method) pair for each recorded output, the
-    position of its ref in the layout's solved refs; S the state starts;
-    L the layout's error label templates, formatted with names; h is the
-    step and last the index of the last sample. Its locals follow the
-    env of the tree walk statement by statement, so the results are
-    bit-identical. `if x - x:` is the finiteness check: x - x is 0.0 for
-    a finite x and nan for inf and nan.
+    kernel(T, I, A, S, L, h, last) runs the loop over the times T, which
+    it zips with the iterables in I, one for each data slot (see
+    _data_slots) in the layout's order of refs: an input's column, or
+    an endless repeat of a parameter's value. A holds a (position,
+    append method) pair for each recorded output, the position of its
+    ref in the layout's solved refs; only their number is in the source.
+    S holds the state starts, L the layout's error label templates,
+    formatted with names; h is the step and last the index of the last
+    sample. Its locals follow the env of the tree walk statement by
+    statement, so the results are bit-identical. `if x - x:` is the
+    finiteness check: x - x is 0.0 for a finite x and nan for inf and
+    nan.
     """
     src = _KernelSource()
     loop = src.lines
     reads = _data_slots(plan)
     solved = tuple(r for _, r, _ in plan.algebraic_order) \
         + tuple(r for r, _, _ in plan.state_vars)
-    for j, ref in enumerate(reads):
-        loop.append(f"{src.var(ref)} = i{j}[k]")
+    columns = "".join(f", {src.var(ref)}" for ref in reads)
     for eq_index, ref, expr in plan.algebraic_order:
         src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
         src.check_finite(src.var(ref), ref)
-    loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
-    loop.append("for p, a in A: a(o[p])")
+    if outputs:
+        loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
+        loop += [f"a{j}(o[p{j}])" for j in range(outputs)]
     if plan.state_vars:
         loop.append("if k == last: break")
         for j, (ref, _, rhs) in enumerate(plan.state_vars):
@@ -291,37 +300,39 @@ def _kernel_source(plan: SimPlan) -> tuple:
     for targets, data in (
             ([src.var(r) for r, _, _ in plan.state_vars], "S"),
             ([c for c, _ in src.consts.values()], "C"),
-            ([f"i{j}" for j in range(len(reads))], "I")):
+            ([f"(p{j}, a{j})" for j in range(outputs)], "A")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
-    source = "\n".join(head + [" try:", "  for k in range(len(T)):"]
+    source = "\n".join(head + [" try:", f"  for k, (t{columns}) in enumerate(zip(T, *I)):"]
                        + [f"   {line}" for line in loop]
                        + [" except ZeroDivisionError:",
-                          "  raise DivisionByZero(T[k], L[w]) from None", ""])
+                          "  raise DivisionByZero(t, L[w]) from None", ""])
     namespace = {"C": tuple(value for _, value in src.consts.values()),
                  "E": _evaluated_der, "F": NonFiniteValue, "DivisionByZero": DivisionByZero,
                  "layout": (reads, solved, tuple(src.labels))}
     return source, namespace
 
 
-def _compile_kernel(plan: SimPlan) -> tuple:
-    """The kernel of plan and its data layout: (run, refs of I, solved
-    refs, labels), see _kernel_source."""
-    source, namespace = _kernel_source(plan)
+def _compile_kernel(plan: SimPlan, outputs: int) -> tuple:
+    """The kernel of plan, recording outputs outputs, and its data
+    layout: (run, refs of I, solved refs, labels), see _kernel_source."""
+    source, namespace = _kernel_source(plan, outputs)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
     return (namespace.pop("kernel"), *namespace.pop("layout"))
 
 
 class KernelCache:
-    """The kernels of one problem's slot-level plans, by matching, and
-    the step of the last input grid checked. The matching, the
-    (algebraic equation, solved slot) pairs in plan order, fixes the
-    source, since every plan of a problem shares its Structure's order,
-    expressions, states and data slots (the slots the equations only
-    read); names, values and the slots of the outputs reach the kernel
-    as data. Every plan of a problem has one matching, so a problem
-    compiles one kernel, at its first simulation."""
+    """The kernels of one problem's slot-level plans, by matching and
+    number of recorded outputs, and the step of the last input grid
+    checked. The matching, the (algebraic equation, solved slot) pairs
+    in plan order, fixes the source, since every plan of a problem
+    shares its Structure's order, expressions, states and data slots
+    (the slots the equations only read); names, values and the slots of
+    the outputs reach the kernel as data, and only the number of outputs
+    is in the source. Every plan of a problem has one matching, and a
+    search records one list of outputs, so it compiles one kernel, at
+    its first simulation."""
 
     def __init__(self):
         self.kernels: dict = {}
@@ -337,11 +348,12 @@ class KernelCache:
         """The kernel key of a plan causalized at slot level."""
         return tuple((i, s) for i, s, _ in plan.algebraic_order)
 
-    def kernel(self, plan: SimPlan) -> tuple:
-        """The compiled kernel of a plan causalized at slot level."""
-        key = self.matching(plan)
+    def kernel(self, plan: SimPlan, outputs: int) -> tuple:
+        """The compiled kernel of a plan causalized at slot level,
+        recording outputs outputs."""
+        key = (self.matching(plan), outputs)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan)
+            self.kernels[key] = _compile_kernel(plan, outputs)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
@@ -389,13 +401,13 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
 
     times = inputs.times
     if kernels is None:
-        h, kernel = grid_step(times), _compile_kernel(plan)
+        h, kernel = grid_step(times), _compile_kernel(plan, len(out_names))
     else:
-        h, kernel = kernels.step(times), kernels.kernel(plan)
+        h, kernel = kernels.step(times), kernels.kernel(plan, len(out_names))
     run, reads, layout, labels = kernel
     columns = [[] for _ in out_names]
     run(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
-                     else (plan.param_env[r],) * len(times) for r in reads),
+                     else repeat(plan.param_env[r]) for r in reads),
         tuple((layout.index(solved[n]), column.append)
               for n, column in zip(out_names, columns)),
         tuple(start for _, start, _ in plan.state_vars),

@@ -13,6 +13,7 @@ is container.load_trace one row and one cell at a time.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from construct import mexpr, sim
@@ -143,6 +144,12 @@ def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
     return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
 
 
+# a trace cell: a decimal number as float reads it, in ASCII digits with
+# no "_" and no whitespace; inf and nan parse, to be rejected as non-finite
+TRACE_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)",
+                          re.ASCII | re.IGNORECASE)
+
+
 def load_trace_rows(path) -> Trace:
     """container.load_trace, checking each row as it is read: the same
     trace, or the same error, message and line."""
@@ -164,10 +171,9 @@ def load_trace_rows(path) -> Trace:
         if len(cells) != len(header):
             raise MalformedTrace(
                 f"{path.name}: row has {len(cells)} cells, expected {len(header)}", line=lineno)
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise MalformedTrace(f"{path.name}: non-numeric cell", line=lineno) from None
+        if not all(TRACE_NUMBER.fullmatch(c) for c in cells):
+            raise MalformedTrace(f"{path.name}: non-numeric cell", line=lineno)
+        row = [float(c) for c in cells]
         times.append(row[0])
         for name, val in zip(names, row[1:]):
             cols[name].append(val)

@@ -184,6 +184,26 @@ def test_load_trace_non_numeric(tmp_path):
         "malformed trace (line 2): t.csv: non-numeric cell", 2)
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0663", " 2.5 ", "2.5\t", "\x0c2.5", "\x0b2.5"])
+def test_load_trace_rejects_what_float_reads_beyond_ascii_numbers(tmp_path, cell):
+    # float reads these as 1000.0, 3.0 and 2.5
+    text = f"time,u_1,v\n0.0,1.0,2.0\n\n0.1,1.0,{cell}\n0.2,x,1.0\n"
+    assert trace_fault(tmp_path, text) == (
+        "malformed trace (line 4): t.csv: non-numeric cell", 4)
+    # a wrong cell count in the same row still comes first
+    assert trace_fault(tmp_path, text.replace(f",{cell}\n", f",{cell},3.0\n")) == (
+        "malformed trace (line 4): t.csv: row has 4 cells, expected 3", 4)
+
+
+def test_load_trace_reads_names_beyond_ascii_numbers(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes("time,\u00fc_1,a b\n0.0,1.0,2.0\n0.1,1e0,-inf\n".encode())
+    with pytest.raises(MalformedTrace, match="non-finite cell"):
+        load_trace(p)
+    p.write_bytes("time,\u00fc_1,a b\n0.0,1.0,2.0\n0.1,1e0,+.5\n".encode())
+    assert load_trace(p).columns == {"\u00fc_1": (1.0, 1.0), "a b": (2.0, 0.5)}
+
+
 @pytest.mark.parametrize("text, reason, line", [
     ("", "t.csv is empty", None),
     ("\n\r\n\n", "t.csv is empty", None),

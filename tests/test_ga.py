@@ -399,6 +399,7 @@ def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
 
     for name, case in all_cases.items():
         problem, scored = _scored_run(case)
+        assert len(problem.kernels.kernels) == 1, name
         for genes, fit in scored.items():
             plan = sim.causalize(problem.bind(genes))
             uncached = sim.score(plan, problem.input_trace, problem.reference_trace,

@@ -138,6 +138,30 @@ def test_nan_through_comparisons_min_and_max():
         assert cls is NonFiniteValue and "'y'" in message
 
 
+@pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.5, 1.5)])
+def test_min_and_max_of_equal_operands_return_the_builtins_operand(a, b):
+    calls = [mexpr.Call(fn, operands) for fn in ("min", "max")
+             for operands in ((Sym("u0"), Sym("u1")), (Sym("u1"), Sym("u0")))]
+    plan = _plan([(f"y{i}", e) for i, e in enumerate(calls)], inputs=("u0", "u1"))
+    inputs = Trace((0.0, 0.1), {"u0": (a, a), "u1": (b, b)})
+    _, columns = assert_same(plan, inputs, [f"y{i}" for i in range(4)])
+    expected = (min(a, b), min(b, a), max(a, b), max(b, a))
+    assert [columns[f"y{i}"][0] for i in range(4)] == [struct.pack("<d", v) for v in expected]
+
+
+@pytest.mark.parametrize("params, states", [
+    ({"p": 1.5}, ()),  # reads only a parameter
+    ({}, ()),  # reads no data slot
+    ({}, [("x", 1.0, Unary("neg", Sym("x")))]),  # a state, no data slot
+])
+def test_plans_without_input_columns_run_every_sample(params, states):
+    rhs = Binary("mul", Sym("p"), Const(2.0)) if params else Const(3.0)
+    plan = _plan([("y", rhs)], states=states, params=params, inputs=())
+    inputs = _trace([], n=5)
+    _, columns = assert_same(plan, inputs, ["y"] + [x for x, _, _ in states])
+    assert all(len(column) == len(inputs.times) for column in columns.values())
+
+
 def test_boolean_constants_evaluate_to_one_and_zero():
     plan = _plan([("y", Binary("add", Const(True), Const(False)))], inputs=())
     _, columns = assert_same(plan, _trace([]), ["y"])
@@ -169,7 +193,7 @@ def test_deep_if_chain_and_binary_chain():
     plan = _plan([("y", chain), ("z", total)])
     for value in (-1.0, 150.5, 1e9):
         assert_same(plan, _trace(["u"], value=value), ["y", "z"])
-    source, _ = sim._kernel_source(plan)
+    source, _ = sim._kernel_source(plan, 2)
     assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 3
 
 
@@ -180,7 +204,7 @@ def test_arbitrary_variable_names(names):
                  states=[(p, 0.5, Binary("div", Const(1.0), Sym(u)))])
     inputs = Trace((0.0, 0.1, 0.2), {u: (1.0, 2.0, 0.0)})
     assert_same(plan, inputs, [y, p])
-    source, _ = sim._kernel_source(plan)
+    source, _ = sim._kernel_source(plan, 2)
     assert all(repr(name) not in source for name in names)
     assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
 
@@ -249,10 +273,10 @@ def test_generated_plans_match_tree_walk(case):
 # The generated source
 # ---------------------------------------------------------------------------
 
-FIXED = {"def", "kernel", "try", "for", "in", "range", "len", "if", "and", "or", "not",
+FIXED = {"def", "kernel", "try", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
          "else", "break", "except", "ZeroDivisionError", "raise", "from", "None",
-         "T", "I", "A", "h", "last", "k", "w", "P", "S", "C", "L", "E", "F", "o", "p", "a",
-         "DivisionByZero", "min", "max", "abs"}
+         "T", "I", "A", "h", "last", "k", "t", "w", "S", "C", "L", "E", "F", "o",
+         "DivisionByZero", "abs"}
 
 
 def _identifiers(source: str) -> set:
@@ -261,7 +285,7 @@ def _identifiers(source: str) -> set:
 
 
 def _generated(ident: str) -> bool:
-    return ident[0] in "vctgdia" and ident[1:].isdigit()
+    return ident[0] in "vctgdpa" and ident[1:].isdigit()
 
 
 def _numbers(source: str) -> set:
@@ -272,8 +296,8 @@ def _numbers(source: str) -> set:
 @settings(max_examples=100, deadline=None)
 @given(plans())
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
-    plan, _, _ = case
-    source, _ = sim._kernel_source(plan)
+    plan, _, outputs = case
+    source, _ = sim._kernel_source(plan, len(outputs))
     assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
     assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
     assert not any(tok.type == tokenize.STRING for tok in
@@ -286,7 +310,7 @@ def test_fixture_sources_hold_no_names_or_constants(all_cases):
         problem = case["problem"]
         slot_level = sim.causalize(problem.bind(case["ground_truth"]))
         for plan in (slot_level, named(slot_level)):
-            source, _ = sim._kernel_source(plan)
+            source, _ = sim._kernel_source(plan, len(problem.classification.outputs))
             constants = {repr(n.value) for _, _, e in plan.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
@@ -305,7 +329,7 @@ root = sys.argv[1]
 problem = ga.problem_from_container(load_container(root))
 genes = json.load(open(root + "/ground_truth.json"))["genes"]
 plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
-print(sim._kernel_source(plan)[0])
+print(sim._kernel_source(plan, len(problem.classification.outputs))[0])
 """
 
 
@@ -324,4 +348,5 @@ def test_name_level_kernel_source_does_not_depend_on_the_hash_seed(pi_case):
                              env=env, capture_output=True, text=True, check=True, timeout=60)
         sources.add(out.stdout)
     assert len(sources) == 1
-    assert "i1[k]" in sources.pop(), "pi's plan reads several input columns"
+    header = next(line for line in sources.pop().splitlines() if "zip(T, *I)" in line)
+    assert header.count(", v") >= 2, "pi's plan reads several input columns"

@@ -45,7 +45,8 @@ TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"/", b"-", b"+", b"?", b":",
 FILL = b"0123456789.-+eE,;(){}*/x<>=\"' \n\xff"
 # zero, the smallest subnormal, a subnormal whose reciprocal overflows,
 # an overflowing literal and an integer beyond the float range
-EDGES = (b"0.0", b"5e-324", b"1e-320", b"1e999", b"1" + b"0" * 400)
+EDGES = (b"0.0", b"5e-324", b"1e-320", b"1e999", b"1" + b"0" * 400,
+         b"1_000", "\u0663".encode(), b" 2.5 ")
 NUMBER = re.compile(rb"(?<![\w.])\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 START = re.compile(rb'(?<=start=")[^"]*')
 # (flag, values), each flag given with probability one half

@@ -14,8 +14,8 @@ from construct.check import (
 from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
-    GRID_RTOL, INVALID, DivisionByZero, Fitness, MissingInput, NonUniformGrid, causalize,
-    grid_step, score, simulate,
+    GRID_RTOL, INVALID, DivisionByZero, Fitness, KernelCache, MissingInput, NonUniformGrid,
+    causalize, grid_step, score, simulate,
 )
 from construct.ga import GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
@@ -547,11 +547,17 @@ def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
     second = causalize(problem.bind((0, 3, 5, 1, 6)))
     outputs = sorted(second.solved_names)
     assert outputs == ["x_b", "y"]
-    before = simulate(first, problem.input_trace, ["y"], problem.kernels)
+    before = simulate(first, problem.input_trace, ["x_a", "y"], problem.kernels)
     cached = simulate(second, problem.input_trace, outputs, problem.kernels)
     assert len(problem.kernels.kernels) == 1
     assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
     assert cached.columns["y"] != before.columns["y"]
+    # one kernel per matching and number of outputs; the output slots are data
+    for name in outputs:
+        alone = simulate(second, problem.input_trace, [name], problem.kernels)
+        assert _bits(alone) == {name: _bits(cached)[name]}
+    matching = KernelCache.matching(second)
+    assert set(problem.kernels.kernels) == {(matching, 1), (matching, 2)}
 
 
 @pytest.mark.parametrize("genes, u, error, label", [
