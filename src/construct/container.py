@@ -221,19 +221,22 @@ def parse_model_description(text: str, warnings: list | None = None) -> Variable
     return VariableTable(tuple(variables))
 
 
-def read_text(path: Path) -> str:
-    """The text of a container file, which must be UTF-8."""
+def read_text(path: Path, newline: str | None = None) -> str:
+    r"""The text of a container file, which must be UTF-8, with line
+    endings read as open() reads them: by default \n, \r\n and \r all end
+    a line and are read as \n; with newline="" the text is as stored."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise UndecodableText(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 # float also reads "_" between digits, whitespace around a number and the
 # digits of other scripts; a cell holds none of them. These are "_" and
-# the characters str.isspace accepts in a line (read_text ends a line at
-# every \r).
-_NOT_IN_CELLS = "_ \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# the ASCII characters str.isspace accepts in a line of a trace, where
+# only \n ends a line.
+_NOT_IN_CELLS = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _cell(text: str) -> float:
@@ -245,14 +248,17 @@ def _cell(text: str) -> float:
 
 
 def load_trace(path: Path | str) -> Trace:
-    """Load a CSV trace: header ``time,<name>,...``, finite numeric
+    r"""Load a CSV trace: header ``time,<name>,...``, finite numeric
     cells (see _cell), strictly increasing time; blank lines are
     skipped. An error names its line of the file; the first reported is
     the first row with a wrong cell count, else a non-numeric cell, then
     the first non-finite cell by column, then the first time that does
-    not increase."""
+    not increase. Only \n ends a line: \r\n is read as \n, and any other
+    \r is part of its line."""
     path = Path(path)
-    text = read_text(path).replace("\r\n", "\n")
+    text = read_text(path, newline="")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     rows = list(filter(None, lines))
 

@@ -20,7 +20,10 @@ emit for exported step functions:
                  literals, lvalues
     intlit    := decimal | 0x-hex
 
-Tokens are the alternatives of one pattern, _TOKEN_RE, ASCII only.
+Tokens are the alternatives of one pattern, _TOKEN_RE, ASCII only. Each
+match of it is one token, newline or comment together with the blanks
+before it, so the text is lexed in one regular-expression match per
+token.
 
 Anything outside the subset is a hard ParseError, never a best-effort
 skip. Dereferences like ``*(double *)(p + 0x10)`` are kept as first-class
@@ -170,61 +173,72 @@ class CodeUnit:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# One alternative per token kind, tried in order. Character classes are
-# spelled out in ASCII: \d and \w would also accept "²", "٣" and "ｘ".
+# One alternative per token kind, tried in order, after the blanks before
+# the token; end takes the blanks at the end of the text. Character
+# classes are spelled out in ASCII: \d and \w would also accept "²", "٣"
+# and "ｘ".
 _TOKEN_RE = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<blank>[ \t\r]+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<unclosed>/\*)
-  | (?P<hex>0[xX][0-9a-fA-F]+)
-  | (?P<badhex>0[xX])
-  | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?
-             |[0-9]+[eE][+-]?[0-9]+[fF]?)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct><=|>=|==|!=|&&|\|\||[(){};,=+\-*/<>!?:])
-  | (?P<other>.)
+    [ \t\r]*
+    (?:(?P<newline>\n)
+      | (?P<comment>//[^\n]*|/\*.*?\*/)
+      | (?P<unclosed>/\*)
+      | (?P<hex>0[xX][0-9a-fA-F]+)
+      | (?P<badhex>0[xX])
+      | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?
+                 |[0-9]+[eE][+-]?[0-9]+[fF]?)
+      | (?P<int>[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct><=|>=|==|!=|&&|\|\||[(){};,=+\-*/<>!?:])
+      | (?P<other>.)
+      | (?P<end>\Z))
 """, re.VERBOSE | re.DOTALL)
 _ERRORS = {"unclosed": "closing */", "badhex": "hex digits", "other": "a token"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # ident | int | float | punct | eof
-    text: str
-    value: object
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "value", "line", "column")
+
+    def __init__(self, kind: str, text: str, value, line: int, column: int):
+        self.kind = kind  # ident | int | float | punct | eof
+        self.text = text
+        self.value = value
+        self.line = line
+        self.column = column
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, then eof. Each match of _TOKEN_RE is one token,
+    newline or comment with the blanks before it, so a token's column is
+    where its group starts. Raises ParseError at the first lexical error."""
     tokens = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "newline":
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        if kind == "ident" or kind == "punct":
+            tokens.append(_Token(kind, lexeme, lexeme, line, m.start(kind) - line_start + 1))
+        elif kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "comment":
             if "\n" in lexeme:
                 line += lexeme.count("\n")
-                line_start = m.start() + lexeme.rfind("\n") + 1
-        elif kind in _ERRORS:
-            raise ParseError(line, col, _ERRORS[kind], lexeme[0])
-        elif kind in ("hex", "int"):
-            # no C integer type holds 2**64, which has 20 decimal digits;
-            # the length test comes first, as int() refuses very long strings
-            value = 2 ** 64 if kind == "int" and len(lexeme.lstrip("0")) > 20 \
-                else int(lexeme, 16 if kind == "hex" else 10)
-            if value >= 2 ** 64:
-                raise ParseError(line, col, "an integer literal below 2**64",
-                                 lexeme if len(lexeme) <= 24 else lexeme[:20] + "...")
-            tokens.append(_Token("int", lexeme, value, line, col))
-        elif kind == "float":
-            tokens.append(_Token("float", lexeme, float(lexeme.rstrip("fF")), line, col))
-        elif kind != "blank":
-            tokens.append(_Token(kind, lexeme, lexeme, line, col))
+                line_start = m.start(kind) + lexeme.rfind("\n") + 1
+        elif kind != "end":
+            col = m.start(kind) - line_start + 1
+            if kind in _ERRORS:
+                raise ParseError(line, col, _ERRORS[kind], lexeme[0])
+            if kind == "float":
+                value = float(lexeme.rstrip("fF"))
+            else:
+                # no C integer type holds 2**64, which has 20 decimal digits;
+                # the length test comes first, as int() refuses very long strings
+                value = 2 ** 64 if kind == "int" and len(lexeme.lstrip("0")) > 20 \
+                    else int(lexeme, 16 if kind == "hex" else 10)
+                if value >= 2 ** 64:
+                    raise ParseError(line, col, "an integer literal below 2**64",
+                                     lexeme if len(lexeme) <= 24 else lexeme[:20] + "...")
+                kind = "int"
+            tokens.append(_Token(kind, lexeme, value, line, col))
     tokens.append(_Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
 
@@ -294,8 +308,8 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -304,23 +318,28 @@ class _Parser:
         return tok
 
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(tok.line, tok.column, expected, tok.text or "end of input")
 
+    # an expected text is never "", the text of eof, so neither expect
+    # steps past eof
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise self.error(repr(text))
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text in TYPES:
             raise self.error("an identifier")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def at_type(self) -> bool:
-        return self.peek().kind == "ident" and self.peek().text in TYPES
+        tok = self.tokens[self.pos]
+        return tok.kind == "ident" and tok.text in TYPES
 
     # -- unit ---------------------------------------------------------------
 

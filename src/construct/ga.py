@@ -469,6 +469,11 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     if len(reference.times) != len(times):
         raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
                              f"input trace {len(times)}")
+    for which, trace in (("input", problem.input_trace), ("reference", reference)):
+        for name, column in trace.columns.items():
+            if len(column) != len(times):
+                raise MalformedTrace(f"{which} column {name!r} has {len(column)} values "
+                                     f"for {len(times)} times")
     h = problem.kernels.step(times)  # NonUniformGrid, once for every genome
     for t, r in zip(times, reference.times):
         if abs(r - t) > sim.GRID_RTOL * abs(h):

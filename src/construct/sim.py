@@ -33,7 +33,7 @@ from itertools import count, islice, repeat
 from operator import mul, sub
 
 from construct import check, mexpr
-from construct.container import Trace
+from construct.container import MalformedTrace, Trace
 from construct.errors import ConstructError
 from construct.model import BoundModel
 
@@ -389,17 +389,21 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     The per-sample loop is a kernel compiled from the plan for this call,
     or, with kernels, the one of the plan's problem (see _kernel_source),
     recording only the outputs of interest; mexpr.eval_expr is its
-    reference semantics."""
+    reference semantics. An input column the plan reads must have one
+    value per time (MalformedTrace otherwise): the kernel zips them."""
+    times = inputs.times
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
             raise MissingInput(name)
+        if len(inputs.columns[name]) != len(times):
+            raise MalformedTrace(f"input column {name!r} has {len(inputs.columns[name])} "
+                                 f"values for {len(times)} times")
     solved = plan.solved_names
     out_names = sorted(outputs_of_interest)
     for name in out_names:
         if name not in solved:
             raise SimulateError(f"output {name!r} is not computed by the plan")
 
-    times = inputs.times
     if kernels is None:
         h, kernel = grid_step(times), _compile_kernel(plan, len(out_names))
     else:
@@ -425,6 +429,9 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")
+        if len(reference.columns[name]) != len(reference.times):
+            raise ValueError(f"reference column {name!r} has {len(reference.columns[name])} "
+                             f"values for {len(reference.times)} times")
     if plan is None:
         return INVALID
     try:

@@ -7,21 +7,82 @@ semantics without going through the translation path itself. `named`
 renames a slot-level simulation plan to the name-level plan it stands
 for, so that plans can be compared and run through `tree_walk`, the
 per-sample loop of sim.simulate over mexpr.eval_expr. `load_trace_rows`
-is container.load_trace one row and one cell at a time.
+is container.load_trace one row and one cell at a time. `tokenize` is
+cparse._tokenize with one match per run of blanks and frozen-dataclass
+tokens.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from construct import mexpr, sim
 from construct.container import MalformedTrace, Trace, read_text
 from construct.cparse import (
-    Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, RealLit, Return,
-    Ternary, Unary,
+    Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, ParseError, RealLit,
+    Return, Ternary, Unary,
 )
+
+
+# one alternative per token kind, blanks included, tried in order
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<unclosed>/\*)
+  | (?P<hex>0[xX][0-9a-fA-F]+)
+  | (?P<badhex>0[xX])
+  | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?
+             |[0-9]+[eE][+-]?[0-9]+[fF]?)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct><=|>=|==|!=|&&|\|\||[(){};,=+\-*/<>!?:])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_ERRORS = {"unclosed": "closing */", "badhex": "hex digits", "other": "a token"}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | int | float | punct | eof
+    text: str
+    value: object
+    line: int
+    column: int
+
+
+def tokenize(text: str) -> list:
+    """cparse._tokenize, one match per run of blanks: the same tokens,
+    or the same ParseError."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "comment":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rfind("\n") + 1
+        elif kind in _ERRORS:
+            raise ParseError(line, col, _ERRORS[kind], lexeme[0])
+        elif kind in ("hex", "int"):
+            value = 2 ** 64 if kind == "int" and len(lexeme.lstrip("0")) > 20 \
+                else int(lexeme, 16 if kind == "hex" else 10)
+            if value >= 2 ** 64:
+                raise ParseError(line, col, "an integer literal below 2**64",
+                                 lexeme if len(lexeme) <= 24 else lexeme[:20] + "...")
+            tokens.append(Token("int", lexeme, value, line, col))
+        elif kind == "float":
+            tokens.append(Token("float", lexeme, float(lexeme.rstrip("fF")), line, col))
+        elif kind != "blank":
+            tokens.append(Token(kind, lexeme, lexeme, line, col))
+    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
+    return tokens
 
 
 def eval_code_expr(e, mem: dict, env: dict) -> float:
@@ -155,7 +216,7 @@ def load_trace_rows(path) -> Trace:
     trace, or the same error, message and line."""
     path = Path(path)
     lines = [(k, ln) for k, ln in enumerate(
-        read_text(path).replace("\r\n", "\n").split("\n"), start=1) if ln != ""]
+        read_text(path, newline="").replace("\r\n", "\n").split("\n"), start=1) if ln != ""]
     if not lines:
         raise MalformedTrace(f"{path.name} is empty")
     header_line, header = lines[0][0], lines[0][1].split(",")

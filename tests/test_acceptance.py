@@ -147,17 +147,27 @@ def test_criterion_7_euler_first_order():
     print(f"criterion 7 PASS: error ratios under step halving {ratios}")
 
 
-def test_criterion_8_byte_identical_reports(pi_case, tmp_path, monkeypatch):
+def test_criterion_8_byte_identical_reports(pi_case, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
     from construct.cli import main
+    argv = ["synth", str(pi_case["root"]), "--mode", "cbc", "--pop", "30", "--gens", "5",
+            "--seed", "3", "--report"]
     blobs = []
-    for i, threads in enumerate(("4", "4", "1")):
-        monkeypatch.setenv("CONSTRUCT_THREADS", threads)
+    for i in range(3):  # run after run in one process
         report = tmp_path / f"r{i}.json"
-        code = main(["synth", str(pi_case["root"]), "--mode", "cbc",
-                     "--pop", "30", "--gens", "5", "--seed", "3",
-                     "--report", str(report)])
-        assert code == 0
+        assert main([*argv, str(report)]) == 0
         blobs.append(report.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    src = str(Path(ga.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2"):  # string and frozenset order differ between these
+        report = tmp_path / f"hash{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "construct", *argv, str(report)], env=env,
+                       capture_output=True, check=True, timeout=120)
+        blobs.append(report.read_bytes())
+    assert len(set(blobs)) == 1
     print("criterion 8 PASS: report bytes identical across runs and "
-          "thread counts")
+          "hash seeds")

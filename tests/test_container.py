@@ -155,6 +155,14 @@ def test_load_trace_crlf(tmp_path):
     assert load_trace(p).columns["u"] == (1.0, 2.0)
 
 
+def test_load_trace_reads_a_crlf_file_bit_for_bit(tmp_path, fixtures_dir):
+    reference = fixtures_dir / "pi" / "traces" / "reference.csv"
+    p = tmp_path / "t.csv"
+    p.write_bytes(reference.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in p.read_bytes()
+    assert load_outcome(load_trace, p) == load_outcome(load_trace, reference)
+
+
 def trace_fault(tmp_path, text: str) -> tuple:
     """The message and line of the MalformedTrace that loading text raises."""
     p = tmp_path / "t.csv"
@@ -184,7 +192,8 @@ def test_load_trace_non_numeric(tmp_path):
         "malformed trace (line 2): t.csv: non-numeric cell", 2)
 
 
-@pytest.mark.parametrize("cell", ["1_000", "\u0663", " 2.5 ", "2.5\t", "\x0c2.5", "\x0b2.5"])
+@pytest.mark.parametrize("cell", ["1_000", "\u0663", " 2.5 ", "2.5\t", "\x0c2.5", "\x0b2.5",
+                                  "\r2.5", "2\r.5", "2.5\r\r"])
 def test_load_trace_rejects_what_float_reads_beyond_ascii_numbers(tmp_path, cell):
     # float reads these as 1000.0, 3.0 and 2.5
     text = f"time,u_1,v\n0.0,1.0,2.0\n\n0.1,1.0,{cell}\n0.2,x,1.0\n"
@@ -218,6 +227,21 @@ def test_load_trace_reads_names_beyond_ascii_numbers(tmp_path):
 def test_load_trace_error_names_the_line_of_the_file(tmp_path, text, reason, line):
     where = "" if line is None else f" (line {line})"
     assert trace_fault(tmp_path, text) == (f"malformed trace{where}: {reason}", line)
+
+
+@pytest.mark.parametrize("text, reason, line", [
+    ("time,u\r0.0,1.0\r0.1,2.0", "fewer than 2 data rows", None),
+    ("time,u\r0.0,1.0\n0.1,x\n", "row has 2 cells, expected 3", 2),
+    ("time,u\n0.0,1.0\r0.1,2.0\n0.2,3.0\n", "row has 3 cells, expected 2", 2),
+    ("time,u\n0.0,1.0\n0.1,2.0\r", "non-numeric cell", 3),
+    ("time,u\r\n0.0,1.0\r\r\n0.1,2.0\r\n", "non-numeric cell", 2),
+], ids=["lone-cr-rows", "lone-cr-header", "lone-cr-row", "cr-at-the-end", "cr-before-crlf"])
+def test_load_trace_ends_a_line_only_at_newline(tmp_path, text, reason, line):
+    # universal newlines read the first as a trace of two rows
+    where = "" if line is None else f" (line {line})"
+    assert trace_fault(tmp_path, text) == (f"malformed trace{where}: t.csv: {reason}", line)
+    p = tmp_path / "t.csv"
+    assert load_outcome(load_trace_rows, p) == load_outcome(load_trace, p)
 
 
 @pytest.mark.parametrize("text, reason, line", [

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from construct import mexpr
+from construct import ga, mexpr
 from construct.check import infer_symbol_types
-from construct.container import Trace, VariableDescriptor, VariableTable
+from construct.container import MalformedTrace, Trace, VariableDescriptor, VariableTable
 from construct.ga import (
     Chromosome, ConstraintsUnsatisfiable, GaConfig, GaProblem, LengthMismatch,
     NoReferenceTrace, SlotsExceedVariables, crossover, generate_individual,
@@ -238,6 +238,19 @@ def test_run_ga_requires_reference(pi_case):
         run_ga("cbc", stripped, GaConfig(population_size=4, elitism=1))
 
 
+@pytest.mark.parametrize("which", ["input", "reference"])
+def test_run_ga_rejects_a_column_that_is_not_one_value_per_time(pi_case, which, monkeypatch):
+    problem = pi_case["problem"]
+    traces = {"input": problem.input_trace, "reference": problem.reference_trace}
+    name, column = next(iter(traces[which].columns.items()))
+    traces[which] = Trace(traces[which].times, {**traces[which].columns, name: column[:1]})
+    short = GaProblem(problem.model, problem.vars, traces["input"], traces["reference"])
+    monkeypatch.setattr(ga, "generate_individual", None)  # raised before the first draw
+    with pytest.raises(MalformedTrace, match=rf"{which} column {name!r} has 1 values "
+                                             rf"for {len(column)} times$"):
+        run_ga("cbc", short, GaConfig(population_size=4, elitism=1))
+
+
 def test_run_ga_rejects_unknown_mode(pi_case):
     from construct.ga import GaError
     with pytest.raises(GaError):
@@ -271,14 +284,36 @@ def test_run_ga_cbt_mixed_types_collapses(pid_case):
     assert result.best[1] == INVALID
 
 
-def test_run_ga_seed_determinism(pi_case, monkeypatch):
+_PI_REPORT = """
+import json, sys
+from construct import ga
+from construct.container import load_container
+problem = ga.problem_from_container(load_container(sys.argv[1]))
+cfg = ga.GaConfig(population_size=20, max_generations=4, rng_seed=12)
+print(json.dumps(ga.report_dict(ga.run_ga("cbc", problem, cfg), "cbc", cfg)))
+"""
+
+
+def test_run_ga_seed_determinism(pi_case):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
     cfg = GaConfig(population_size=20, max_generations=4, rng_seed=12)
-    blobs = []
-    for threads in ("1", "4", "4"):
-        monkeypatch.setenv("CONSTRUCT_THREADS", threads)
-        result = run_ga("cbc", pi_case["problem"], cfg)
-        blobs.append(json.dumps(report_dict(result, "cbc", cfg)))
-    assert blobs[0] == blobs[1] == blobs[2]
+    blobs = set()
+    # twice on one problem, whose memo of plans the second run reads,
+    # then on a problem of its own
+    for problem in (pi_case["problem"], pi_case["problem"],
+                    ga.problem_from_container(pi_case["container"])):
+        blobs.add(json.dumps(report_dict(run_ga("cbc", problem, cfg), "cbc", cfg)) + "\n")
+    src = str(Path(ga.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        blobs.add(subprocess.run([sys.executable, "-c", _PI_REPORT, str(pi_case["root"])],
+                                 env=env, capture_output=True, text=True, check=True,
+                                 timeout=120).stdout)
+    assert len(blobs) == 1
 
 
 def test_run_ga_generation_count(pi_case):

@@ -44,9 +44,10 @@ TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"/", b"-", b"+", b"?", b":",
           b"step_function = ", b"step_param = ")
 FILL = b"0123456789.-+eE,;(){}*/x<>=\"' \n\xff"
 # zero, the smallest subnormal, a subnormal whose reciprocal overflows,
-# an overflowing literal and an integer beyond the float range
+# an overflowing literal, an integer beyond the float range, what float
+# reads but a trace cell may not hold, and a lone carriage return
 EDGES = (b"0.0", b"5e-324", b"1e-320", b"1e999", b"1" + b"0" * 400,
-         b"1_000", "\u0663".encode(), b" 2.5 ")
+         b"1_000", "\u0663".encode(), b" 2.5 ", b"\r")
 NUMBER = re.compile(rb"(?<![\w.])\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 START = re.compile(rb'(?<=start=")[^"]*')
 # (flag, values), each flag given with probability one half
@@ -108,6 +109,19 @@ def _argv(command: str, root: Path, out: Path, rng: random.Random) -> list:
     return ["validate", str(root), "--mapping", mapping, *rules]
 
 
+def draw_inputs(seed: int, count: int, roots: list, out: Path):
+    """The count damaged inputs drawn from seed, in order, for copies of
+    CONTAINERS at roots: (file, damaged bytes, what was done, argv). Each
+    file is read when its input is drawn."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        root = rng.choice(roots)
+        path = root / rng.choice([f for f in FILES if (root / f).exists()])
+        damaged, how = _mutate(path.read_bytes(), rng,
+                               START if path.suffix == ".xml" else NUMBER)
+        yield path, damaged, how, _argv(rng.choice(COMMANDS), root, out, rng)
+
+
 def run_inputs(seed: int, count: int, work: Path) -> None:
     """Run count damaged inputs drawn from seed; copies of the containers
     live under work, and each damaged file is restored after its run."""
@@ -119,13 +133,8 @@ def run_inputs(seed: int, count: int, work: Path) -> None:
         if not root.exists():
             shutil.copytree(source, root)
         roots.append(root)
-    rng = random.Random(seed)
-    for n in range(count):
-        root = rng.choice(roots)
-        path = root / rng.choice([f for f in FILES if (root / f).exists()])
+    for n, (path, damaged, how, argv) in enumerate(draw_inputs(seed, count, roots, out)):
         original = path.read_bytes()
-        damaged, how = _mutate(original, rng, START if path.suffix == ".xml" else NUMBER)
-        argv = _argv(rng.choice(COMMANDS), root, out, rng)
         where = f"seed {seed} input {n}: {path.relative_to(work)} {how}; {argv[0]}"
         path.write_bytes(damaged)
         try:

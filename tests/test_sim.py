@@ -11,7 +11,7 @@ from construct.check import (
     InvalidStateVariable, NotIsolatable, StructurallySingular, UnbalancedSystem,
     UnusedInput, infer_symbol_types,
 )
-from construct.container import Trace, VariableDescriptor, VariableTable
+from construct.container import MalformedTrace, Trace, VariableDescriptor, VariableTable
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
     GRID_RTOL, INVALID, DivisionByZero, Fitness, KernelCache, MissingInput, NonUniformGrid,
@@ -217,6 +217,24 @@ def test_simulate_missing_input():
     plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
     with pytest.raises(MissingInput):
         simulate(plan, _const_trace(["v"], [0.0, 0.1]), ["y"])
+
+
+@pytest.mark.parametrize("column", [(1.0,), (1.0, 5.0, 7.0, 9.0)])
+def test_simulate_rejects_an_input_column_that_is_not_one_value_per_time(column):
+    # zipped with the times, a 1-value column gave a 1-sample y, and an MSE
+    # of 0.0 against a reference y that is 1.0 only at the first time
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
+    plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
+    inputs = Trace((0.0, 0.1, 0.2), {"u": column})
+    message = rf"malformed trace: input column 'u' has {len(column)} values for 3 times$"
+    with pytest.raises(MalformedTrace, match=message):
+        simulate(plan, inputs, ["y"])
+    with pytest.raises(MalformedTrace, match=message):
+        score(plan, inputs, Trace((0.0, 0.1, 0.2), {"y": (1.0, 5.0, 7.0)}), ("y",))
+    full = Trace(inputs.times, {"u": (1.0, 5.0, 7.0)})
+    with pytest.raises(ValueError, match=rf"reference column 'y' has {len(column)} values "
+                                         rf"for 3 times$"):
+        score(plan, full, Trace(inputs.times, {"y": column}), ("y",))
 
 
 def test_simulate_non_uniform_grid():
