@@ -429,22 +429,17 @@ def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
     return tuple(variables[g].name for g in genes_of(m, c, vars))
 
 
-def validate_assignment(m: EquationModel, vars: VariableTable, c,
-                        strict_unknown: bool = False) -> ValidationReport:
+def validate_assignment(m: EquationModel, vars: VariableTable, c) -> ValidationReport:
     """Check a slot-to-variable mapping against C0 through C5.
 
     Every fault of binding_faults is collected, never short-circuited;
     C2 and C3, which C0 and C5 imply, are reported as well, and the
     violations are grouped by constraint id. Slot types must already be
-    inferred (infer_symbol_types). With strict_unknown, slots whose type
-    could not be inferred are themselves C1 violations.
+    inferred (infer_symbol_types).
     """
     names = bound_names(m, c, vars)
     violations = [(cid, str(fault)) for cid, fault
                   in binding_faults(analyse(m.equations, m.slots), vars, names)]
-    if strict_unknown:
-        violations += [("C1", f"slot {s.id} ({s.origin}) has no inferred type")
-                       for s in m.slots if s.inferred_type == "Unknown"]
 
     unknowns = classify_variables(vars).unknowns
     for i, (lhs, rhs) in enumerate(m.equations):

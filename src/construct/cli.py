@@ -25,21 +25,10 @@ from construct.errors import ConstructError
 from construct.model import apply_assignment, emit_modelica
 
 
-def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reciprocal-tolerance", type=float, default=None,
-                   help="relative tolerance of the reciprocal-multiply rule")
-    p.add_argument("--reciprocal-max-denominator", type=int, default=None,
-                   help="largest denominator the reciprocal rule may introduce")
-
-
 def _load_problem(args) -> tuple:
-    """Container -> (container, problem), with CLI flags overriding
-    rules.toml."""
+    """Container -> (container, problem)."""
     cm = load_container(args.container)
-    flags = {"reciprocal_tolerance": args.reciprocal_tolerance,
-             "reciprocal_max_denominator": args.reciprocal_max_denominator}
-    overrides = {k: v for k, v in flags.items() if v is not None}
-    return cm, ga.problem_from_container(cm, **overrides)
+    return cm, ga.problem_from_container(cm)
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -54,8 +43,6 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tournament", type=int, default=2)
     p.add_argument("--no-early-stop", action="store_true",
                    help="always run the full generation budget")
-    p.add_argument("--cbt-repair", action="store_true",
-                   help="repair duplicate genes after baseline crossover")
 
 
 def _ga_config(args) -> ga.GaConfig:
@@ -64,8 +51,7 @@ def _ga_config(args) -> ga.GaConfig:
             population_size=args.pop, max_generations=args.gens,
             crossover_rate=args.pc, mutation_rate=args.pm,
             tournament_size=args.tournament, elitism=args.elitism,
-            rng_seed=args.seed, early_stop=not args.no_early_stop,
-            cbt_repair=args.cbt_repair)
+            rng_seed=args.seed, early_stop=not args.no_early_stop)
     except ValueError as exc:
         raise ConstructError(f"invalid search settings: {exc}") from None
 
@@ -87,7 +73,8 @@ def _load_mapping(path: str, problem: ga.GaProblem) -> tuple:
 
 
 def _model_name(container: Path) -> str:
-    stem = "".join(ch if ch.isalnum() else "_" for ch in container.name)
+    # a Modelica IDENT: "_", ASCII letters and digits
+    stem = "".join(ch if ch.isascii() and ch.isalnum() else "_" for ch in container.name)
     if not stem or stem[0].isdigit():
         stem = "M_" + stem
     return stem[0].upper() + stem[1:]
@@ -143,8 +130,7 @@ def cmd_translate(args) -> int:
 def cmd_validate(args) -> int:
     cm, problem = _load_problem(args)
     genes = _load_mapping(args.mapping, problem)
-    report = check.validate_assignment(problem.model, problem.vars, genes,
-                                       strict_unknown=args.strict_unknown)
+    report = check.validate_assignment(problem.model, problem.vars, genes)
     if report.valid:
         print("valid: constraints C0-C5 all hold")
         return 0
@@ -211,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="search for the best variable mapping")
     p.add_argument("container", help="container directory")
     _add_ga_flags(p)
-    _add_rule_flags(p)
     p.add_argument("-o", "--out", help="write the best model here (.mo)")
     p.add_argument("--report", help="write the report JSON here")
     p.add_argument("--curves", help="write generation,best_mse rows here")
@@ -219,21 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="emit the symbolic skeleton")
     p.add_argument("container")
-    _add_rule_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("validate", help="check a mapping against C0-C5")
     p.add_argument("container")
-    _add_rule_flags(p)
     p.add_argument("--mapping", required=True, help="JSON {\"genes\": [...]}")
-    p.add_argument("--strict-unknown", action="store_true",
-                   help="treat uninferred slot types as C1 violations")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="simulate a mapping")
     p.add_argument("container")
-    _add_rule_flags(p)
     p.add_argument("--mapping", required=True)
     p.add_argument("-o", "--out", required=True, help="output trace CSV")
     p.set_defaults(func=cmd_simulate)
@@ -241,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-reference",
                        help="write traces/reference.csv from a ground truth")
     p.add_argument("container")
-    _add_rule_flags(p)
     p.add_argument("--mapping", required=True)
     p.add_argument("--input", help="input trace (default: the container's)")
     p.set_defaults(func=cmd_make_reference)

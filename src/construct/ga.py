@@ -31,7 +31,7 @@ position i names the variable assigned to symbol slot i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from construct import check, sim
 from construct.check import classify_variables, infer_symbol_types
@@ -95,7 +95,6 @@ class GaConfig:
     elitism: int = 2
     rng_seed: int = 0
     early_stop: bool = True
-    cbt_repair: bool = False
 
     def __post_init__(self):
         if not 0 < self.elitism < self.population_size:
@@ -194,16 +193,13 @@ class GaProblem:
         return sim.simulate(plan, inputs, self.classification.outputs)
 
 
-def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
+def problem_from_container(cm: ContainerModel) -> GaProblem:
     """Run the front half of the pipeline: parse, isolate, normalize,
-    eliminate temporaries, translate, infer types. The rules come from
-    the container's rules.toml, if any, with rule_overrides applied."""
+    eliminate temporaries, translate, infer types. The step function and
+    step parameter come from the container's rules.toml, if any."""
     rules = None if cm.root is None else cm.root / "rules.toml"
     rules_text = read_text(rules) if rules is not None and rules.is_file() else ""
-    try:
-        rule_cfg = replace(load_rule_config(rules_text), **rule_overrides)
-    except ValueError as exc:
-        raise ConstructError(f"invalid rule settings: {exc}") from None
+    rule_cfg = load_rule_config(rules_text)
     functions = ()
     for name, text in cm.sources:
         try:  # the functions so far, so that a duplicate names its file
@@ -211,9 +207,9 @@ def problem_from_container(cm: ContainerModel, **rule_overrides) -> GaProblem:
         except ParseError as exc:
             raise exc.in_source(f"sources/{name}") from None
     body = isolate_step_function(CodeUnit(functions), rule_cfg)
-    body = normalize_primitives(body, rule_cfg)
+    body = normalize_primitives(body)
     body = eliminate_temporaries(body)
-    model = translate_to_equations(body, rule_cfg)
+    model = translate_to_equations(body)
     model = infer_symbol_types(model)
     return GaProblem(model, cm.variable_table, cm.input_trace, cm.reference_trace)
 
@@ -356,13 +352,12 @@ def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
     return c
 
 
-def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem | None):
+def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem):
     """Single-point child with PMX-style duplicate repair.
 
     Head genes that collide with the inherited tail are replaced by
-    chasing the positional mapping between the parents' tails. With a
-    problem given, replacements must stay type-compatible; returns None
-    when repair is impossible.
+    chasing the positional mapping between the parents' tails, within
+    each slot's domain; returns None when repair is impossible.
     """
     head = list(head_parent[:k])
     tail = list(tail_parent[k:])
@@ -377,21 +372,20 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem | None):
             seen.add(g)
             g = mapping[g]
         if g != head[pos]:
-            if problem is not None and g not in problem.domains[pos]:
+            if g not in problem.domains[pos]:
                 return None
             head[pos] = g
     return tuple(head + tail)
 
 
 def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
-              cfg: GaConfig = GaConfig(),
               problem: GaProblem | None = None) -> tuple:
     """Single-point crossover.
 
-    CbT children may carry duplicate genes (left for the validator and
-    simulator to reject) unless cbt_repair is set. CbC children are
-    PMX-repaired within type groups and must stay constructible; when no
-    crossing point works the parents are returned unchanged.
+    CbT children may carry duplicate genes, left for the validator and
+    simulator to reject. CbC children are PMX-repaired within type groups
+    and must stay constructible; when no crossing point works the parents
+    are returned unchanged.
     """
     if len(a) != len(b):
         raise LengthMismatch(f"{len(a)} vs {len(b)}")
@@ -400,9 +394,6 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
         k = rng.randrange(n)
         c1 = a.genes[:k] + b.genes[k:]
         c2 = b.genes[:k] + a.genes[k:]
-        if cfg.cbt_repair:
-            c1 = _pmx_child(a.genes, b.genes, k, None) or c1
-            c2 = _pmx_child(b.genes, a.genes, k, None) or c2
         return Chromosome(c1), Chromosome(c2)
 
     assert problem is not None, "CbC crossover needs the problem"
@@ -436,13 +427,20 @@ def _evaluate(problem: GaProblem, population, cache: dict, scored: dict):
     return [cache[c.genes] for c in population], len(todo)
 
 
+def _mean(values) -> float:
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:  # the sum passes the float range, the mean does not
+        return math.fsum(v / len(values) for v in values)
+
+
 def _generation_stats(gen: int, fitnesses) -> dict:
     finite = sorted(f.mse for f in fitnesses if f.is_finite)
     best = min(fitnesses)
     return {
         "gen": gen,
         "best_mse": best.mse,
-        "mean_finite_mse": (math.fsum(finite) / len(finite)) if finite else None,
+        "mean_finite_mse": _mean(finite) if finite else None,
         "simulatable_fraction": len(finite) / len(fitnesses),
     }
 
@@ -501,7 +499,7 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
                 p1 = tournament(ranks)
                 p2 = tournament(ranks)
                 if rng.random() < cfg.crossover_rate:
-                    c1, c2 = crossover(mode, p1, p2, rng, cfg, problem)
+                    c1, c2 = crossover(mode, p1, p2, rng, problem)
                 else:
                     c1, c2 = Chromosome(p1.genes), Chromosome(p2.genes)
                 for child in (c1, c2):

@@ -9,7 +9,8 @@ rules here undo the common distortions:
     R2  clamp forms  ->  canonical fmin(fmax(e, lo), hi)
     R3  -(a - b)     ->  b - a
 
-Rules run innermost-first, left to right, to a fixpoint.
+Rules run innermost-first, left to right, to a fixpoint. R1's bounds are
+fixed: RECIPROCAL_TOLERANCE (relative to n) and RECIPROCAL_MAX_DENOMINATOR.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from construct.cparse import (
 from construct.errors import ConstructError
 
 REWRITE_CAP = 100
+RECIPROCAL_TOLERANCE = 1e-9  # R1: |1/c - n| <= tolerance * n
+RECIPROCAL_MAX_DENOMINATOR = 1000  # R1: the largest n it introduces
 
 
 class IsolateError(ConstructError):
@@ -50,23 +53,15 @@ class DivergingRewrite(IsolateError):
 
 @dataclass(frozen=True)
 class RuleConfig:
-    reciprocal_tolerance: float = 1e-9
-    reciprocal_max_denominator: int = 1000
     step_function_name: str | None = None
     step_param_name: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.reciprocal_tolerance < math.inf:
-            raise ValueError("reciprocal_tolerance must be finite and positive")
-        if self.reciprocal_max_denominator < 2:
-            raise ValueError("reciprocal_max_denominator must be >= 2")
 
 
 def load_rule_config(text: str) -> RuleConfig:
     """Read a flat key/value settings file (toml-style subset).
 
-    Recognized keys: reciprocal_tolerance, reciprocal_max_denominator,
-    step_function, step_param. Lines starting with # are comments.
+    Recognized keys: step_function, step_param, each at most once.
+    Lines starting with # are comments.
     """
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,18 +73,11 @@ def load_rule_config(text: str) -> RuleConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip().strip('"').strip("'")
-        if key in ("reciprocal_tolerance", "reciprocal_max_denominator"):
-            try:
-                kwargs[key] = (float if key == "reciprocal_tolerance" else int)(value)
-            except ValueError:
-                raise IsolateError(f"rules file line {lineno}: {key} = {value!r} "
-                                   f"is not a number") from None
-        elif key == "step_function":
-            kwargs["step_function_name"] = value
-        elif key == "step_param":
-            kwargs["step_param_name"] = value
-        else:
+        if key not in ("step_function", "step_param"):
             raise IsolateError(f"rules file line {lineno}: unknown key {key!r}")
+        if key + "_name" in kwargs:
+            raise IsolateError(f"rules file line {lineno}: duplicate key {key!r}")
+        kwargs[key + "_name"] = value
     return RuleConfig(**kwargs)
 
 
@@ -188,21 +176,21 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
-def _rule_reciprocal(e, cfg: RuleConfig):
-    # R1: e * c  ->  e / n for n = round(1/c), 2 <= n <= max_denominator
+def _rule_reciprocal(e):
+    # R1: e * c  ->  e / n for n = round(1/c), 2 <= n <= RECIPROCAL_MAX_DENOMINATOR
     if not (isinstance(e, Binary) and e.op == "mul"):
         return None
     for operand, other in ((e.right, e.left), (e.left, e.right)):
         if isinstance(operand, RealLit) and operand.value != 0.0:
             recip = 1.0 / operand.value  # inf for a subnormal c: no n
             n = round(recip) if math.isfinite(recip) else 0
-            if 2 <= n <= cfg.reciprocal_max_denominator and \
-                    abs(recip - n) <= cfg.reciprocal_tolerance * abs(n):
+            if 2 <= n <= RECIPROCAL_MAX_DENOMINATOR and \
+                    abs(recip - n) <= RECIPROCAL_TOLERANCE * n:
                 return Binary("div", other, RealLit(float(n)))
     return None
 
 
-def _rule_clamp(e, cfg: RuleConfig):
+def _rule_clamp(e):
     # R2 (expression form): fmax(fmin(e, hi), lo) -> fmin(fmax(e, lo), hi)
     if isinstance(e, Call) and e.callee in ("fmax", "fmaxf"):
         inner = e.args[0]
@@ -213,7 +201,7 @@ def _rule_clamp(e, cfg: RuleConfig):
     return None
 
 
-def _rule_neg_sub(e, cfg: RuleConfig):
+def _rule_neg_sub(e):
     # R3: -(a - b) -> b - a
     if isinstance(e, Unary) and e.op == "neg":
         inner = e.operand
@@ -225,14 +213,14 @@ def _rule_neg_sub(e, cfg: RuleConfig):
 _EXPR_RULES = (_rule_reciprocal, _rule_clamp, _rule_neg_sub)
 
 
-def _normalize_expr(e, cfg: RuleConfig, line: int):
+def _normalize_expr(e, line: int):
     """Rewrite passes to a fixpoint. The fixpoint test is tree equality:
     every rule returns a node that differs from its input, so a pass
     fires a rule exactly when it changes the tree. New rules must keep
     that true."""
     def first_rule(node):
         for rule in _EXPR_RULES:
-            out = rule(node, cfg)
+            out = rule(node)
             if out is not None:
                 return out
         return node
@@ -244,7 +232,7 @@ def _normalize_expr(e, cfg: RuleConfig, line: int):
     raise DivergingRewrite(f"rewriting did not converge (line {line})")
 
 
-def _match_clamp_chain(s, cfg: RuleConfig):
+def _match_clamp_chain(s):
     # R2 (statement form): the lowered branch ladder
     #   if (x < lo) { t = lo; } else { if (x > hi) { t = hi; } else { t = x; } }
     # becomes t = fmin(fmax(x, lo), hi). Comparisons may be strict or not.
@@ -278,31 +266,31 @@ def _match_clamp_chain(s, cfg: RuleConfig):
     return Assign(target, clamp, line=s.line)
 
 
-def _normalize_stmts(stmts, cfg: RuleConfig):
+def _normalize_stmts(stmts):
     out = []
     for s in stmts:
         if isinstance(s, If):
-            folded = _match_clamp_chain(s, cfg)
+            folded = _match_clamp_chain(s)
             if folded is not None:
                 s = folded
         if isinstance(s, Assign):
-            out.append(Assign(s.target, _normalize_expr(s.value, cfg, s.line), line=s.line))
+            out.append(Assign(s.target, _normalize_expr(s.value, s.line), line=s.line))
         elif isinstance(s, Decl):
-            init = None if s.init is None else _normalize_expr(s.init, cfg, s.line)
+            init = None if s.init is None else _normalize_expr(s.init, s.line)
             out.append(Decl(s.ctype, s.name, init, line=s.line))
         elif isinstance(s, If):
-            out.append(If(_normalize_expr(s.cond, cfg, s.line),
-                          _normalize_stmts(s.then, cfg),
-                          _normalize_stmts(s.orelse, cfg), line=s.line))
+            out.append(If(_normalize_expr(s.cond, s.line),
+                          _normalize_stmts(s.then),
+                          _normalize_stmts(s.orelse), line=s.line))
         elif isinstance(s, Return):
-            value = None if s.value is None else _normalize_expr(s.value, cfg, s.line)
+            value = None if s.value is None else _normalize_expr(s.value, s.line)
             out.append(Return(value, line=s.line))
         else:
             out.append(s)
     return tuple(out)
 
 
-def normalize_primitives(body: StepBody, cfg: RuleConfig = RuleConfig()) -> StepBody:
+def normalize_primitives(body: StepBody) -> StepBody:
     """Apply R1, R2, R3 to a fixpoint. Idempotent; preserves semantics
-    under real arithmetic within the rule tolerances."""
-    return replace(body, statements=_normalize_stmts(body.statements, cfg))
+    under real arithmetic within RECIPROCAL_TOLERANCE."""
+    return replace(body, statements=_normalize_stmts(body.statements))

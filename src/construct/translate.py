@@ -19,7 +19,7 @@ from construct.cparse import (
     IntLit, RealLit, Return, Ternary, Unary, iter_stmts, map_expr, operands,
 )
 from construct.errors import ConstructError
-from construct.isolate import RuleConfig, StepBody
+from construct.isolate import StepBody
 
 CAST_TO_TYPE = {"double": "Real", "float": "Real", "int": "Integer", "bool": "Boolean"}
 CALLEE_TO_FN = {"fmin": "min", "fminf": "min", "fmax": "max", "fmaxf": "max",
@@ -240,7 +240,7 @@ def _match_integrator(target, value, step_symbol: str):
     return None
 
 
-def translate_to_equations(body: StepBody, cfg: RuleConfig = RuleConfig()) -> EquationModel:
+def translate_to_equations(body: StepBody) -> EquationModel:
     """Turn a normalized, temp-eliminated step body into equations.
 
     Raises UnsupportedControlFlow for statement shapes outside the

@@ -177,16 +177,6 @@ def test_c2_and_c3_are_independent():
     assert "C2" in ids and "C3" not in ids
 
 
-def test_strict_unknown_flag():
-    m = EquationModel(
-        ((mexpr.Sym(0), mexpr.Sym(1)),),
-        slots("Unknown", "Unknown"))
-    vars = VariableTable((var("y", "Real", "output"), var("u", "Real", "input")))
-    assert validate_assignment(m, vars, (0, 1)).valid
-    report = validate_assignment(m, vars, (0, 1), strict_unknown=True)
-    assert {cid for cid, _ in report.violations} == {"C1"}
-
-
 def test_ground_truths_validate(all_cases):
     for case in all_cases.values():
         problem = case["problem"]

@@ -228,15 +228,24 @@ def test_help_lists_flags(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     for flag in ("--mode", "--pop", "--gens", "--seed", "--elitism",
-                 "--tournament", "--no-early-stop", "--cbt-repair",
-                 "--report", "--curves"):
+                 "--tournament", "--no-early-stop", "--report", "--curves"):
         assert flag in text
 
 
-def test_unknown_flag_is_hard_error(pi_case, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", str(pi_case["root"]), "--mode", "cbc", "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_is_hard_error(pi_case, tmp_path, capsys):
+    root, mapping = str(pi_case["root"]), str(pi_case["root"] / "ground_truth.json")
+    commands = (["synth", root, "--mode", "cbc"],
+                ["translate", root, "--out", str(tmp_path / "s.mo")],
+                ["validate", root, "--mapping", mapping],
+                ["simulate", root, "--mapping", mapping, "-o", str(tmp_path / "o.csv")],
+                ["make-reference", root, "--mapping", mapping])
+    for flags in (["--frobnicate"], ["--cbt-repair"], ["--strict-unknown"],
+                  ["--reciprocal-tolerance", "1e-9"]):
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flags)
+            assert exc.value.code == 2, argv + flags
+    assert not any(tmp_path.iterdir())
 
 
 def test_translate_non_ascii_identifier_exits_1(pi_case, tmp_path, capsys):
@@ -246,6 +255,34 @@ def test_translate_non_ascii_identifier_exits_1(pi_case, tmp_path, capsys):
     code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_synth_whose_mse_sum_overflows_reports_the_mean(pi_case, tmp_path, capsys):
+    # each finite MSE is 8.1e307: two of them sum past the float range
+    work = _pi_copy(pi_case, tmp_path)
+    for name in ("input.csv", "reference.csv"):
+        trace = work / "traces" / name
+        header, *rows = trace.read_text().splitlines()[:3]
+        if name == "reference.csv":
+            rows = [row.split(",")[0] + ",9e153" for row in rows]
+        trace.write_text("\n".join([header] + rows) + "\n")
+    report = tmp_path / "r.json"
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "10", "--gens", "2",
+                 "--report", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("search finished: best MSE 8.1e+307")
+    for entry in json.loads(report.read_text())["per_generation"]:
+        assert entry["mean_finite_mse"] == pytest.approx(8.1e307)
+
+
+@pytest.mark.parametrize("name, model", [("ctrl²", "Ctrl_"), ("régulateur", "R_gulateur"),
+                                         ("2π", "M_2_")])
+def test_model_name_is_an_ascii_identifier(pi_case, tmp_path, name, model):
+    work = tmp_path / name
+    shutil.copytree(pi_case["root"], work)
+    out = tmp_path / "s.mo"
+    assert main(["translate", str(work), "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"model {model}_skeleton\n")
 
 
 def test_synth_with_overflowing_mse_ends_without_traceback(pi_case, tmp_path):
@@ -416,21 +453,15 @@ def test_non_utf8_container_file_exits_1(pi_case, tmp_path, capsys, relpath):
     assert capsys.readouterr().err.startswith(f"error: {root / relpath}: not UTF-8")
 
 
-@pytest.mark.parametrize("flags, rule", [
-    (("--reciprocal-tolerance", "0"), None), (("--reciprocal-tolerance", "nan"), None),
-    (("--reciprocal-tolerance", "inf"), None), (("--reciprocal-max-denominator", "1"), None),
-    ((), "reciprocal_tolerance = abc"), ((), "reciprocal_tolerance = -1")])
-def test_translate_bad_rule_setting_exits_1(pi_case, tmp_path, capsys, flags, rule):
+@pytest.mark.parametrize("rule", ["reciprocal_tolerance = abc", "reciprocal_tolerance = -1"])
+def test_translate_bad_rule_setting_exits_1(pi_case, tmp_path, capsys, rule):
+    # R1's bounds are constants, not rules.toml keys
     work = _pi_copy(pi_case, tmp_path)
-    if rule is not None:
-        (work / "rules.toml").write_text(f"# pi\n{rule}\n")
-    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo"), *flags])
+    (work / "rules.toml").write_text(f"# pi\n{rule}\n")
+    code = main(["translate", str(work), "--out", str(tmp_path / "s.mo")])
     assert code == 1
-    err = capsys.readouterr().err
-    if rule == "reciprocal_tolerance = abc":
-        assert err.startswith("error: rules file line 2: reciprocal_tolerance = 'abc'")
-    else:
-        assert err.startswith("error: invalid rule settings: reciprocal_")
+    key = rule.split()[0]
+    assert capsys.readouterr().err == f"error: rules file line 2: unknown key {key!r}\n"
 
 
 def _retime(trace, times):

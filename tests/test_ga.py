@@ -189,16 +189,6 @@ def test_cbt_crossover_may_duplicate(tiny_case):
     assert c2.genes == (3, 4, 3, 4)
 
 
-def test_cbt_crossover_with_repair(tiny_case):
-    a = Chromosome((1, 2, 3, 4))
-    b = Chromosome((3, 4, 1, 2))
-    rng = FixedRng(randranges=[2])
-    cfg = GaConfig(population_size=4, elitism=1, cbt_repair=True)
-    c1, c2 = crossover("cbt", a, b, rng, cfg)
-    assert c1.genes == (3, 4, 1, 2)
-    assert sorted(c2.genes) == [1, 2, 3, 4]
-
-
 def test_crossover_k_zero_copies_parents(tiny_case):
     a = Chromosome((1, 2, 3))
     b = Chromosome((4, 5, 6))
@@ -216,11 +206,10 @@ def test_crossover_length_mismatch(tiny_case):
 def test_cbc_crossover_children_constructible(pi_case):
     problem = pi_case["problem"]
     rng = random.Random(23)
-    cfg = GaConfig(population_size=4, elitism=1)
     a = generate_individual("cbc", problem, rng)
     b = generate_individual("cbc", problem, rng)
     for _ in range(20):
-        c1, c2 = crossover("cbc", a, b, rng, cfg, problem)
+        c1, c2 = crossover("cbc", a, b, rng, problem)
         for child in (c1, c2):
             assert problem.validate(child.genes).valid
             assert problem.fitness_of(child.genes).is_finite

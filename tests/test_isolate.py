@@ -9,16 +9,16 @@ from construct.cparse import (
 )
 from construct.isolate import (
     AmbiguousStepFunction, DivergingRewrite, NoDerefBase, NoStepFunction,
-    RuleConfig, StepBody, isolate_step_function, load_rule_config,
+    IsolateError, RuleConfig, StepBody, isolate_step_function, load_rule_config,
     normalize_primitives,
 )
 from interp import eval_code_expr
 
 
-def norm_expr(text, cfg=RuleConfig()):
+def norm_expr(text):
     body = StepBody((Assign(Deref("p", 0, "double"), parse_c_expr(text)),),
                     step_symbol="h", base_pointer="p")
-    return normalize_primitives(body, cfg).statements[0].value
+    return normalize_primitives(body).statements[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +52,10 @@ def test_r1_does_not_fire_below_two():
 
 
 def test_r1_respects_max_denominator():
-    cfg = RuleConfig(reciprocal_max_denominator=100)
-    assert norm_expr("e * 0.001", cfg) == parse_c_expr("e * 0.001")
+    assert isolate.RECIPROCAL_MAX_DENOMINATOR == 1000
     assert norm_expr("e * 0.001") == Binary("div", Ident("e"), RealLit(1000.0))
+    past = f"e * {1 / 1001!r}"
+    assert norm_expr(past) == parse_c_expr(past)
 
 
 def test_r1_negative_constant_untouched():
@@ -69,6 +70,12 @@ def test_r1_tolerance_gate():
     # 1/0.5000001 is near 2 but misses the relative tolerance
     val = 0.5000001
     assert norm_expr(f"e * {val!r}") == Binary("mul", Ident("e"), RealLit(val))
+    # 1/c off 2 by a tenth of the tolerance fires; by ten times it, not
+    for miss, fires in ((0.1, True), (10, False)):
+        c = 1 / (2 * (1 + miss * isolate.RECIPROCAL_TOLERANCE))
+        expected = Binary("div", Ident("e"), RealLit(2.0)) if fires \
+            else Binary("mul", Ident("e"), RealLit(c))
+        assert norm_expr(f"e * {c!r}") == expected
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +132,7 @@ _SNIPPETS = [
 
 
 def test_rule_that_never_settles_diverges(monkeypatch):
-    def swap_add(e, cfg):
+    def swap_add(e):
         if isinstance(e, Binary) and e.op == "add":
             return Binary("add", e.right, e.left)
         return None
@@ -237,17 +244,12 @@ def test_step_param_override():
 # ---------------------------------------------------------------------------
 
 def test_load_rule_config():
-    cfg = load_rule_config(
-        "# comment\nreciprocal_tolerance = 1e-6\nreciprocal_max_denominator = 64\n"
-        'step_function = "fmi2DoStep"\nstep_param = param_2\n')
-    assert cfg.reciprocal_tolerance == 1e-6
-    assert cfg.reciprocal_max_denominator == 64
-    assert cfg.step_function_name == "fmi2DoStep"
-    assert cfg.step_param_name == "param_2"
-
-
-def test_rule_config_invariants():
-    with pytest.raises(ValueError):
-        RuleConfig(reciprocal_tolerance=0.0)
-    with pytest.raises(ValueError):
-        RuleConfig(reciprocal_max_denominator=1)
+    cfg = load_rule_config('# comment\nstep_function = "fmi2DoStep"\nstep_param = param_2\n')
+    assert cfg == RuleConfig(step_function_name="fmi2DoStep", step_param_name="param_2")
+    # R1's bounds are constants, not settings
+    for key in ("reciprocal_tolerance", "reciprocal_max_denominator"):
+        with pytest.raises(IsolateError, match=f"^rules file line 2: unknown key '{key}'$"):
+            load_rule_config(f"# comment\n{key} = 2\n")
+    with pytest.raises(IsolateError, match="^rules file line 3: duplicate key 'step_function'$"):
+        load_rule_config('step_function = "fmi2Initialize"\nstep_param = h\n'
+                         'step_function = "fmi2DoStep"\n')

@@ -257,9 +257,8 @@ def test_executable_equivalence(all_cases):
         unit = parse_c_unit(dict(cm.sources)["controller.c"])
         cfg = RuleConfig(step_function_name="fmi2DoStep") if name == "limpid" \
             else RuleConfig()
-        body = eliminate_temporaries(normalize_primitives(
-            isolate_step_function(unit, cfg), cfg))
-        model = translate_to_equations(body, cfg)
+        body = eliminate_temporaries(normalize_primitives(isolate_step_function(unit, cfg)))
+        model = translate_to_equations(body)
 
         for _ in range(100):
             h = rng.uniform(0.001, 0.1)
