@@ -15,13 +15,20 @@ time grid by a generated kernel: straight-line Python, one statement
 per expression node (min and max of two operands inline, as
 conditional expressions), with mexpr.eval_expr as its reference
 semantics. Its loop zips the times with one iterable per data slot and
-records a fixed number of outputs. simulate compiles one for the plan
-on each call, unless given a KernelCache, which compiles one per
-problem and number of outputs. Names, parameter values, state starts,
-input columns and the slots of the recorded outputs reach a kernel as
-data; KernelCache.signature tells which plans simulate alike. Models
-that fail any static or runtime check are rejected, which is exactly
-how non-simulatable candidates are discovered.
+records a fixed number of outputs. One generator writes two kernels
+per plan. The fast kernel checks finiteness per sample only at the
+watched refs, where a non-finite value could hide from every later
+check, and once at the end over every solved value. The checked kernel
+checks every solved value at every sample and names the fault as the
+tree walk does; simulate runs it only when a fast run fails, and its
+outputs or error are the answer. simulate compiles the fast kernel for
+the plan on each call, unless given a KernelCache, which compiles one
+per problem and number of outputs, and the checked one at the first
+failure. Names, parameter values, state starts, input columns and the
+slots of the recorded outputs reach a kernel as data;
+KernelCache.signature tells which plans simulate alike. Models that
+fail any static or runtime check are rejected, which is exactly how
+non-simulatable candidates are discovered.
 """
 
 from __future__ import annotations
@@ -173,9 +180,12 @@ class _KernelSource:
     """The statements of one plan's per-sample loop, one per expression
     node. Variables, constants and temporaries live in generated locals
     (v*, c*, t*); variable names and constant values stay out of the
-    source and reach the kernel as data."""
+    source and reach the kernel as data. A checked source labels each
+    division for DivisionByZero and raises NonFiniteValue at a failed
+    check; a fast one labels nothing and returns the non-finite value."""
 
-    def __init__(self):
+    def __init__(self, checked: bool):
+        self.checked = checked
         self.lines: list = []
         self.vars: dict = {}  # ref -> local
         self.consts: dict = {}  # (type, repr) -> (local, value)
@@ -196,15 +206,18 @@ class _KernelSource:
         return self.consts[key][0]
 
     def expression(self, e, dest: str, label: str, ref) -> None:
-        """Emit the statements that compute e into dest. Its first
-        division records label, formatted with the name of ref, for
-        DivisionByZero in w."""
-        self.label = (label, ref)
+        """Emit the statements that compute e into dest. In a checked
+        source, its first division records label, formatted with the
+        name of ref, for DivisionByZero in w."""
+        self.label = (label, ref) if self.checked else None
         self._node(e, None, dest)
 
     def check_finite(self, local: str, ref) -> None:
-        self.lines.append(f"if {local} - {local}: raise F(t, L[{len(self.labels)}])")
-        self.labels.append(("{}", ref))
+        if self.checked:
+            self.lines.append(f"if {local} - {local}: raise F(t, L[{len(self.labels)}])")
+            self.labels.append(("{}", ref))
+        else:
+            self.lines.append(f"if {local} - {local}: return {local}")
 
     def _node(self, e, guard, dest=None) -> str:
         """Emit the statements computing e on the samples where guard
@@ -257,10 +270,46 @@ def _data_slots(plan: SimPlan) -> tuple:
     return tuple(sorted(plan.input_names.union(plan.param_env) - states))
 
 
-def _kernel_source(plan: SimPlan, outputs: int) -> tuple:
-    """The source of the kernel for plan, recording outputs outputs, and
-    the namespace it runs in, which also holds the kernel's data layout
-    under "layout".
+def _strict_refs(e) -> set:
+    """The refs of e reached from its root through add, sub, mul, neg,
+    abs and a division's numerator only: a non-finite value at one of
+    them makes e non-finite, or raises. A comparison, a logical
+    operator, an If, min, max and a division's denominator can hide one."""
+    refs, todo = set(), [e]
+    while todo:
+        match todo.pop():
+            case mexpr.Sym(ref):
+                refs.add(ref)
+            case mexpr.Binary("div", numerator, _):
+                todo.append(numerator)
+            case mexpr.Binary("add" | "sub" | "mul") | mexpr.Unary("neg") \
+                    | mexpr.Call("abs") as node:
+                todo += mexpr.children(node)
+    return refs
+
+
+def _watched(plan: SimPlan) -> set:
+    """The solved refs whose per-sample check a fast kernel keeps. A
+    non-finite ref at a strict position (_strict_refs) of a derivative
+    makes its state non-finite, and a state stays so (x + h*d), up to the
+    end check; at a strict position of a later equation, it makes that
+    equation's ref non-finite in the same sample. Walking the equations
+    in reverse, a ref that no later check or derivative sees that way is
+    watched, and the strict refs of its equation are then seen."""
+    seen = set().union(*(_strict_refs(rhs) for _, _, rhs in plan.state_vars))
+    watched = set()
+    for _, ref, expr in reversed(plan.algebraic_order):
+        if ref not in seen:
+            watched.add(ref)
+            seen.add(ref)
+        seen |= _strict_refs(expr)
+    return watched
+
+
+def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
+    """The source of the fast or the checked kernel for plan, recording
+    outputs outputs, and the namespace it runs in, which also holds the
+    kernel's data layout under "layout".
 
     kernel(T, I, A, S, L, h, last) runs the loop over the times T, which
     it zips with the iterables in I, one for each data slot (see
@@ -274,16 +323,28 @@ def _kernel_source(plan: SimPlan, outputs: int) -> tuple:
     statement, so the results are bit-identical. `if x - x:` is the
     finiteness check: x - x is 0.0 for a finite x and nan for inf and
     nan.
+
+    The checked kernel checks every solved ref at every sample and
+    raises the tree walk's errors, NonFiniteValue and DivisionByZero
+    with the name or label of the ref or equation. The fast kernel has
+    no labels: it checks only the watched refs (_watched), returning the
+    non-finite value, and lets Python's errors through. After its loop
+    it returns the sum of every solved local, which covers the states
+    and the last sample, whose derivatives are never computed. The sum
+    is non-finite whenever a check of the checked kernel would fail, and
+    also when finite values overflow it.
     """
-    src = _KernelSource()
+    src = _KernelSource(checked)
     loop = src.lines
     reads = _data_slots(plan)
     solved = tuple(r for _, r, _ in plan.algebraic_order) \
         + tuple(r for r, _, _ in plan.state_vars)
+    watched = solved if checked else _watched(plan)
     columns = "".join(f", {src.var(ref)}" for ref in reads)
     for eq_index, ref, expr in plan.algebraic_order:
         src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
-        src.check_finite(src.var(ref), ref)
+        if ref in watched:
+            src.check_finite(src.var(ref), ref)
     if outputs:
         loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
         loop += [f"a{j}(o[p{j}])" for j in range(outputs)]
@@ -294,7 +355,8 @@ def _kernel_source(plan: SimPlan, outputs: int) -> tuple:
         for j, (ref, _, _) in enumerate(plan.state_vars):
             local = src.var(ref)
             loop.append(f"{local} = {local} + h * d{j}")
-            src.check_finite(local, ref)
+            if checked:
+                src.check_finite(local, ref)
 
     head = ["def kernel(T, I, A, S, L, h, last):"]
     for targets, data in (
@@ -303,36 +365,44 @@ def _kernel_source(plan: SimPlan, outputs: int) -> tuple:
             ([f"(p{j}, a{j})" for j in range(outputs)], "A")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
-    source = "\n".join(head + [" try:", f"  for k, (t{columns}) in enumerate(zip(T, *I)):"]
-                       + [f"   {line}" for line in loop]
-                       + [" except ZeroDivisionError:",
-                          "  raise DivisionByZero(t, L[w]) from None", ""])
-    namespace = {"C": tuple(value for _, value in src.consts.values()),
-                 "E": _evaluated_der, "F": NonFiniteValue, "DivisionByZero": DivisionByZero,
+    # the trailing comma unpacks t from a 1-tuple when there is no data slot
+    header = f"for k, (t{columns},) in enumerate(zip(T, *I)):"
+    namespace = {"C": tuple(value for _, value in src.consts.values()), "E": _evaluated_der,
                  "layout": (reads, solved, tuple(src.labels))}
-    return source, namespace
+    if checked:
+        namespace.update(F=NonFiniteValue, DivisionByZero=DivisionByZero)
+        return "\n".join(head + [" try:", f"  {header}"] + [f"   {line}" for line in loop]
+                         + [" except ZeroDivisionError:",
+                            "  raise DivisionByZero(t, L[w]) from None", ""]), namespace
+    ends = [src.var(r) for r in solved]
+    # added 50 locals a statement, so that compiling never nests deeply
+    tail = [" e = 0.0"] + [f" e = e + {' + '.join(ends[i:i + 50])}"
+                           for i in range(0, len(ends), 50)] + [" return e", ""]
+    return "\n".join(head + [f" {header}"] + [f"  {line}" for line in loop] + tail), namespace
 
 
-def _compile_kernel(plan: SimPlan, outputs: int) -> tuple:
-    """The kernel of plan, recording outputs outputs, and its data
-    layout: (run, refs of I, solved refs, labels), see _kernel_source."""
-    source, namespace = _kernel_source(plan, outputs)
+def _compile_kernel(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
+    """The fast or the checked kernel of plan, recording outputs outputs,
+    and its data layout: (run, refs of I, solved refs, labels), see
+    _kernel_source. The fast kernel's labels are empty."""
+    source, namespace = _kernel_source(plan, outputs, checked)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
     return (namespace.pop("kernel"), *namespace.pop("layout"))
 
 
 class KernelCache:
-    """The kernels of one problem's slot-level plans, by matching and
-    number of recorded outputs, and the step of the last input grid
-    checked. The matching, the (algebraic equation, solved slot) pairs
-    in plan order, fixes the source, since every plan of a problem
-    shares its Structure's order, expressions, states and data slots
-    (the slots the equations only read); names, values and the slots of
-    the outputs reach the kernel as data, and only the number of outputs
-    is in the source. Every plan of a problem has one matching, and a
-    search records one list of outputs, so it compiles one kernel, at
-    its first simulation."""
+    """The kernels of one problem's slot-level plans, by matching, number
+    of recorded outputs and checked or fast, and the step of the last
+    input grid checked. The matching, the (algebraic equation, solved
+    slot) pairs in plan order, fixes the source, since every plan of a
+    problem shares its Structure's order, expressions, states and data
+    slots (the slots the equations only read); names, values and the
+    slots of the outputs reach the kernel as data, and only the number
+    of outputs is in the source. Every plan of a problem has one
+    matching, and a search records one list of outputs, so it compiles
+    one fast kernel, at its first simulation, and the checked kernel
+    only when a fast run first fails."""
 
     def __init__(self):
         self.kernels: dict = {}
@@ -348,12 +418,12 @@ class KernelCache:
         """The kernel key of a plan causalized at slot level."""
         return tuple((i, s) for i, s, _ in plan.algebraic_order)
 
-    def kernel(self, plan: SimPlan, outputs: int) -> tuple:
-        """The compiled kernel of a plan causalized at slot level,
-        recording outputs outputs."""
-        key = (self.matching(plan), outputs)
+    def kernel(self, plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
+        """The compiled fast or checked kernel of a plan causalized at
+        slot level, recording outputs outputs."""
+        key = (self.matching(plan), outputs, checked)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan, outputs)
+            self.kernels[key] = _compile_kernel(plan, outputs, checked)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
@@ -371,7 +441,10 @@ class KernelCache:
 
 
 def grid_step(times) -> float:
-    """The step of a uniform time grid; NonUniformGrid otherwise."""
+    """The step of a uniform time grid of at least two times;
+    NonUniformGrid otherwise."""
+    if len(times) < 2:
+        raise NonUniformGrid(f"a time grid needs at least 2 times, got {len(times)}")
     h = times[1] - times[0]
     steps = list(map(sub, islice(times, 1, None), times))
     # step - h rounds monotonically, so the extreme steps deviate the most
@@ -386,11 +459,14 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is a kernel compiled from the plan for this call,
-    or, with kernels, the one of the plan's problem (see _kernel_source),
-    recording only the outputs of interest; mexpr.eval_expr is its
-    reference semantics. An input column the plan reads must have one
-    value per time (MalformedTrace otherwise): the kernel zips them."""
+    The per-sample loop is the fast kernel compiled from the plan for
+    this call, or, with kernels, the one of the plan's problem (see
+    _kernel_source), recording only the outputs of interest;
+    mexpr.eval_expr is its reference semantics. When the fast run raises
+    or its end check fails, the checked kernel runs again from the
+    start, and its outputs or its error are the answer. An input column
+    the plan reads must have one value per time (MalformedTrace
+    otherwise): the kernel zips them."""
     times = inputs.times
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
@@ -404,18 +480,28 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
         if name not in solved:
             raise SimulateError(f"output {name!r} is not computed by the plan")
 
-    if kernels is None:
-        h, kernel = grid_step(times), _compile_kernel(plan, len(out_names))
-    else:
-        h, kernel = kernels.step(times), kernels.kernel(plan, len(out_names))
-    run, reads, layout, labels = kernel
-    columns = [[] for _ in out_names]
-    run(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
-                     else repeat(plan.param_env[r]) for r in reads),
-        tuple((layout.index(solved[n]), column.append)
-              for n, column in zip(out_names, columns)),
-        tuple(start for _, start, _ in plan.state_vars),
-        tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
+    h = grid_step(times) if kernels is None else kernels.step(times)
+    kernel = _compile_kernel if kernels is None else kernels.kernel
+
+    def run(checked: bool) -> tuple:
+        """The kernel's return value and the recorded output columns."""
+        fn, reads, layout, labels = kernel(plan, len(out_names), checked)
+        columns = [[] for _ in out_names]
+        end = fn(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
+                              else repeat(plan.param_env[r]) for r in reads),
+                 tuple((layout.index(solved[n]), column.append)
+                       for n, column in zip(out_names, columns)),
+                 tuple(start for _, start, _ in plan.state_vars),
+                 tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
+        return end, columns
+
+    try:
+        end, columns = run(False)
+        failed = end - end  # 0.0 for a finite end sum, nan otherwise
+    except Exception:  # the checked run names it
+        failed = True
+    if failed:
+        _, columns = run(True)
     return Trace(times, {n: tuple(column) for n, column in zip(out_names, columns)})
 
 

@@ -1,15 +1,18 @@
-"""The compiled simulation kernel against the tree walk over mexpr.eval_expr.
+"""The compiled simulation kernels against the tree walk over mexpr.eval_expr.
 
 interp.tree_walk is the per-sample loop of simulate written directly over
 the reference semantics. Every case must give bit-identical outputs, or
-the same exception class and message.
+the same exception class and message, whether the fast kernel's run
+stands or the checked kernel's re-run gives the answer.
 """
 
 import io
+import itertools
 import math
 import random
 import struct
 import tokenize
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,11 +36,17 @@ def _outcome(run, plan, inputs, outputs):
                          for name, values in trace.columns.items()}
 
 
-def assert_same(plan, inputs, outputs):
-    """simulate on plan against the tree walk on its name-level form."""
+def assert_same(plan, inputs, outputs, kernels=None):
+    """simulate on plan, with kernels, against the tree walk on its
+    name-level form."""
     expected = _outcome(tree_walk, named(plan), inputs, outputs)
-    assert _outcome(sim.simulate, plan, inputs, outputs) == expected
+    assert _outcome(partial(sim.simulate, kernels=kernels), plan, inputs, outputs) == expected
     return expected
+
+
+def _fell_back(kernels) -> bool:
+    """Whether simulate compiled a checked kernel: a fast run failed."""
+    return any(checked for _, _, checked in kernels.kernels)
 
 
 def _trace(inputs, n=4, value=1.0, h=0.01):
@@ -193,8 +202,9 @@ def test_deep_if_chain_and_binary_chain():
     plan = _plan([("y", chain), ("z", total)])
     for value in (-1.0, 150.5, 1e9):
         assert_same(plan, _trace(["u"], value=value), ["y", "z"])
-    source, _ = sim._kernel_source(plan, 2)
-    assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 3
+    for checked, depth in ((False, 2), (True, 3)):
+        source, _ = sim._kernel_source(plan, 2, checked)
+        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == depth
 
 
 @pytest.mark.parametrize("names", [('a"b', "x\ny", "1/0"), ("v0", "\\", "k")])
@@ -204,9 +214,106 @@ def test_arbitrary_variable_names(names):
                  states=[(p, 0.5, Binary("div", Const(1.0), Sym(u)))])
     inputs = Trace((0.0, 0.1, 0.2), {u: (1.0, 2.0, 0.0)})
     assert_same(plan, inputs, [y, p])
-    source, _ = sim._kernel_source(plan, 2)
-    assert all(repr(name) not in source for name in names)
-    assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
+    for checked in (False, True):
+        source, _ = sim._kernel_source(plan, 2, checked)
+        assert all(repr(name) not in source for name in names)
+        assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
+
+
+# ---------------------------------------------------------------------------
+# The fast kernel: per-sample checks on watched refs, an end check
+# ---------------------------------------------------------------------------
+
+INF_AT_1 = (1.0, math.inf, 1.0, 1.0)  # non-finite at one sample, not the last
+
+HIDING = {  # y0 at a position where a non-finite value does not show
+    "comparison": Binary("gt", Sym("y0"), Const(1.0)),
+    "min": mexpr.Call("min", (Sym("y0"), Const(1.0))),
+    "max": mexpr.Call("max", (Const(1.0), Unary("neg", Sym("y0")))),
+    "untaken If branch": If(Sym("u"), Const(2.0), Sym("y0")),
+    "If condition": If(Sym("y0"), Const(2.0), Const(3.0)),
+    "denominator": Binary("div", Const(1.0), Sym("y0")),
+    "logical operator": Binary("or", Sym("y0"), Const(0.0)),
+}
+
+
+@pytest.mark.parametrize("where", ["equation", "derivative"])
+@pytest.mark.parametrize("hiding", HIDING)
+def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where):
+    y0 = ("y0", Binary("mul", Sym("u"), Const(2.0)))
+    if where == "equation":
+        plan = _plan([y0, ("y1", HIDING[hiding])])
+    else:
+        plan = _plan([y0], states=[("x", 0.0, HIDING[hiding])])
+    assert "y0" in sim._watched(plan)
+    kernels = sim.KernelCache()
+    cls, message = assert_same(plan, Trace((0.0, 0.01, 0.02, 0.03), {"u": INF_AT_1}),
+                               ["y0"], kernels)
+    assert cls is NonFiniteValue and message == "non-finite value for 'y0' at t=0.01"
+    assert _fell_back(kernels)
+
+
+def test_fault_at_the_last_sample_in_a_ref_only_a_derivative_reads():
+    plan = _plan([("y", Binary("mul", Sym("u"), Const(2.0)))],
+                 states=[("x", 0.0, Binary("sub", Sym("y"), Sym("x")))])
+    assert sim._watched(plan) == set()
+    kernels = sim.KernelCache()
+    inputs = Trace((0.0, 0.01, 0.02, 0.03), {"u": (1.0, 1.0, 1.0, math.inf)})
+    cls, message = assert_same(plan, inputs, ["x"], kernels)
+    assert cls is NonFiniteValue and message == "non-finite value for 'y' at t=0.03"
+    assert _fell_back(kernels)
+    # and at an earlier sample, through the state, which stays non-finite
+    cls, message = assert_same(plan, Trace(inputs.times, {"u": INF_AT_1}), ["x"])
+    assert cls is NonFiniteValue and message == "non-finite value for 'y' at t=0.01"
+
+
+def test_end_check_covers_every_solved_value_of_a_long_plan():
+    # 120 solved values, summed over several statements; only the last
+    # overflows, at the last sample, and the derivative reads them all
+    ys = [(f"y{i}", Binary("mul", Sym("u"), Const(1e300 if i == 119 else 1.0)))
+          for i in range(120)]
+    total = Sym("y0")
+    for name, _ in ys[1:]:
+        total = Binary("add", total, Sym(name))
+    plan = _plan(ys, states=[("x", 0.0, total)])
+    assert sim._watched(plan) == set()
+    source, _ = sim._kernel_source(plan, 1)
+    assert source.count(" e = e + ") > 1
+    inputs = Trace((0.0, 0.01, 0.02, 0.03), {"u": (1.0, 1.0, 1.0, 1e10)})
+    cls, message = assert_same(plan, inputs, ["x"])
+    assert cls is NonFiniteValue and message == "non-finite value for 'y119' at t=0.03"
+
+
+def test_state_that_goes_inf_mid_run():
+    # x: 1.0, 1e198, then inf; only a comparison reads it
+    plan = _plan([("y", Binary("gt", Sym("x"), Const(0.0)))], inputs=(),
+                 states=[("x", 1.0, Binary("mul", Sym("x"), Const(1e200)))])
+    kernels = sim.KernelCache()
+    cls, message = assert_same(plan, _trace([], n=6), ["y"], kernels)
+    assert cls is NonFiniteValue and message == "non-finite value for 'x' at t=0.01"
+    assert _fell_back(kernels)
+
+
+def test_finite_values_that_overflow_the_end_sum_are_a_false_alarm():
+    plan = _plan([("y0", Sym("u")), ("y1", Binary("mul", Sym("u"), Const(0.9)))],
+                 states=[("x", 1e308, Binary("sub", Const(0.0), Sym("x")))])
+    kernels = sim.KernelCache()
+    times, columns = assert_same(plan, _trace(["u"], value=1e308), ["x", "y0", "y1"], kernels)
+    assert times == _trace([]).times
+    assert columns["y0"] == (struct.pack("<d", 1e308),) * 4
+    assert _fell_back(kernels)
+
+
+def test_ground_truths_keep_few_per_sample_checks_and_run_fast(all_cases):
+    watched = {}
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        plan = sim.causalize(problem.bind(case["ground_truth"]))
+        watched[name] = len(sim._watched(plan))
+        kernels = sim.KernelCache()
+        assert_same(plan, problem.input_trace, problem.classification.outputs, kernels)
+        assert not _fell_back(kernels)
+    assert watched == {"pi": 1, "pid": 2, "limpid": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +381,8 @@ def test_generated_plans_match_tree_walk(case):
 # ---------------------------------------------------------------------------
 
 FIXED = {"def", "kernel", "try", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
-         "else", "break", "except", "ZeroDivisionError", "raise", "from", "None",
-         "T", "I", "A", "h", "last", "k", "t", "w", "S", "C", "L", "E", "F", "o",
+         "else", "break", "except", "ZeroDivisionError", "raise", "from", "None", "return",
+         "T", "I", "A", "h", "last", "k", "t", "w", "e", "S", "C", "L", "E", "F", "o",
          "DivisionByZero", "abs"}
 
 
@@ -297,20 +404,22 @@ def _numbers(source: str) -> set:
 @given(plans())
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
     plan, _, outputs = case
-    source, _ = sim._kernel_source(plan, len(outputs))
-    assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
-    assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
-    assert not any(tok.type == tokenize.STRING for tok in
-                   tokenize.generate_tokens(io.StringIO(source).readline))
-    assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) <= 3
+    for checked in (False, True):
+        source, _ = sim._kernel_source(plan, len(outputs), checked)
+        assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
+        assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
+        assert not any(tok.type == tokenize.STRING for tok in
+                       tokenize.generate_tokens(io.StringIO(source).readline))
+        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) \
+            <= 2 + checked
 
 
 def test_fixture_sources_hold_no_names_or_constants(all_cases):
     for case in all_cases.values():
         problem = case["problem"]
         slot_level = sim.causalize(problem.bind(case["ground_truth"]))
-        for plan in (slot_level, named(slot_level)):
-            source, _ = sim._kernel_source(plan, len(problem.classification.outputs))
+        for plan, checked in itertools.product((slot_level, named(slot_level)), (False, True)):
+            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), checked)
             constants = {repr(n.value) for _, _, e in plan.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
@@ -329,7 +438,8 @@ root = sys.argv[1]
 problem = ga.problem_from_container(load_container(root))
 genes = json.load(open(root + "/ground_truth.json"))["genes"]
 plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
-print(sim._kernel_source(plan, len(problem.classification.outputs))[0])
+for checked in (False, True):
+    print(sim._kernel_source(plan, len(problem.classification.outputs), checked)[0])
 """
 
 

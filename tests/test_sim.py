@@ -244,6 +244,26 @@ def test_simulate_non_uniform_grid():
         simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_grid_of_fewer_than_two_times_is_rejected(n):
+    from construct.ga import GaConfig, run_ga
+
+    message = rf"^a time grid needs at least 2 times, got {n}$"
+    with pytest.raises(NonUniformGrid, match=message):
+        grid_step((0.0,) * n)
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
+    plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
+    short = _const_trace(["u"], [0.0] * n)
+    with pytest.raises(NonUniformGrid, match=message):
+        simulate(plan, short, ["y"])
+    assert score(plan, short, _const_trace(["y"], [0.0] * n), ("y",)) == INVALID
+    problem = _shape_problem()
+    problem = GaProblem(problem.model, problem.vars, _const_trace(["u"], [0.0] * n),
+                        _const_trace(["y"], [0.0] * n))
+    with pytest.raises(NonUniformGrid, match=message):
+        run_ga("cbc", problem, GaConfig(population_size=4, max_generations=1, rng_seed=0))
+
+
 def test_grid_step_names_the_first_non_uniform_sample_a_plain_loop_names():
     rng = random.Random(15)
     for _ in range(300):
@@ -570,12 +590,13 @@ def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
     assert len(problem.kernels.kernels) == 1
     assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
     assert cached.columns["y"] != before.columns["y"]
-    # one kernel per matching and number of outputs; the output slots are data
+    # one fast kernel per matching and number of outputs; the output slots
+    # are data, and no run failed, so no checked kernel was compiled
     for name in outputs:
         alone = simulate(second, problem.input_trace, [name], problem.kernels)
         assert _bits(alone) == {name: _bits(cached)[name]}
     matching = KernelCache.matching(second)
-    assert set(problem.kernels.kernels) == {(matching, 1), (matching, 2)}
+    assert set(problem.kernels.kernels) == {(matching, 1, False), (matching, 2, False)}
 
 
 @pytest.mark.parametrize("genes, u, error, label", [
@@ -591,7 +612,9 @@ def test_cached_kernel_errors_name_the_genome_that_ran(genes, u, error, label):
         simulate(plan, inputs, ["y"], problem.kernels)
     with pytest.raises(error) as uncached:
         simulate(plan, inputs, ["y"])
-    assert len(problem.kernels.kernels) == 1
+    # the fast kernel ran first; the checked one, compiled at the fault, named it
+    matching = KernelCache.matching(plan)
+    assert set(problem.kernels.kernels) == {(matching, 1, False), (matching, 1, True)}
     assert label in str(cached.value)
     assert str(cached.value) == str(uncached.value)
 
