@@ -20,6 +20,12 @@ emit for exported step functions:
                  literals, lvalues
     intlit    := decimal | 0x-hex
 
+Operators, ternaries and calls become the interior nodes of mexpr
+(Unary, Binary, If, Call), the ones the model uses, over the leaves
+defined here: IntLit, RealLit, Ident and Deref. A callee is read as the
+built-in it computes (CALLEES: fminf is min), so a parsed Call names
+min, max or abs, and translation replaces only the leaves.
+
 Tokens are the alternatives of one pattern, _TOKEN_RE, ASCII only. Each
 match of it is one token, newline or comment together with the blanks
 before it, so the text is lexed in one regular-expression match per
@@ -35,11 +41,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from construct import mexpr
 from construct.errors import ConstructError
 
 TYPES = ("void", "double", "float", "int", "bool", "long", "undefined4", "undefined8")
 DEREF_CASTS = ("float", "double", "int", "bool")
-CALLEES = {"fmin": 2, "fmax": 2, "fminf": 2, "fmaxf": 2, "fabs": 1, "fabsf": 1}
+# each callee spelling: the built-in it computes, and its arity
+CALLEES = {"fmin": ("min", 2), "fmax": ("max", 2), "fminf": ("min", 2),
+           "fmaxf": ("max", 2), "fabs": ("abs", 1), "fabsf": ("abs", 1)}
 
 
 class ParseError(ConstructError):
@@ -87,33 +96,8 @@ class Deref:
     cast: str
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # neg | not
-    operand: "CodeExpr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # add | sub | mul | div | lt | le | gt | ge | eq | ne | and | or
-    left: "CodeExpr"
-    right: "CodeExpr"
-
-
-@dataclass(frozen=True)
-class Ternary:
-    cond: "CodeExpr"
-    then: "CodeExpr"
-    orelse: "CodeExpr"
-
-
-@dataclass(frozen=True)
-class Call:
-    callee: str
-    args: tuple
-
-
-CodeExpr = IntLit | RealLit | Ident | Deref | Unary | Binary | Ternary | Call
+CodeExpr = IntLit | RealLit | Ident | Deref \
+    | mexpr.Unary | mexpr.Binary | mexpr.If | mexpr.Call
 
 
 @dataclass(frozen=True)
@@ -280,25 +264,13 @@ MAX_EXPR_DEPTH = 64
 MAX_EXPR_NODES = 1023
 
 
-def operands(e: CodeExpr) -> tuple:
-    if isinstance(e, Unary):
-        return (e.operand,)
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    if isinstance(e, Ternary):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, Call):
-        return e.args
-    return ()
-
-
 def height(e: CodeExpr) -> int:
     """Tree height of an expression, found without recursion."""
     deepest, stack = 0, [(e, 1)]
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((c, depth + 1) for c in operands(node))
+        stack.extend((c, depth + 1) for c in mexpr.children(node))
     return deepest
 
 
@@ -467,7 +439,7 @@ class _Parser:
             then = self.parse_expr()
             self.expect(":")
             orelse = self.parse_expr()
-            return Ternary(cond, then, orelse)
+            return mexpr.If(cond, then, orelse)
         return cond
 
     def parse_binary(self, min_prec: int) -> CodeExpr:
@@ -479,7 +451,7 @@ class _Parser:
                 return left
             self.advance()
             right = self.parse_binary(prec + 1)
-            left = Binary(_PUNCT_TO_OP[tok.text], left, right)
+            left = mexpr.Binary(_PUNCT_TO_OP[tok.text], left, right)
 
     def parse_unary(self) -> CodeExpr:
         tok = self.peek()
@@ -489,7 +461,7 @@ class _Parser:
         operand = self.nest(self.parse_unary)
         if tok.text == "+":
             return operand  # unary plus folds away
-        return Unary("neg" if tok.text == "-" else "not", operand)
+        return mexpr.Unary("neg" if tok.text == "-" else "not", operand)
 
     def parse_primary(self) -> CodeExpr:
         tok = self.peek()
@@ -520,11 +492,12 @@ class _Parser:
                             break
                         self.advance()
                 self.expect(")")
-                if len(args) != CALLEES[tok.text]:
+                fn, arity = CALLEES[tok.text]
+                if len(args) != arity:
                     raise ParseError(tok.line, tok.column,
-                                     f"{CALLEES[tok.text]} argument(s) to {tok.text}",
+                                     f"{arity} argument(s) to {tok.text}",
                                      f"{len(args)} given")
-                return Call(tok.text, tuple(args))
+                return mexpr.Call(fn, tuple(args))
             return Ident(tok.text)
         raise self.error("an expression")
 
@@ -551,11 +524,11 @@ _OP_TO_PUNCT = {v: k for k, v in _PUNCT_TO_OP.items()}
 
 
 def _expr_prec(e: CodeExpr) -> int:
-    if isinstance(e, Ternary):
+    if isinstance(e, mexpr.If):
         return 0
-    if isinstance(e, Binary):
+    if isinstance(e, mexpr.Binary):
         return _PRECEDENCE[_OP_TO_PUNCT[e.op]]
-    if isinstance(e, Unary):
+    if isinstance(e, mexpr.Unary):
         return _UNARY_PREC
     return 8  # primary
 
@@ -569,15 +542,15 @@ def print_expr(e: CodeExpr) -> str:
         return e.name
     if isinstance(e, Deref):
         return f"*({e.cast} *)({e.base} + 0x{e.offset:x})"
-    if isinstance(e, Unary):
+    if isinstance(e, mexpr.Unary):
         op = "-" if e.op == "neg" else "!"
         inner = print_expr(e.operand)
         if _expr_prec(e.operand) < _UNARY_PREC:
             inner = f"({inner})"
-        elif isinstance(e.operand, Unary):
+        elif isinstance(e.operand, mexpr.Unary):
             inner = f"({inner})"  # avoid -- / !! token gluing ambiguity
         return op + inner
-    if isinstance(e, Binary):
+    if isinstance(e, mexpr.Binary):
         prec = _expr_prec(e)
         left = print_expr(e.left)
         if _expr_prec(e.left) < prec:
@@ -586,13 +559,13 @@ def print_expr(e: CodeExpr) -> str:
         if _expr_prec(e.right) <= prec:
             right = f"({right})"
         return f"{left} {_OP_TO_PUNCT[e.op]} {right}"
-    if isinstance(e, Ternary):
+    if isinstance(e, mexpr.If):
         cond = print_expr(e.cond)
-        if isinstance(e.cond, Ternary):
+        if isinstance(e.cond, mexpr.If):
             cond = f"({cond})"
         return f"{cond} ? {print_expr(e.then)} : {print_expr(e.orelse)}"
-    if isinstance(e, Call):
-        return f"{e.callee}({', '.join(print_expr(a) for a in e.args)})"
+    if isinstance(e, mexpr.Call):
+        return f"f{e.fn}({', '.join(print_expr(a) for a in e.args)})"
     raise TypeError(f"not a CodeExpr: {e!r}")
 
 
@@ -631,19 +604,6 @@ def print_unit(unit: CodeUnit) -> str:
         lines.append("}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def map_expr(fn, e: CodeExpr) -> CodeExpr:
-    """Rebuild an expression bottom-up, applying fn to every node."""
-    if isinstance(e, Unary):
-        e = Unary(e.op, map_expr(fn, e.operand))
-    elif isinstance(e, Binary):
-        e = Binary(e.op, map_expr(fn, e.left), map_expr(fn, e.right))
-    elif isinstance(e, Ternary):
-        e = Ternary(map_expr(fn, e.cond), map_expr(fn, e.then), map_expr(fn, e.orelse))
-    elif isinstance(e, Call):
-        e = Call(e.callee, tuple(map_expr(fn, a) for a in e.args))
-    return fn(e)
 
 
 def iter_stmts(stmts):

@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from construct import cparse
-from construct.cparse import (
-    Assign, Binary, Call, CodeUnit, Decl, Deref, If, RealLit, Return, Unary,
-)
+from construct import cparse, mexpr
+from construct.cparse import Assign, CodeUnit, Decl, Deref, If, RealLit, Return
 from construct.errors import ConstructError
 
 REWRITE_CAP = 100
@@ -104,12 +102,6 @@ def _assigns_deref(stmts) -> bool:
 
 def _deref_bases(stmts) -> set:
     bases: set = set()
-
-    def visit(e):
-        if isinstance(e, Deref):
-            bases.add(e.base)
-        return e
-
     for s in cparse.iter_stmts(stmts):
         if isinstance(s, Assign):
             exprs = (s.target, s.value)
@@ -121,7 +113,7 @@ def _deref_bases(stmts) -> set:
             exprs = (s.value,)
         for e in exprs:
             if e is not None:
-                cparse.map_expr(visit, e)
+                bases.update(n.base for n in mexpr.iter_nodes(e) if isinstance(n, Deref))
     return bases
 
 
@@ -178,7 +170,7 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
 
 def _rule_reciprocal(e):
     # R1: e * c  ->  e / n for n = round(1/c), 2 <= n <= RECIPROCAL_MAX_DENOMINATOR
-    if not (isinstance(e, Binary) and e.op == "mul"):
+    if not (isinstance(e, mexpr.Binary) and e.op == "mul"):
         return None
     for operand, other in ((e.right, e.left), (e.left, e.right)):
         if isinstance(operand, RealLit) and operand.value != 0.0:
@@ -186,27 +178,29 @@ def _rule_reciprocal(e):
             n = round(recip) if math.isfinite(recip) else 0
             if 2 <= n <= RECIPROCAL_MAX_DENOMINATOR and \
                     abs(recip - n) <= RECIPROCAL_TOLERANCE * n:
-                return Binary("div", other, RealLit(float(n)))
+                return mexpr.Binary("div", other, RealLit(float(n)))
     return None
+
+
+def _clamp(x, lo, hi):
+    return mexpr.Call("min", (mexpr.Call("max", (x, lo)), hi))
 
 
 def _rule_clamp(e):
     # R2 (expression form): fmax(fmin(e, hi), lo) -> fmin(fmax(e, lo), hi)
-    if isinstance(e, Call) and e.callee in ("fmax", "fmaxf"):
+    if isinstance(e, mexpr.Call) and e.fn == "max":
         inner = e.args[0]
-        if isinstance(inner, Call) and inner.callee in ("fmin", "fminf"):
-            expr, hi = inner.args
-            lo = e.args[1]
-            return Call("fmin", (Call("fmax", (expr, lo)), hi))
+        if isinstance(inner, mexpr.Call) and inner.fn == "min":
+            return _clamp(inner.args[0], e.args[1], inner.args[1])
     return None
 
 
 def _rule_neg_sub(e):
     # R3: -(a - b) -> b - a
-    if isinstance(e, Unary) and e.op == "neg":
+    if isinstance(e, mexpr.Unary) and e.op == "neg":
         inner = e.operand
-        if isinstance(inner, Binary) and inner.op == "sub":
-            return Binary("sub", inner.right, inner.left)
+        if isinstance(inner, mexpr.Binary) and inner.op == "sub":
+            return mexpr.Binary("sub", inner.right, inner.left)
     return None
 
 
@@ -226,7 +220,7 @@ def _normalize_expr(e, line: int):
         return node
 
     for _ in range(REWRITE_CAP):
-        e, before = cparse.map_expr(first_rule, e), e
+        e, before = mexpr.map_nodes(first_rule, e), e
         if e == before:
             return e
     raise DivergingRewrite(f"rewriting did not converge (line {line})")
@@ -236,7 +230,7 @@ def _match_clamp_chain(s):
     # R2 (statement form): the lowered branch ladder
     #   if (x < lo) { t = lo; } else { if (x > hi) { t = hi; } else { t = x; } }
     # becomes t = fmin(fmax(x, lo), hi). Comparisons may be strict or not.
-    if not (isinstance(s, If) and isinstance(s.cond, Binary)):
+    if not (isinstance(s, If) and isinstance(s.cond, mexpr.Binary)):
         return None
     if len(s.then) != 1 or len(s.orelse) != 1:
         return None
@@ -244,7 +238,7 @@ def _match_clamp_chain(s):
     if not (isinstance(outer_then, Assign) and isinstance(outer_else, If)):
         return None
     inner = outer_else
-    if not (isinstance(inner.cond, Binary) and len(inner.then) == 1
+    if not (isinstance(inner.cond, mexpr.Binary) and len(inner.then) == 1
             and len(inner.orelse) == 1):
         return None
     inner_then, inner_else = inner.then[0], inner.orelse[0]
@@ -262,8 +256,7 @@ def _match_clamp_chain(s):
         return None
     if outer_then.value != lo or inner_then.value != hi:
         return None
-    clamp = Call("fmin", (Call("fmax", (x, lo)), hi))
-    return Assign(target, clamp, line=s.line)
+    return Assign(target, _clamp(x, lo, hi), line=s.line)
 
 
 def _normalize_stmts(stmts):

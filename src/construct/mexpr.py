@@ -1,10 +1,14 @@
-"""Model-level (equation) expression nodes: Const, Sym, Der, Unary (neg,
-not), Binary, If, and Call, a call of a built-in function (min, max, abs).
+"""Expression nodes. The interior nodes, Unary (neg, not), Binary, If
+and Call, a call of a built-in function (min, max, abs), are one family
+for C and model trees alike: the C front end (cparse) builds them over
+its own leaves, and translation replaces only those leaves by the model
+leaves Const, Sym and Der. children and map_nodes walk either kind.
 
-Shared by translation, binding, validation, and simulation. Sym/Der
-carry integer slot ids, in a search's plans too; model.apply_assignment
-rewrites them to variable names (strings) for emission and for mappings
-from outside a search. Everything else is agnostic of that distinction.
+Model trees are shared by translation, binding, validation, and
+simulation. Sym/Der carry integer slot ids, in a search's plans too;
+model.apply_assignment rewrites them to variable names (strings) for
+emission and for mappings from outside a search. Everything else is
+agnostic of that distinction.
 """
 
 from __future__ import annotations
@@ -60,22 +64,20 @@ class Call:
 ModelExpr = Const | Sym | Der | Unary | Binary | If | Call
 
 
-def children(e: ModelExpr) -> tuple:
-    match e:
-        case Const() | Sym() | Der():
-            return ()
-        case Unary(_, operand):
-            return (operand,)
-        case Binary(_, left, right):
-            return (left, right)
-        case If(cond, then, orelse):
-            return (cond, then, orelse)
-        case Call(_, args):
-            return args
-    raise TypeError(f"not a ModelExpr: {e!r}")
+def children(e) -> tuple:
+    """The operands of an interior node; () for any leaf, C or model."""
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, Unary):
+        return (e.operand,)
+    if isinstance(e, If):
+        return (e.cond, e.then, e.orelse)
+    if isinstance(e, Call):
+        return e.args
+    return ()
 
 
-def iter_nodes(e: ModelExpr):
+def iter_nodes(e):
     yield e
     for c in children(e):
         yield from iter_nodes(c)
@@ -86,30 +88,30 @@ def refs(e: ModelExpr) -> list:
     return [n.ref for n in iter_nodes(e) if isinstance(n, (Sym, Der))]
 
 
+def map_nodes(fn, e):
+    """Rebuild a C or model expression bottom-up, applying fn to every
+    node, leaves included."""
+    if isinstance(e, Binary):
+        e = Binary(e.op, map_nodes(fn, e.left), map_nodes(fn, e.right))
+    elif isinstance(e, Unary):
+        e = Unary(e.op, map_nodes(fn, e.operand))
+    elif isinstance(e, If):
+        e = If(map_nodes(fn, e.cond), map_nodes(fn, e.then), map_nodes(fn, e.orelse))
+    elif isinstance(e, Call):
+        e = Call(e.fn, tuple(map_nodes(fn, a) for a in e.args))
+    return fn(e)
+
+
 def map_refs(e: ModelExpr, fn) -> ModelExpr:
-    match e:
-        case Sym(ref):
-            return Sym(fn(ref))
-        case Der(ref):
-            return Der(fn(ref))
-        case Const():
-            return e
-        case Unary(op, operand):
-            return Unary(op, map_refs(operand, fn))
-        case Binary(op, left, right):
-            return Binary(op, map_refs(left, fn), map_refs(right, fn))
-        case If(cond, then, orelse):
-            return If(map_refs(cond, fn), map_refs(then, fn), map_refs(orelse, fn))
-        case Call(name, args):
-            return Call(name, tuple(map_refs(a, fn) for a in args))
-    raise TypeError(f"not a ModelExpr: {e!r}")
+    return map_nodes(lambda n: type(n)(fn(n.ref)) if isinstance(n, (Sym, Der)) else n, e)
 
 
 def eval_expr(e: ModelExpr, env: dict) -> float:
     """Evaluate with variables bound in env (booleans as exact 0.0/1.0).
 
-    Division by zero raises ZeroDivisionError for the caller to map to
-    its own error type.
+    `and` and `or` evaluate their right operand only when the left one
+    does not decide, as in C. Division by zero raises ZeroDivisionError
+    for the caller to map to its own error type.
     """
     match e:
         case Const(value):
@@ -131,6 +133,10 @@ def eval_expr(e: ModelExpr, env: dict) -> float:
             if eval_expr(cond, env) != 0.0:
                 return eval_expr(then, env)
             return eval_expr(orelse, env)
+        case Binary("and", left, right):
+            return 1.0 if eval_expr(left, env) != 0.0 and eval_expr(right, env) != 0.0 else 0.0
+        case Binary("or", left, right):
+            return 1.0 if eval_expr(left, env) != 0.0 or eval_expr(right, env) != 0.0 else 0.0
         case Binary(op, left, right):
             a = eval_expr(left, env)
             b = eval_expr(right, env)
@@ -155,8 +161,4 @@ def eval_expr(e: ModelExpr, env: dict) -> float:
                     return 1.0 if a == b else 0.0
                 case "ne":
                     return 1.0 if a != b else 0.0
-                case "and":
-                    return 1.0 if (a != 0.0 and b != 0.0) else 0.0
-                case "or":
-                    return 1.0 if (a != 0.0 or b != 0.0) else 0.0
     raise TypeError(f"not a ModelExpr: {e!r}")

@@ -154,8 +154,9 @@ def causalize(b: BoundModel) -> SimPlan:
 # ---------------------------------------------------------------------------
 
 # Source of the kernel statement for each operator. A comparison or a
-# logical operator yields 1.0/0.0, and `and`/`or` read both operands, as
-# in mexpr.eval_expr.
+# logical operator yields 1.0/0.0. As in mexpr.eval_expr, `and`/`or`
+# compute their right operand only where the left one does not decide:
+# _node emits it under a guard flag, and the template reads it only there.
 _BINARY = {
     "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
     "lt": "1.0 if {} < {} else 0.0", "le": "1.0 if {} <= {} else 0.0",
@@ -219,11 +220,19 @@ class _KernelSource:
         else:
             self.lines.append(f"if {local} - {local}: return {local}")
 
+    def _flag(self, guard, test: str) -> str:
+        """A new guard flag, set where guard (all samples, for None) and
+        test hold."""
+        flag = f"g{next(self.guards)}"
+        self.lines.append(f"{flag} = {guard} and {test}" if guard else f"{flag} = {test}")
+        return flag
+
     def _node(self, e, guard, dest=None) -> str:
         """Emit the statements computing e on the samples where guard
         holds (all, for None); return the local that holds its value.
         Each statement sits one block below the loop at most: an If
-        branch is a guard flag, and its statements are predicated on it."""
+        branch, or the right operand of and/or, is a guard flag, and its
+        statements are predicated on it."""
         when = f"if {guard}: " if guard else ""
         match e:
             case mexpr.Sym() | mexpr.Const():
@@ -235,10 +244,8 @@ class _KernelSource:
             case mexpr.If():
                 dest = dest or f"t{next(self.temps)}"
                 cond = self._node(e.cond, guard)
-                then, orelse = f"g{next(self.guards)}", f"g{next(self.guards)}"
-                held = f"{guard} and " if guard else ""
-                self.lines += [f"{then} = {held}{cond} != 0.0",
-                               f"{orelse} = {held}{cond} == 0.0"]
+                then = self._flag(guard, f"{cond} != 0.0")
+                orelse = self._flag(guard, f"{cond} == 0.0")
                 self._node(e.then, then, dest)
                 self._node(e.orelse, orelse, dest)
                 return dest
@@ -253,7 +260,12 @@ class _KernelSource:
             case _:
                 raise TypeError(f"not a ModelExpr: {e!r}")
         dest = dest or f"t{next(self.temps)}"
-        operands = [self._node(c, guard) for c in mexpr.children(e)]
+        if isinstance(e, mexpr.Binary) and e.op in mexpr.LOGIC_BINOPS:
+            left = self._node(e.left, guard)
+            undecided = f"{left} {'!=' if e.op == 'and' else '=='} 0.0"
+            operands = [left, self._node(e.right, self._flag(guard, undecided))]
+        else:
+            operands = [self._node(c, guard) for c in mexpr.children(e)]
         if isinstance(e, mexpr.Binary) and e.op == "div" and self.label is not None:
             self.lines.append(f"w = {len(self.labels)}")
             self.labels.append(self.label)

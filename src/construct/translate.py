@@ -15,15 +15,13 @@ from dataclasses import dataclass, replace
 
 from construct import mexpr
 from construct.cparse import (
-    MAX_EXPR_DEPTH, MAX_EXPR_NODES, Assign, Binary, Call, Decl, Deref, Ident, If,
-    IntLit, RealLit, Return, Ternary, Unary, iter_stmts, map_expr, operands,
+    MAX_EXPR_DEPTH, MAX_EXPR_NODES, Assign, Decl, Deref, Ident, If, IntLit, RealLit,
+    Return, iter_stmts,
 )
 from construct.errors import ConstructError
 from construct.isolate import StepBody
 
 CAST_TO_TYPE = {"double": "Real", "float": "Real", "int": "Integer", "bool": "Boolean"}
-CALLEE_TO_FN = {"fmin": "min", "fminf": "min", "fmax": "max", "fmaxf": "max",
-                "fabs": "abs", "fabsf": "abs"}
 
 
 class TranslateError(ConstructError):
@@ -113,7 +111,7 @@ def _subst(pending: dict, e):
             return pending[node.name]
         return node
 
-    return map_expr(repl, e)
+    return mexpr.map_nodes(repl, e)
 
 
 def _extent(e, inlined: dict) -> tuple:
@@ -122,7 +120,7 @@ def _extent(e, inlined: dict) -> tuple:
     of those expressions, so no inlined copy is walked."""
     if isinstance(e, Ident) and e.name in inlined:
         return inlined[e.name]
-    parts = [_extent(c, inlined) for c in operands(e)]
+    parts = [_extent(c, inlined) for c in mexpr.children(e)]
     return 1 + max((h for h, _ in parts), default=0), 1 + sum(n for _, n in parts)
 
 
@@ -223,18 +221,18 @@ class _SlotTable:
 
 def _match_integrator(target, value, step_symbol: str):
     """Match ``target + h * E`` (any operand order); return E or None."""
-    if not (isinstance(value, Binary) and value.op == "add"):
+    if not (isinstance(value, mexpr.Binary) and value.op == "add"):
         return None
     for state_side, inc in ((value.left, value.right), (value.right, value.left)):
         if state_side != target:
             continue
-        if isinstance(inc, Binary) and inc.op == "mul":
+        if isinstance(inc, mexpr.Binary) and inc.op == "mul":
             if inc.left == Ident(step_symbol):
                 return inc.right
             if inc.right == Ident(step_symbol):
                 return inc.left
         # reciprocal rule may have rewritten h * c into h / n
-        if isinstance(inc, Binary) and inc.op == "div" and inc.left == Ident(step_symbol) \
+        if isinstance(inc, mexpr.Binary) and inc.op == "div" and inc.left == Ident(step_symbol) \
                 and isinstance(inc.right, RealLit) and inc.right.value != 0.0:
             return RealLit(1.0 / inc.right.value)
     return None
@@ -251,11 +249,10 @@ def translate_to_equations(body: StepBody) -> EquationModel:
     known_idents = (set(body.params) | set(body.locals_)) \
         - {body.base_pointer, body.step_symbol}
 
-    def trans(e, line: int):
-        if isinstance(e, IntLit):
+    def leaf(e):
+        """The model leaf for a C leaf; an interior node as it is."""
+        if isinstance(e, (IntLit, RealLit)):
             return mexpr.Const(float(e.value))
-        if isinstance(e, RealLit):
-            return mexpr.Const(e.value)
         if isinstance(e, Deref):
             if e.base != body.base_pointer:
                 raise UnboundIdentifier(e.base, "unexpected dereference base")
@@ -269,19 +266,13 @@ def translate_to_equations(body: StepBody) -> EquationModel:
             if e.name not in known_idents:
                 raise UnboundIdentifier(e.name)
             return mexpr.Sym(table.slot_for(e.name, "Unknown"))
-        if isinstance(e, Unary):
-            return mexpr.Unary(e.op, trans(e.operand, line))
-        if isinstance(e, Binary):
-            return mexpr.Binary(e.op, trans(e.left, line), trans(e.right, line))
-        if isinstance(e, Ternary):
-            return mexpr.If(trans(e.cond, line), trans(e.then, line),
-                            trans(e.orelse, line))
-        if isinstance(e, Call):
-            return mexpr.Call(CALLEE_TO_FN[e.callee], tuple(trans(a, line) for a in e.args))
-        raise TranslateError(f"line {line}: untranslatable expression {e!r}")
+        return e
+
+    def trans(e):
+        return mexpr.map_nodes(leaf, e)
 
     def target_slot(target, line: int) -> int:
-        lhs = trans(target, line)
+        lhs = trans(target)
         if not isinstance(lhs, mexpr.Sym):
             raise UnsupportedControlFlow(line, "assignment target is not a slot")
         return lhs.ref
@@ -296,20 +287,20 @@ def translate_to_equations(body: StepBody) -> EquationModel:
                 if sid in table.states:
                     raise UnsupportedControlFlow(s.line, "second state update for one slot")
                 table.states.add(sid)
-                equations.append((mexpr.Der(sid), trans(integ, s.line)))
+                equations.append((mexpr.Der(sid), trans(integ)))
             else:
                 sid = target_slot(s.target, s.line)
-                equations.append((mexpr.Sym(sid), trans(s.value, s.line)))
+                equations.append((mexpr.Sym(sid), trans(s.value)))
         elif isinstance(s, If):
             if len(s.then) == 1 and len(s.orelse) == 1 \
                     and isinstance(s.then[0], Assign) and isinstance(s.orelse[0], Assign) \
                     and s.then[0].target == s.orelse[0].target:
-                cond = trans(s.cond, s.line)
+                cond = trans(s.cond)
                 sid = target_slot(s.then[0].target, s.line)
                 equations.append((
                     mexpr.Sym(sid),
-                    mexpr.If(cond, trans(s.then[0].value, s.line),
-                             trans(s.orelse[0].value, s.line))))
+                    mexpr.If(cond, trans(s.then[0].value),
+                             trans(s.orelse[0].value))))
             else:
                 raise UnsupportedControlFlow(
                     s.line, "branches must assign exactly one shared slot")

@@ -22,9 +22,9 @@ from pathlib import Path
 from construct import mexpr, sim
 from construct.container import MalformedTrace, Trace, read_text
 from construct.cparse import (
-    Assign, Binary, Call, Decl, Deref, Ident, If, IntLit, ParseError, RealLit,
-    Return, Ternary, Unary,
+    Assign, Decl, Deref, Ident, If, IntLit, ParseError, RealLit, Return,
 )
+from construct.mexpr import Binary, Call, Unary
 
 
 # one alternative per token kind, blanks included, tried in order
@@ -97,15 +97,15 @@ def eval_code_expr(e, mem: dict, env: dict) -> float:
     if isinstance(e, Unary):
         v = eval_code_expr(e.operand, mem, env)
         return -v if e.op == "neg" else (0.0 if v != 0.0 else 1.0)
-    if isinstance(e, Ternary):
+    if isinstance(e, mexpr.If):
         if eval_code_expr(e.cond, mem, env) != 0.0:
             return eval_code_expr(e.then, mem, env)
         return eval_code_expr(e.orelse, mem, env)
     if isinstance(e, Call):
         args = [eval_code_expr(a, mem, env) for a in e.args]
-        if e.callee in ("fmin", "fminf"):
+        if e.fn == "min":
             return min(args)
-        if e.callee in ("fmax", "fmaxf"):
+        if e.fn == "max":
             return max(args)
         return abs(args[0])
     if isinstance(e, Binary):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from construct import mexpr
 from construct.cparse import (
-    Assign, Binary, Call, CodeUnit, Decl, Deref, Ident, If, IntLit, ParseError,
-    RealLit, Return, Ternary, Unary, _tokenize, parse_c_expr, parse_c_unit,
-    print_expr, print_unit,
+    Assign, CodeUnit, Decl, Deref, Ident, If, IntLit, ParseError, RealLit, Return,
+    _tokenize, parse_c_expr, parse_c_unit, print_expr, print_unit,
 )
+from construct.mexpr import Binary, Call, Unary
 
 
 def test_step_function_parse():
@@ -27,7 +28,7 @@ def test_step_function_parse():
 def test_ternary_assignment():
     unit = parse_c_unit("void f(int c, int a) { x = (c) ? a : b; }")
     assert unit.functions[0].body[0] == Assign(
-        Ident("x"), Ternary(Ident("c"), Ident("a"), Ident("b")))
+        Ident("x"), mexpr.If(Ident("c"), Ident("a"), Ident("b")))
 
 
 def test_error_position_on_semicolon():
@@ -126,11 +127,11 @@ def _random_expr(rng, depth):
         return Binary(rng.choice(_OPS), _random_expr(rng, depth - 1),
                       _random_expr(rng, depth - 1))
     if kind == 2:
-        return Ternary(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1),
+        return mexpr.If(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1),
                        _random_expr(rng, depth - 1))
-    callee = rng.choice(("fmin", "fmax", "fabs"))
-    n = 1 if callee == "fabs" else 2
-    return Call(callee, tuple(_random_expr(rng, depth - 1) for _ in range(n)))
+    fn = rng.choice(("min", "max", "abs"))
+    n = 1 if fn == "abs" else 2
+    return Call(fn, tuple(_random_expr(rng, depth - 1) for _ in range(n)))
 
 
 def test_expr_print_parse_stability():

@@ -106,9 +106,30 @@ def test_division_by_zero_in_untaken_branch_is_not_raised():
 
 def test_division_by_zero_in_right_operand_of_and_is_raised():
     div = Binary("div", Const(1.0), Sym("u"))
-    plan = _plan([("z", Const(3.0)), ("y", Binary("and", Sym("u"), div))])
+    undecided = Binary("eq", Sym("u"), Const(0.0))
+    plan = _plan([("z", Const(3.0)), ("y", Binary("and", undecided, div))])
     cls, message = assert_same(plan, _trace(["u"], value=0.0), ["y"])
     assert cls is DivisionByZero and message.endswith("in equation 1")
+
+
+def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide():
+    u = Sym("u")
+    div = Binary("div", Const(1.0), u)
+    exprs = [Binary("and", u, div), Binary("or", Unary("not", u), div),
+             If(u, Const(2.0), Binary("and", u, div)),
+             Binary("or", Binary("and", u, div), Binary("eq", u, Const(0.0)))]
+    plan = _plan([(f"y{i}", e) for i, e in enumerate(exprs)],
+                 states=[("x", 0.5, Binary("and", u, div))])
+    outputs = [f"y{i}" for i in range(len(exprs))] + ["x"]
+    kernels = sim.KernelCache()
+    _, columns = assert_same(plan, _trace(["u"], value=0.0), outputs, kernels)
+    assert [columns[n][-1] for n in outputs] \
+        == [struct.pack("<d", v) for v in (0.0, 1.0, 0.0, 1.0, 0.5)]
+    assert not _fell_back(kernels)
+    # where the left operand does not decide, the right one is computed
+    _, columns = assert_same(plan, _trace(["u"], value=0.5), outputs)
+    assert [columns[n][0] for n in outputs] \
+        == [struct.pack("<d", v) for v in (1.0, 1.0, 2.0, 1.0, 0.5)]
 
 
 def test_division_by_zero_in_derivative_names_the_state():
