@@ -310,7 +310,7 @@ def write_trace(trace: Trace, path: Path | str) -> None:
     so load_trace(write_trace(t)) reproduces t bit-exactly."""
     cells = (map(repr, column) for column in (trace.times, *trace.columns.values()))
     rows = map(",".join, zip(*cells))
-    Path(path).write_text("\n".join(chain(["time," + ",".join(trace.columns)], rows, [""])))
+    Path(path).write_text("\n".join(chain([",".join(("time", *trace.columns))], rows, [""])))
 
 
 def load_container(path: Path | str) -> ContainerModel:

@@ -357,7 +357,9 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem):
 
     Head genes that collide with the inherited tail are replaced by
     chasing the positional mapping between the parents' tails, within
-    each slot's domain; returns None when repair is impossible.
+    each slot's domain; returns None when repair is impossible, or when
+    the child lost an input or an output, which would break C4, so that
+    it is rejected before it is bound and causalized.
     """
     head = list(head_parent[:k])
     tail = list(tail_parent[k:])
@@ -375,7 +377,8 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem):
             if g not in problem.domains[pos]:
                 return None
             head[pos] = g
-    return tuple(head + tail)
+    child = tuple(head + tail)
+    return child if all(map(child.__contains__, problem.io_indices)) else None
 
 
 def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
@@ -459,6 +462,8 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
         raise GaError(f"unknown mode {mode!r}")
     if problem.input_trace is None or problem.reference_trace is None:
         raise NoReferenceTrace("the container provides no input/reference traces")
+    if not problem.classification.outputs:
+        raise GaError("the container has no output variable to score")
     reference = problem.reference_trace
     for name in problem.classification.outputs:
         if name not in reference.columns:

@@ -15,17 +15,22 @@ time grid by a generated kernel: straight-line Python, one statement
 per expression node (min and max of two operands inline, as
 conditional expressions), with mexpr.eval_expr as its reference
 semantics. Its loop zips the times with one iterable per data slot and
-records a fixed number of outputs. One generator writes two kernels
-per plan. The fast kernel checks finiteness per sample only at the
+records a fixed number of outputs; a scored kernel also zips each
+output's reference column and records the output's squared error in
+its place, so that score only sums what simulate returns. One
+generator writes every kernel of a plan: fast or checked, recording
+or scored. The fast kernel checks finiteness per sample only at the
 watched refs, where a non-finite value could hide from every later
 check, and once at the end over every solved value. The checked kernel
 checks every solved value at every sample and names the fault as the
 tree walk does; simulate runs it only when a fast run fails, and its
-outputs or error are the answer. simulate compiles the fast kernel for
+result or error is the answer. simulate compiles the fast kernel for
 the plan on each call, unless given a KernelCache, which compiles one
-per problem and number of outputs, and the checked one at the first
-failure. Names, parameter values, state starts, input columns and the
-slots of the recorded outputs reach a kernel as data;
+per problem, number of outputs and recording or scored, and the
+checked one at the first failure, and works out once per problem the
+kernel's shape: its matching, data slots and the position of each
+solved ref. Names, parameter values, state starts, input and reference
+columns and the slots of the outputs reach a kernel as data;
 KernelCache.signature tells which plans simulate alike. Models that
 fail any static or runtime check are rejected, which is exactly how
 non-simulatable candidates are discovered.
@@ -36,8 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import count, islice, repeat
-from operator import mul, sub
+from itertools import chain, count, islice, repeat
+from operator import sub
 
 from construct import check, mexpr
 from construct.container import MalformedTrace, Trace
@@ -114,11 +119,12 @@ class SimPlan:
         """The variable name of a reference of this plan."""
         return self.bindings[ref] if self.bindings else ref
 
-    @property
-    def solved_names(self) -> dict:
-        """The reference of each variable the plan solves for, by name."""
-        return {self.name(r): r for r in
-                [r for _, r, _ in self.algebraic_order] + [r for r, _, _ in self.state_vars]}
+    def ref(self, name):
+        """The reference of a variable name: its slot, None when no slot
+        holds it, or the name itself in a name-level plan."""
+        if not self.bindings:
+            return name
+        return self.bindings.index(name) if name in self.bindings else None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +288,28 @@ def _data_slots(plan: SimPlan) -> tuple:
     return tuple(sorted(plan.input_names.union(plan.param_env) - states))
 
 
+def _solved(plan: SimPlan) -> tuple:
+    """The refs a plan solves for, in kernel order: the algebraic ones in
+    plan order, then the states."""
+    return tuple(r for _, r, _ in plan.algebraic_order) + tuple(r for r, _, _ in plan.state_vars)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What the kernels of every plan with one matching share: the kernel
+    key (KernelCache.matching), the data slots (_data_slots) and the
+    position of each solved ref in the tuple o of solved locals."""
+
+    matching: tuple
+    reads: tuple
+    position: dict  # solved ref -> its index in o
+
+
+def _shape(plan: SimPlan) -> _Shape:
+    return _Shape(KernelCache.matching(plan), _data_slots(plan),
+                  {r: i for i, r in enumerate(_solved(plan))})
+
+
 def _strict_refs(e) -> set:
     """The refs of e reached from its root through add, sub, mul, neg,
     abs and a division's numerator only: a non-finite value at one of
@@ -318,18 +346,22 @@ def _watched(plan: SimPlan) -> set:
     return watched
 
 
-def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
+def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False,
+                   scored: bool = False) -> tuple:
     """The source of the fast or the checked kernel for plan, recording
-    outputs outputs, and the namespace it runs in, which also holds the
-    kernel's data layout under "layout".
+    outputs outputs or, scored, their squared errors, and the namespace
+    it runs in, which also holds the kernel's error label templates
+    under "labels".
 
     kernel(T, I, A, S, L, h, last) runs the loop over the times T, which
-    it zips with the iterables in I, one for each data slot (see
-    _data_slots) in the layout's order of refs: an input's column, or
-    an endless repeat of a parameter's value. A holds a (position,
-    append method) pair for each recorded output, the position of its
-    ref in the layout's solved refs; only their number is in the source.
-    S holds the state starts, L the layout's error label templates,
+    it zips with the iterables in I: one for each data slot, in the
+    order of _data_slots, an input's column or an endless repeat of a
+    parameter's value; then, scored, each output's reference column. A
+    holds a (position, append method) pair for each output, the position
+    of its ref in the tuple o of solved locals (_solved); only their
+    number is in the source. A recording kernel appends each output's
+    value, a scored one the square of its difference from the
+    reference. S holds the state starts, L the error label templates,
     formatted with names; h is the step and last the index of the last
     sample. Its locals follow the env of the tree walk statement by
     statement, so the results are bit-identical. `if x - x:` is the
@@ -344,22 +376,24 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
     it returns the sum of every solved local, which covers the states
     and the last sample, whose derivatives are never computed. The sum
     is non-finite whenever a check of the checked kernel would fail, and
-    also when finite values overflow it.
+    also when finite values overflow it. The squares are no part of it:
+    a square that overflows is the score's to judge.
     """
     src = _KernelSource(checked)
     loop = src.lines
-    reads = _data_slots(plan)
-    solved = tuple(r for _, r, _ in plan.algebraic_order) \
-        + tuple(r for r, _, _ in plan.state_vars)
+    solved = _solved(plan)
     watched = solved if checked else _watched(plan)
-    columns = "".join(f", {src.var(ref)}" for ref in reads)
+    columns = "".join(f", {src.var(ref)}" for ref in _data_slots(plan))
+    if scored:
+        columns += "".join(f", r{j}" for j in range(outputs))
     for eq_index, ref, expr in plan.algebraic_order:
         src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
         if ref in watched:
             src.check_finite(src.var(ref), ref)
     if outputs:
         loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
-        loop += [f"a{j}(o[p{j}])" for j in range(outputs)]
+        for j in range(outputs):
+            loop += [f"x = o[p{j}] - r{j}", f"a{j}(x * x)"] if scored else [f"a{j}(o[p{j}])"]
     if plan.state_vars:
         loop.append("if k == last: break")
         for j, (ref, _, rhs) in enumerate(plan.state_vars):
@@ -380,7 +414,7 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
     # the trailing comma unpacks t from a 1-tuple when there is no data slot
     header = f"for k, (t{columns},) in enumerate(zip(T, *I)):"
     namespace = {"C": tuple(value for _, value in src.consts.values()), "E": _evaluated_der,
-                 "layout": (reads, solved, tuple(src.labels))}
+                 "labels": tuple(src.labels)}
     if checked:
         namespace.update(F=NonFiniteValue, DivisionByZero=DivisionByZero)
         return "\n".join(head + [" try:", f"  {header}"] + [f"   {line}" for line in loop]
@@ -393,31 +427,37 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
     return "\n".join(head + [f" {header}"] + [f"  {line}" for line in loop] + tail), namespace
 
 
-def _compile_kernel(plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
-    """The fast or the checked kernel of plan, recording outputs outputs,
-    and its data layout: (run, refs of I, solved refs, labels), see
-    _kernel_source. The fast kernel's labels are empty."""
-    source, namespace = _kernel_source(plan, outputs, checked)
+def _compile_kernel(plan: SimPlan, outputs: int, checked: bool = False,
+                    scored: bool = False) -> tuple:
+    """The fast or the checked kernel of plan, recording outputs outputs
+    or, scored, their squared errors, and its error label templates:
+    (run, labels), see _kernel_source. The fast kernel's labels are
+    empty."""
+    source, namespace = _kernel_source(plan, outputs, checked, scored)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
-    return (namespace.pop("kernel"), *namespace.pop("layout"))
+    return namespace.pop("kernel"), namespace.pop("labels")
 
 
 class KernelCache:
     """The kernels of one problem's slot-level plans, by matching, number
-    of recorded outputs and checked or fast, and the step of the last
-    input grid checked. The matching, the (algebraic equation, solved
-    slot) pairs in plan order, fixes the source, since every plan of a
-    problem shares its Structure's order, expressions, states and data
-    slots (the slots the equations only read); names, values and the
-    slots of the outputs reach the kernel as data, and only the number
-    of outputs is in the source. Every plan of a problem has one
-    matching, and a search records one list of outputs, so it compiles
-    one fast kernel, at its first simulation, and the checked kernel
-    only when a fast run first fails."""
+    of outputs, checked or fast and recording or scored; the shape of
+    each matching's kernels (_Shape); and the step of the last input
+    grid checked. The matching, the (algebraic equation, solved slot)
+    pairs in plan order, fixes the source, since every plan of a problem
+    shares its Structure's order, expressions, states and data slots
+    (the slots the equations only read); names, values and the slots of
+    the outputs reach the kernel as data, and only the number of outputs
+    is in the source. Every plan of a problem has one matching, and one
+    algebraic order object, by which shape finds it without building the
+    matching; a search scores one list of outputs, so it compiles one
+    fast scored kernel, at its first score, and the checked one only
+    when a fast run first fails."""
 
     def __init__(self):
         self.kernels: dict = {}
+        self.shapes: dict = {}  # matching -> _Shape
+        self.last = (None, None)  # (algebraic order, _Shape) of the last plan
         self.grid = (None, None)  # (times, step)
 
     def step(self, times) -> float:
@@ -430,12 +470,26 @@ class KernelCache:
         """The kernel key of a plan causalized at slot level."""
         return tuple((i, s) for i, s, _ in plan.algebraic_order)
 
-    def kernel(self, plan: SimPlan, outputs: int, checked: bool = False) -> tuple:
+    def shape(self, plan: SimPlan) -> _Shape:
+        """The shape of the kernels of a plan causalized at slot level,
+        worked out at the first plan of its matching."""
+        order, shape = self.last
+        if order is not plan.algebraic_order:
+            matching = self.matching(plan)
+            if matching not in self.shapes:
+                self.shapes[matching] = _shape(plan)
+            shape = self.shapes[matching]
+            self.last = (plan.algebraic_order, shape)
+        return shape
+
+    def kernel(self, plan: SimPlan, outputs: int, checked: bool = False,
+               scored: bool = False) -> tuple:
         """The compiled fast or checked kernel of a plan causalized at
-        slot level, recording outputs outputs."""
-        key = (self.matching(plan), outputs, checked)
+        slot level, recording outputs outputs or, scored, their squared
+        errors."""
+        key = (self.shape(plan).matching, outputs, checked, scored)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan, outputs, checked)
+            self.kernels[key] = _compile_kernel(plan, outputs, checked, scored)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
@@ -444,12 +498,12 @@ class KernelCache:
         (an input name, or a parameter value, each by repr so that they
         cannot meet, nor 0.0 and -0.0), the state starts by repr and the
         slot of each output. Plans with equal signatures simulate alike."""
-        solved = plan.solved_names
-        return (self.matching(plan),
-                tuple(repr(plan.name(r) if r in plan.input_names else plan.param_env[r])
-                      for r in _data_slots(plan)),
+        shape = self.shape(plan)
+        return (shape.matching,
+                tuple(repr(plan.bindings[r] if r in plan.input_names else plan.param_env[r])
+                      for r in shape.reads),
                 tuple(repr(start) for _, start, _ in plan.state_vars),
-                tuple(solved.get(name) for name in sorted(outputs)))
+                tuple(map(plan.bindings.index, sorted(outputs))))
 
 
 def grid_step(times) -> float:
@@ -467,18 +521,22 @@ def grid_step(times) -> float:
 
 
 def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
-             kernels: KernelCache | None = None) -> Trace:
+             kernels: KernelCache | None = None, reference: Trace | None = None) -> Trace:
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
     The per-sample loop is the fast kernel compiled from the plan for
     this call, or, with kernels, the one of the plan's problem (see
     _kernel_source), recording only the outputs of interest;
-    mexpr.eval_expr is its reference semantics. When the fast run raises
-    or its end check fails, the checked kernel runs again from the
-    start, and its outputs or its error are the answer. An input column
-    the plan reads must have one value per time (MalformedTrace
-    otherwise): the kernel zips them."""
+    mexpr.eval_expr is its reference semantics. Given the reference, it
+    records each output's squared error against the reference's column
+    of that name instead, in a list, for score to sum; each such column
+    must have one value per time, as score checks. The result's times
+    are the grid either way. When the fast run raises or its end check
+    fails, the checked kernel runs again from the start, and its result
+    or its error is the answer. An input column the plan reads must have
+    one value per time (MalformedTrace otherwise): the kernel zips
+    them."""
     times = inputs.times
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
@@ -486,25 +544,30 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
         if len(inputs.columns[name]) != len(times):
             raise MalformedTrace(f"input column {name!r} has {len(inputs.columns[name])} "
                                  f"values for {len(times)} times")
-    solved = plan.solved_names
+    shape = _shape(plan) if kernels is None else kernels.shape(plan)
     out_names = sorted(outputs_of_interest)
+    positions = []
     for name in out_names:
-        if name not in solved:
+        ref = plan.ref(name)
+        if ref not in shape.position:
             raise SimulateError(f"output {name!r} is not computed by the plan")
+        positions.append(shape.position[ref])
 
     h = grid_step(times) if kernels is None else kernels.step(times)
     kernel = _compile_kernel if kernels is None else kernels.kernel
+    data = tuple(inputs.columns[plan.name(r)] if r in plan.input_names
+                 else repeat(plan.param_env[r]) for r in shape.reads)
+    if reference is not None:
+        data += tuple(reference.columns[name] for name in out_names)
+    starts = tuple(start for _, start, _ in plan.state_vars)
 
     def run(checked: bool) -> tuple:
-        """The kernel's return value and the recorded output columns."""
-        fn, reads, layout, labels = kernel(plan, len(out_names), checked)
+        """The kernel's return value and the recorded columns."""
+        fn, labels = kernel(plan, len(out_names), checked, reference is not None)
         columns = [[] for _ in out_names]
-        end = fn(times, tuple(inputs.columns[plan.name(r)] if r in plan.input_names
-                              else repeat(plan.param_env[r]) for r in reads),
-                 tuple((layout.index(solved[n]), column.append)
-                       for n, column in zip(out_names, columns)),
-                 tuple(start for _, start, _ in plan.state_vars),
-                 tuple(label.format(plan.name(r)) for label, r in labels), h, len(times) - 1)
+        end = fn(times, data, tuple(zip(positions, [column.append for column in columns])),
+                 starts, tuple(label.format(plan.name(r)) for label, r in labels), h,
+                 len(times) - 1)
         return end, columns
 
     try:
@@ -514,36 +577,35 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
         failed = True
     if failed:
         _, columns = run(True)
-    return Trace(times, {n: tuple(column) for n, column in zip(out_names, columns)})
+    if reference is None:
+        columns = map(tuple, columns)
+    return Trace(times, dict(zip(out_names, columns)))
 
 
 def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
           kernels: KernelCache | None = None) -> Fitness:
     """Mean squared distance of the plan's outputs, simulated with
-    kernels, from the reference. No plan (the model does not causalize),
-    a simulate failure and a sum of squares that overflows all fold into
-    Invalid. math.fsum rounds the sum exactly, whatever the order of the
-    squares."""
+    kernels, from the reference: simulate records the squares, and
+    math.fsum rounds their sum exactly, whatever their order. No plan
+    (the model does not causalize), a simulate failure and a sum of
+    squares that overflows all fold into Invalid."""
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")
         if len(reference.columns[name]) != len(reference.times):
             raise ValueError(f"reference column {name!r} has {len(reference.columns[name])} "
                              f"values for {len(reference.times)} times")
+    if len(reference.times) != len(inputs.times):
+        raise ValueError("reference and simulation grids differ in length")
     if plan is None:
         return INVALID
     try:
-        result = simulate(plan, inputs, outputs, kernels)
+        squares = simulate(plan, inputs, outputs, kernels, reference).columns
     except SimulateError:
         return INVALID
-    if len(result.times) != len(reference.times):
-        raise ValueError("reference and simulation grids differ in length")
-    sq = []
-    for name in outputs:
-        errors = list(map(sub, result.columns[name], reference.columns[name]))
-        sq += map(mul, errors, errors)
     try:
-        mse = math.fsum(sq) / len(sq)
+        mse = math.fsum(chain.from_iterable(squares.values())) \
+            / (len(inputs.times) * len(squares))
     except OverflowError:  # finite squares whose sum overflows
         return INVALID
     return Fitness.finite(mse) if math.isfinite(mse) else INVALID

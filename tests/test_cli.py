@@ -668,3 +668,31 @@ def test_integer_start_beyond_the_float_range_exits_1(tmp_path, capsys, command)
     assert main(argv[command]) == 1
     assert capsys.readouterr().err == ("error: malformed model description: start of Integer "
                                        "variable 'k' is beyond the float range\n")
+
+
+def _tiny_without_outputs(tmp_path):
+    work = tmp_path / "tiny"
+    shutil.copytree(REPO / "tests/data/tiny", work)
+    desc = work / "modelDescription.xml"
+    desc.write_text(desc.read_text().replace('causality="output"', 'causality="local"'))
+    return work
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cbt"])
+def test_synth_without_an_output_variable_exits_1(tmp_path, capsys, mode):
+    work = _tiny_without_outputs(tmp_path)
+    code = main(["synth", str(work), "--mode", mode, "--pop", "4", "--gens", "2"])
+    assert code == 1
+    assert "no output variable" in capsys.readouterr().err
+
+
+def test_make_reference_without_an_output_variable_writes_a_readable_trace(tmp_path, capsys):
+    work = _tiny_without_outputs(tmp_path)
+    code = main(["make-reference", str(work), "--mapping", str(work / "ground_truth.json")])
+    assert code == 0
+    reference = load_trace(work / "traces" / "reference.csv")
+    assert reference.columns == {}
+    assert reference.times == load_trace(work / "traces" / "input.csv").times
+    # the search then stops at the missing output, not at the trace
+    assert main(["synth", str(work), "--mode", "cbc", "--pop", "4", "--gens", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -487,3 +487,79 @@ def test_search_simulates_once_per_distinct_signature(all_cases, monkeypatch):
             plan = sim.causalize(problem.bind(genes))
             uncached = sim.score(plan, problem.input_trace, problem.reference_trace, outputs)
             assert repr(uncached) == repr(fit), (name, genes)
+
+
+def test_cbc_search_simulates_once_per_fitness_and_returns_the_grid(all_cases, monkeypatch):
+    # what the benchmark's tracer reads: one sim.simulate call per
+    # GaProblem.fitness_of call, and a Trace whose times are the grid
+    from construct import ga, sim
+
+    events = []
+    simulate, fitness_of = sim.simulate, ga.GaProblem.fitness_of
+
+    def simulating(plan, inputs, *args, **kwargs):
+        events.append("simulate")
+        result = simulate(plan, inputs, *args, **kwargs)
+        assert isinstance(result, Trace) and len(result.times) == len(inputs.times)
+        return result
+
+    def scoring(self, genes):
+        events.append("fitness_of")
+        return fitness_of(self, genes)
+
+    monkeypatch.setattr(sim, "simulate", simulating)
+    monkeypatch.setattr(ga.GaProblem, "fitness_of", scoring)
+    for name, case in all_cases.items():
+        events.clear()
+        problem = ga.problem_from_container(case["container"])
+        run_ga("cbc", problem, GaConfig(population_size=20, max_generations=3, rng_seed=2))
+        assert events and events == ["fitness_of", "simulate"] * (len(events) // 2), name
+
+
+def test_cbt_search_rejects_pid_candidates_in_causalize(pid_case, monkeypatch):
+    # the benchmark counts CbT's rejections on sim.causalize, by class
+    from collections import Counter
+
+    from construct import check, ga, sim
+
+    rejected = Counter()
+    causalize, simulate = sim.causalize, sim.simulate
+
+    def counting(bound):
+        try:
+            return causalize(bound)
+        except check.CausalizeError as exc:
+            rejected[type(exc).__name__] += 1
+            raise
+
+    def simulating(*args, **kwargs):
+        rejected["simulated"] += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "causalize", counting)
+    monkeypatch.setattr(sim, "simulate", simulating)
+    problem = ga.problem_from_container(pid_case["container"])
+    run_ga("cbt", problem, GaConfig(population_size=12, max_generations=3, rng_seed=7))
+    assert rejected["DuplicateBinding"] > 0
+    assert rejected["simulated"] == 0
+
+
+def test_cbc_search_causalizes_no_genome_that_lost_an_input_or_output(all_cases, monkeypatch):
+    # crossover drops such a child before binding it (C4)
+    from construct import ga, sim
+
+    bound_names = []
+    causalize = sim.causalize
+
+    def recording(bound):
+        bound_names.append(set(bound.bindings))
+        return causalize(bound)
+
+    monkeypatch.setattr(sim, "causalize", recording)
+    for name, case in all_cases.items():
+        bound_names.clear()
+        problem = ga.problem_from_container(case["container"])
+        run_ga("cbc", problem, GaConfig(population_size=50, max_generations=10, rng_seed=1,
+                                        early_stop=False))
+        io = {v.name for v in problem.vars.io}
+        assert bound_names and all(io <= names for names in bound_names), name

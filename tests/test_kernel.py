@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from construct import mexpr, sim
 from construct.container import Trace
 from construct.ga import generate_individual
-from construct.sim import DivisionByZero, NonFiniteValue, SimPlan
+from construct.sim import INVALID, DivisionByZero, NonFiniteValue, SimPlan
 from interp import named, tree_walk
 
 Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
@@ -46,7 +46,7 @@ def assert_same(plan, inputs, outputs, kernels=None):
 
 def _fell_back(kernels) -> bool:
     """Whether simulate compiled a checked kernel: a fast run failed."""
-    return any(checked for _, _, checked in kernels.kernels)
+    return any(checked for _, _, checked, _ in kernels.kernels)
 
 
 def _trace(inputs, n=4, value=1.0, h=0.01):
@@ -398,12 +398,92 @@ def test_generated_plans_match_tree_walk(case):
 
 
 # ---------------------------------------------------------------------------
+# Scoring: the scored kernel against the tree walk's squared errors
+# ---------------------------------------------------------------------------
+
+def _score_outcome(score):
+    """A score as bit patterns, or the exception class and message."""
+    try:
+        fit = score()
+    except Exception as exc:  # the class is what is compared
+        return type(exc), str(exc)
+    return fit if not fit.is_finite else struct.pack("<d", fit.mse)
+
+
+def _tree_walk_score(plan, inputs, reference, outputs):
+    """The MSE of the tree walk's outputs: each output's errors squared,
+    summed with math.fsum, Invalid where the walk or the sum fails."""
+    try:
+        walked = tree_walk(named(plan), inputs, outputs)
+    except sim.SimulateError:
+        return INVALID
+    squares = [(o - r) * (o - r) for name in outputs
+               for o, r in zip(walked.columns[name], reference.columns[name])]
+    try:
+        mse = math.fsum(squares) / len(squares)
+    except OverflowError:
+        return INVALID
+    return sim.Fitness.finite(mse) if math.isfinite(mse) else INVALID
+
+
+def assert_scores_as_tree_walk(plan, inputs, reference, outputs):
+    """score on plan, with a KernelCache and without, against the tree
+    walk's squared errors; returns the cache."""
+    kernels = sim.KernelCache()
+    expected = _score_outcome(partial(_tree_walk_score, plan, inputs, reference, outputs))
+    for cache in (kernels, None):
+        assert _score_outcome(partial(sim.score, plan, inputs, reference, outputs, cache)) \
+            == expected
+    return kernels
+
+
+REFERENCE_VALUES = st.one_of(st.sampled_from(VALUES[:9]),
+                             st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plans(), st.data())
+def test_generated_plans_score_as_tree_walk(case, data):
+    plan, inputs, outputs = case
+    reference = Trace(inputs.times, {
+        name: tuple(data.draw(REFERENCE_VALUES) for _ in inputs.times) for name in outputs})
+    assert_scores_as_tree_walk(plan, inputs, reference, outputs)
+
+
+def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square():
+    # a false alarm: finite values overflow the fast kernel's end sum
+    plan = _plan([("y0", Sym("u")), ("y1", Binary("mul", Sym("u"), Const(0.9)))],
+                 states=[("x", 1e308, Binary("sub", Const(0.0), Sym("x")))])
+    inputs = _trace(["u"], value=1e308)
+    reference = Trace(inputs.times, {"y0": (1e308, 1e308, 0.0, 1.0), "y1": (9e307,) * 4})
+    kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
+    assert _fell_back(kernels)
+    assert sim.score(plan, inputs, reference, ["y0", "y1"], kernels) == INVALID
+    reference = Trace(inputs.times, {"y0": (1e308,) * 4, "y1": (0.9e308,) * 4})
+    kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
+    assert _fell_back(kernels) and sim.score(plan, inputs, reference, ["y0", "y1"]).is_finite
+    # a fault the checked kernel names: Invalid either way
+    plan = _plan([("y", Binary("div", Const(1.0), Sym("u")))])
+    kernels = assert_scores_as_tree_walk(plan, _trace(["u"], value=0.0),
+                                         _trace(["y"]), ["y"])
+    assert _fell_back(kernels)
+    # one square overflows; finite squares whose sum overflows
+    plan = _plan([("y", Sym("u"))])
+    for value, ref in ((1e200, 0.0), (1e154, -1.3e154)):
+        kernels = assert_scores_as_tree_walk(plan, _trace(["u"], value=value),
+                                             _trace(["y"], value=ref), ["y"])
+        assert not _fell_back(kernels)
+        assert sim.score(plan, _trace(["u"], value=value), _trace(["y"], value=ref),
+                         ["y"], kernels) == INVALID
+
+
+# ---------------------------------------------------------------------------
 # The generated source
 # ---------------------------------------------------------------------------
 
 FIXED = {"def", "kernel", "try", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
          "else", "break", "except", "ZeroDivisionError", "raise", "from", "None", "return",
-         "T", "I", "A", "h", "last", "k", "t", "w", "e", "S", "C", "L", "E", "F", "o",
+         "T", "I", "A", "h", "last", "k", "t", "w", "e", "S", "C", "L", "E", "F", "o", "x",
          "DivisionByZero", "abs"}
 
 
@@ -413,7 +493,7 @@ def _identifiers(source: str) -> set:
 
 
 def _generated(ident: str) -> bool:
-    return ident[0] in "vctgdpa" and ident[1:].isdigit()
+    return ident[0] in "vctgdpar" and ident[1:].isdigit()
 
 
 def _numbers(source: str) -> set:
@@ -425,8 +505,8 @@ def _numbers(source: str) -> set:
 @given(plans())
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
     plan, _, outputs = case
-    for checked in (False, True):
-        source, _ = sim._kernel_source(plan, len(outputs), checked)
+    for checked, scored in itertools.product((False, True), (False, True)):
+        source, _ = sim._kernel_source(plan, len(outputs), checked, scored)
         assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
         assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
         assert not any(tok.type == tokenize.STRING for tok in
@@ -439,8 +519,10 @@ def test_fixture_sources_hold_no_names_or_constants(all_cases):
     for case in all_cases.values():
         problem = case["problem"]
         slot_level = sim.causalize(problem.bind(case["ground_truth"]))
-        for plan, checked in itertools.product((slot_level, named(slot_level)), (False, True)):
-            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), checked)
+        for plan, checked, scored in itertools.product((slot_level, named(slot_level)),
+                                                       (False, True), (False, True)):
+            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), checked,
+                                           scored)
             constants = {repr(n.value) for _, _, e in plan.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
