@@ -307,7 +307,13 @@ def load_trace(path: Path | str) -> Trace:
 
 def write_trace(trace: Trace, path: Path | str) -> None:
     """Write a trace as CSV. Floats use shortest round-trip formatting,
-    so load_trace(write_trace(t)) reproduces t bit-exactly."""
+    so load_trace(write_trace(t)) reproduces t bit-exactly. A column
+    name holding a comma or a line break would not read back, so it is
+    refused before the file is opened."""
+    for name in trace.columns:
+        if any(c in name for c in ",\n\r"):
+            raise ContainerError(f"cannot write column {name!r} to a trace: "
+                                 f"a column name holds no comma and no line break")
     cells = (map(repr, column) for column in (trace.times, *trace.columns.values()))
     rows = map(",".join, zip(*cells))
     Path(path).write_text("\n".join(chain([",".join(("time", *trace.columns))], rows, [""])))

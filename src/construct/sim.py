@@ -11,20 +11,21 @@ is then only checked against it, by the one function that states the
 binding rules, check.binding_faults, which constraint validation also
 reports from. The plan keeps the Structure's own order, references and
 expressions, and is integrated with forward Euler on the input trace's
-time grid by a generated kernel: straight-line Python, one statement
-per expression node (min and max of two operands inline, as
-conditional expressions), with mexpr.eval_expr as its reference
-semantics. Its loop zips the times with one iterable per data slot and
-records a fixed number of outputs; a scored kernel also zips each
-output's reference column and records the output's squared error in
-its place, so that score only sums what simulate returns. One
-generator writes every kernel of a plan: fast or checked, recording
-or scored. The fast kernel checks finiteness per sample only at the
-watched refs, where a non-finite value could hide from every later
-check, and once at the end over every solved value. The checked kernel
-checks every solved value at every sample and names the fault as the
-tree walk does; simulate runs it only when a fast run fails, and its
-result or error is the answer. simulate compiles the fast kernel for
+time grid by a generated kernel: straight-line Python, with
+mexpr.eval_expr as its reference semantics. Its loop zips the times
+with one iterable per data slot and records a fixed number of outputs;
+a scored kernel also zips each output's reference column and records
+the output's squared error in its place, so that score only sums what
+simulate returns. One generator writes every kernel of a plan: fast or
+checked, recording or scored. The fast kernel computes each equation
+as one expression, as lazy as the tree walk in If, `and` and `or`,
+stores the outputs by sample index, and checks finiteness per sample
+only at the watched refs, where a non-finite value could hide from
+every later check, and once at the end over every solved value. The
+checked kernel computes one expression node a statement, checks every
+solved value at every sample and names the fault as the tree walk
+does; simulate runs it only when a fast run fails, and its result or
+error is the answer. simulate compiles the fast kernel for
 the plan on each call, unless given a KernelCache, which compiles one
 per problem, number of outputs and recording or scored, and the
 checked one at the first failure, and works out once per problem the
@@ -159,10 +160,13 @@ def causalize(b: BoundModel) -> SimPlan:
 # Simulation
 # ---------------------------------------------------------------------------
 
-# Source of the kernel statement for each operator. A comparison or a
-# logical operator yields 1.0/0.0. As in mexpr.eval_expr, `and`/`or`
-# compute their right operand only where the left one does not decide:
-# _node emits it under a guard flag, and the template reads it only there.
+# Source of each operator over its operands, a statement's right-hand side
+# in the checked kernel and, in parentheses, a subexpression in the fast
+# one. A comparison or a logical operator yields 1.0/0.0. As in
+# mexpr.eval_expr, `and`/`or` compute their right operand only where the
+# left one does not decide: Python's own `and`/`or` do in the fast kernel,
+# and in the checked one _node emits it under a guard flag, and the
+# template reads it only there.
 _BINARY = {
     "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
     "lt": "1.0 if {} < {} else 0.0", "le": "1.0 if {} <= {} else 0.0",
@@ -176,6 +180,10 @@ _UNARY = {"neg": "-{}", "not": "0.0 if {} != 0.0 else 1.0"}
 # these return exactly what the builtins return, NaN and -0.0 included.
 _CALLS = {"min": "{1} if {1} < {0} else {0}", "max": "{1} if {1} > {0} else {0}",
           "abs": "abs({})"}
+# The deepest nesting of parentheses in a fast kernel's expression, well
+# below the 200 that CPython's parser accepts; a deeper operand is spilled
+# to a temporary first.
+MAX_NESTING = 50
 
 
 def _evaluated_der():
@@ -184,12 +192,13 @@ def _evaluated_der():
 
 
 class _KernelSource:
-    """The statements of one plan's per-sample loop, one per expression
-    node. Variables, constants and temporaries live in generated locals
-    (v*, c*, t*); variable names and constant values stay out of the
-    source and reach the kernel as data. A checked source labels each
-    division for DivisionByZero and raises NonFiniteValue at a failed
-    check; a fast one labels nothing and returns the non-finite value."""
+    """The statements of one plan's per-sample loop. Variables, constants
+    and temporaries live in generated locals (v*, c*, t*); variable names
+    and constant values stay out of the source and reach the kernel as
+    data. A checked source writes one statement per expression node,
+    labels each division for DivisionByZero and raises NonFiniteValue at
+    a failed check. A fast one writes one expression per equation,
+    labels nothing and returns the non-finite value."""
 
     def __init__(self, checked: bool):
         self.checked = checked
@@ -216,8 +225,11 @@ class _KernelSource:
         """Emit the statements that compute e into dest. In a checked
         source, its first division records label, formatted with the
         name of ref, for DivisionByZero in w."""
-        self.label = (label, ref) if self.checked else None
-        self._node(e, None, dest)
+        if self.checked:
+            self.label = (label, ref)
+            self._node(e, None, dest)
+        else:
+            self.lines.append(f"{dest} = {self._inline(e)[0]}")
 
     def check_finite(self, local: str, ref) -> None:
         if self.checked:
@@ -278,6 +290,60 @@ class _KernelSource:
             self.label = None
         self.lines.append(f"{when}{dest} = {text.format(*operands)}")
         return dest
+
+    def _inline(self, e) -> tuple:
+        """The fast kernel's text of e, one expression, and its depth of
+        nested parentheses, at most MAX_NESTING. An If, `and` and `or` are
+        Python's own lazy operators. An operand that would nest deeper is
+        spilled to a temporary, which a statement before computes on every
+        sample, taken branch or not: it can only raise there, and the
+        checked kernel's re-run then gives the answer."""
+        match e:
+            case mexpr.Sym(ref):
+                return self.var(ref), 0
+            case mexpr.Const(value):
+                return self.const(value), 0
+            case mexpr.Der():
+                return "E()", 1
+            case mexpr.Call("abs", (operand,)):
+                text, depth = self._operand(operand)
+                return f"abs({text})", depth + 1
+            case mexpr.Call("min" | "max" as fn, (left, right)):
+                # a > b is b < a, so each operand is first read in order
+                (a, first_a, da), (b, first_b, db) = self._once(left), self._once(right)
+                test = f"{first_a} {'>' if fn == 'min' else '<'} {first_b}"
+                return f"({b} if {test} else {a})", max(da, db) + 1
+            case mexpr.If():
+                text = "{1} if {0} != 0.0 else {2}"
+            case mexpr.Binary(op) if op in _BINARY:
+                text = _BINARY[op]
+            case mexpr.Unary(op) if op in _UNARY:
+                text = _UNARY[op]
+            case _:
+                raise TypeError(f"not a ModelExpr: {e!r}")
+        operands = [self._operand(c) for c in mexpr.children(e)]
+        return f"({text.format(*(t for t, _ in operands))})", max(d for _, d in operands) + 1
+
+    def _operand(self, e, levels: int = 1) -> tuple:
+        """_inline of an operand that its node nests levels deeper, spilled
+        to a temporary where that would pass MAX_NESTING."""
+        text, depth = self._inline(e)
+        if depth + levels <= MAX_NESTING:
+            return text, depth
+        temp = f"t{next(self.temps)}"
+        self.lines.append(f"{temp} = {text}")
+        return temp, 0
+
+    def _once(self, e) -> tuple:
+        """An operand of min or max, which reads it twice: the name of its
+        value, the text that computes it where it is first read, bound to
+        a temporary in place unless it is a local already, and that text's
+        depth."""
+        text, depth = self._operand(e, 2)
+        if not depth:
+            return text, text, 0
+        temp = f"t{next(self.temps)}"
+        return temp, f"({temp} := {text})", depth + 1
 
 
 def _data_slots(plan: SimPlan) -> tuple:
@@ -357,21 +423,24 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False,
     it zips with the iterables in I: one for each data slot, in the
     order of _data_slots, an input's column or an endless repeat of a
     parameter's value; then, scored, each output's reference column. A
-    holds a (position, append method) pair for each output, the position
-    of its ref in the tuple o of solved locals (_solved); only their
-    number is in the source. A recording kernel appends each output's
-    value, a scored one the square of its difference from the
-    reference. S holds the state starts, L the error label templates,
-    formatted with names; h is the step and last the index of the last
-    sample. Its locals follow the env of the tree walk statement by
-    statement, so the results are bit-identical. `if x - x:` is the
-    finiteness check: x - x is 0.0 for a finite x and nan for inf and
-    nan.
+    holds a (position, store) pair for each output, the position of its
+    ref in the tuple o of solved locals (_solved); only their number is
+    in the source. A recording kernel stores each output's value, a
+    scored one the square of its difference from the reference: the
+    fast kernel at index k of a list with one slot per time, the checked
+    one through the list's append method. S holds the state starts, L
+    the error label templates, formatted with names; h is the step and
+    last the index of the last sample. Its locals take the values of the
+    tree walk's env, by the same operations on the same operands, so the
+    results are bit-identical. `if x - x:` is the finiteness check: x - x
+    is 0.0 for a finite x and nan for inf and nan.
 
-    The checked kernel checks every solved ref at every sample and
-    raises the tree walk's errors, NonFiniteValue and DivisionByZero
-    with the name or label of the ref or equation. The fast kernel has
-    no labels: it checks only the watched refs (_watched), returning the
+    The checked kernel computes one expression node a statement, checks
+    every solved ref at every sample and raises the tree walk's errors,
+    NonFiniteValue and DivisionByZero with the name or label of the ref
+    or equation. The fast kernel computes each equation and each
+    derivative as one expression (_KernelSource._inline) and has no
+    labels: it checks only the watched refs (_watched), returning the
     non-finite value, and lets Python's errors through. After its loop
     it returns the sum of every solved local, which covers the states
     and the last sample, whose derivatives are never computed. The sum
@@ -393,7 +462,10 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False,
     if outputs:
         loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
         for j in range(outputs):
-            loop += [f"x = o[p{j}] - r{j}", f"a{j}(x * x)"] if scored else [f"a{j}(o[p{j}])"]
+            value = "x * x" if scored else f"o[p{j}]"
+            if scored:
+                loop.append(f"x = o[p{j}] - r{j}")
+            loop.append(f"a{j}({value})" if checked else f"a{j}[k] = {value}")
     if plan.state_vars:
         loop.append("if k == last: break")
         for j, (ref, _, rhs) in enumerate(plan.state_vars):
@@ -527,16 +599,16 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
 
     The per-sample loop is the fast kernel compiled from the plan for
     this call, or, with kernels, the one of the plan's problem (see
-    _kernel_source), recording only the outputs of interest;
-    mexpr.eval_expr is its reference semantics. Given the reference, it
-    records each output's squared error against the reference's column
-    of that name instead, in a list, for score to sum; each such column
-    must have one value per time, as score checks. The result's times
-    are the grid either way. When the fast run raises or its end check
-    fails, the checked kernel runs again from the start, and its result
-    or its error is the answer. An input column the plan reads must have
-    one value per time (MalformedTrace otherwise): the kernel zips
-    them."""
+    _kernel_source), recording only the outputs of interest into lists
+    made with one slot per time; mexpr.eval_expr is its reference
+    semantics. Given the reference, it records each output's squared
+    error against the reference's column of that name instead, for score
+    to sum; each such column must have one value per time, as score
+    checks. The result's times are the grid either way. When the fast
+    run raises or its end check fails, the checked kernel runs again
+    from the start, and its result or its error is the answer. An input
+    column the plan reads must have one value per time (MalformedTrace
+    otherwise): the kernel zips them."""
     times = inputs.times
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
@@ -564,8 +636,12 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     def run(checked: bool) -> tuple:
         """The kernel's return value and the recorded columns."""
         fn, labels = kernel(plan, len(out_names), checked, reference is not None)
-        columns = [[] for _ in out_names]
-        end = fn(times, data, tuple(zip(positions, [column.append for column in columns])),
+        if checked:
+            columns = [[] for _ in out_names]
+            stores = [column.append for column in columns]
+        else:
+            columns = stores = [[0.0] * len(times) for _ in out_names]
+        end = fn(times, data, tuple(zip(positions, stores)),
                  starts, tuple(label.format(plan.name(r)) for label, r in labels), h,
                  len(times) - 1)
         return end, columns
@@ -589,6 +665,8 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
     math.fsum rounds their sum exactly, whatever their order. No plan
     (the model does not causalize), a simulate failure and a sum of
     squares that overflows all fold into Invalid."""
+    if not outputs:
+        raise ValueError("no output to score")
     for name in outputs:
         if name not in reference.columns:
             raise ValueError(f"reference trace lacks output column {name!r}")

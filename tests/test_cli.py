@@ -696,3 +696,25 @@ def test_make_reference_without_an_output_variable_writes_a_readable_trace(tmp_p
     # the search then stops at the missing output, not at the trace
     assert main(["synth", str(work), "--mode", "cbc", "--pop", "4", "--gens", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, shown", [("hold,out", "'hold,out'"),
+                                         ("hold&#10;out", "'hold\\nout'")])
+def test_an_output_name_a_trace_cannot_read_back_exits_1_before_writing(tmp_path, capsys,
+                                                                          name, shown):
+    # written, the header `time,hold,out` had 3 cells over rows of 2
+    work = tmp_path / "tiny"
+    shutil.copytree(REPO / "tests/data/tiny", work)
+    desc = work / "modelDescription.xml"
+    desc.write_text(desc.read_text().replace('name="hold_out"', f'name="{name}"'))
+    reference = work / "traces" / "reference.csv"
+    before = reference.read_bytes()
+    mapping = str(work / "ground_truth.json")
+    out = tmp_path / "out.csv"
+    for argv in (["make-reference", str(work), "--mapping", mapping],
+                 ["simulate", str(work), "--mapping", mapping, "-o", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: cannot write column {shown} to a trace: "
+                                           f"a column name holds no comma and no line break\n")
+    assert reference.read_bytes() == before
+    assert not out.exists()

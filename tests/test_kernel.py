@@ -10,6 +10,7 @@ import io
 import itertools
 import math
 import random
+import re
 import struct
 import tokenize
 from functools import partial
@@ -130,6 +131,31 @@ def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide(
     _, columns = assert_same(plan, _trace(["u"], value=0.5), outputs)
     assert [columns[n][0] for n in outputs] \
         == [struct.pack("<d", v) for v in (1.0, 1.0, 2.0, 1.0, 0.5)]
+
+
+def test_min_and_max_operands_in_untaken_branches_and_decided_operators_are_not_computed():
+    # a division by zero inside a min or max operand, where the tree walk
+    # never reaches it: the fast kernel binds the operand where it is
+    # read, inside its branch, and so runs without falling back
+    u = Sym("u")
+    div = Binary("div", Const(1.0), u)
+    low, high = mexpr.Call("min", (div, Const(2.0))), mexpr.Call("max", (Unary("neg", u), div))
+    exprs = [If(u, low, Const(3.0)), If(Unary("not", u), Const(4.0), high),
+             Binary("and", u, low), Binary("or", Unary("not", u), high)]
+    plan = _plan([(f"y{i}", e) for i, e in enumerate(exprs)],
+                 states=[("x", 0.5, Binary("and", u, high))])
+    outputs = [f"y{i}" for i in range(len(exprs))] + ["x"]
+    inputs = _trace(["u"], value=0.0)
+    kernels = sim.KernelCache()
+    _, columns = assert_same(plan, inputs, outputs, kernels)
+    assert [columns[n][-1] for n in outputs] \
+        == [struct.pack("<d", v) for v in (3.0, 4.0, 0.0, 1.0, 0.5)]
+    assert not _fell_back(kernels)
+    assert not _fell_back(assert_scores_as_tree_walk(plan, inputs, _trace(outputs), outputs))
+    # where the branch is taken, the division is computed
+    _, columns = assert_same(plan, _trace(["u"], value=0.5), outputs)
+    assert [columns[n][0] for n in outputs] \
+        == [struct.pack("<d", v) for v in (2.0, 2.0, 1.0, 1.0, 0.5)]
 
 
 def test_division_by_zero_in_derivative_names_the_state():
@@ -475,6 +501,75 @@ def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square():
         assert not _fell_back(kernels)
         assert sim.score(plan, _trace(["u"], value=value), _trace(["y"], value=ref),
                          ["y"], kernels) == INVALID
+
+
+# ---------------------------------------------------------------------------
+# Expressions nested past the fast kernel's cap
+# ---------------------------------------------------------------------------
+
+WRAPPERS = ("neg", "not", "abs", "if", "min", "max") + BINOPS
+
+
+def _wrap(e, kind, side, where):
+    """e one node deeper: under kind, as operand where (modulo its
+    arity), with side as every other operand."""
+    if kind in ("neg", "not"):
+        return Unary(kind, e)
+    if kind == "abs":
+        return mexpr.Call("abs", (e,))
+    if kind == "if":
+        operands = [side, side]
+        operands.insert(where, e)
+        return If(*operands)
+    operands = (side, e) if where % 2 else (e, side)
+    return mexpr.Call(kind, operands) if kind in ("min", "max") else Binary(kind, *operands)
+
+
+def _nesting(source: str) -> int:
+    """The deepest nesting of parentheses in source."""
+    depth = deepest = 0
+    for ch in source:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@st.composite
+def deep_plans(draw):
+    """plans() with one equation or derivative wrapped in a chain of
+    operators longer than the fast kernel's nesting cap."""
+    plan, inputs, outputs = draw(plans())
+    i = draw(st.integers(0, len(plan.algebraic_order) + len(plan.state_vars) - 1))
+    known = ["u0", "u1", "p0", "p1"] + [x for x, _, _ in plan.state_vars] \
+        + [y for _, y, _ in plan.algebraic_order[:i]]
+    sides = st.one_of(st.sampled_from(VALUES).map(Const), st.sampled_from(known).map(Sym))
+    wraps = st.tuples(st.sampled_from(WRAPPERS), sides, st.integers(0, 2))
+    chain = draw(st.lists(wraps, min_size=sim.MAX_NESTING + 1, max_size=3 * sim.MAX_NESTING))
+
+    def deep(e):
+        for kind, side, where in chain:
+            e = _wrap(e, kind, side, where)
+        return e
+    n = len(plan.algebraic_order)
+    algebraic = [(j, y, deep(e) if j == i else e) for j, y, e in plan.algebraic_order]
+    states = [(x, start, deep(e) if n + j == i else e)
+              for j, (x, start, e) in enumerate(plan.state_vars)]
+    return SimPlan(tuple(states), tuple(algebraic), plan.param_env, plan.input_names), \
+        inputs, outputs
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(deep_plans(), st.data())
+def test_generated_plans_nested_past_the_cap_match_tree_walk(case, data):
+    plan, inputs, outputs = case
+    assert_same(plan, inputs, outputs)
+    reference = Trace(inputs.times, {
+        name: tuple(data.draw(REFERENCE_VALUES) for _ in inputs.times) for name in outputs})
+    assert_scores_as_tree_walk(plan, inputs, reference, outputs)
+    for scored in (False, True):
+        source, _ = sim._kernel_source(plan, len(outputs), scored=scored)
+        assert _nesting(source) <= sim.MAX_NESTING
+        assert re.search(r"^  t\d+ = ", source, re.MULTILINE), "an operand was spilled"
 
 
 # ---------------------------------------------------------------------------

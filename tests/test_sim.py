@@ -355,6 +355,16 @@ def test_fitness_requires_reference_columns():
         score(causalize(b), inputs, Trace((0.0, 0.1), {"z": (1.0, 1.0)}), ("y",))
 
 
+def test_fitness_of_no_output_is_a_value_error():
+    # the mean over no squares was a ZeroDivisionError
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
+    plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
+    inputs = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
+    for kernels in (None, KernelCache()):
+        with pytest.raises(ValueError, match="^no output to score$"):
+            score(plan, inputs, Trace(inputs.times, {"y": (1.0, 1.0)}), (), kernels)
+
+
 def test_fitness_ordering_total():
     rng = random.Random(5)
     values = [Fitness.finite(rng.random() * 10) for _ in range(50)] + [INVALID] * 5
