@@ -31,6 +31,13 @@ def _load_problem(args) -> tuple:
     return cm, ga.problem_from_container(cm)
 
 
+def _check_out_paths(*paths) -> None:
+    """Refuse a path to write to whose directory does not exist."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise ConstructError(f"{path}: no such directory to write into")
+
+
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("cbc", "cbt"), required=True,
                    help="operator suite: correct-by-construction or baseline")
@@ -83,9 +90,7 @@ def _model_name(container: Path) -> str:
 def cmd_synth(args) -> int:
     cm, problem = _load_problem(args)
     cfg = _ga_config(args)
-    for path in filter(None, (args.out, args.report, args.curves)):
-        if not Path(path).parent.is_dir():
-            raise ConstructError(f"{path}: no such directory to write into")
+    _check_out_paths(args.out, args.report, args.curves)
     result = ga.run_ga(args.mode, problem, cfg)
     best_c, best_f = result.best
 
@@ -146,6 +151,7 @@ def _valid_mapping(path: str, problem: ga.GaProblem):
 
 
 def cmd_simulate(args) -> int:
+    _check_out_paths(args.out)
     cm, problem = _load_problem(args)
     if cm.input_trace is None:
         raise ConstructError("container has no traces/input.csv")

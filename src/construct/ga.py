@@ -72,6 +72,8 @@ def search_space_size(num_slots: int, num_variables: int) -> int:
     """Count of injective assignments: P(V, S) = V! / (V - S)!."""
     if num_slots < 0:
         raise GaError(f"negative slot count {num_slots}")
+    if num_variables < 0:
+        raise GaError(f"negative variable count {num_variables}")
     if num_slots > num_variables:
         raise SlotsExceedVariables(f"{num_slots} slots > {num_variables} variables")
     return math.perm(num_variables, num_slots)

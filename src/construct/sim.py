@@ -16,25 +16,23 @@ mexpr.eval_expr as its reference semantics. Its loop zips the times
 with one iterable per data slot and records a fixed number of outputs;
 a scored kernel also zips each output's reference column and records
 the output's squared error in its place, so that score only sums what
-simulate returns. One generator writes every kernel of a plan: fast or
-checked, recording or scored. The fast kernel computes each equation
-as one expression, as lazy as the tree walk in If, `and` and `or`,
-stores the outputs by sample index, and checks finiteness per sample
-only at the watched refs, where a non-finite value could hide from
-every later check, and once at the end over every solved value. The
-checked kernel computes one expression node a statement, checks every
-solved value at every sample and names the fault as the tree walk
-does; simulate runs it only when a fast run fails, and its result or
-error is the answer. simulate compiles the fast kernel for
-the plan on each call, unless given a KernelCache, which compiles one
-per problem, number of outputs and recording or scored, and the
-checked one at the first failure, and works out once per problem the
-kernel's shape: its matching, data slots and the position of each
-solved ref. Names, parameter values, state starts, input and reference
-columns and the slots of the outputs reach a kernel as data;
-KernelCache.signature tells which plans simulate alike. Models that
-fail any static or runtime check are rejected, which is exactly how
-non-simulatable candidates are discovered.
+simulate returns. The kernel computes each equation as one expression,
+as lazy as the tree walk in If, `and` and `or`, stores the outputs by
+sample index, and checks finiteness per sample only at the watched
+refs, where a non-finite value could hide from every later check, and
+once at the end over every solved value. When a run raises or fails its
+end check, simulate re-runs the plan from the start by a tree walk over
+mexpr.eval_expr, which checks every solved value at every sample and
+names the fault; its result or error is the answer. simulate compiles
+the kernel for the plan on each call, unless given a KernelCache, which
+compiles one per problem, number of outputs and recording or scored,
+and works out once per problem the kernel's shape: its matching, data
+slots and the position of each solved ref. Names, parameter values,
+state starts, input and reference columns and the slots of the outputs
+reach a kernel as data; KernelCache.signature tells which plans
+simulate alike. Models that fail any static or runtime check are
+rejected, which is exactly how non-simulatable candidates are
+discovered.
 """
 
 from __future__ import annotations
@@ -160,13 +158,10 @@ def causalize(b: BoundModel) -> SimPlan:
 # Simulation
 # ---------------------------------------------------------------------------
 
-# Source of each operator over its operands, a statement's right-hand side
-# in the checked kernel and, in parentheses, a subexpression in the fast
-# one. A comparison or a logical operator yields 1.0/0.0. As in
-# mexpr.eval_expr, `and`/`or` compute their right operand only where the
-# left one does not decide: Python's own `and`/`or` do in the fast kernel,
-# and in the checked one _node emits it under a guard flag, and the
-# template reads it only there.
+# Source of each operator over its operands, a subexpression of the
+# kernel, which _inline puts in parentheses. A comparison or a logical
+# operator yields 1.0/0.0. As in mexpr.eval_expr, Python's own `and`/`or`
+# compute their right operand only where the left one does not decide.
 _BINARY = {
     "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
     "lt": "1.0 if {} < {} else 0.0", "le": "1.0 if {} <= {} else 0.0",
@@ -176,13 +171,9 @@ _BINARY = {
     "or": "1.0 if {} != 0.0 or {} != 0.0 else 0.0",
 }
 _UNARY = {"neg": "-{}", "not": "0.0 if {} != 0.0 else 1.0"}
-# min(a, b) and max(a, b) are b only when b compares below (above) a, so
-# these return exactly what the builtins return, NaN and -0.0 included.
-_CALLS = {"min": "{1} if {1} < {0} else {0}", "max": "{1} if {1} > {0} else {0}",
-          "abs": "abs({})"}
-# The deepest nesting of parentheses in a fast kernel's expression, well
-# below the 200 that CPython's parser accepts; a deeper operand is spilled
-# to a temporary first.
+# The deepest nesting of parentheses in a kernel's expression, well below
+# the 200 that CPython's parser accepts; a deeper operand is spilled to a
+# temporary first.
 MAX_NESTING = 50
 
 
@@ -192,22 +183,16 @@ def _evaluated_der():
 
 
 class _KernelSource:
-    """The statements of one plan's per-sample loop. Variables, constants
-    and temporaries live in generated locals (v*, c*, t*); variable names
-    and constant values stay out of the source and reach the kernel as
-    data. A checked source writes one statement per expression node,
-    labels each division for DivisionByZero and raises NonFiniteValue at
-    a failed check. A fast one writes one expression per equation,
-    labels nothing and returns the non-finite value."""
+    """The statements of one plan's per-sample loop, one expression per
+    equation. Variables, constants and temporaries live in generated
+    locals (v*, c*, t*); variable names and constant values stay out of
+    the source and reach the kernel as data."""
 
-    def __init__(self, checked: bool):
-        self.checked = checked
+    def __init__(self):
         self.lines: list = []
         self.vars: dict = {}  # ref -> local
         self.consts: dict = {}  # (type, repr) -> (local, value)
-        self.temps, self.guards = count(), count()  # numbering t* and g*
-        self.labels: list = []  # (error label template, ref), indexed in L
-        self.label = None  # of the expression being emitted, until recorded
+        self.temps = count()  # numbering t*
 
     def var(self, ref) -> str:
         return self.vars.setdefault(ref, f"v{len(self.vars)}")
@@ -221,83 +206,18 @@ class _KernelSource:
             self.consts[key] = (f"c{len(self.consts)}", value)
         return self.consts[key][0]
 
-    def expression(self, e, dest: str, label: str, ref) -> None:
-        """Emit the statements that compute e into dest. In a checked
-        source, its first division records label, formatted with the
-        name of ref, for DivisionByZero in w."""
-        if self.checked:
-            self.label = (label, ref)
-            self._node(e, None, dest)
-        else:
-            self.lines.append(f"{dest} = {self._inline(e)[0]}")
-
-    def check_finite(self, local: str, ref) -> None:
-        if self.checked:
-            self.lines.append(f"if {local} - {local}: raise F(t, L[{len(self.labels)}])")
-            self.labels.append(("{}", ref))
-        else:
-            self.lines.append(f"if {local} - {local}: return {local}")
-
-    def _flag(self, guard, test: str) -> str:
-        """A new guard flag, set where guard (all samples, for None) and
-        test hold."""
-        flag = f"g{next(self.guards)}"
-        self.lines.append(f"{flag} = {guard} and {test}" if guard else f"{flag} = {test}")
-        return flag
-
-    def _node(self, e, guard, dest=None) -> str:
-        """Emit the statements computing e on the samples where guard
-        holds (all, for None); return the local that holds its value.
-        Each statement sits one block below the loop at most: an If
-        branch, or the right operand of and/or, is a guard flag, and its
-        statements are predicated on it."""
-        when = f"if {guard}: " if guard else ""
-        match e:
-            case mexpr.Sym() | mexpr.Const():
-                leaf = self.var(e.ref) if isinstance(e, mexpr.Sym) else self.const(e.value)
-                if dest is None:
-                    return leaf
-                self.lines.append(f"{when}{dest} = {leaf}")
-                return dest
-            case mexpr.If():
-                dest = dest or f"t{next(self.temps)}"
-                cond = self._node(e.cond, guard)
-                then = self._flag(guard, f"{cond} != 0.0")
-                orelse = self._flag(guard, f"{cond} == 0.0")
-                self._node(e.then, then, dest)
-                self._node(e.orelse, orelse, dest)
-                return dest
-            case mexpr.Der():
-                text = "E()"
-            case mexpr.Binary(op) if op in _BINARY:
-                text = _BINARY[op]
-            case mexpr.Unary(op) if op in _UNARY:
-                text = _UNARY[op]
-            case mexpr.Call(fn) if fn in _CALLS:
-                text = _CALLS[fn]
-            case _:
-                raise TypeError(f"not a ModelExpr: {e!r}")
-        dest = dest or f"t{next(self.temps)}"
-        if isinstance(e, mexpr.Binary) and e.op in mexpr.LOGIC_BINOPS:
-            left = self._node(e.left, guard)
-            undecided = f"{left} {'!=' if e.op == 'and' else '=='} 0.0"
-            operands = [left, self._node(e.right, self._flag(guard, undecided))]
-        else:
-            operands = [self._node(c, guard) for c in mexpr.children(e)]
-        if isinstance(e, mexpr.Binary) and e.op == "div" and self.label is not None:
-            self.lines.append(f"w = {len(self.labels)}")
-            self.labels.append(self.label)
-            self.label = None
-        self.lines.append(f"{when}{dest} = {text.format(*operands)}")
-        return dest
+    def assign(self, dest: str, e) -> None:
+        """Emit the statement that computes e into dest, after those of
+        the temporaries it spills."""
+        self.lines.append(f"{dest} = {self._inline(e)[0]}")
 
     def _inline(self, e) -> tuple:
-        """The fast kernel's text of e, one expression, and its depth of
+        """The kernel's text of e, one expression, and its depth of
         nested parentheses, at most MAX_NESTING. An If, `and` and `or` are
         Python's own lazy operators. An operand that would nest deeper is
         spilled to a temporary, which a statement before computes on every
-        sample, taken branch or not: it can only raise there, and the
-        checked kernel's re-run then gives the answer."""
+        sample, taken branch or not: it can only raise there, and the tree
+        walk's re-run then gives the answer."""
         match e:
             case mexpr.Sym(ref):
                 return self.var(ref), 0
@@ -309,6 +229,8 @@ class _KernelSource:
                 text, depth = self._operand(operand)
                 return f"abs({text})", depth + 1
             case mexpr.Call("min" | "max" as fn, (left, right)):
+                # b only where b compares below (above) a, so that this is
+                # exactly what the builtin returns, NaN and -0.0 included;
                 # a > b is b < a, so each operand is first read in order
                 (a, first_a, da), (b, first_b, db) = self._once(left), self._once(right)
                 test = f"{first_a} {'>' if fn == 'min' else '<'} {first_b}"
@@ -395,7 +317,7 @@ def _strict_refs(e) -> set:
 
 
 def _watched(plan: SimPlan) -> set:
-    """The solved refs whose per-sample check a fast kernel keeps. A
+    """The solved refs whose per-sample check the kernel keeps. A
     non-finite ref at a strict position (_strict_refs) of a derivative
     makes its state non-finite, and a state stays so (x + h*d), up to the
     end check; at a strict position of a later equation, it makes that
@@ -412,71 +334,63 @@ def _watched(plan: SimPlan) -> set:
     return watched
 
 
-def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False,
-                   scored: bool = False) -> tuple:
-    """The source of the fast or the checked kernel for plan, recording
-    outputs outputs or, scored, their squared errors, and the namespace
-    it runs in, which also holds the kernel's error label templates
-    under "labels".
+def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
+    """The source of the kernel for plan, recording outputs outputs or,
+    scored, their squared errors, and the namespace it runs in.
 
-    kernel(T, I, A, S, L, h, last) runs the loop over the times T, which
-    it zips with the iterables in I: one for each data slot, in the
-    order of _data_slots, an input's column or an endless repeat of a
+    kernel(T, I, A, S, h, last) runs the loop over the times T, which it
+    zips with the iterables in I: one for each data slot, in the order
+    of _data_slots, an input's column or an endless repeat of a
     parameter's value; then, scored, each output's reference column. A
-    holds a (position, store) pair for each output, the position of its
+    holds a (position, list) pair for each output, the position of its
     ref in the tuple o of solved locals (_solved); only their number is
     in the source. A recording kernel stores each output's value, a
-    scored one the square of its difference from the reference: the
-    fast kernel at index k of a list with one slot per time, the checked
-    one through the list's append method. S holds the state starts, L
-    the error label templates, formatted with names; h is the step and
-    last the index of the last sample. Its locals take the values of the
-    tree walk's env, by the same operations on the same operands, so the
-    results are bit-identical. `if x - x:` is the finiteness check: x - x
-    is 0.0 for a finite x and nan for inf and nan.
+    scored one the square of its difference from the reference, at index
+    k of the output's list, which has one slot per time. S holds the
+    state starts; h is the step and last the index of the last sample.
+    Its locals take the values of the tree walk's env, by the same
+    operations on the same operands, so the results are bit-identical.
+    `if x - x:` is the finiteness check: x - x is 0.0 for a finite x and
+    nan for inf and nan.
 
-    The checked kernel computes one expression node a statement, checks
-    every solved ref at every sample and raises the tree walk's errors,
-    NonFiniteValue and DivisionByZero with the name or label of the ref
-    or equation. The fast kernel computes each equation and each
-    derivative as one expression (_KernelSource._inline) and has no
-    labels: it checks only the watched refs (_watched), returning the
-    non-finite value, and lets Python's errors through. After its loop
-    it returns the sum of every solved local, which covers the states
-    and the last sample, whose derivatives are never computed. The sum
-    is non-finite whenever a check of the checked kernel would fail, and
-    also when finite values overflow it. The squares are no part of it:
-    a square that overflows is the score's to judge.
+    The kernel computes each equation and each derivative as one
+    expression (_KernelSource._inline) and names no fault: it checks
+    only the watched refs (_watched), returning the non-finite value,
+    and lets Python's errors through. After its loop it returns the sum
+    of every solved local, which covers the states and the last sample,
+    whose derivatives are never computed. The sum is non-finite whenever
+    a check of the tree walk (_tree_walk) would fail, and also when
+    finite values overflow it. The squares are no part of it: a square
+    that overflows is the score's to judge.
     """
-    src = _KernelSource(checked)
+    src = _KernelSource()
     loop = src.lines
     solved = _solved(plan)
-    watched = solved if checked else _watched(plan)
+    watched = _watched(plan)
     columns = "".join(f", {src.var(ref)}" for ref in _data_slots(plan))
     if scored:
         columns += "".join(f", r{j}" for j in range(outputs))
-    for eq_index, ref, expr in plan.algebraic_order:
-        src.expression(expr, src.var(ref), f"equation {eq_index}", ref)
+    for _, ref, expr in plan.algebraic_order:
+        local = src.var(ref)
+        src.assign(local, expr)
         if ref in watched:
-            src.check_finite(src.var(ref), ref)
+            loop.append(f"if {local} - {local}: return {local}")
     if outputs:
         loop.append(f"o = ({''.join(src.var(r) + ', ' for r in solved)})")
         for j in range(outputs):
-            value = "x * x" if scored else f"o[p{j}]"
             if scored:
-                loop.append(f"x = o[p{j}] - r{j}")
-            loop.append(f"a{j}({value})" if checked else f"a{j}[k] = {value}")
+                loop += [f"x = o[p{j}] - r{j}", f"a{j}[k] = x * x"]
+            else:
+                loop.append(f"a{j}[k] = o[p{j}]")
     if plan.state_vars:
         loop.append("if k == last: break")
-        for j, (ref, _, rhs) in enumerate(plan.state_vars):
-            src.expression(rhs, f"d{j}", "der({})", ref)
+        for j, (_, _, rhs) in enumerate(plan.state_vars):
+            src.assign(f"d{j}", rhs)
         for j, (ref, _, _) in enumerate(plan.state_vars):
             local = src.var(ref)
             loop.append(f"{local} = {local} + h * d{j}")
-            if checked:
-                src.check_finite(local, ref)
 
-    head = ["def kernel(T, I, A, S, L, h, last):"]
+    head = ["def kernel(T, I, A, S, h, last):"]
     for targets, data in (
             ([src.var(r) for r, _, _ in plan.state_vars], "S"),
             ([c for c, _ in src.consts.values()], "C"),
@@ -484,47 +398,83 @@ def _kernel_source(plan: SimPlan, outputs: int, checked: bool = False,
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
     # the trailing comma unpacks t from a 1-tuple when there is no data slot
-    header = f"for k, (t{columns},) in enumerate(zip(T, *I)):"
-    namespace = {"C": tuple(value for _, value in src.consts.values()), "E": _evaluated_der,
-                 "labels": tuple(src.labels)}
-    if checked:
-        namespace.update(F=NonFiniteValue, DivisionByZero=DivisionByZero)
-        return "\n".join(head + [" try:", f"  {header}"] + [f"   {line}" for line in loop]
-                         + [" except ZeroDivisionError:",
-                            "  raise DivisionByZero(t, L[w]) from None", ""]), namespace
+    head.append(f" for k, (t{columns},) in enumerate(zip(T, *I)):")
     ends = [src.var(r) for r in solved]
     # added 50 locals a statement, so that compiling never nests deeply
     tail = [" e = 0.0"] + [f" e = e + {' + '.join(ends[i:i + 50])}"
                            for i in range(0, len(ends), 50)] + [" return e", ""]
-    return "\n".join(head + [f" {header}"] + [f"  {line}" for line in loop] + tail), namespace
+    namespace = {"C": tuple(value for _, value in src.consts.values()), "E": _evaluated_der}
+    return "\n".join(head + [f"  {line}" for line in loop] + tail), namespace
 
 
-def _compile_kernel(plan: SimPlan, outputs: int, checked: bool = False,
-                    scored: bool = False) -> tuple:
-    """The fast or the checked kernel of plan, recording outputs outputs
-    or, scored, their squared errors, and its error label templates:
-    (run, labels), see _kernel_source. The fast kernel's labels are
-    empty."""
-    source, namespace = _kernel_source(plan, outputs, checked, scored)
+def _compile_kernel(plan: SimPlan, outputs: int, scored: bool = False):
+    """The kernel of plan, recording outputs outputs or, scored, their
+    squared errors; see _kernel_source."""
+    source, namespace = _kernel_source(plan, outputs, scored)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
-    return namespace.pop("kernel"), namespace.pop("labels")
+    return namespace.pop("kernel")
+
+
+def _tree_walk(plan: SimPlan, reads: tuple, times, data: tuple, stores: tuple,
+               starts: tuple, h: float) -> None:
+    """Run plan as its kernel does, from the same times, data (for the
+    data slots reads, then any reference columns), starts and step, but
+    node by node with mexpr.eval_expr: the re-run that names a fault.
+    Every solved value is checked at every sample; a fault raises
+    DivisionByZero, naming the equation or the derivative that divides,
+    or NonFiniteValue, naming the ref. stores holds a (ref, list) pair
+    for each output: its value, or, when data holds reference columns,
+    its squared error against its column, is stored at index k."""
+    env = {ref: start for (ref, _, _), start in zip(plan.state_vars, starts)}
+    scored = len(data) > len(reads)
+    last = len(times) - 1
+    for k, (t, *values) in enumerate(zip(times, *data)):
+        env.update(zip(reads, values))
+        for eq_index, ref, expr in plan.algebraic_order:
+            try:
+                value = mexpr.eval_expr(expr, env)
+            except ZeroDivisionError:
+                raise DivisionByZero(t, f"equation {eq_index}") from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(t, plan.name(ref))
+            env[ref] = value
+        if scored:
+            for (ref, store), r in zip(stores, values[len(reads):]):
+                x = env[ref] - r
+                store[k] = x * x
+        else:
+            for ref, store in stores:
+                store[k] = env[ref]
+        if k == last:
+            break
+        ders = []
+        for ref, _, rhs in plan.state_vars:
+            try:
+                ders.append(mexpr.eval_expr(rhs, env))
+            except ZeroDivisionError:
+                raise DivisionByZero(t, f"der({plan.name(ref)})") from None
+        for (ref, _, _), d in zip(plan.state_vars, ders):
+            x = env[ref] + h * d
+            if not math.isfinite(x):
+                raise NonFiniteValue(t, plan.name(ref))
+            env[ref] = x
 
 
 class KernelCache:
     """The kernels of one problem's slot-level plans, by matching, number
-    of outputs, checked or fast and recording or scored; the shape of
-    each matching's kernels (_Shape); and the step of the last input
-    grid checked. The matching, the (algebraic equation, solved slot)
-    pairs in plan order, fixes the source, since every plan of a problem
-    shares its Structure's order, expressions, states and data slots
-    (the slots the equations only read); names, values and the slots of
-    the outputs reach the kernel as data, and only the number of outputs
-    is in the source. Every plan of a problem has one matching, and one
-    algebraic order object, by which shape finds it without building the
-    matching; a search scores one list of outputs, so it compiles one
-    fast scored kernel, at its first score, and the checked one only
-    when a fast run first fails."""
+    of outputs and recording or scored; the shape of each matching's
+    kernels (_Shape); and the step of the last input grid checked. The
+    matching, the (algebraic equation, solved slot) pairs in plan order,
+    fixes the source, since every plan of a problem shares its
+    Structure's order, expressions, states and data slots (the slots the
+    equations only read); names, values and the slots of the outputs
+    reach the kernel as data, and only the number of outputs is in the
+    source. Every plan of a problem has one matching, and one algebraic
+    order object, by which shape finds it without building the matching;
+    a search scores one list of outputs, so it compiles one scored
+    kernel, at its first score. A fault compiles nothing: the tree walk
+    names it."""
 
     def __init__(self):
         self.kernels: dict = {}
@@ -554,14 +504,12 @@ class KernelCache:
             self.last = (plan.algebraic_order, shape)
         return shape
 
-    def kernel(self, plan: SimPlan, outputs: int, checked: bool = False,
-               scored: bool = False) -> tuple:
-        """The compiled fast or checked kernel of a plan causalized at
-        slot level, recording outputs outputs or, scored, their squared
-        errors."""
-        key = (self.shape(plan).matching, outputs, checked, scored)
+    def kernel(self, plan: SimPlan, outputs: int, scored: bool = False):
+        """The compiled kernel of a plan causalized at slot level,
+        recording outputs outputs or, scored, their squared errors."""
+        key = (self.shape(plan).matching, outputs, scored)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan, outputs, checked, scored)
+            self.kernels[key] = _compile_kernel(plan, outputs, scored)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
@@ -597,18 +545,18 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is the fast kernel compiled from the plan for
-    this call, or, with kernels, the one of the plan's problem (see
+    The per-sample loop is the kernel compiled from the plan for this
+    call, or, with kernels, the one of the plan's problem (see
     _kernel_source), recording only the outputs of interest into lists
     made with one slot per time; mexpr.eval_expr is its reference
     semantics. Given the reference, it records each output's squared
     error against the reference's column of that name instead, for score
     to sum; each such column must have one value per time, as score
-    checks. The result's times are the grid either way. When the fast
-    run raises or its end check fails, the checked kernel runs again
-    from the start, and its result or its error is the answer. An input
-    column the plan reads must have one value per time (MalformedTrace
-    otherwise): the kernel zips them."""
+    checks. The result's times are the grid either way. When the kernel
+    raises or its end check fails, _tree_walk runs the plan again from
+    the start over mexpr.eval_expr, and its result or its error is the
+    answer. An input column the plan reads must have one value per time
+    (MalformedTrace otherwise): the kernel zips them."""
     times = inputs.times
     for name in sorted(map(plan.name, plan.input_names)):
         if name not in inputs.columns:
@@ -618,42 +566,30 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
                                  f"values for {len(times)} times")
     shape = _shape(plan) if kernels is None else kernels.shape(plan)
     out_names = sorted(outputs_of_interest)
-    positions = []
-    for name in out_names:
-        ref = plan.ref(name)
+    refs = list(map(plan.ref, out_names))
+    for name, ref in zip(out_names, refs):
         if ref not in shape.position:
             raise SimulateError(f"output {name!r} is not computed by the plan")
-        positions.append(shape.position[ref])
 
     h = grid_step(times) if kernels is None else kernels.step(times)
-    kernel = _compile_kernel if kernels is None else kernels.kernel
+    scored = reference is not None
+    kernel = (_compile_kernel if kernels is None else kernels.kernel)(
+        plan, len(out_names), scored)
     data = tuple(inputs.columns[plan.name(r)] if r in plan.input_names
                  else repeat(plan.param_env[r]) for r in shape.reads)
-    if reference is not None:
+    if scored:
         data += tuple(reference.columns[name] for name in out_names)
     starts = tuple(start for _, start, _ in plan.state_vars)
-
-    def run(checked: bool) -> tuple:
-        """The kernel's return value and the recorded columns."""
-        fn, labels = kernel(plan, len(out_names), checked, reference is not None)
-        if checked:
-            columns = [[] for _ in out_names]
-            stores = [column.append for column in columns]
-        else:
-            columns = stores = [[0.0] * len(times) for _ in out_names]
-        end = fn(times, data, tuple(zip(positions, stores)),
-                 starts, tuple(label.format(plan.name(r)) for label, r in labels), h,
-                 len(times) - 1)
-        return end, columns
-
+    columns = [[0.0] * len(times) for _ in out_names]
     try:
-        end, columns = run(False)
+        end = kernel(times, data, tuple(zip((shape.position[r] for r in refs), columns)),
+                     starts, h, len(times) - 1)
         failed = end - end  # 0.0 for a finite end sum, nan otherwise
-    except Exception:  # the checked run names it
+    except Exception:  # the tree walk names it
         failed = True
     if failed:
-        _, columns = run(True)
-    if reference is None:
+        _tree_walk(plan, shape.reads, times, data, tuple(zip(refs, columns)), starts, h)
+    if not scored:
         columns = map(tuple, columns)
     return Trace(times, dict(zip(out_names, columns)))
 
@@ -663,8 +599,9 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
     """Mean squared distance of the plan's outputs, simulated with
     kernels, from the reference: simulate records the squares, and
     math.fsum rounds their sum exactly, whatever their order. No plan
-    (the model does not causalize), a simulate failure and a sum of
-    squares that overflows all fold into Invalid."""
+    (the model does not causalize), a simulate failure, which the tree
+    walk's re-run names, and a sum of squares that overflows all fold
+    into Invalid."""
     if not outputs:
         raise ValueError("no output to score")
     for name in outputs:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from construct import cli
 from construct.cli import main
 from construct.container import load_trace
 
@@ -414,6 +415,9 @@ def test_synth_invalid_settings_exit_1(pi_case, capsys, flags):
 def test_space_negative_slot_count_exits_1(capsys):
     assert main(["space", "-1", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # and a negative variable count, which is no slots-exceed-variables case
+    assert main(["space", "3", "-2"]) == 1
+    assert capsys.readouterr().err == "error: negative variable count -2\n"
 
 
 def test_synth_out_into_missing_directory_exits_1(pi_case, tmp_path, capsys):
@@ -421,6 +425,20 @@ def test_synth_out_into_missing_directory_exits_1(pi_case, tmp_path, capsys):
                  "--gens", "1", "-o", str(tmp_path / "absent" / "best.mo")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_simulate_out_into_missing_directory_exits_1_before_loading(pi_case, tmp_path,
+                                                                    capsys, monkeypatch):
+    def load(args):
+        raise AssertionError("the container was loaded")
+
+    monkeypatch.setattr(cli, "_load_problem", load)
+    out = tmp_path / "absent" / "out.csv"
+    code = main(["simulate", str(pi_case["root"]),
+                 "--mapping", str(pi_case["root"] / "ground_truth.json"), "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {out}: no such directory to write into\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["-o", "--report", "--curves"])

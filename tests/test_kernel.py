@@ -1,9 +1,9 @@
-"""The compiled simulation kernels against the tree walk over mexpr.eval_expr.
+"""The compiled simulation kernel against the tree walk over mexpr.eval_expr.
 
 interp.tree_walk is the per-sample loop of simulate written directly over
 the reference semantics. Every case must give bit-identical outputs, or
-the same exception class and message, whether the fast kernel's run
-stands or the checked kernel's re-run gives the answer.
+the same exception class and message, whether the kernel's run stands or
+the re-run by sim._tree_walk gives the answer.
 """
 
 import io
@@ -45,9 +45,26 @@ def assert_same(plan, inputs, outputs, kernels=None):
     return expected
 
 
-def _fell_back(kernels) -> bool:
-    """Whether simulate compiled a checked kernel: a fast run failed."""
-    return any(checked for _, _, checked, _ in kernels.kernels)
+@pytest.fixture
+def reruns(monkeypatch):
+    """The re-runs by sim._tree_walk that simulate makes, one entry each."""
+    calls = []
+    walk = sim._tree_walk
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(sim, "_tree_walk", counting)
+    return calls
+
+
+def _fell_back(reruns) -> bool:
+    """Whether simulate re-ran a plan by the tree walk since the last
+    look, a kernel run having failed; the re-runs seen are forgotten."""
+    fell_back = bool(reruns)
+    reruns.clear()
+    return fell_back
 
 
 def _trace(inputs, n=4, value=1.0, h=0.01):
@@ -113,7 +130,7 @@ def test_division_by_zero_in_right_operand_of_and_is_raised():
     assert cls is DivisionByZero and message.endswith("in equation 1")
 
 
-def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide():
+def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide(reruns):
     u = Sym("u")
     div = Binary("div", Const(1.0), u)
     exprs = [Binary("and", u, div), Binary("or", Unary("not", u), div),
@@ -126,17 +143,17 @@ def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide(
     _, columns = assert_same(plan, _trace(["u"], value=0.0), outputs, kernels)
     assert [columns[n][-1] for n in outputs] \
         == [struct.pack("<d", v) for v in (0.0, 1.0, 0.0, 1.0, 0.5)]
-    assert not _fell_back(kernels)
+    assert not _fell_back(reruns)
     # where the left operand does not decide, the right one is computed
     _, columns = assert_same(plan, _trace(["u"], value=0.5), outputs)
     assert [columns[n][0] for n in outputs] \
         == [struct.pack("<d", v) for v in (1.0, 1.0, 2.0, 1.0, 0.5)]
 
 
-def test_min_and_max_operands_in_untaken_branches_and_decided_operators_are_not_computed():
+def test_min_and_max_operands_in_untaken_branches_and_decided_operators_are_not_computed(reruns):
     # a division by zero inside a min or max operand, where the tree walk
-    # never reaches it: the fast kernel binds the operand where it is
-    # read, inside its branch, and so runs without falling back
+    # never reaches it: the kernel binds the operand where it is read,
+    # inside its branch, and so runs without falling back
     u = Sym("u")
     div = Binary("div", Const(1.0), u)
     low, high = mexpr.Call("min", (div, Const(2.0))), mexpr.Call("max", (Unary("neg", u), div))
@@ -150,8 +167,9 @@ def test_min_and_max_operands_in_untaken_branches_and_decided_operators_are_not_
     _, columns = assert_same(plan, inputs, outputs, kernels)
     assert [columns[n][-1] for n in outputs] \
         == [struct.pack("<d", v) for v in (3.0, 4.0, 0.0, 1.0, 0.5)]
-    assert not _fell_back(kernels)
-    assert not _fell_back(assert_scores_as_tree_walk(plan, inputs, _trace(outputs), outputs))
+    assert not _fell_back(reruns)
+    assert_scores_as_tree_walk(plan, inputs, _trace(outputs), outputs)
+    assert not _fell_back(reruns)
     # where the branch is taken, the division is computed
     _, columns = assert_same(plan, _trace(["u"], value=0.5), outputs)
     assert [columns[n][0] for n in outputs] \
@@ -247,11 +265,12 @@ def test_deep_if_chain_and_binary_chain():
     for i in range(300):
         total = Binary("add" if i % 2 else "mul", total, Const(1.0 + i / 1000))
     plan = _plan([("y", chain), ("z", total)])
-    for value in (-1.0, 150.5, 1e9):
+    # at inf, z is non-finite, and the tree walk re-runs the deep chains
+    for value in (-1.0, 150.5, 1e9, math.inf):
         assert_same(plan, _trace(["u"], value=value), ["y", "z"])
-    for checked, depth in ((False, 2), (True, 3)):
-        source, _ = sim._kernel_source(plan, 2, checked)
-        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == depth
+    for scored in (False, True):
+        source, _ = sim._kernel_source(plan, 2, scored)
+        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 2
 
 
 @pytest.mark.parametrize("names", [('a"b', "x\ny", "1/0"), ("v0", "\\", "k")])
@@ -261,14 +280,17 @@ def test_arbitrary_variable_names(names):
                  states=[(p, 0.5, Binary("div", Const(1.0), Sym(u)))])
     inputs = Trace((0.0, 0.1, 0.2), {u: (1.0, 2.0, 0.0)})
     assert_same(plan, inputs, [y, p])
-    for checked in (False, True):
-        source, _ = sim._kernel_source(plan, 2, checked)
+    # the tree walk's re-run names the state by its name
+    cls, message = assert_same(plan, Trace(inputs.times, {u: (1.0, 0.0, 2.0)}), [y, p])
+    assert cls is DivisionByZero and message.endswith(f"in der({p})")
+    for scored in (False, True):
+        source, _ = sim._kernel_source(plan, 2, scored)
         assert all(repr(name) not in source for name in names)
         assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
 
 
 # ---------------------------------------------------------------------------
-# The fast kernel: per-sample checks on watched refs, an end check
+# The kernel: per-sample checks on watched refs, an end check
 # ---------------------------------------------------------------------------
 
 INF_AT_1 = (1.0, math.inf, 1.0, 1.0)  # non-finite at one sample, not the last
@@ -286,7 +308,7 @@ HIDING = {  # y0 at a position where a non-finite value does not show
 
 @pytest.mark.parametrize("where", ["equation", "derivative"])
 @pytest.mark.parametrize("hiding", HIDING)
-def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where):
+def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where, reruns):
     y0 = ("y0", Binary("mul", Sym("u"), Const(2.0)))
     if where == "equation":
         plan = _plan([y0, ("y1", HIDING[hiding])])
@@ -297,10 +319,10 @@ def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where
     cls, message = assert_same(plan, Trace((0.0, 0.01, 0.02, 0.03), {"u": INF_AT_1}),
                                ["y0"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'y0' at t=0.01"
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
 
 
-def test_fault_at_the_last_sample_in_a_ref_only_a_derivative_reads():
+def test_fault_at_the_last_sample_in_a_ref_only_a_derivative_reads(reruns):
     plan = _plan([("y", Binary("mul", Sym("u"), Const(2.0)))],
                  states=[("x", 0.0, Binary("sub", Sym("y"), Sym("x")))])
     assert sim._watched(plan) == set()
@@ -308,7 +330,7 @@ def test_fault_at_the_last_sample_in_a_ref_only_a_derivative_reads():
     inputs = Trace((0.0, 0.01, 0.02, 0.03), {"u": (1.0, 1.0, 1.0, math.inf)})
     cls, message = assert_same(plan, inputs, ["x"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'y' at t=0.03"
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
     # and at an earlier sample, through the state, which stays non-finite
     cls, message = assert_same(plan, Trace(inputs.times, {"u": INF_AT_1}), ["x"])
     assert cls is NonFiniteValue and message == "non-finite value for 'y' at t=0.01"
@@ -331,27 +353,27 @@ def test_end_check_covers_every_solved_value_of_a_long_plan():
     assert cls is NonFiniteValue and message == "non-finite value for 'y119' at t=0.03"
 
 
-def test_state_that_goes_inf_mid_run():
+def test_state_that_goes_inf_mid_run(reruns):
     # x: 1.0, 1e198, then inf; only a comparison reads it
     plan = _plan([("y", Binary("gt", Sym("x"), Const(0.0)))], inputs=(),
                  states=[("x", 1.0, Binary("mul", Sym("x"), Const(1e200)))])
     kernels = sim.KernelCache()
     cls, message = assert_same(plan, _trace([], n=6), ["y"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'x' at t=0.01"
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
 
 
-def test_finite_values_that_overflow_the_end_sum_are_a_false_alarm():
+def test_finite_values_that_overflow_the_end_sum_are_a_false_alarm(reruns):
     plan = _plan([("y0", Sym("u")), ("y1", Binary("mul", Sym("u"), Const(0.9)))],
                  states=[("x", 1e308, Binary("sub", Const(0.0), Sym("x")))])
     kernels = sim.KernelCache()
     times, columns = assert_same(plan, _trace(["u"], value=1e308), ["x", "y0", "y1"], kernels)
     assert times == _trace([]).times
     assert columns["y0"] == (struct.pack("<d", 1e308),) * 4
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
 
 
-def test_ground_truths_keep_few_per_sample_checks_and_run_fast(all_cases):
+def test_ground_truths_keep_few_per_sample_checks_and_run_fast(all_cases, reruns):
     watched = {}
     for name, case in all_cases.items():
         problem = case["problem"]
@@ -359,7 +381,7 @@ def test_ground_truths_keep_few_per_sample_checks_and_run_fast(all_cases):
         watched[name] = len(sim._watched(plan))
         kernels = sim.KernelCache()
         assert_same(plan, problem.input_trace, problem.classification.outputs, kernels)
-        assert not _fell_back(kernels)
+        assert not _fell_back(reruns)
     assert watched == {"pi": 1, "pid": 2, "limpid": 1}
 
 
@@ -476,35 +498,39 @@ def test_generated_plans_score_as_tree_walk(case, data):
     assert_scores_as_tree_walk(plan, inputs, reference, outputs)
 
 
-def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square():
-    # a false alarm: finite values overflow the fast kernel's end sum
+def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square(reruns):
+    # a false alarm: finite values overflow the kernel's end sum
     plan = _plan([("y0", Sym("u")), ("y1", Binary("mul", Sym("u"), Const(0.9)))],
                  states=[("x", 1e308, Binary("sub", Const(0.0), Sym("x")))])
     inputs = _trace(["u"], value=1e308)
     reference = Trace(inputs.times, {"y0": (1e308, 1e308, 0.0, 1.0), "y1": (9e307,) * 4})
     kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
     assert sim.score(plan, inputs, reference, ["y0", "y1"], kernels) == INVALID
+    assert _fell_back(reruns)
     reference = Trace(inputs.times, {"y0": (1e308,) * 4, "y1": (0.9e308,) * 4})
     kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
-    assert _fell_back(kernels) and sim.score(plan, inputs, reference, ["y0", "y1"]).is_finite
-    # a fault the checked kernel names: Invalid either way
+    assert _fell_back(reruns)
+    assert sim.score(plan, inputs, reference, ["y0", "y1"]).is_finite
+    assert _fell_back(reruns)
+    # a fault the tree walk names: Invalid either way, and nothing more compiled
     plan = _plan([("y", Binary("div", Const(1.0), Sym("u")))])
     kernels = assert_scores_as_tree_walk(plan, _trace(["u"], value=0.0),
                                          _trace(["y"]), ["y"])
-    assert _fell_back(kernels)
+    assert _fell_back(reruns)
+    assert list(kernels.kernels) == [(sim.KernelCache.matching(plan), 1, True)]
     # one square overflows; finite squares whose sum overflows
     plan = _plan([("y", Sym("u"))])
     for value, ref in ((1e200, 0.0), (1e154, -1.3e154)):
         kernels = assert_scores_as_tree_walk(plan, _trace(["u"], value=value),
                                              _trace(["y"], value=ref), ["y"])
-        assert not _fell_back(kernels)
+        assert not _fell_back(reruns)
         assert sim.score(plan, _trace(["u"], value=value), _trace(["y"], value=ref),
                          ["y"], kernels) == INVALID
 
 
 # ---------------------------------------------------------------------------
-# Expressions nested past the fast kernel's cap
+# Expressions nested past the kernel's cap
 # ---------------------------------------------------------------------------
 
 WRAPPERS = ("neg", "not", "abs", "if", "min", "max") + BINOPS
@@ -537,7 +563,7 @@ def _nesting(source: str) -> int:
 @st.composite
 def deep_plans(draw):
     """plans() with one equation or derivative wrapped in a chain of
-    operators longer than the fast kernel's nesting cap."""
+    operators longer than the kernel's nesting cap."""
     plan, inputs, outputs = draw(plans())
     i = draw(st.integers(0, len(plan.algebraic_order) + len(plan.state_vars) - 1))
     known = ["u0", "u1", "p0", "p1"] + [x for x, _, _ in plan.state_vars] \
@@ -576,10 +602,9 @@ def test_generated_plans_nested_past_the_cap_match_tree_walk(case, data):
 # The generated source
 # ---------------------------------------------------------------------------
 
-FIXED = {"def", "kernel", "try", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
-         "else", "break", "except", "ZeroDivisionError", "raise", "from", "None", "return",
-         "T", "I", "A", "h", "last", "k", "t", "w", "e", "S", "C", "L", "E", "F", "o", "x",
-         "DivisionByZero", "abs"}
+FIXED = {"def", "kernel", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
+         "else", "break", "return", "T", "I", "A", "h", "last", "k", "t", "e", "S", "C", "E",
+         "o", "x", "abs"}
 
 
 def _identifiers(source: str) -> set:
@@ -588,7 +613,7 @@ def _identifiers(source: str) -> set:
 
 
 def _generated(ident: str) -> bool:
-    return ident[0] in "vctgdpar" and ident[1:].isdigit()
+    return ident[0] in "vctdpar" and ident[1:].isdigit()
 
 
 def _numbers(source: str) -> set:
@@ -600,24 +625,21 @@ def _numbers(source: str) -> set:
 @given(plans())
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
     plan, _, outputs = case
-    for checked, scored in itertools.product((False, True), (False, True)):
-        source, _ = sim._kernel_source(plan, len(outputs), checked, scored)
+    for scored in (False, True):
+        source, _ = sim._kernel_source(plan, len(outputs), scored)
         assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
         assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
         assert not any(tok.type == tokenize.STRING for tok in
                        tokenize.generate_tokens(io.StringIO(source).readline))
-        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) \
-            <= 2 + checked
+        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) <= 2
 
 
 def test_fixture_sources_hold_no_names_or_constants(all_cases):
     for case in all_cases.values():
         problem = case["problem"]
         slot_level = sim.causalize(problem.bind(case["ground_truth"]))
-        for plan, checked, scored in itertools.product((slot_level, named(slot_level)),
-                                                       (False, True), (False, True)):
-            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), checked,
-                                           scored)
+        for plan, scored in itertools.product((slot_level, named(slot_level)), (False, True)):
+            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), scored)
             constants = {repr(n.value) for _, _, e in plan.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
@@ -636,8 +658,8 @@ root = sys.argv[1]
 problem = ga.problem_from_container(load_container(root))
 genes = json.load(open(root + "/ground_truth.json"))["genes"]
 plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
-for checked in (False, True):
-    print(sim._kernel_source(plan, len(problem.classification.outputs), checked)[0])
+for scored in (False, True):
+    print(sim._kernel_source(plan, len(problem.classification.outputs), scored)[0])
 """
 
 

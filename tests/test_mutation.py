@@ -5,10 +5,10 @@ Each input damages one file of a committed container (the C source, the
 description XML, a trace CSV, ground_truth.json or limpid's rules.toml):
 it inserts a C, XML or rules token, deletes, duplicates or overwrites a
 span, or puts an edge value (EDGES) in place of a number, in the XML of
-a start attribute. It then runs translate, synth, simulate or validate
-in-process through cli.main, with search flags drawn from small bounded
-sets, and the outcome must be exit code 0, 1 or 2; a usage error
-ends in SystemExit(2). Inputs are drawn from random.Random(seed), so a
+a start attribute. It then runs translate, synth, simulate, validate or
+make-reference in-process through cli.main, with search flags drawn
+from small bounded sets, and the outcome must be exit code 0, 1 or 2; a
+usage error ends in SystemExit(2). Inputs are drawn from random.Random(seed), so a
 failure names everything needed to replay it.
 
 A longer pass over more seeds (the test's inputs come first):
@@ -33,7 +33,7 @@ CONTAINERS = (REPO / "fixtures" / "pi", REPO / "fixtures" / "pid",
               REPO / "fixtures" / "limpid", REPO / "tests" / "data" / "tiny")
 FILES = ("sources/controller.c", "modelDescription.xml", "traces/input.csv",
          "traces/reference.csv", "ground_truth.json", "rules.toml")
-COMMANDS = ("translate", "synth", "simulate", "validate")
+COMMANDS = ("translate", "synth", "simulate", "validate", "make-reference")
 TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"/", b"-", b"+", b"?", b":",
           b"=", b",", b"0", b"0x", b"1e308", b"-1e308", b"0.0", b"nan",
           b"if", b"else", b"return", b"while", b"double", b"(double *)",
@@ -101,6 +101,8 @@ def _argv(command: str, root: Path, out: Path, rng: random.Random) -> list:
                 "--pop", "6", "--gens", "2", "--seed", "0", *search]
     if command == "simulate":
         return ["simulate", str(root), "--mapping", mapping, "-o", str(out / "out.csv")]
+    if command == "make-reference":
+        return ["make-reference", str(root), "--mapping", mapping]
     return ["validate", str(root), "--mapping", mapping]
 
 
@@ -119,7 +121,8 @@ def draw_inputs(seed: int, count: int, roots: list, out: Path):
 
 def run_inputs(seed: int, count: int, work: Path) -> None:
     """Run count damaged inputs drawn from seed; copies of the containers
-    live under work, and each damaged file is restored after its run."""
+    live under work, and each damaged file, and the reference trace that
+    make-reference writes, are restored after its run."""
     out = work / "out"
     out.mkdir(exist_ok=True)
     roots = []
@@ -130,6 +133,8 @@ def run_inputs(seed: int, count: int, work: Path) -> None:
         roots.append(root)
     for n, (path, damaged, how, argv) in enumerate(draw_inputs(seed, count, roots, out)):
         original = path.read_bytes()
+        reference = Path(argv[1]) / "traces" / "reference.csv"
+        recorded = reference.read_bytes()
         where = f"seed {seed} input {n}: {path.relative_to(work)} {how}; {argv[0]}"
         path.write_bytes(damaged)
         try:
@@ -142,6 +147,7 @@ def run_inputs(seed: int, count: int, work: Path) -> None:
             raise AssertionError(f"{where}: raised {exc!r}") from exc
         finally:
             path.write_bytes(original)
+            reference.write_bytes(recorded)
         assert code in (0, 1, 2), f"{where}: exit code {code!r}"
 
 

@@ -599,14 +599,13 @@ def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
     assert len(problem.kernels.kernels) == 1
     assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
     assert cached.columns["y"] != before.columns["y"]
-    # one fast kernel per matching and number of outputs; the output slots
-    # are data, and no run failed, so no checked kernel was compiled
+    # one kernel per matching and number of outputs; the output slots are
+    # data
     for name in outputs:
         alone = simulate(second, problem.input_trace, [name], problem.kernels)
         assert _bits(alone) == {name: _bits(cached)[name]}
     matching = KernelCache.matching(second)
-    assert set(problem.kernels.kernels) == {(matching, 1, False, False),
-                                            (matching, 2, False, False)}
+    assert set(problem.kernels.kernels) == {(matching, 1, False), (matching, 2, False)}
 
 
 @pytest.mark.parametrize("genes, u, error, label", [
@@ -622,12 +621,42 @@ def test_cached_kernel_errors_name_the_genome_that_ran(genes, u, error, label):
         simulate(plan, inputs, ["y"], problem.kernels)
     with pytest.raises(error) as uncached:
         simulate(plan, inputs, ["y"])
-    # the fast kernel ran first; the checked one, compiled at the fault, named it
+    # the kernel ran first, and the tree walk named the fault; the fault
+    # compiled nothing more
     matching = KernelCache.matching(plan)
-    assert set(problem.kernels.kernels) == {(matching, 1, False, False),
-                                            (matching, 1, True, False)}
+    assert set(problem.kernels.kernels) == {(matching, 1, False)}
     assert label in str(cached.value)
     assert str(cached.value) == str(uncached.value)
+
+
+def test_a_faulting_genome_costs_one_simulate_call_and_no_second_kernel(monkeypatch):
+    # the benchmark counts one sim.simulate call per fitness_of; the tree
+    # walk that names a fault is no second call, and compiles nothing
+    from construct import sim
+
+    shape = _shape_problem()
+    reference = Trace(shape.input_trace.times, {"y": (0.5, 1.0, 1.5, 2.0)})
+    problem = GaProblem(shape.model, shape.vars, shape.input_trace, reference)
+    calls = {"simulate": [], "_compile_kernel": [], "_tree_walk": []}
+
+    def counting(name):
+        fn = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counting(name))
+    assert problem.fitness_of(FIRST).is_finite
+    assert {name: len(log) for name, log in calls.items()} \
+        == {"simulate": 1, "_compile_kernel": 1, "_tree_walk": 0}
+    # d bound to zero: der(x_b) divides by zero at the first sample
+    assert problem.fitness_of((0, 3, 5, 1, 7)) == INVALID
+    assert {name: len(log) for name, log in calls.items()} \
+        == {"simulate": 2, "_compile_kernel": 1, "_tree_walk": 1}
+    assert len(problem.kernels.kernels) == 1
 
 
 def test_kernel_cache_checks_each_input_grid():
