@@ -118,6 +118,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    _check_out_paths(args.out)
     cm, problem = _load_problem(args)
     placeholders = VariableTable(tuple(
         VariableDescriptor(f"sym_{slot.origin}", slot.id,
@@ -166,7 +167,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_make_reference(args) -> int:
-    container = Path(args.container)
+    out = Path(args.container) / "traces" / "reference.csv"
+    _check_out_paths(out)
     cm, problem = _load_problem(args)
     input_trace = cm.input_trace
     if args.input:
@@ -178,7 +180,6 @@ def cmd_make_reference(args) -> int:
         return 1
     # a ground truth must simulate; errors are fatal
     result = problem.simulate_outputs(genes, input_trace)
-    out = container / "traces" / "reference.csv"
     write_trace(result, out)
     print(f"wrote {out}")
     return 0

@@ -14,9 +14,10 @@ Two operator suites share one evolution loop:
 
 Every equation is solved for the slot the code writes (constraint C5),
 so a problem has one causal plan (check.Structure), built with the
-problem, and one simulation kernel (sim.KernelCache), compiled at its
-first score; a chromosome only binds variables to the plan's slots,
-each slot drawing from its domain (check.domain_fault).
+problem, and one simulation kernel, compiled at its first score in the
+problem's own sim.KernelCache, which refuses a plan of another
+structure; a chromosome only binds variables to the plan's slots, each
+slot drawing from its domain (check.domain_fault).
 Fitness is evaluated serially, and each problem binds (at slot level)
 and causalizes a distinct chromosome once: constructibility checks,
 signatures and fitness read one memo of plans, kept for the problem's
@@ -190,7 +191,9 @@ class GaProblem:
                          self.classification.outputs, self.kernels)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
-        """Bind by name, causalize and simulate the output variables; errors raise."""
+        """Bind by name, causalize and simulate the output variables; errors
+        raise. A name-level plan has a Structure of its own, so it runs
+        through a fresh kernel cache, not the problem's."""
         plan = sim.causalize(apply_assignment(self.model, genes, self.vars))
         return sim.simulate(plan, inputs, self.classification.outputs)
 

@@ -23,15 +23,15 @@ refs, where a non-finite value could hide from every later check, and
 once at the end over every solved value. When a run raises or fails its
 end check, simulate re-runs the plan from the start by a tree walk over
 mexpr.eval_expr, which checks every solved value at every sample and
-names the fault; its result or error is the answer. simulate compiles
-the kernel for the plan on each call, unless given a KernelCache, which
-compiles one per problem, number of outputs and recording or scored,
-and works out once per problem the kernel's shape: its matching, data
-slots and the position of each solved ref. Names, parameter values,
-state starts, input and reference columns and the slots of the outputs
-reach a kernel as data; KernelCache.signature tells which plans
-simulate alike. Models that fail any static or runtime check are
-rejected, which is exactly how non-simulatable candidates are
+names the fault; its result or error is the answer. simulate runs
+through a KernelCache, the problem's or a fresh one: its first plan
+fixes the kernel source, the data slots and the position of each solved
+ref, it compiles one kernel per number of outputs and recording or
+scored, and it refuses a plan of another structure. Names, parameter
+values, state starts, input and reference columns and the slots of the
+outputs reach a kernel as data; KernelCache.signature tells which plans
+of one problem simulate alike. Models that fail any static or runtime
+check are rejected, which is exactly how non-simulatable candidates are
 discovered.
 """
 
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import chain, count, islice, repeat
-from operator import sub
+from operator import is_not, sub
 
 from construct import check, mexpr
 from construct.container import MalformedTrace, Trace
@@ -282,22 +282,6 @@ def _solved(plan: SimPlan) -> tuple:
     return tuple(r for _, r, _ in plan.algebraic_order) + tuple(r for r, _, _ in plan.state_vars)
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """What the kernels of every plan with one matching share: the kernel
-    key (KernelCache.matching), the data slots (_data_slots) and the
-    position of each solved ref in the tuple o of solved locals."""
-
-    matching: tuple
-    reads: tuple
-    position: dict  # solved ref -> its index in o
-
-
-def _shape(plan: SimPlan) -> _Shape:
-    return _Shape(KernelCache.matching(plan), _data_slots(plan),
-                  {r: i for i, r in enumerate(_solved(plan))})
-
-
 def _strict_refs(e) -> set:
     """The refs of e reached from its root through add, sub, mul, neg,
     abs and a division's numerator only: a non-finite value at one of
@@ -462,24 +446,27 @@ def _tree_walk(plan: SimPlan, reads: tuple, times, data: tuple, stores: tuple,
 
 
 class KernelCache:
-    """The kernels of one problem's slot-level plans, by matching, number
-    of outputs and recording or scored; the shape of each matching's
-    kernels (_Shape); and the step of the last input grid checked. The
-    matching, the (algebraic equation, solved slot) pairs in plan order,
-    fixes the source, since every plan of a problem shares its
-    Structure's order, expressions, states and data slots (the slots the
-    equations only read); names, values and the slots of the outputs
-    reach the kernel as data, and only the number of outputs is in the
-    source. Every plan of a problem has one matching, and one algebraic
-    order object, by which shape finds it without building the matching;
-    a search scores one list of outputs, so it compiles one scored
-    kernel, at its first score. A fault compiles nothing: the tree walk
-    names it."""
+    """The kernels of one problem's plans, by number of outputs and
+    recording or scored, and the step of the last input grid checked.
+    Every plan of a problem shares its Structure's order, expressions,
+    states and data slots (the slots the equations only read), so the
+    first plan fixes the kernel source, the data slots (_data_slots) and
+    the position of each solved ref in the tuple o of solved locals;
+    names, values and the slots of the outputs reach the kernel as data,
+    and only the number of outputs is in the source. causalize passes
+    the Structure's own objects through, so a plan whose algebraic order
+    or state right-hand sides are not the first plan's, object for
+    object, belongs to another problem, and the cache refuses it with
+    ValueError. A search scores one list of outputs, so it compiles one
+    scored kernel, at its first score. A fault compiles nothing: the
+    tree walk names it."""
 
     def __init__(self):
-        self.kernels: dict = {}
-        self.shapes: dict = {}  # matching -> _Shape
-        self.last = (None, None)  # (algebraic order, _Shape) of the last plan
+        self.kernels: dict = {}  # (outputs, scored) -> kernel
+        self.first = None  # the plan that fixed the source
+        self.rhs: tuple = ()  # the first plan's state right-hand sides
+        self.reads: tuple = ()  # the data slots
+        self.position: dict = {}  # solved ref -> its index in o
         self.grid = (None, None)  # (times, step)
 
     def step(self, times) -> float:
@@ -487,41 +474,36 @@ class KernelCache:
             self.grid = (times, grid_step(times))
         return self.grid[1]
 
-    @staticmethod
-    def matching(plan: SimPlan) -> tuple:
-        """The kernel key of a plan causalized at slot level."""
-        return tuple((i, s) for i, s, _ in plan.algebraic_order)
+    def admit(self, plan: SimPlan) -> None:
+        """Take the data slots and solved positions of the first plan;
+        refuse a plan of another structure (ValueError)."""
+        rhs = tuple(rhs for _, _, rhs in plan.state_vars)
+        if self.first is None:
+            self.first, self.rhs = plan, rhs
+            self.reads = _data_slots(plan)
+            self.position = {r: i for i, r in enumerate(_solved(plan))}
+        elif plan.algebraic_order is not self.first.algebraic_order \
+                or len(rhs) != len(self.rhs) or any(map(is_not, rhs, self.rhs)):
+            raise ValueError("a plan of another structure than the kernel cache's first plan")
 
-    def shape(self, plan: SimPlan) -> _Shape:
-        """The shape of the kernels of a plan causalized at slot level,
-        worked out at the first plan of its matching."""
-        order, shape = self.last
-        if order is not plan.algebraic_order:
-            matching = self.matching(plan)
-            if matching not in self.shapes:
-                self.shapes[matching] = _shape(plan)
-            shape = self.shapes[matching]
-            self.last = (plan.algebraic_order, shape)
-        return shape
-
-    def kernel(self, plan: SimPlan, outputs: int, scored: bool = False):
-        """The compiled kernel of a plan causalized at slot level,
-        recording outputs outputs or, scored, their squared errors."""
-        key = (self.shape(plan).matching, outputs, scored)
+    def kernel(self, outputs: int, scored: bool = False):
+        """The compiled kernel of the admitted plans, recording outputs
+        outputs or, scored, their squared errors."""
+        key = (outputs, scored)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(plan, outputs, scored)
+            self.kernels[key] = _compile_kernel(self.first, outputs, scored)
         return self.kernels[key]
 
     def signature(self, plan: SimPlan, outputs) -> tuple:
-        """Everything the simulation of a slot-level plan, with outputs
-        recorded, depends on: the kernel key, what each data slot reads
-        (an input name, or a parameter value, each by repr so that they
-        cannot meet, nor 0.0 and -0.0), the state starts by repr and the
-        slot of each output. Plans with equal signatures simulate alike."""
-        shape = self.shape(plan)
-        return (shape.matching,
-                tuple(repr(plan.bindings[r] if r in plan.input_names else plan.param_env[r])
-                      for r in shape.reads),
+        """Everything the simulation of a slot-level plan of the cache's
+        problem, with outputs recorded, depends on: what each data slot
+        reads (an input name, or a parameter value, each by repr so that
+        they cannot meet, nor 0.0 and -0.0), the state starts by repr and
+        the slot of each output. Plans of one problem with equal
+        signatures simulate alike."""
+        self.admit(plan)
+        return (tuple(repr(plan.bindings[r] if r in plan.input_names else plan.param_env[r])
+                      for r in self.reads),
                 tuple(repr(start) for _, start, _ in plan.state_vars),
                 tuple(map(plan.bindings.index, sorted(outputs))))
 
@@ -545,8 +527,8 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is the kernel compiled from the plan for this
-    call, or, with kernels, the one of the plan's problem (see
+    The per-sample loop is the kernel of kernels, the plan's problem's
+    KernelCache, or of a fresh one when none is given (see
     _kernel_source), recording only the outputs of interest into lists
     made with one slot per time; mexpr.eval_expr is its reference
     semantics. Given the reference, it records each output's squared
@@ -564,31 +546,32 @@ def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
         if len(inputs.columns[name]) != len(times):
             raise MalformedTrace(f"input column {name!r} has {len(inputs.columns[name])} "
                                  f"values for {len(times)} times")
-    shape = _shape(plan) if kernels is None else kernels.shape(plan)
+    if kernels is None:
+        kernels = KernelCache()
+    kernels.admit(plan)
     out_names = sorted(outputs_of_interest)
     refs = list(map(plan.ref, out_names))
     for name, ref in zip(out_names, refs):
-        if ref not in shape.position:
+        if ref not in kernels.position:
             raise SimulateError(f"output {name!r} is not computed by the plan")
 
-    h = grid_step(times) if kernels is None else kernels.step(times)
+    h = kernels.step(times)
     scored = reference is not None
-    kernel = (_compile_kernel if kernels is None else kernels.kernel)(
-        plan, len(out_names), scored)
+    kernel = kernels.kernel(len(out_names), scored)
     data = tuple(inputs.columns[plan.name(r)] if r in plan.input_names
-                 else repeat(plan.param_env[r]) for r in shape.reads)
+                 else repeat(plan.param_env[r]) for r in kernels.reads)
     if scored:
         data += tuple(reference.columns[name] for name in out_names)
     starts = tuple(start for _, start, _ in plan.state_vars)
     columns = [[0.0] * len(times) for _ in out_names]
     try:
-        end = kernel(times, data, tuple(zip((shape.position[r] for r in refs), columns)),
+        end = kernel(times, data, tuple(zip((kernels.position[r] for r in refs), columns)),
                      starts, h, len(times) - 1)
         failed = end - end  # 0.0 for a finite end sum, nan otherwise
     except Exception:  # the tree walk names it
         failed = True
     if failed:
-        _tree_walk(plan, shape.reads, times, data, tuple(zip(refs, columns)), starts, h)
+        _tree_walk(plan, kernels.reads, times, data, tuple(zip(refs, columns)), starts, h)
     if not scored:
         columns = map(tuple, columns)
     return Trace(times, dict(zip(out_names, columns)))

@@ -429,16 +429,25 @@ def test_synth_out_into_missing_directory_exits_1(pi_case, tmp_path, capsys):
 
 def test_simulate_out_into_missing_directory_exits_1_before_loading(pi_case, tmp_path,
                                                                     capsys, monkeypatch):
+    # simulate and translate into a missing directory, and make-reference
+    # into a container without traces/
     def load(args):
         raise AssertionError("the container was loaded")
 
     monkeypatch.setattr(cli, "_load_problem", load)
-    out = tmp_path / "absent" / "out.csv"
-    code = main(["simulate", str(pi_case["root"]),
-                 "--mapping", str(pi_case["root"] / "ground_truth.json"), "-o", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {out}: no such directory to write into\n"
-    assert list(tmp_path.iterdir()) == []
+    root, mapping = str(pi_case["root"]), str(pi_case["root"] / "ground_truth.json")
+    work = tmp_path / "pi"
+    shutil.copytree(root, work, ignore=shutil.ignore_patterns("traces"))
+    before = sorted(tmp_path.rglob("*"))
+    simulated, skeleton = tmp_path / "absent" / "out.csv", tmp_path / "absent" / "x.mo"
+    reference = work / "traces" / "reference.csv"
+    for out, argv in (
+            (simulated, ["simulate", root, "--mapping", mapping, "-o", str(simulated)]),
+            (skeleton, ["translate", root, "--out", str(skeleton)]),
+            (reference, ["make-reference", str(work), "--mapping", mapping])):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {out}: no such directory to write into\n"
+        assert sorted(tmp_path.rglob("*")) == before, argv
 
 
 @pytest.mark.parametrize("flag", ["-o", "--report", "--curves"])

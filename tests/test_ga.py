@@ -432,8 +432,9 @@ def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
 
 
 def test_search_compiles_one_kernel_per_problem(all_cases, monkeypatch):
-    # every genome of a problem has the written-slot matching; the kernel
-    # is compiled at the first score, not when the problem is built
+    # every genome of a problem shares the problem's causal order, so one
+    # kernel serves them all; it is compiled at the first score, not when
+    # the problem is built
     from construct import ga, sim
 
     compiled = []
@@ -451,9 +452,10 @@ def test_search_compiles_one_kernel_per_problem(all_cases, monkeypatch):
         cfg = GaConfig(population_size=50, max_generations=10, rng_seed=1)
         run_ga("cbc", problem, cfg, on_individual=lambda c, f: scored.setdefault(c.genes, f))
         assert len(compiled) == len(problem.kernels.kernels) == 1, name
-        matchings = {sim.KernelCache.matching(sim.causalize(problem.bind(genes)))
-                     for genes in scored}
-        assert len(matchings) == 1, name
+        assert list(problem.kernels.kernels) == [(len(problem.classification.outputs), True)]
+        for genes in scored:
+            plan = sim.causalize(problem.bind(genes))
+            assert plan.algebraic_order is problem.structure.algebraic_order, name
         assert len(scored) > 1, name
 
 

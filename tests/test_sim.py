@@ -599,13 +599,11 @@ def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
     assert len(problem.kernels.kernels) == 1
     assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
     assert cached.columns["y"] != before.columns["y"]
-    # one kernel per matching and number of outputs; the output slots are
-    # data
+    # one kernel per number of outputs; the output slots are data
     for name in outputs:
         alone = simulate(second, problem.input_trace, [name], problem.kernels)
         assert _bits(alone) == {name: _bits(cached)[name]}
-    matching = KernelCache.matching(second)
-    assert set(problem.kernels.kernels) == {(matching, 1, False), (matching, 2, False)}
+    assert set(problem.kernels.kernels) == {(1, False), (2, False)}
 
 
 @pytest.mark.parametrize("genes, u, error, label", [
@@ -623,8 +621,7 @@ def test_cached_kernel_errors_name_the_genome_that_ran(genes, u, error, label):
         simulate(plan, inputs, ["y"])
     # the kernel ran first, and the tree walk named the fault; the fault
     # compiled nothing more
-    matching = KernelCache.matching(plan)
-    assert set(problem.kernels.kernels) == {(matching, 1, False)}
+    assert set(problem.kernels.kernels) == {(1, False)}
     assert label in str(cached.value)
     assert str(cached.value) == str(uncached.value)
 
@@ -657,6 +654,32 @@ def test_a_faulting_genome_costs_one_simulate_call_and_no_second_kernel(monkeypa
     assert {name: len(log) for name, log in calls.items()} \
         == {"simulate": 2, "_compile_kernel": 1, "_tree_walk": 1}
     assert len(problem.kernels.kernels) == 1
+
+
+def _scaled_u(structure: str, k: float) -> SimPlan:
+    """A name-level plan of y = k * u, or of der(x) = k * u with x
+    recorded, with a Structure of its own."""
+    rhs = mexpr.Binary("mul", mexpr.Const(k), mexpr.Sym("u"))
+    if structure == "algebraic":
+        return SimPlan((), ((0, "y", rhs),), {}, frozenset({"u"}))
+    return SimPlan((("x", 0.0, rhs),), (), {}, frozenset({"u"}))
+
+
+@pytest.mark.parametrize("structure, output", [("algebraic", "y"), ("states", "x")])
+def test_kernel_cache_refuses_a_plan_of_another_structure(structure, output):
+    # 2 * u and 3 * u compile to one source but for a constant's value; a
+    # cache that served the second from the first's kernel would record
+    # 2 * u for both
+    kernels = KernelCache()
+    first, second = _scaled_u(structure, 2.0), _scaled_u(structure, 3.0)
+    inputs = _const_trace(["u"], [0.0, 0.1, 0.2])
+    before = simulate(first, inputs, [output], kernels)
+    with pytest.raises(ValueError, match="another structure"):
+        simulate(second, inputs, [output], kernels)
+    with pytest.raises(ValueError, match="another structure"):
+        kernels.signature(second, [output])
+    assert simulate(first, inputs, [output], kernels) == before
+    assert simulate(second, inputs, [output]) != before
 
 
 def test_kernel_cache_checks_each_input_grid():
