@@ -15,24 +15,26 @@ Two operator suites share one evolution loop:
 Every equation is solved for the slot the code writes (constraint C5),
 so a problem has one causal plan (check.Structure), built with the
 problem, and one simulation kernel, compiled at its first score in the
-problem's own sim.KernelCache, which refuses a plan of another
-structure; a chromosome only binds variables to the plan's slots, each
-slot drawing from its domain (check.domain_fault).
-Fitness is evaluated serially, and each problem binds (at slot level)
-and causalizes a distinct chromosome once: constructibility checks,
-signatures and fitness read one memo of plans, kept for the problem's
-life, so a chromosome that later runs score again is not causalized
-again. A run simulates once per distinct signature
-(GaProblem.signature): a distinct chromosome that hands the kernel the
-same data as an earlier one of the run, such as swapped algebraic
-locals or equal parameter values, takes its fitness. Chromosome
-position i names the variable assigned to symbol slot i.
+problem's own sim.KernelCache; a chromosome only binds variables to the
+plan's slots, each slot drawing from its domain (check.domain_fault).
+Fitness is evaluated serially. Each problem binds (at slot level) and
+causalizes a distinct chromosome once, and its memo keeps only whether
+the chromosome causalizes, for the problem's life. Scoring reads the
+genes alone: per-variable tables, built at the first score, give what
+each data slot reads, what each state starts at and where each output
+sits, as a sim.Feed for sim.simulate and as the signature
+(GaProblem.signature). A run simulates once per distinct signature: a
+distinct chromosome that hands the kernel the same data as an earlier
+one of the run, such as swapped algebraic locals or equal parameter
+values, takes its fitness. Chromosome position i names the variable
+assigned to symbol slot i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from construct import check, sim
 from construct.check import classify_variables, infer_symbol_types
@@ -124,7 +126,8 @@ class GaResult:
 
 class GaProblem:
     """Everything the operators need, with type-compatibility tables
-    precomputed, and the plan of each genome checked so far."""
+    precomputed, whether each genome checked so far causalizes, and,
+    from the first score, the gene tables that scoring reads."""
 
     def __init__(self, model: EquationModel, vars: VariableTable,
                  input_trace: Trace | None, reference_trace: Trace | None):
@@ -140,8 +143,13 @@ class GaProblem:
                             for slot in model.slots)
         self.domains = tuple(map(frozenset, self.compat))  # compat, for membership tests
         self.io_indices = tuple(vars.index[v.name] for v in vars.io)
+        self.names = tuple(v.name for v in vars.variables)  # by gene value
+        self.state_slots = tuple(s for s, _ in self.structure.states)
+        # the gene value of each output, in name order
+        self.output_genes = tuple(vars.index[n] for n in sorted(self.classification.outputs))
         self.kernels = sim.KernelCache()  # the problem's kernel, compiled at its first score
-        self._plans: dict = {}  # genes -> SimPlan, or None when it does not causalize
+        self._causal: dict = {}  # genes -> whether the genome causalizes
+        self._tables = None  # (reads, starts, keys), by gene value, from the first score
 
     @property
     def num_slots(self) -> int:
@@ -156,38 +164,71 @@ class GaProblem:
 
     def bind(self, genes) -> BoundModel:
         """The slot-level bound model: no equation is rewritten to names."""
-        names = check.bound_names(self.model, genes, self.vars)
-        states = frozenset(names[s] for s, _ in self.structure.states)
+        names = tuple([self.names[g] for g in check.genes_of(self.model, genes, self.vars)])
+        states = frozenset(map(names.__getitem__, self.state_slots))
         return BoundModel(self.model.equations, self.vars, states, names, self.structure)
-
-    def _plan(self, genes) -> sim.SimPlan | None:
-        """The genome's plan, or None when it does not causalize; bound
-        at slot level and causalized on the first call only."""
-        genes = tuple(genes)
-        if genes not in self._plans:
-            try:
-                self._plans[genes] = sim.causalize(self.bind(genes))
-            except check.CausalizeError:
-                self._plans[genes] = None
-        return self._plans[genes]
 
     def constructible(self, genes) -> bool:
         """Statically causalizable at slot level, which is exactly
         validate(genes).valid: causalize raises the first fault of the
-        same check.binding_faults that validation reports in full."""
-        return self._plan(genes) is not None
+        same check.binding_faults that validation reports in full. Each
+        genome is bound and causalized on its first check only."""
+        genes = tuple(genes)
+        causal = self._causal.get(genes)
+        if causal is None:
+            try:
+                sim.causalize(self.bind(genes))
+                causal = True
+            except check.CausalizeError:
+                causal = False
+            self._causal[genes] = causal
+        return causal
+
+    def _gene_tables(self) -> tuple:
+        """Three tables by gene value, built at the first score: what a
+        data slot holding the variable reads (its input column, or one
+        shared endless repeat of its start, a parameter's value), its
+        start on a state slot (0.0 when it has none), and its signature
+        key (the repr of an input's name or of that start, so that an
+        input never meets a value, nor -0.0 meets 0.0). The kernel cache
+        takes the problem's structure, every data slot read as a column."""
+        if self._tables is None:
+            inputs = self.classification.inputs
+            columns = dict(zip(inputs, sim.input_columns(self.input_trace, inputs)))
+            starts = tuple(0.0 if v.start is None else float(v.start) for v in self.vars.variables)
+            self._tables = (
+                tuple(columns[v.name] if v.name in columns else repeat(start)
+                      for v, start in zip(self.vars.variables, starts)),
+                starts,
+                tuple(repr(v.name) if v.name in columns else repr(start)
+                      for v, start in zip(self.vars.variables, starts)))
+            st = self.structure
+            self.kernels.admit(sim.SimPlan(tuple((s, 0.0, rhs) for s, rhs in st.states),
+                                           st.algebraic_order, {}, frozenset(st.reads)))
+        return self._tables
 
     def signature(self, genes):
-        """What scoring the genome simulates (sim.KernelCache.signature),
-        or None when it does not causalize: genomes with equal signatures
+        """What scoring the genome simulates, or None when it does not
+        causalize: the key of the variable on each data slot and state
+        slot, and the slot of each output. Genomes with equal signatures
         have equal fitness."""
-        plan = self._plan(genes)
-        return None if plan is None else self.kernels.signature(
-            plan, self.classification.outputs)
+        if not self.constructible(genes):
+            return None
+        keys = self._gene_tables()[2]
+        return (_pick(keys, genes, self.kernels.reads + self.state_slots)
+                + tuple(map(genes.index, self.output_genes)))
 
     def fitness_of(self, genes) -> sim.Fitness:
-        """The genome's fitness; INVALID when it does not causalize."""
-        return sim.score(self._plan(genes), self.input_trace, self.reference_trace,
+        """The genome's fitness, sim.score of its sim.Feed, read from the
+        gene tables, through the problem's kernel cache; INVALID when it
+        does not causalize."""
+        feed = None
+        if self.constructible(genes):
+            reads, starts, _ = self._gene_tables()
+            feed = sim.Feed(_pick(reads, genes, self.kernels.reads),
+                            _pick(starts, genes, self.state_slots),
+                            _pick(self.names, genes, self.kernels.solved))
+        return sim.score(feed, self.input_trace, self.reference_trace,
                          self.classification.outputs, self.kernels)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
@@ -195,7 +236,14 @@ class GaProblem:
         raise. A name-level plan has a Structure of its own, so it runs
         through a fresh kernel cache, not the problem's."""
         plan = sim.causalize(apply_assignment(self.model, genes, self.vars))
-        return sim.simulate(plan, inputs, self.classification.outputs)
+        kernels = sim.KernelCache()
+        return sim.simulate(kernels.feed(plan, inputs), inputs, self.classification.outputs,
+                            kernels)
+
+
+def _pick(table: tuple, genes, slots: tuple) -> tuple:
+    """The entry of table for the gene at each of slots."""
+    return tuple([table[genes[s]] for s in slots])
 
 
 def problem_from_container(cm: ContainerModel) -> GaProblem:
@@ -473,6 +521,9 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     for name in problem.classification.outputs:
         if name not in reference.columns:
             raise MalformedTrace(f"reference trace lacks output column {name!r}")
+    # MissingInput for an input column the trace lacks: every genome that
+    # causalizes reads every input (C4)
+    sim.input_columns(problem.input_trace, problem.classification.inputs)
     times = problem.input_trace.times
     if len(reference.times) != len(times):
         raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "

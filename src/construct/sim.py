@@ -23,16 +23,18 @@ refs, where a non-finite value could hide from every later check, and
 once at the end over every solved value. When a run raises or fails its
 end check, simulate re-runs the plan from the start by a tree walk over
 mexpr.eval_expr, which checks every solved value at every sample and
-names the fault; its result or error is the answer. simulate runs
-through a KernelCache, the problem's or a fresh one: its first plan
-fixes the kernel source, the data slots and the position of each solved
-ref, it compiles one kernel per number of outputs and recording or
-scored, and it refuses a plan of another structure. Names, parameter
-values, state starts, input and reference columns and the slots of the
-outputs reach a kernel as data; KernelCache.signature tells which plans
-of one problem simulate alike. Models that fail any static or runtime
-check are rejected, which is exactly how non-simulatable candidates are
-discovered.
+names the fault; its result or error is the answer. simulate runs a
+Feed through a KernelCache, the problem's or a fresh one: its first plan
+fixes the kernel source, the data slots and the order of the solved
+refs, it compiles one kernel per number of outputs and recording or
+scored, and it refuses a plan of another structure. What a genome
+decides reaches a kernel as data, in its Feed: what each data slot
+reads, an input column or a parameter's value, the state starts, and
+the names of the solved refs, by which outputs are found and faults
+named. A search builds the Feed from its genes; a caller holding a plan
+converts it with KernelCache.feed. Models that fail any static or
+runtime check are rejected, which is exactly how non-simulatable
+candidates are discovered.
 """
 
 from __future__ import annotations
@@ -118,12 +120,18 @@ class SimPlan:
         """The variable name of a reference of this plan."""
         return self.bindings[ref] if self.bindings else ref
 
-    def ref(self, name):
-        """The reference of a variable name: its slot, None when no slot
-        holds it, or the name itself in a name-level plan."""
-        if not self.bindings:
-            return name
-        return self.bindings.index(name) if name in self.bindings else None
+
+@dataclass(frozen=True)
+class Feed:
+    """What one run of a problem's kernel reads that its genome decides:
+    for each data slot (KernelCache.reads), an input column or an endless
+    repeat of a parameter's value; each state's start, in state order;
+    and the variable name of each solved ref, in kernel order (_solved),
+    by which outputs are found and faults named."""
+
+    data: tuple
+    starts: tuple
+    names: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +408,30 @@ def _compile_kernel(plan: SimPlan, outputs: int, scored: bool = False):
     return namespace.pop("kernel")
 
 
-def _tree_walk(plan: SimPlan, reads: tuple, times, data: tuple, stores: tuple,
+def _tree_walk(plan: SimPlan, names: tuple, reads: tuple, times, data: tuple, stores: tuple,
                starts: tuple, h: float) -> None:
     """Run plan as its kernel does, from the same times, data (for the
     data slots reads, then any reference columns), starts and step, but
     node by node with mexpr.eval_expr: the re-run that names a fault.
     Every solved value is checked at every sample; a fault raises
     DivisionByZero, naming the equation or the derivative that divides,
-    or NonFiniteValue, naming the ref. stores holds a (ref, list) pair
-    for each output: its value, or, when data holds reference columns,
-    its squared error against its column, is stored at index k."""
+    or NonFiniteValue, naming the variable, by names (Feed.names). stores
+    holds a (ref, list) pair for each output: its value, or, when data
+    holds reference columns, its squared error against its column, is
+    stored at index k."""
     env = {ref: start for (ref, _, _), start in zip(plan.state_vars, starts)}
     scored = len(data) > len(reads)
     last = len(times) - 1
+    state_names = names[len(plan.algebraic_order):]
     for k, (t, *values) in enumerate(zip(times, *data)):
         env.update(zip(reads, values))
-        for eq_index, ref, expr in plan.algebraic_order:
+        for name, (eq_index, ref, expr) in zip(names, plan.algebraic_order):
             try:
                 value = mexpr.eval_expr(expr, env)
             except ZeroDivisionError:
                 raise DivisionByZero(t, f"equation {eq_index}") from None
             if not math.isfinite(value):
-                raise NonFiniteValue(t, plan.name(ref))
+                raise NonFiniteValue(t, name)
             env[ref] = value
         if scored:
             for (ref, store), r in zip(stores, values[len(reads):]):
@@ -433,16 +443,30 @@ def _tree_walk(plan: SimPlan, reads: tuple, times, data: tuple, stores: tuple,
         if k == last:
             break
         ders = []
-        for ref, _, rhs in plan.state_vars:
+        for name, (_, _, rhs) in zip(state_names, plan.state_vars):
             try:
                 ders.append(mexpr.eval_expr(rhs, env))
             except ZeroDivisionError:
-                raise DivisionByZero(t, f"der({plan.name(ref)})") from None
-        for (ref, _, _), d in zip(plan.state_vars, ders):
+                raise DivisionByZero(t, f"der({name})") from None
+        for name, (ref, _, _), d in zip(state_names, plan.state_vars, ders):
             x = env[ref] + h * d
             if not math.isfinite(x):
-                raise NonFiniteValue(t, plan.name(ref))
+                raise NonFiniteValue(t, name)
             env[ref] = x
+
+
+def input_columns(inputs: Trace, names) -> tuple:
+    """The column of each of names in the input trace: MissingInput for
+    the first it lacks, MalformedTrace for the first that has not one
+    value per time, since a kernel zips the columns with the times."""
+    columns = inputs.columns
+    for name in names:
+        if name not in columns:
+            raise MissingInput(name)
+        if len(columns[name]) != len(inputs.times):
+            raise MalformedTrace(f"input column {name!r} has {len(columns[name])} "
+                                 f"values for {len(inputs.times)} times")
+    return tuple(map(columns.__getitem__, names))
 
 
 class KernelCache:
@@ -450,13 +474,13 @@ class KernelCache:
     recording or scored, and the step of the last input grid checked.
     Every plan of a problem shares its Structure's order, expressions,
     states and data slots (the slots the equations only read), so the
-    first plan fixes the kernel source, the data slots (_data_slots) and
-    the position of each solved ref in the tuple o of solved locals;
-    names, values and the slots of the outputs reach the kernel as data,
-    and only the number of outputs is in the source. causalize passes
-    the Structure's own objects through, so a plan whose algebraic order
-    or state right-hand sides are not the first plan's, object for
-    object, belongs to another problem, and the cache refuses it with
+    first plan admitted fixes the kernel source, the data slots
+    (_data_slots) and the order of the solved refs (_solved); what a
+    genome decides reaches the kernel as data, in a Feed, and only the
+    number of outputs is in the source. causalize passes the Structure's
+    own objects through, so a plan whose algebraic order or state
+    right-hand sides are not the first plan's, object for object,
+    belongs to another problem, and the cache refuses it with
     ValueError. A search scores one list of outputs, so it compiles one
     scored kernel, at its first score. A fault compiles nothing: the
     tree walk names it."""
@@ -466,7 +490,7 @@ class KernelCache:
         self.first = None  # the plan that fixed the source
         self.rhs: tuple = ()  # the first plan's state right-hand sides
         self.reads: tuple = ()  # the data slots
-        self.position: dict = {}  # solved ref -> its index in o
+        self.solved: tuple = ()  # the solved refs, in kernel order
         self.grid = (None, None)  # (times, step)
 
     def step(self, times) -> float:
@@ -475,16 +499,28 @@ class KernelCache:
         return self.grid[1]
 
     def admit(self, plan: SimPlan) -> None:
-        """Take the data slots and solved positions of the first plan;
-        refuse a plan of another structure (ValueError)."""
+        """Take the data slots and solved refs of the first plan; refuse
+        a plan of another structure (ValueError)."""
         rhs = tuple(rhs for _, _, rhs in plan.state_vars)
         if self.first is None:
             self.first, self.rhs = plan, rhs
             self.reads = _data_slots(plan)
-            self.position = {r: i for i, r in enumerate(_solved(plan))}
+            self.solved = _solved(plan)
         elif plan.algebraic_order is not self.first.algebraic_order \
                 or len(rhs) != len(self.rhs) or any(map(is_not, rhs, self.rhs)):
             raise ValueError("a plan of another structure than the kernel cache's first plan")
+
+    def feed(self, plan: SimPlan, inputs: Trace) -> Feed:
+        """The Feed of plan over the input trace: input_columns checks
+        the columns of the plan's inputs, sorted by name, and then the
+        cache admits the plan (ValueError for another structure)."""
+        name = plan.name
+        input_columns(inputs, sorted(map(name, plan.input_names)))
+        self.admit(plan)
+        return Feed(tuple(inputs.columns[name(r)] if r in plan.input_names
+                          else repeat(plan.param_env[r]) for r in self.reads),
+                    tuple(start for _, start, _ in plan.state_vars),
+                    tuple(map(name, self.solved)))
 
     def kernel(self, outputs: int, scored: bool = False):
         """The compiled kernel of the admitted plans, recording outputs
@@ -493,19 +529,6 @@ class KernelCache:
         if key not in self.kernels:
             self.kernels[key] = _compile_kernel(self.first, outputs, scored)
         return self.kernels[key]
-
-    def signature(self, plan: SimPlan, outputs) -> tuple:
-        """Everything the simulation of a slot-level plan of the cache's
-        problem, with outputs recorded, depends on: what each data slot
-        reads (an input name, or a parameter value, each by repr so that
-        they cannot meet, nor 0.0 and -0.0), the state starts by repr and
-        the slot of each output. Plans of one problem with equal
-        signatures simulate alike."""
-        self.admit(plan)
-        return (tuple(repr(plan.bindings[r] if r in plan.input_names else plan.param_env[r])
-                      for r in self.reads),
-                tuple(repr(start) for _, start, _ in plan.state_vars),
-                tuple(map(plan.bindings.index, sorted(outputs))))
 
 
 def grid_step(times) -> float:
@@ -522,69 +545,59 @@ def grid_step(times) -> float:
     return h
 
 
-def simulate(plan: SimPlan, inputs: Trace, outputs_of_interest,
-             kernels: KernelCache | None = None, reference: Trace | None = None) -> Trace:
+def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCache,
+             reference: Trace | None = None) -> Trace:
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is the kernel of kernels, the plan's problem's
-    KernelCache, or of a fresh one when none is given (see
-    _kernel_source), recording only the outputs of interest into lists
-    made with one slot per time; mexpr.eval_expr is its reference
-    semantics. Given the reference, it records each output's squared
-    error against the reference's column of that name instead, for score
-    to sum; each such column must have one value per time, as score
-    checks. The result's times are the grid either way. When the kernel
-    raises or its end check fails, _tree_walk runs the plan again from
-    the start over mexpr.eval_expr, and its result or its error is the
-    answer. An input column the plan reads must have one value per time
-    (MalformedTrace otherwise): the kernel zips them."""
+    The per-sample loop is the kernel of kernels, the cache the feed was
+    made for (see _kernel_source), reading the feed's data and starts
+    and recording only the outputs of interest into lists made with one
+    slot per time; mexpr.eval_expr is its reference semantics. Given the
+    reference, it records each output's squared error against the
+    reference's column of that name instead, for score to sum; each such
+    column must have one value per time, as score checks. The result's
+    times are the grid either way. When the kernel raises or its end
+    check fails, _tree_walk runs the admitted plan again from the start
+    over mexpr.eval_expr, and its result or its error is the answer. The
+    feed's columns must have one value per time (input_columns)."""
     times = inputs.times
-    for name in sorted(map(plan.name, plan.input_names)):
-        if name not in inputs.columns:
-            raise MissingInput(name)
-        if len(inputs.columns[name]) != len(times):
-            raise MalformedTrace(f"input column {name!r} has {len(inputs.columns[name])} "
-                                 f"values for {len(times)} times")
-    if kernels is None:
-        kernels = KernelCache()
-    kernels.admit(plan)
     out_names = sorted(outputs_of_interest)
-    refs = list(map(plan.ref, out_names))
-    for name, ref in zip(out_names, refs):
-        if ref not in kernels.position:
-            raise SimulateError(f"output {name!r} is not computed by the plan")
+    try:
+        positions = tuple(map(feed.names.index, out_names))
+    except ValueError:
+        name = next(n for n in out_names if n not in feed.names)
+        raise SimulateError(f"output {name!r} is not computed by the plan") from None
 
     h = kernels.step(times)
     scored = reference is not None
     kernel = kernels.kernel(len(out_names), scored)
-    data = tuple(inputs.columns[plan.name(r)] if r in plan.input_names
-                 else repeat(plan.param_env[r]) for r in kernels.reads)
+    data = feed.data
     if scored:
-        data += tuple(reference.columns[name] for name in out_names)
-    starts = tuple(start for _, start, _ in plan.state_vars)
+        data += tuple([reference.columns[name] for name in out_names])
     columns = [[0.0] * len(times) for _ in out_names]
     try:
-        end = kernel(times, data, tuple(zip((kernels.position[r] for r in refs), columns)),
-                     starts, h, len(times) - 1)
+        end = kernel(times, data, tuple(zip(positions, columns)), feed.starts, h, len(times) - 1)
         failed = end - end  # 0.0 for a finite end sum, nan otherwise
     except Exception:  # the tree walk names it
         failed = True
     if failed:
-        _tree_walk(plan, kernels.reads, times, data, tuple(zip(refs, columns)), starts, h)
+        _tree_walk(kernels.first, feed.names, kernels.reads, times, data,
+                   tuple(zip(map(kernels.solved.__getitem__, positions), columns)),
+                   feed.starts, h)
     if not scored:
         columns = map(tuple, columns)
     return Trace(times, dict(zip(out_names, columns)))
 
 
-def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
-          kernels: KernelCache | None = None) -> Fitness:
-    """Mean squared distance of the plan's outputs, simulated with
-    kernels, from the reference: simulate records the squares, and
-    math.fsum rounds their sum exactly, whatever their order. No plan
-    (the model does not causalize), a simulate failure, which the tree
-    walk's re-run names, and a sum of squares that overflows all fold
-    into Invalid."""
+def score(feed: Feed | None, inputs: Trace, reference: Trace, outputs,
+          kernels: KernelCache) -> Fitness:
+    """Mean squared distance of the outputs that simulate gives for the
+    feed, through kernels, from the reference: simulate records the
+    squares, and math.fsum rounds their sum exactly, whatever their
+    order. No feed (the model does not causalize), a simulate failure,
+    which the tree walk's re-run names, and a sum of squares that
+    overflows all fold into Invalid."""
     if not outputs:
         raise ValueError("no output to score")
     for name in outputs:
@@ -595,10 +608,10 @@ def score(plan: SimPlan | None, inputs: Trace, reference: Trace, outputs,
                              f"values for {len(reference.times)} times")
     if len(reference.times) != len(inputs.times):
         raise ValueError("reference and simulation grids differ in length")
-    if plan is None:
+    if feed is None:
         return INVALID
     try:
-        squares = simulate(plan, inputs, outputs, kernels, reference).columns
+        squares = simulate(feed, inputs, outputs, kernels, reference).columns
     except SimulateError:
         return INVALID
     try:

@@ -6,7 +6,9 @@ translated equation models can be checked against plain statement
 semantics without going through the translation path itself. `named`
 renames a slot-level simulation plan to the name-level plan it stands
 for, so that plans can be compared and run through `tree_walk`, the
-per-sample loop of sim.simulate over mexpr.eval_expr. `load_trace_rows`
+per-sample loop of sim.simulate over mexpr.eval_expr; `simulate` and
+`score` run sim.simulate and sim.score on a plan, converted to its
+sim.Feed by KernelCache.feed. `load_trace_rows`
 is container.load_trace one row and one cell at a time. `tokenize` is
 cparse._tokenize with one match per run of blanks and frozen-dataclass
 tokens.
@@ -203,6 +205,23 @@ def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
                     raise sim.NonFiniteValue(t, name)
                 env[name] = nxt
     return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
+
+
+def simulate(plan: sim.SimPlan, inputs: Trace, outputs_of_interest,
+             kernels: sim.KernelCache | None = None, reference: Trace | None = None) -> Trace:
+    """sim.simulate of plan through kernels, or a fresh kernel cache."""
+    kernels = sim.KernelCache() if kernels is None else kernels
+    return sim.simulate(kernels.feed(plan, inputs), inputs, outputs_of_interest, kernels,
+                        reference)
+
+
+def score(plan: sim.SimPlan | None, inputs: Trace, reference: Trace, outputs,
+          kernels: sim.KernelCache | None = None) -> sim.Fitness:
+    """sim.score of plan, or of no plan, through kernels, or a fresh
+    kernel cache."""
+    kernels = sim.KernelCache() if kernels is None else kernels
+    feed = None if plan is None else kernels.feed(plan, inputs)
+    return sim.score(feed, inputs, reference, outputs, kernels)
 
 
 # a trace cell: a decimal number as float reads it, in ASCII digits with

@@ -16,7 +16,8 @@ from construct import ga, mexpr
 from construct.container import Trace, VariableDescriptor, VariableTable
 from construct.ga import GaConfig, run_ga, search_space_size
 from construct.model import BoundModel
-from construct.sim import Fitness, causalize, simulate
+from construct.sim import Fitness, causalize
+from interp import simulate
 
 SEEDS = range(20)
 POP = 50

@@ -745,3 +745,21 @@ def test_an_output_name_a_trace_cannot_read_back_exits_1_before_writing(tmp_path
                                            f"a column name holds no comma and no line break\n")
     assert reference.read_bytes() == before
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cbt"])
+def test_synth_on_an_input_trace_without_an_input_column_exits_1(pi_case, tmp_path, capsys,
+                                                                    mode):
+    # every genome used to score Invalid, and the search ended with exit 2
+    # and a report of no simulatable candidate
+    work = _pi_copy(pi_case, tmp_path)
+    path = work / "traces" / "input.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    column = rows[0].index("measurement")
+    path.write_text("".join(",".join(r[:column] + r[column + 1:]) + "\n" for r in rows))
+    report = tmp_path / "report.json"
+    code = main(["synth", str(work), "--mode", mode, "--pop", "10", "--gens", "2",
+                 "--seed", "0", "--report", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: input trace lacks column 'measurement'\n"
+    assert not report.exists()

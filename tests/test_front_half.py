@@ -19,7 +19,7 @@ from construct.container import Trace
 from construct.cparse import parse_c_unit
 from construct.isolate import isolate_step_function, normalize_primitives
 from construct.translate import eliminate_temporaries, translate_to_equations
-from interp import exec_stmts
+from interp import exec_stmts, simulate
 
 OFFSETS = (0x8, 0x10, 0x18)  # the slots read; the store goes to 0x20
 VALUES = [0.0, -0.0, 1.0, -1.5, 0.5, 2.0, 1e308, math.inf, -math.inf, math.nan]
@@ -107,5 +107,5 @@ def test_and_guarding_a_division_short_circuits_as_in_c():
     assert mexpr.eval_expr(rhs, {origin.index("0x8"): 0.0}) == mem[0x10] == 0.0
     plan = sim.SimPlan((), ((0, origin[lhs.ref], mexpr.map_refs(rhs, origin.__getitem__)),),
                        {}, frozenset({"0x8"}))
-    out = sim.simulate(plan, Trace((0.0, 0.1), {"0x8": (0.0, 0.25)}), ["0x10"])
+    out = simulate(plan, Trace((0.0, 0.1), {"0x8": (0.0, 0.25)}), ["0x10"])
     assert out.columns["0x10"] == (0.0, 1.0)

@@ -14,6 +14,7 @@ from construct.ga import (
 )
 from construct.sim import INVALID
 from construct.translate import EquationModel, SymbolSlot
+from interp import score
 
 
 class FixedRng:
@@ -426,8 +427,8 @@ def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
         assert len(problem.kernels.kernels) == 1, name
         for genes, fit in scored.items():
             plan = sim.causalize(problem.bind(genes))
-            uncached = sim.score(plan, problem.input_trace, problem.reference_trace,
-                                 problem.classification.outputs)
+            uncached = score(plan, problem.input_trace, problem.reference_trace,
+                             problem.classification.outputs)
             assert repr(uncached) == repr(fit), (name, genes)
 
 
@@ -478,16 +479,13 @@ def test_search_simulates_once_per_distinct_signature(all_cases, monkeypatch):
         result = run_ga("cbc", problem, cfg,
                         on_individual=lambda c, f: scored.setdefault(c.genes, f))
         outputs = problem.classification.outputs
-
-        def signature(genes):
-            return problem.kernels.signature(sim.causalize(problem.bind(genes)), outputs)
-
+        signature = problem.signature
         assert len(called) == len({signature(g) for g in called}), name
         assert {signature(g) for g in called} == {signature(g) for g in scored}, name
         assert len(called) < result.evaluations == len(scored), name
         for genes, fit in scored.items():
             plan = sim.causalize(problem.bind(genes))
-            uncached = sim.score(plan, problem.input_trace, problem.reference_trace, outputs)
+            uncached = score(plan, problem.input_trace, problem.reference_trace, outputs)
             assert repr(uncached) == repr(fit), (name, genes)
 
 

@@ -1,10 +1,13 @@
 """Same outputs for a fixed seed: translate skeletons and synth reports
-and models, compared byte for byte with the files in tests/golden/seed0/.
+and models, compared byte for byte with the files in tests/golden/seed0/,
+and the sha256 of the synth reports and models at the benchmark's search
+configuration (population 50, 10 generations, seeds 0-2).
 
 Regenerate the golden files only when a change of output is intended:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 from construct.cli import main
@@ -33,6 +36,79 @@ def test_outputs_match_golden_files(tmp_path, capsys):
     assert written == sorted(p.name for p in GOLDEN.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# the sha256 of each file synth writes at population 50, 10 generations:
+# a report for every run, a model for every run that found a candidate
+BENCHMARK_DIGESTS = {
+    "pi-0-cbc.report.json":
+        "8efe736be1e7fda3d35e866469d64350bce114cd42c2148ec89ab819825f5477",
+    "pi-0-cbc.mo":
+        "49d7d9170f33edace0cd0a19d36486806d8c2b755548f6750c6be91d57c218c0",
+    "pi-0-cbt.report.json":
+        "6ab25ef2dabda209720fc009b522b4bb6181e41dfbbe75cf366ac5d78ea5239c",
+    "pi-1-cbc.report.json":
+        "a4656af9a7b95a39f5c057a25c22a5c00f8ebee252a9979c76d300d1378bac4e",
+    "pi-1-cbc.mo":
+        "c8986253e92d944a5063a3e07ebd972e5a9cff7ba230b21aee2d3725e9f45aac",
+    "pi-1-cbt.report.json":
+        "c1d23741322a9fecf00139385036fcdd3e614d01c7f2c86f1a72e6892d5ad73d",
+    "pi-2-cbc.report.json":
+        "25bf43b642256047cffe122416148a2ac052ea8f733c665185b1644840f5597c",
+    "pi-2-cbc.mo":
+        "fe1aa78cad536a3599a8f66693f604ff8393d6e97607e9782763bc26740ed776",
+    "pi-2-cbt.report.json":
+        "7179aaa01c8c56f4720df575091eaa385a1c3567f6f1f221901f47bdfd9ee610",
+    "pid-0-cbc.report.json":
+        "ca185f6142b8588ee1d364ea69ee3041b5369df02c308a8c360fb8236cae3993",
+    "pid-0-cbc.mo":
+        "fc1d4b1e5833f251ec250ab666eed0705fdbd25b940bd68aab082f60ec5e3d51",
+    "pid-0-cbt.report.json":
+        "1e0c7648f050897fdf080a352fc383b7bc569e8eb11117617e02be76fa5d9f99",
+    "pid-1-cbc.report.json":
+        "772960f293e4a73bc60755919693cad1404f05e9ffeb2123a15145aaed7391a6",
+    "pid-1-cbc.mo":
+        "87f36b354e91ba7fe3ecc1b3e1d8bbce7238534eb4525a494b75f3ae6de72aa2",
+    "pid-1-cbt.report.json":
+        "0184cd799212adc74b038a535c73d14bfd0ee6c2d9c1595baa00f430388c65c8",
+    "pid-2-cbc.report.json":
+        "2c8e1d79c3e5d979f1ffaafefe3d3c5a38eb0040eb13616b8c1f960203682dc1",
+    "pid-2-cbc.mo":
+        "42e6554e0526a9e92bc0d1f5460656989aa1524b3d01c47e77129fe948adf5c7",
+    "pid-2-cbt.report.json":
+        "0a8d1cf6695ac4f2493415fa9c3858bf30279be4276672dac1e6ef12fe5db6bf",
+    "limpid-0-cbc.report.json":
+        "03dd4e306bef4d1dab825ee29cfa5c0fe5c297a8ccc57b5e874ee423607c0d15",
+    "limpid-0-cbc.mo":
+        "fc127fc11fc4b5578c9ac31e253eb06a0b716d8fe9fedbed96d6d63accccf86b",
+    "limpid-0-cbt.report.json":
+        "a2fe49475e1296db60cd2d81067b85ce01e1110ce8dd062dcbfdbd90e98c597a",
+    "limpid-1-cbc.report.json":
+        "5946ea1311ef3f03c5e26a2102cd07f7b63df5dc8f689d09f20e6f3931cf0603",
+    "limpid-1-cbc.mo":
+        "90f2f4fc9e642c5b4e31730b6985cc4b5ea26c32fc0337e6de564ae8b3a58464",
+    "limpid-1-cbt.report.json":
+        "b189a76541f25681347d044cc08c72c5f36997fdba1043be9364003456203e2a",
+    "limpid-2-cbc.report.json":
+        "875f40082b32a736cfb0d34101383a86bd1ae1db3a06bce24164863650d0ee61",
+    "limpid-2-cbc.mo":
+        "29324f013973a809ad7f1ccc8270a83a364581afa92fdb998b7e35d45423df01",
+    "limpid-2-cbt.report.json":
+        "9c1e0acdf242bc83241517ceb88aba4850e5c593cb3747cb43e133b0165da721",
+}
+
+
+def test_synth_outputs_at_the_benchmark_configuration_keep_their_digests(tmp_path, capsys):
+    for name in CONTAINERS:
+        for seed in range(3):
+            for mode in ("cbc", "cbt"):
+                stem = tmp_path / f"{name}-{seed}-{mode}"
+                code = main(["synth", str(REPO / "fixtures" / name), "--mode", mode,
+                             "--pop", "50", "--gens", "10", "--seed", str(seed),
+                             "--report", f"{stem}.report.json", "-o", f"{stem}.mo"])
+                assert code in (0, 2)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == BENCHMARK_DIGESTS
 
 
 if __name__ == "__main__":

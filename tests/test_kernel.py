@@ -13,16 +13,18 @@ import random
 import re
 import struct
 import tokenize
-from functools import partial
+from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from construct import mexpr, sim
-from construct.container import Trace
-from construct.ga import generate_individual
+from construct.check import CausalizeError
+from construct.container import Trace, load_container
+from construct.ga import crossover, generate_individual, mutate, problem_from_container
 from construct.sim import INVALID, DivisionByZero, NonFiniteValue, SimPlan
-from interp import named, tree_walk
+from interp import named, score, simulate, tree_walk
 
 Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
 
@@ -41,7 +43,7 @@ def assert_same(plan, inputs, outputs, kernels=None):
     """simulate on plan, with kernels, against the tree walk on its
     name-level form."""
     expected = _outcome(tree_walk, named(plan), inputs, outputs)
-    assert _outcome(partial(sim.simulate, kernels=kernels), plan, inputs, outputs) == expected
+    assert _outcome(partial(simulate, kernels=kernels), plan, inputs, outputs) == expected
     return expected
 
 
@@ -480,7 +482,7 @@ def assert_scores_as_tree_walk(plan, inputs, reference, outputs):
     kernels = sim.KernelCache()
     expected = _score_outcome(partial(_tree_walk_score, plan, inputs, reference, outputs))
     for cache in (kernels, None):
-        assert _score_outcome(partial(sim.score, plan, inputs, reference, outputs, cache)) \
+        assert _score_outcome(partial(score, plan, inputs, reference, outputs, cache)) \
             == expected
     return kernels
 
@@ -506,12 +508,12 @@ def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square(reruns):
     reference = Trace(inputs.times, {"y0": (1e308, 1e308, 0.0, 1.0), "y1": (9e307,) * 4})
     kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
     assert _fell_back(reruns)
-    assert sim.score(plan, inputs, reference, ["y0", "y1"], kernels) == INVALID
+    assert score(plan, inputs, reference, ["y0", "y1"], kernels) == INVALID
     assert _fell_back(reruns)
     reference = Trace(inputs.times, {"y0": (1e308,) * 4, "y1": (0.9e308,) * 4})
     kernels = assert_scores_as_tree_walk(plan, inputs, reference, ["y0", "y1"])
     assert _fell_back(reruns)
-    assert sim.score(plan, inputs, reference, ["y0", "y1"]).is_finite
+    assert score(plan, inputs, reference, ["y0", "y1"]).is_finite
     assert _fell_back(reruns)
     # a fault the tree walk names: Invalid either way, and nothing more compiled
     plan = _plan([("y", Binary("div", Const(1.0), Sym("u")))])
@@ -525,8 +527,8 @@ def test_scores_settled_by_the_checked_kernel_or_overflowing_a_square(reruns):
         kernels = assert_scores_as_tree_walk(plan, _trace(["u"], value=value),
                                              _trace(["y"], value=ref), ["y"])
         assert not _fell_back(reruns)
-        assert sim.score(plan, _trace(["u"], value=value), _trace(["y"], value=ref),
-                         ["y"], kernels) == INVALID
+        assert score(plan, _trace(["u"], value=value), _trace(["y"], value=ref),
+                     ["y"], kernels) == INVALID
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +598,54 @@ def test_generated_plans_nested_past_the_cap_match_tree_walk(case, data):
         source, _ = sim._kernel_source(plan, len(outputs), scored=scored)
         assert _nesting(source) <= sim.MAX_NESTING
         assert re.search(r"^  t\d+ = ", source, re.MULTILINE), "an operand was spilled"
+
+
+# ---------------------------------------------------------------------------
+# Search genomes: scored from their genes against the causalize path
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+GENOME_CONTAINERS = {name: REPO / "fixtures" / name for name in ("pi", "pid", "limpid")}
+GENOME_CONTAINERS["tiny"] = REPO / "tests" / "data" / "tiny"
+
+
+@lru_cache(maxsize=None)
+def _container(name):
+    return load_container(GENOME_CONTAINERS[name])
+
+
+def _causalize_path_score(problem, genes):
+    """The genome's fitness through bind, causalize and a fresh kernel
+    cache: what GaProblem.fitness_of scored before its gene tables."""
+    kernels = sim.KernelCache()
+    try:
+        feed = kernels.feed(sim.causalize(problem.bind(genes)), problem.input_trace)
+    except CausalizeError:
+        feed = None
+    return sim.score(feed, problem.input_trace, problem.reference_trace,
+                     problem.classification.outputs, kernels)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(GENOME_CONTAINERS)), st.integers(0, 2 ** 32), st.integers(0, 12))
+def test_generated_genomes_score_from_their_genes_as_through_causalize(name, seed, steps):
+    rng = random.Random(seed)
+    problem = problem_from_container(_container(name))  # fresh tables and memo
+    genomes = [generate_individual("cbc", problem, rng) for _ in range(3)]
+    genomes.append(generate_individual("cbt", problem, rng))  # seldom constructible
+    for _ in range(steps):
+        a, b = rng.sample(genomes, 2)
+        if rng.random() < 0.5:
+            genomes.append(mutate("cbc", a, problem, rng))
+        else:
+            genomes += crossover("cbc", a, b, rng, problem)
+    by_signature: dict = {}
+    for genes in dict.fromkeys(c.genes for c in genomes):
+        fit = problem.fitness_of(genes)
+        assert repr(fit) == repr(_causalize_path_score(problem, genes)), (name, genes)
+        signature = problem.signature(genes)
+        assert (signature is None) == (not problem.constructible(genes))
+        assert repr(by_signature.setdefault(signature, fit)) == repr(fit), (name, genes)
 
 
 # ---------------------------------------------------------------------------

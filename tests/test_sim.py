@@ -15,12 +15,12 @@ from construct.container import MalformedTrace, Trace, VariableDescriptor, Varia
 from construct.model import BoundModel, apply_assignment
 from construct.sim import (
     GRID_RTOL, INVALID, DivisionByZero, Fitness, KernelCache, MissingInput, NonUniformGrid,
-    causalize, grid_step, score, simulate,
+    causalize, grid_step,
 )
 from construct.ga import GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
-from interp import named, tree_walk
+from interp import named, score, simulate, tree_walk
 
 
 def table(*rows):
@@ -677,7 +677,7 @@ def test_kernel_cache_refuses_a_plan_of_another_structure(structure, output):
     with pytest.raises(ValueError, match="another structure"):
         simulate(second, inputs, [output], kernels)
     with pytest.raises(ValueError, match="another structure"):
-        kernels.signature(second, [output])
+        kernels.feed(second, inputs)
     assert simulate(first, inputs, [output], kernels) == before
     assert simulate(second, inputs, [output]) != before
 
