@@ -101,11 +101,6 @@ class ValidationReport:
         if self.valid != (len(self.violations) == 0):
             raise ValueError("valid flag inconsistent with violations")
 
-    def summary(self) -> str:
-        if self.valid:
-            return "valid"
-        return "; ".join(f"{cid}: {detail}" for cid, detail in self.violations)
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -117,10 +112,6 @@ class Classification:
     @property
     def unknowns(self) -> frozenset:
         return frozenset(self.outputs) | frozenset(self.locals)
-
-    @property
-    def knowns(self) -> frozenset:
-        return frozenset(self.inputs) | frozenset(self.parameters)
 
 
 def classify_variables(vars: VariableTable) -> Classification:

@@ -8,32 +8,36 @@ Two operator suites share one evolution loop:
     discovered when the simulator rejects them.
 
   * correct-by-construction (CbC): generation, mutation, and crossover
-    only emit assignments whose bound model causalizes, which is exactly
-    passing the constraint validator (both run check.binding_faults), so
-    every individual in every generation simulates.
+    only emit assignments that meet the constraints, checked gene by
+    gene against per-problem tables (GaProblem.fits), which is exactly
+    passing the constraint validator and causalizing (all three agree
+    with check.binding_faults), so every individual in every generation
+    simulates.
 
 Every equation is solved for the slot the code writes (constraint C5),
 so a problem has one causal plan (check.Structure), built with the
 problem, and one simulation kernel, compiled at its first score in the
 problem's own sim.KernelCache; a chromosome only binds variables to the
 plan's slots, each slot drawing from its domain (check.domain_fault).
-Fitness is evaluated serially. Each problem binds (at slot level) and
-causalizes a distinct chromosome once, and its memo keeps only whether
-the chromosome causalizes, for the problem's life. Scoring reads the
-genes alone: per-variable tables, built at the first score, give what
-each data slot reads, what each state starts at and where each output
-sits, as a sim.Feed for sim.simulate and as the signature
-(GaProblem.signature). A run simulates once per distinct signature: a
-distinct chromosome that hands the kernel the same data as an earlier
-one of the run, such as swapped algebraic locals or equal parameter
-values, takes its fitness. Chromosome position i names the variable
-assigned to symbol slot i.
+Fitness is evaluated serially. Each problem checks a distinct chromosome
+once and keeps the verdict for its life: a CbC operator checks its
+genes (GaProblem.fits), and any other chromosome, CbT's or a caller's,
+is bound at slot level and causalized (GaProblem.constructible), so a
+CbC search never binds or causalizes. Scoring reads the genes alone:
+per-variable tables, built at the first score, give what each data slot
+reads, what each state starts at and where each output sits, as a
+sim.Feed for sim.simulate and as the signature (GaProblem.signature). A
+run simulates once per distinct signature: a distinct chromosome that
+hands the kernel the same data as an earlier one of the run, such as
+swapped algebraic locals or equal parameter values, takes its fitness.
+Chromosome position i names the variable assigned to symbol slot i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 from construct import check, sim
@@ -125,9 +129,11 @@ class GaResult:
 # ---------------------------------------------------------------------------
 
 class GaProblem:
-    """Everything the operators need, with type-compatibility tables
-    precomputed, whether each genome checked so far causalizes, and,
-    from the first score, the gene tables that scoring reads."""
+    """Everything the operators need, with the slot-domain tables
+    (compat, domains) and the variable types precomputed, the holders of
+    each variable from the first CbC construction, whether each genome
+    checked so far causalizes, and, from the first score, the gene
+    tables that scoring reads."""
 
     def __init__(self, model: EquationModel, vars: VariableTable,
                  input_trace: Trace | None, reference_trace: Trace | None):
@@ -143,6 +149,7 @@ class GaProblem:
                             for slot in model.slots)
         self.domains = tuple(map(frozenset, self.compat))  # compat, for membership tests
         self.io_indices = tuple(vars.index[v.name] for v in vars.io)
+        self.vtypes = tuple(v.vtype for v in vars.variables)  # by gene value
         self.names = tuple(v.name for v in vars.variables)  # by gene value
         self.state_slots = tuple(s for s, _ in self.structure.states)
         # the gene value of each output, in name order
@@ -159,6 +166,16 @@ class GaProblem:
     def num_variables(self) -> int:
         return len(self.vars.variables)
 
+    @cached_property
+    def holders(self) -> tuple:
+        """Per variable, the slots whose domain holds it, ascending; built
+        at the first CbC construction."""
+        holders = [[] for _ in self.vars.variables]
+        for s, domain in enumerate(self.compat):
+            for i in domain:
+                holders[i].append(s)
+        return tuple(map(tuple, holders))
+
     def validate(self, genes) -> check.ValidationReport:
         return check.validate_assignment(self.model, self.vars, genes)
 
@@ -168,11 +185,35 @@ class GaProblem:
         states = frozenset(map(names.__getitem__, self.state_slots))
         return BoundModel(self.model.equations, self.vars, states, names, self.structure)
 
+    def fits(self, genes) -> bool:
+        """Whether check.binding_faults yields nothing for the genome, read
+        from the problem's tables: the equations have a causal order
+        (Structure.error), no gene repeats (C0), each gene lies in its
+        slot's domain (C1, C5), every input and output is present (C4),
+        and the variables of each untyped group share one type, which is
+        not Boolean where the group is ordering-compared (C1). The verdict
+        goes into the memo that constructible reads, so a genome the CbC
+        operators checked is never bound or causalized."""
+        genes = tuple(genes)
+        fits = self._causal.get(genes)
+        if fits is None:
+            present, vtypes = set(genes), self.vtypes
+            fits = (self.structure.error is None and len(present) == len(genes)
+                    and all(map(frozenset.__contains__, self.domains, genes))
+                    and all(map(present.__contains__, self.io_indices))
+                    and all(len(types := {vtypes[genes[s]] for s in members}) == 1
+                            and not (ordered and "Boolean" in types)
+                            for members, ordered in self.structure.untyped))
+            self._causal[genes] = fits
+        return fits
+
     def constructible(self, genes) -> bool:
         """Statically causalizable at slot level, which is exactly
-        validate(genes).valid: causalize raises the first fault of the
-        same check.binding_faults that validation reports in full. Each
-        genome is bound and causalized on its first check only."""
+        validate(genes).valid and fits(genes): causalize raises the first
+        fault of the same check.binding_faults that validation reports in
+        full. This is the gate for genomes that no operator checked, CbT's
+        (the simulator discovers their faults) and a direct caller's: each
+        is bound and causalized on its first check only."""
         genes = tuple(genes)
         causal = self._causal.get(genes)
         if causal is None:
@@ -278,40 +319,38 @@ class _Exhausted(Exception):
 def _construct_constrained(problem: GaProblem, rng):
     """One constraint-guided construction attempt.
 
-    Inputs and outputs are seated first (C4), and the remaining slots are
-    filled most-constrained-first with backtracking over their domains
+    Inputs and outputs are seated first (C4), each on a free slot of its
+    holders (GaProblem.holders), and the remaining slots are filled
+    most-constrained-first with backtracking over their domains
     (GaProblem.compat), so unknown variables land exactly on the slots
-    the code writes, which settles C2, C3 and C5 structurally. Returns a
-    gene list or None on a dead end.
+    the code writes, which settles C2, C3 and C5 structurally. The
+    problem's tables are read, never rebuilt: a slot's count of unused
+    variables starts at its domain's size. Returns a gene list or None
+    on a dead end.
     """
     n_slots = problem.num_slots
     assignment: list = [None] * n_slots
     used: set = set()
+    left = list(map(len, problem.compat))  # per slot, the unused variables of its domain
+
+    def take(var, step: int) -> None:
+        for s in problem.holders[var]:
+            left[s] -= step
 
     # seat every input and output first (C4)
     io = list(problem.io_indices)
     rng.shuffle(io)
     for var in io:
-        options = [s for s in range(n_slots)
-                   if assignment[s] is None and var in problem.domains[s]]
+        options = [s for s in problem.holders[var] if assignment[s] is None]
         if not options:
             return None
         slot = rng.choice(options)
         assignment[slot] = var
         used.add(var)
+        take(var, 1)
 
     budget = BACKTRACK_BUDGET
     free = {s for s in range(n_slots) if assignment[s] is None}
-    left = dict.fromkeys(free, 0)  # per free slot, the unused variables of its domain
-    holders: dict = {}  # per variable, the free slots whose domain holds it
-    for s in free:
-        for v in problem.compat[s]:
-            holders.setdefault(v, []).append(s)
-            left[s] += v not in used
-
-    def take(var, step: int) -> None:
-        for s in holders[var]:
-            left[s] -= step
 
     def extend() -> bool:
         nonlocal budget
@@ -348,8 +387,8 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
 
     CbT: a uniform random injective assignment, nothing else enforced.
     CbC: constraint-guided construction, accepted only when the result
-    is constructible; retried up to RETRY_BUDGET times. Equations without
-    a causal order (check.Structure.error) admit no chromosome at all.
+    fits (GaProblem.fits); retried up to RETRY_BUDGET times. Equations
+    without a causal order (check.Structure.error) admit no chromosome.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(
@@ -370,7 +409,7 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
         if genes is None:
             last_failure = "construction dead end"
             continue
-        if not problem.constructible(genes):
+        if not problem.fits(genes):
             last_failure = "candidate does not causalize"
             continue
         return Chromosome(tuple(genes))
@@ -383,7 +422,7 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
 
 def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
     """Swap two genes. CbC additionally requires the swapped slots to be
-    type-compatible both ways and the result to stay constructible; when
+    type-compatible both ways and the result to fit (GaProblem.fits); when
     no acceptable swap is found the chromosome is returned unchanged."""
     genes = list(c.genes)
     n = len(genes)
@@ -399,7 +438,7 @@ def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
         if genes[j] not in problem.domains[i] or genes[i] not in problem.domains[j]:
             continue
         genes[i], genes[j] = genes[j], genes[i]
-        if problem.constructible(genes):
+        if problem.fits(genes):
             return Chromosome(tuple(genes))
         genes[i], genes[j] = genes[j], genes[i]
     return c
@@ -412,7 +451,7 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem):
     chasing the positional mapping between the parents' tails, within
     each slot's domain; returns None when repair is impossible, or when
     the child lost an input or an output, which would break C4, so that
-    it is rejected before it is bound and causalized.
+    it is rejected before GaProblem.fits checks it.
     """
     head = list(head_parent[:k])
     tail = list(tail_parent[k:])
@@ -440,7 +479,7 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
 
     CbT children may carry duplicate genes, left for the validator and
     simulator to reject. CbC children are PMX-repaired within type groups
-    and must stay constructible; when no crossing point works the parents
+    and must fit (GaProblem.fits); when no crossing point works the parents
     are returned unchanged.
     """
     if len(a) != len(b):
@@ -459,7 +498,7 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
         c2 = _pmx_child(b.genes, a.genes, k, problem)
         if c1 is None or c2 is None:
             continue
-        if problem.constructible(c1) and problem.constructible(c2):
+        if problem.fits(c1) and problem.fits(c2):
             return Chromosome(c1), Chromosome(c2)
     return Chromosome(a.genes), Chromosome(b.genes)
 

@@ -93,7 +93,7 @@ def test_classification_partition():
                            var("k", causality="parameter"), var("x")))
     cls = classify_variables(table)
     assert cls.unknowns == {"y", "x"}
-    assert cls.knowns == {"u", "k"}
+    assert {v.name for v in table.variables} - cls.unknowns == {"u", "k"}
 
 
 def test_all_parameter_table():
@@ -131,9 +131,8 @@ def test_tiny_instance_exactly_one_valid(tiny_model):
     # Boolean slot, and the result slot, which the code writes, takes y
     assert valid == [(0, 1, 2)]
     report = validate_assignment(m, vars, (1, 0, 2))
-    assert [cid for cid, _ in report.violations] == ["C5", "C5"]
-    assert "slot 0 (s0) is written, 'u' is input" in report.summary()
-    assert "slot 1 (s1) is only read, 'y' is output" in report.summary()
+    assert report.violations == (("C5", "slot 0 (s0) is written, 'u' is input"),
+                                 ("C5", "slot 1 (s1) is only read, 'y' is output"))
 
 
 def test_tiny_boolean_on_real_slot_violates_c1(tiny_model):
@@ -182,7 +181,7 @@ def test_ground_truths_validate(all_cases):
         problem = case["problem"]
         report = validate_assignment(problem.model, problem.vars,
                                      case["ground_truth"])
-        assert report.valid, report.summary()
+        assert report.valid, report.violations
 
 
 def test_out_of_range_gene_precondition(tiny_model):

@@ -5,9 +5,10 @@ import pytest
 from construct import mexpr
 from construct.cparse import (
     Assign, CodeUnit, Decl, Deref, Ident, If, IntLit, ParseError, RealLit, Return,
-    _tokenize, parse_c_expr, parse_c_unit, print_expr, print_unit,
+    _tokenize, parse_c_expr, parse_c_unit,
 )
 from construct.mexpr import Binary, Call, Unary
+from cprint import print_expr, print_unit
 
 
 def test_step_function_parse():

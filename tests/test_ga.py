@@ -334,19 +334,33 @@ def test_ga_config_invariants():
 
 @pytest.mark.parametrize("mode", ["cbc", "cbt"])
 def test_run_ga_causalizes_each_genome_once(pi_case, monkeypatch, mode):
-    # a problem keeps each genome's plan: a second run of the same config
-    # scores the same genomes and causalizes none of them again
+    # a problem keeps each genome's verdict: a second run of the same
+    # config scores the same genomes and checks none of them again. CbT's
+    # genomes are causalized, which rejects some for a repeated gene; the
+    # CbC operators check theirs gene by gene (GaProblem.fits), so a CbC
+    # run causalizes none
     from collections import Counter
 
-    from construct import ga, sim
+    from construct import check, ga, sim
+
+    checked, causalized, rejected = Counter(), Counter(), Counter()
+
+    class Verdicts(dict):
+        def __setitem__(self, genes, verdict):
+            checked[genes] += 1
+            super().__setitem__(genes, verdict)
 
     problem = ga.problem_from_container(pi_case["container"])
-    calls = Counter()
+    problem._causal = Verdicts()
     causalize = sim.causalize
 
     def counting(bound):
-        calls[bound.bindings] += 1
-        return causalize(bound)
+        causalized[bound.bindings] += 1
+        try:
+            return causalize(bound)
+        except check.CausalizeError as exc:
+            rejected[type(exc).__name__] += 1
+            raise
 
     monkeypatch.setattr(sim, "causalize", counting)
     cfg = GaConfig(population_size=30, max_generations=6, rng_seed=3, early_stop=False)
@@ -356,8 +370,13 @@ def test_run_ga_causalizes_each_genome_once(pi_case, monkeypatch, mode):
         runs.append(run_ga(mode, problem, cfg,
                            on_individual=lambda c, f: scored.add(c.genes)))
     assert runs[0] == runs[1]
-    assert len(calls) >= len(scored) > 1
-    assert max(calls.values()) == 1
+    assert len(checked) >= len(scored) > 1
+    assert max(checked.values()) == 1
+    if mode == "cbc":
+        assert not causalized
+    else:
+        assert len(causalized) == len(checked) and max(causalized.values()) == 1
+        assert rejected["DuplicateBinding"] > 0
 
 
 @pytest.mark.parametrize("mode", ["cbc", "cbt"])
@@ -545,21 +564,25 @@ def test_cbt_search_rejects_pid_candidates_in_causalize(pid_case, monkeypatch):
 
 
 def test_cbc_search_causalizes_no_genome_that_lost_an_input_or_output(all_cases, monkeypatch):
-    # crossover drops such a child before binding it (C4)
+    # a CbC search causalizes no genome at all, and crossover drops a child
+    # that lost an input or an output (C4) before GaProblem.fits checks it
     from construct import ga, sim
 
-    bound_names = []
-    causalize = sim.causalize
+    checked = []
+    fits = ga.GaProblem.fits
 
-    def recording(bound):
-        bound_names.append(set(bound.bindings))
-        return causalize(bound)
+    def recording(problem, genes):
+        checked.append(set(genes))
+        return fits(problem, genes)
 
-    monkeypatch.setattr(sim, "causalize", recording)
+    def refusing(bound):
+        raise AssertionError(f"causalized {bound.bindings}")
+
+    monkeypatch.setattr(ga.GaProblem, "fits", recording)
+    monkeypatch.setattr(sim, "causalize", refusing)
     for name, case in all_cases.items():
-        bound_names.clear()
+        checked.clear()
         problem = ga.problem_from_container(case["container"])
         run_ga("cbc", problem, GaConfig(population_size=50, max_generations=10, rng_seed=1,
                                         early_stop=False))
-        io = {v.name for v in problem.vars.io}
-        assert bound_names and all(io <= names for names in bound_names), name
+        assert checked and all(set(problem.io_indices) <= genes for genes in checked), name
