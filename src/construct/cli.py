@@ -22,7 +22,7 @@ from construct.container import (
     VariableDescriptor, VariableTable, load_container, load_trace, write_trace,
 )
 from construct.errors import ConstructError
-from construct.model import apply_assignment, emit_modelica
+from construct.model import apply_assignment, emit_modelica, modelica_name
 
 
 def _load_problem(args) -> tuple:
@@ -91,6 +91,9 @@ def cmd_synth(args) -> int:
     cm, problem = _load_problem(args)
     cfg = _ga_config(args)
     _check_out_paths(args.out, args.report, args.curves)
+    if args.out:  # UnspellableName before the search, not after it
+        for v in problem.vars.variables:
+            modelica_name(v.name)
     result = ga.run_ga(args.mode, problem, cfg)
     best_c, best_f = result.best
 

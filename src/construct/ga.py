@@ -356,7 +356,7 @@ def _construct_constrained(problem: GaProblem, rng):
         nonlocal budget
         if not free:
             return True
-        slot = min(free, key=lambda s: (left[s], s))
+        slot = min(sorted(free), key=left.__getitem__)  # ties to the lowest slot
         opts = [v for v in problem.compat[slot] if v not in used]
         if not opts:
             return False
@@ -453,23 +453,26 @@ def _pmx_child(head_parent, tail_parent, k: int, problem: GaProblem):
     the child lost an input or an output, which would break C4, so that
     it is rejected before GaProblem.fits checks it.
     """
-    head = list(head_parent[:k])
-    tail = list(tail_parent[k:])
+    head = head_parent[:k]
+    tail = tail_parent[k:]
     tail_set = set(tail)
-    mapping = {tail_parent[p]: head_parent[p] for p in range(k, len(head_parent))}
-    for pos in range(len(head)):
-        g = head[pos]
-        seen = set()
-        while g in tail_set:
-            if g in seen:
-                return None  # mapping cycle, cannot repair
-            seen.add(g)
-            g = mapping[g]
-        if g != head[pos]:
+    if not tail_set.isdisjoint(head):  # a collision: repair the head
+        head = list(head)
+        mapping = dict(zip(tail, head_parent[k:]))
+        for pos, g in enumerate(head):
+            if g not in tail_set:
+                continue
+            seen = set()
+            while g in tail_set:
+                if g in seen:
+                    return None  # mapping cycle, cannot repair
+                seen.add(g)
+                g = mapping[g]
             if g not in problem.domains[pos]:
                 return None
             head[pos] = g
-    child = tuple(head + tail)
+        head = tuple(head)
+    child = head + tail
     return child if all(map(child.__contains__, problem.io_indices)) else None
 
 
@@ -495,8 +498,10 @@ def crossover(mode: str, a: Chromosome, b: Chromosome, rng,
     for _ in range(RETRY_BUDGET):
         k = rng.randrange(n)
         c1 = _pmx_child(a.genes, b.genes, k, problem)
+        if c1 is None:
+            continue
         c2 = _pmx_child(b.genes, a.genes, k, problem)
-        if c1 is None or c2 is None:
+        if c2 is None:
             continue
         if problem.fits(c1) and problem.fits(c2):
             return Chromosome(c1), Chromosome(c2)

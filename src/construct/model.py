@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 from construct import mexpr
 from construct.check import GeneOutOfRange, bound_names  # GeneOutOfRange re-exported
 from construct.container import VariableTable
+from construct.errors import ConstructError
 from construct.translate import EquationModel
+
+
+class UnspellableName(ConstructError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,33 @@ def _prec(e) -> int:
     raise TypeError(f"not a ModelExpr: {e!r}")
 
 
+# Modelica 3.5 §2.3.3
+_KEYWORDS = frozenset("""
+    algorithm and annotation block break class connect connector constant constrainedby der
+    discrete each else elseif elsewhen encapsulated end enumeration equation expandable extends
+    external false final flow for function if import impure in initial inner input loop model
+    not operator or outer output package parameter partial protected public pure record
+    redeclare replaceable return stream then true type when while within""".split())
+# §2.3.1: the Q-CHARs, written as they are, and the characters an S-ESCAPE
+# spells; '"' is written escaped, as every version of the grammar reads it
+_Q_CHARS = frozenset(string.ascii_letters + string.digits + "_!#$%&()*+,-./:;<>=?@[]^{}|~ ")
+_S_ESCAPES = {"'": "\\'", '"': '\\"', "\\": "\\\\", "\a": "\\a", "\b": "\\b",
+              "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\v": "\\v"}
+
+
+def modelica_name(name: str) -> str:
+    """name as it is written in Modelica: itself where it is an IDENT and
+    no keyword, otherwise a Q-IDENT ('ctrl.x'); UnspellableName for a
+    name with a character that no Q-IDENT can spell."""
+    if name.isascii() and name.isidentifier() and name not in _KEYWORDS:
+        return name
+    try:
+        return "'" + "".join(c if c in _Q_CHARS else _S_ESCAPES[c] for c in name) + "'"
+    except KeyError as exc:
+        raise UnspellableName(f"variable {name!r} has no Modelica name: no identifier "
+                              f"spells {exc.args[0]!r}") from None
+
+
 def format_real(v: float) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(v))
@@ -67,20 +100,23 @@ def _fmt(e) -> str:
                 return "true" if value else "false"
             return format_real(value)
         case mexpr.Sym(ref):
-            return str(ref)
+            return modelica_name(str(ref))
         case mexpr.Der(ref):
-            return f"der({ref})"
+            return f"der({modelica_name(str(ref))})"
         case mexpr.Unary(op, operand):
             inner = _fmt(operand)
-            if _prec(operand) < _prec(e) or isinstance(operand, mexpr.Unary):
+            if _prec(operand) < _prec(e) or isinstance(operand, mexpr.Unary) \
+                    or inner.startswith("-"):
                 inner = f"({inner})"
             return f"not {inner}" if op == "not" else f"-{inner}"
         case mexpr.Binary(op, left, right):
+            # a leading minus, of a negation or a negative constant, may
+            # begin only an arithmetic-expression, never a term or a factor
             p = _prec(e)
             lhs, rhs = _fmt(left), _fmt(right)
-            if _prec(left) < p:
+            if _prec(left) < p or lhs.startswith("-"):
                 lhs = f"({lhs})"
-            if _prec(right) <= p:
+            if _prec(right) <= p or rhs.startswith("-"):
                 rhs = f"({rhs})"
             return f"{lhs} {_OPTEXT[op]} {rhs}"
         case mexpr.If(cond, then, orelse):
@@ -116,7 +152,7 @@ def emit_modelica(b: BoundModel, model_name: str) -> str:
     for causality in ("input", "output", "parameter", "local"):
         prefix = "" if causality == "local" else causality + " "
         for v in sorted(groups[causality], key=lambda d: d.name):
-            decl = f"  {prefix}{v.vtype} {v.name}"
+            decl = f"  {prefix}{v.vtype} {modelica_name(v.name)}"
             if v.causality == "parameter":
                 decl += f" = {_fmt_start(v.start)}"
             elif v.start is not None:

@@ -12,8 +12,9 @@ binding rules, check.binding_faults, which constraint validation also
 reports from. The plan keeps the Structure's own order, references and
 expressions, and is integrated with forward Euler on the input trace's
 time grid by a generated kernel: straight-line Python, with
-mexpr.eval_expr as its reference semantics. Its loop zips the times
-with one iterable per data slot and records a fixed number of outputs;
+mexpr.eval_expr as its reference semantics. Its loop zips the sample
+indices, not the times, with one iterable per data slot, binds no
+per-sample time and records a fixed number of outputs;
 a scored kernel also zips each output's reference column and records
 the output's squared error in its place, so that score only sums what
 simulate returns. The kernel computes each equation as one expression,
@@ -330,16 +331,18 @@ def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
     """The source of the kernel for plan, recording outputs outputs or,
     scored, their squared errors, and the namespace it runs in.
 
-    kernel(T, I, A, S, h, last) runs the loop over the times T, which it
-    zips with the iterables in I: one for each data slot, in the order
-    of _data_slots, an input's column or an endless repeat of a
-    parameter's value; then, scored, each output's reference column. A
-    holds a (position, list) pair for each output, the position of its
-    ref in the tuple o of solved locals (_solved); only their number is
-    in the source. A recording kernel stores each output's value, a
-    scored one the square of its difference from the reference, at index
-    k of the output's list, which has one slot per time. S holds the
-    state starts; h is the step and last the index of the last sample.
+    kernel(T, I, A, S, h, last) runs the loop over T, the sample indices
+    (range(len(times))), which it zips with the iterables in I: one for
+    each data slot, in the order of _data_slots, an input's column or an
+    endless repeat of a parameter's value; then, scored, each output's
+    reference column. The loop binds no time: only the tree walk's
+    re-run reads the times, to name a fault. A holds a (position, list)
+    pair for each output, the position of its ref in the tuple o of
+    solved locals (_solved); only their number is in the source. A
+    recording kernel stores each output's value, a scored one the square
+    of its difference from the reference, at index k of the output's
+    list, which has one slot per time. S holds the state starts; h is
+    the step and last the index of the last sample.
     Its locals take the values of the tree walk's env, by the same
     operations on the same operands, so the results are bit-identical.
     `if x - x:` is the finiteness check: x - x is 0.0 for a finite x and
@@ -389,8 +392,8 @@ def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
             ([f"(p{j}, a{j})" for j in range(outputs)], "A")):
         if targets:
             head.append(f" {', '.join(targets)}, = {data}")
-    # the trailing comma unpacks t from a 1-tuple when there is no data slot
-    head.append(f" for k, (t{columns},) in enumerate(zip(T, *I)):")
+    # the trailing comma unpacks k from a 1-tuple when there is no data slot
+    head.append(f" for k{columns}, in zip(T, *I):")
     ends = [src.var(r) for r in solved]
     # added 50 locals a statement, so that compiling never nests deeply
     tail = [" e = 0.0"] + [f" e = e + {' + '.join(ends[i:i + 50])}"
@@ -551,9 +554,10 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     evaluate algebraic equations, record outputs, advance states.
 
     The per-sample loop is the kernel of kernels, the cache the feed was
-    made for (see _kernel_source), reading the feed's data and starts
-    and recording only the outputs of interest into lists made with one
-    slot per time; mexpr.eval_expr is its reference semantics. Given the
+    made for (see _kernel_source), stepping T, the sample indices, with
+    the feed's data, reading its starts and recording only the outputs
+    of interest into lists made with one slot per time;
+    mexpr.eval_expr is its reference semantics. Given the
     reference, it records each output's squared error against the
     reference's column of that name instead, for score to sum; each such
     column must have one value per time, as score checks. The result's
@@ -577,7 +581,8 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
         data += tuple([reference.columns[name] for name in out_names])
     columns = [[0.0] * len(times) for _ in out_names]
     try:
-        end = kernel(times, data, tuple(zip(positions, columns)), feed.starts, h, len(times) - 1)
+        end = kernel(range(len(times)), data, tuple(zip(positions, columns)), feed.starts, h,
+                     len(times) - 1)
         failed = end - end  # 0.0 for a finite end sum, nan otherwise
     except Exception:  # the tree walk names it
         failed = True

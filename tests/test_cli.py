@@ -450,6 +450,45 @@ def test_simulate_out_into_missing_directory_exits_1_before_loading(pi_case, tmp
         assert sorted(tmp_path.rglob("*")) == before, argv
 
 
+def _renamed_pi(pi_case, tmp_path, renames):
+    work = _pi_copy(pi_case, tmp_path)
+    desc = work / "modelDescription.xml"
+    text = desc.read_text()
+    for old, new in renames.items():
+        text = text.replace(f'name="{old}"', f'name="{new}"')
+    desc.write_text(text)
+    return work
+
+
+def test_synth_writes_a_name_that_is_no_ident_quoted(pi_case, tmp_path, capsys):
+    # a structured name and a keyword: the search is the golden one, and
+    # the model is the golden model with each name written as a Q-IDENT
+    work = _renamed_pi(pi_case, tmp_path, {"drift_comp": "ctrl.drift comp",
+                                           "integ_state": "model"})
+    out = tmp_path / "best.mo"
+    assert main(["synth", str(work), "--mode", "cbc", "--pop", "20", "--gens", "5",
+                 "--seed", "0", "-o", str(out)]) == 0
+    golden = (REPO / "tests" / "golden" / "seed0" / "pi-cbc.mo").read_text()
+    assert out.read_text() == golden.replace("drift_comp", "'ctrl.drift comp'") \
+        .replace("integ_state", "'model'")
+
+
+@pytest.mark.parametrize("name", ["drift\u00e9", "drift`comp"])
+def test_synth_out_with_a_name_no_quoted_identifier_spells_exits_1_before_searching(
+        pi_case, tmp_path, capsys, name):
+    work = _renamed_pi(pi_case, tmp_path, {"drift_comp": name})
+    out = tmp_path / "best.mo"
+    code = main(["synth", str(work), "--mode", "cbc", "--pop", "20", "--gens", "5",
+                 "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: variable {name!r} has no Modelica name: "
+                            f"no identifier spells {name[5]!r}\n")
+    assert "search finished" not in captured.out and not out.exists()
+    # without a model to write, the search runs
+    assert main(["synth", str(work), "--mode", "cbc", "--pop", "20", "--gens", "5"]) == 0
+
+
 @pytest.mark.parametrize("flag", ["-o", "--report", "--curves"])
 def test_synth_checks_output_paths_before_searching(pi_case, tmp_path, capsys, flag):
     code = main(["synth", str(pi_case["root"]), "--mode", "cbc",

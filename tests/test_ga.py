@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from construct import ga, mexpr
 from construct.check import infer_symbol_types
@@ -215,6 +216,166 @@ def test_cbc_crossover_children_constructible(pi_case):
             assert problem.validate(child.genes).valid
             assert problem.fitness_of(child.genes).is_finite
         a, b = c1, c2
+
+
+# The operators as they were before they skipped work no draw depends on:
+# references that the current ones must match exactly.
+
+def _reference_pmx_child(head_parent, tail_parent, k, problem):
+    head = list(head_parent[:k])
+    tail = list(tail_parent[k:])
+    tail_set = set(tail)
+    mapping = {tail_parent[p]: head_parent[p] for p in range(k, len(head_parent))}
+    for pos in range(len(head)):
+        g = head[pos]
+        seen = set()
+        while g in tail_set:
+            if g in seen:
+                return None
+            seen.add(g)
+            g = mapping[g]
+        if g != head[pos]:
+            if g not in problem.domains[pos]:
+                return None
+            head[pos] = g
+    child = tuple(head + tail)
+    return child if all(map(child.__contains__, problem.io_indices)) else None
+
+
+def _reference_construct_constrained(problem, rng):
+    n_slots = problem.num_slots
+    assignment = [None] * n_slots
+    used = set()
+    left = list(map(len, problem.compat))
+
+    def take(var, step):
+        for s in problem.holders[var]:
+            left[s] -= step
+
+    io = list(problem.io_indices)
+    rng.shuffle(io)
+    for var in io:
+        options = [s for s in problem.holders[var] if assignment[s] is None]
+        if not options:
+            return None
+        slot = rng.choice(options)
+        assignment[slot] = var
+        used.add(var)
+        take(var, 1)
+
+    budget = ga.BACKTRACK_BUDGET
+    free = {s for s in range(n_slots) if assignment[s] is None}
+
+    def extend():
+        nonlocal budget
+        if not free:
+            return True
+        slot = min(free, key=lambda s: (left[s], s))
+        opts = [v for v in problem.compat[slot] if v not in used]
+        if not opts:
+            return False
+        rng.shuffle(opts)
+        free.remove(slot)
+        for var in opts:
+            assignment[slot] = var
+            used.add(var)
+            take(var, 1)
+            if extend():
+                return True
+            assignment[slot] = None
+            used.discard(var)
+            take(var, -1)
+            budget -= 1
+            if budget < 0:
+                raise ga._Exhausted
+        free.add(slot)
+        return False
+
+    if not extend():
+        return None
+    return assignment
+
+
+class _Tables:
+    """The slot-domain tables the CbC operators read, without a model."""
+
+    def __init__(self, compat, io_indices, num_variables):
+        self.compat = compat
+        self.domains = tuple(map(frozenset, compat))
+        self.io_indices = io_indices
+        self.num_slots = len(compat)
+        self.holders = tuple(tuple(s for s, d in enumerate(compat) if v in d)
+                             for v in range(num_variables))
+
+
+@st.composite
+def _tables(draw, max_slots=8):
+    """Slot-domain tables over a few variables, so that domains overlap
+    and many slots tie on their count of unused variables."""
+    variables = draw(st.integers(1, 9))
+    genes = st.integers(0, variables - 1)
+    slots = draw(st.integers(1, max_slots))
+    compat = tuple(tuple(sorted(draw(st.sets(genes, max_size=variables))))
+                   for _ in range(slots))
+    io = tuple(sorted(draw(st.sets(genes, max_size=3))))
+    return _Tables(compat, io, variables)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pmx_child_matches_the_reference(data):
+    # parents with repeated genes make mapping cycles; the domains make
+    # out-of-domain repairs
+    tables = data.draw(_tables())
+    n = tables.num_slots
+    genes = st.integers(0, len(tables.holders) - 1)
+    a = tuple(data.draw(st.lists(genes, min_size=n, max_size=n)))
+    b = tuple(data.draw(st.lists(genes, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # injective parents, as a CbC population holds
+        pool = list(range(max(n, len(tables.holders))))
+        a = tuple(data.draw(st.permutations(pool))[:n])
+        b = tuple(data.draw(st.permutations(pool))[:n])
+    k = data.draw(st.integers(0, n - 1))
+    assert ga._pmx_child(a, b, k, tables) == _reference_pmx_child(a, b, k, tables)
+    assert ga._pmx_child(b, a, k, tables) == _reference_pmx_child(b, a, k, tables)
+
+
+def test_pmx_child_reference_cases():
+    tables = _Tables(((1, 2, 3),) * 3, (), 4)
+    # head 1 collides with the tail; the mapping 1 -> 2 -> 1 cycles
+    assert ga._pmx_child((1, 2, 1), (0, 1, 2), 1, tables) \
+        is _reference_pmx_child((1, 2, 1), (0, 1, 2), 1, tables) is None
+    # head 1 is repaired through the mapping 1 -> 3, which lies in slot 0's domain
+    assert ga._pmx_child((1, 3, 2), (0, 1, 2), 1, tables) \
+        == _reference_pmx_child((1, 3, 2), (0, 1, 2), 1, tables) == (3, 1, 2)
+    # ... and refused where it does not
+    narrow = _Tables(((0, 1),) + ((1, 2, 3),) * 2, (), 4)
+    assert ga._pmx_child((1, 3, 2), (0, 1, 2), 1, narrow) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.integers(0, 2**32))
+def test_construct_constrained_matches_the_reference(tables, seed):
+    # the same genes or the same end, after the same random draws
+    outcomes = []
+    for construct in (ga._construct_constrained, _reference_construct_constrained):
+        rng = random.Random(seed)
+        try:
+            outcome = construct(tables, rng)
+        except ga._Exhausted:
+            outcome = "exhausted"
+        outcomes.append((outcome, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_construct_constrained_matches_the_reference_on_the_fixtures(all_cases):
+    for name, case in all_cases.items():
+        problem = case["problem"]
+        for seed in range(30):
+            rngs = random.Random(seed), random.Random(seed)
+            assert ga._construct_constrained(problem, rngs[0]) \
+                == _reference_construct_constrained(problem, rngs[1]), (name, seed)
+            assert rngs[0].getstate() == rngs[1].getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Same outputs for a fixed seed: translate skeletons and synth reports
 and models, compared byte for byte with the files in tests/golden/seed0/,
 and the sha256 of the synth reports and models at the benchmark's search
-configuration (population 50, 10 generations, seeds 0-2).
+configuration (population 50, 10 generations, seeds 0-2) and at the
+paper's default CbC search (population 400, 10 generations, seed 0).
 
 Regenerate the golden files only when a change of output is intended:
     PYTHONPATH=src python tests/test_golden.py
@@ -109,6 +110,30 @@ def test_synth_outputs_at_the_benchmark_configuration_keep_their_digests(tmp_pat
                 assert code in (0, 2)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == BENCHMARK_DIGESTS
+
+
+# the sha256 of each file CbC synth writes at the paper's default
+# population 400, 10 generations, seed 0: far more crossover, repair and
+# mutation than the population-50 runs above
+PAPER_DEFAULT_DIGESTS = {
+    "pi.report.json": "825f96da4442d29d930457931f1019865e0605ff405781cedba571b871071f56",
+    "pi.mo": "49d7d9170f33edace0cd0a19d36486806d8c2b755548f6750c6be91d57c218c0",
+    "pid.report.json": "021b21296a5bdb326f1c93ff90d4f14b57e1241d622f1769f2cbe6f1d982fea2",
+    "pid.mo": "31886873956b1849fb769e8e2114332b98fa6d5d513e803e817fc6a71ec14eaa",
+    "limpid.report.json": "1d0ef50e13888f64e5a79a769162745b43c4cbf0de80f86f04b08b5a1143bca1",
+    "limpid.mo": "af63e24559190ca4b3fe7de9274cc189dc8122b934af9e2bd0b98d747467aad8",
+}
+
+
+def test_cbc_synth_outputs_at_the_paper_default_keep_their_digests(tmp_path, capsys):
+    for name in CONTAINERS:
+        stem = tmp_path / name
+        code = main(["synth", str(REPO / "fixtures" / name), "--mode", "cbc",
+                     "--pop", "400", "--gens", "10", "--seed", "0",
+                     "--report", f"{stem}.report.json", "-o", f"{stem}.mo"])
+        assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == PAPER_DEFAULT_DIGESTS
 
 
 if __name__ == "__main__":

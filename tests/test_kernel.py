@@ -652,8 +652,8 @@ def test_generated_genomes_score_from_their_genes_as_through_causalize(name, see
 # The generated source
 # ---------------------------------------------------------------------------
 
-FIXED = {"def", "kernel", "for", "in", "enumerate", "zip", "if", "and", "or", "not",
-         "else", "break", "return", "T", "I", "A", "h", "last", "k", "t", "e", "S", "C", "E",
+FIXED = {"def", "kernel", "for", "in", "zip", "if", "and", "or", "not",
+         "else", "break", "return", "T", "I", "A", "h", "last", "k", "e", "S", "C", "E",
          "o", "x", "abs"}
 
 

@@ -1,10 +1,14 @@
 import itertools
+import shutil
 
 import pytest
 
 from construct import mexpr
+from construct.cli import main
 from construct.container import VariableDescriptor, VariableTable
-from construct.model import BoundModel, GeneOutOfRange, apply_assignment, emit_modelica
+from construct.model import (
+    BoundModel, GeneOutOfRange, UnspellableName, apply_assignment, emit_modelica, modelica_name,
+)
 from construct.translate import EquationModel, SymbolSlot
 
 
@@ -121,6 +125,102 @@ def test_emit_parenthesization():
     bound2 = BoundModel(((mexpr.Sym("y"), e2),), vars, frozenset(),
                         ("y", "a", "b", "c"))
     assert "  y = a - (b - c);" in emit_modelica(bound2, "M")
+
+
+def _emitted_rhs(e) -> str:
+    vars = table(("a", 1, "Real", "input", None), ("b", 2, "Real", "input", None),
+                 ("c", 3, "Real", "input", None), ("y", 4, "Real", "output", None))
+    bound = BoundModel(((mexpr.Sym("y"), e),), vars, frozenset(), ("y", "a", "b", "c"))
+    line = next(line for line in emit_modelica(bound, "M").splitlines()
+                if line.startswith("  y = "))
+    return line[len("  y = "):-1]
+
+
+A, B, C = mexpr.Sym("a"), mexpr.Sym("b"), mexpr.Sym("c")
+
+
+@pytest.mark.parametrize("e, text", [
+    # a unary minus may begin only an arithmetic-expression (Modelica 3.5,
+    # Appendix B), never a term or a factor
+    (mexpr.Binary("mul", A, mexpr.Const(-0.8)), "a * (-0.8)"),
+    (mexpr.Binary("mul", A, mexpr.Unary("neg", mexpr.Const(0.8))), "a * (-0.8)"),
+    (mexpr.Binary("sub", mexpr.Const(0.5), mexpr.Unary("neg", A)), "0.5 - (-a)"),
+    (mexpr.Binary("add", A, mexpr.Const(-0.0)), "a + (-0.0)"),
+    (mexpr.Binary("div", mexpr.Unary("neg", A), B), "(-a) / b"),
+    (mexpr.Binary("add", C, mexpr.Binary("mul", mexpr.Unary("neg", A), B)), "c + (-a) * b"),
+    (mexpr.Binary("lt", A, mexpr.Const(-1.5)), "a < (-1.5)"),
+    (mexpr.Unary("neg", mexpr.Const(-0.8)), "-(-0.8)"),
+    (mexpr.Unary("neg", mexpr.Unary("neg", A)), "-(-a)"),
+    # a whole right-hand side, a function argument and an If branch are
+    # expressions, which may begin with one
+    (mexpr.Unary("neg", mexpr.Binary("mul", A, mexpr.Const(0.8))), "-(a * 0.8)"),
+    (mexpr.Const(-0.8), "-0.8"),
+    (mexpr.Call("max", (A, mexpr.Const(-1.5))), "max(a, -1.5)"),
+    (mexpr.If(A, mexpr.Unary("neg", B), mexpr.Const(-1.0)), "if a then -b else -1.0"),
+])
+def test_emit_parenthesizes_a_negated_operand(e, text):
+    assert _emitted_rhs(e) == text
+
+
+def test_translate_parenthesizes_a_negated_operand(pi_case, tmp_path):
+    work = tmp_path / "pi"
+    shutil.copytree(pi_case["root"], work)
+    source = work / "sources" / "controller.c"
+    text = source.read_text()
+    for old, new in (("dVar3 * 0.8", "dVar3 * -0.8"), ("dVar7 = ", "dVar7 = 0.5 - -dVar3 + ")):
+        assert old in text
+        text = text.replace(old, new)
+    source.write_text(text)
+    out = tmp_path / "skeleton.mo"
+    assert main(["translate", str(work), "--out", str(out)]) == 0
+    emitted = out.read_text()
+    assert "  sym_0x38 = sym_0x28 * (-0.8);\n" in emitted
+    assert "0.5 - (-sym_0x28)" in emitted
+    assert " -sym" not in emitted and " --" not in emitted
+
+
+@pytest.mark.parametrize("name, written", [
+    ("drift_comp", "drift_comp"),
+    ("_x1", "_x1"),
+    ("ctrl.x", "'ctrl.x'"),
+    ("ctrl.drift comp", "'ctrl.drift comp'"),
+    ("it's", "'it\\'s'"),
+    ("a\\b", "'a\\\\b'"),
+    ('say "hi"', "'say \\\"hi\\\"'"),
+    ("tab\there", "'tab\\there'"),
+    ("1st", "'1st'"),
+    ("x[1]", "'x[1]'"),
+    ("model", "'model'"),
+    ("der", "'der'"),
+    ("end", "'end'"),
+    ("Model", "Model"),
+])
+def test_a_name_that_is_no_ident_is_written_quoted(name, written):
+    assert modelica_name(name) == written
+
+
+@pytest.mark.parametrize("name", ["drift\u00e9", "a`b", "nul\x00", "del\x7f"])
+def test_a_name_no_quoted_identifier_spells_is_refused(name):
+    with pytest.raises(UnspellableName, match="no Modelica name"):
+        modelica_name(name)
+
+
+def test_emit_writes_quoted_names_everywhere():
+    vars = table(("ctrl.u", 1, "Real", "input", None), ("model", 2, "Real", "output", None),
+                 ("it's", 3, "Real", "parameter", 2.0), ("x y", 4, "Real", "local", 0.5))
+    eqs = ((mexpr.Sym("model"), mexpr.Binary("mul", mexpr.Sym("it's"), mexpr.Sym("x y"))),
+           (mexpr.Der("x y"), mexpr.Sym("ctrl.u")))
+    text = emit_modelica(BoundModel(eqs, vars, frozenset({"x y"}),
+                                    ("model", "it's", "x y", "ctrl.u")), "M")
+    assert text.splitlines()[1:-1] == [
+        "  input Real 'ctrl.u';",
+        "  output Real 'model';",
+        "  parameter Real 'it\\'s' = 2.0;",
+        "  Real 'x y'(start = 0.5);",
+        "equation",
+        "  'model' = 'it\\'s' * 'x y';",
+        "  der('x y') = 'ctrl.u';",
+    ]
 
 
 def test_emit_deterministic_and_golden(pi_case, tmp_path):
