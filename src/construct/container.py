@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -116,10 +118,13 @@ class VariableTable:
 
 @dataclass(frozen=True)
 class Trace:
-    """Time-indexed series of named signal values."""
+    """Time-indexed series of named signal values: the times and each
+    column, a sequence of floats with one value per time. A loaded trace
+    holds each as an array('d'), 8 bytes per value; simulate records its
+    outputs the same way."""
 
-    times: tuple
-    columns: dict
+    times: Sequence[float]
+    columns: dict  # name -> Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,9 @@ def load_trace(path: Path | str) -> Trace:
     the first row with a wrong cell count, else a non-numeric cell, then
     the first non-finite cell by column, then the first time that does
     not increase. Only \n ends a line: \r\n is read as \n, and any other
-    \r is part of its line."""
+    \r is part of its line. The cells are checked as parsed floats and
+    then packed: the times and each column are an array('d'), every
+    value with its bits."""
     path = Path(path)
     text = read_text(path, newline="")
     if "\r" in text:
@@ -294,26 +301,34 @@ def load_trace(path: Path | str) -> Trace:
                 raise fault(": non-numeric cell", row) from None
     if len(body) < 2:
         raise fault(": fewer than 2 data rows")
-    columns = [tuple(islice(cells, j, None, width)) for j in range(width)]
-    for column in columns:
-        if not all(map(math.isfinite, column)):
-            raise fault(": non-finite cell", 1 + list(map(math.isfinite, column)).index(False))
-    times = columns[0]
+    if not all(map(math.isfinite, cells)):
+        for j in range(width):
+            finite = list(map(math.isfinite, cells[j::width]))
+            if not all(finite):
+                raise fault(": non-finite cell", 1 + finite.index(False))
+    times = cells[::width]
     if not all(map(lt, times, islice(times, 1, None))):
         k = list(map(lt, times, times[1:])).index(False)  # times[k + 1] <= times[k]
         raise fault(": time not strictly increasing", k + 2)
-    return Trace(times, dict(zip(names, columns[1:])))
+    del lines, rows, body  # every check has passed: the lines go before the packing
+    columns = [array("d", cells[j::width]) for j in range(width)]
+    return Trace(columns[0], dict(zip(names, columns[1:])))
 
 
 def write_trace(trace: Trace, path: Path | str) -> None:
-    """Write a trace as CSV. Floats use shortest round-trip formatting,
-    so load_trace(write_trace(t)) reproduces t bit-exactly. A column
-    name holding a comma or a line break would not read back, so it is
-    refused before the file is opened."""
-    for name in trace.columns:
+    """Write a trace as CSV: its times and columns may be any sequences
+    of floats. Floats use shortest round-trip formatting, so
+    load_trace(write_trace(t)) reproduces t bit-exactly. A column name
+    holding a comma or a line break would not read back, and a column
+    without one value per time would lose samples, so either is refused
+    before the file is opened."""
+    for name, column in trace.columns.items():
         if any(c in name for c in ",\n\r"):
             raise ContainerError(f"cannot write column {name!r} to a trace: "
                                  f"a column name holds no comma and no line break")
+        if len(column) != len(trace.times):
+            raise ContainerError(f"cannot write column {name!r} to a trace: it has "
+                                 f"{len(column)} values for {len(trace.times)} times")
     cells = (map(repr, column) for column in (trace.times, *trace.columns.values()))
     rows = map(",".join, zip(*cells))
     Path(path).write_text("\n".join(chain([",".join(("time", *trace.columns))], rows, [""])))

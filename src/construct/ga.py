@@ -133,7 +133,7 @@ class GaProblem:
     (compat, domains) and the variable types precomputed, the holders of
     each variable from the first CbC construction, whether each genome
     checked so far causalizes, and, from the first score, the gene
-    tables that scoring reads."""
+    tables and the reference columns that scoring reads."""
 
     def __init__(self, model: EquationModel, vars: VariableTable,
                  input_trace: Trace | None, reference_trace: Trace | None):
@@ -152,8 +152,8 @@ class GaProblem:
         self.vtypes = tuple(v.vtype for v in vars.variables)  # by gene value
         self.names = tuple(v.name for v in vars.variables)  # by gene value
         self.state_slots = tuple(s for s, _ in self.structure.states)
-        # the gene value of each output, in name order
-        self.output_genes = tuple(vars.index[n] for n in sorted(self.classification.outputs))
+        self.outputs = tuple(sorted(self.classification.outputs))  # in name order
+        self.output_genes = tuple(map(vars.index.__getitem__, self.outputs))  # their gene values
         self.kernels = sim.KernelCache()  # the problem's kernel, compiled at its first score
         self._causal: dict = {}  # genes -> whether the genome causalizes
         self._tables = None  # (reads, starts, keys), by gene value, from the first score
@@ -227,15 +227,17 @@ class GaProblem:
 
     def _gene_tables(self) -> tuple:
         """Three tables by gene value, built at the first score: what a
-        data slot holding the variable reads (its input column, or one
-        shared endless repeat of its start, a parameter's value), its
-        start on a state slot (0.0 when it has none), and its signature
-        key (the repr of an input's name or of that start, so that an
-        input never meets a value, nor -0.0 meets 0.0). The kernel cache
-        takes the problem's structure, every data slot read as a column."""
+        data slot holding the variable reads (its input column, as a
+        tuple made here once, which the kernel zips without boxing a
+        value, or one shared endless repeat of its start, a parameter's
+        value), its start on a state slot (0.0 when it has none), and its
+        signature key (the repr of an input's name or of that start, so
+        that an input never meets a value, nor -0.0 meets 0.0). The
+        kernel cache takes the problem's structure, every data slot read
+        as a column."""
         if self._tables is None:
             inputs = self.classification.inputs
-            columns = dict(zip(inputs, sim.input_columns(self.input_trace, inputs)))
+            columns = dict(zip(inputs, map(tuple, sim.input_columns(self.input_trace, inputs))))
             starts = tuple(0.0 if v.start is None else float(v.start) for v in self.vars.variables)
             self._tables = (
                 tuple(columns[v.name] if v.name in columns else repeat(start)
@@ -259,18 +261,23 @@ class GaProblem:
         return (_pick(keys, genes, self.kernels.reads + self.state_slots)
                 + tuple(map(genes.index, self.output_genes)))
 
+    @cached_property
+    def references(self) -> tuple:
+        """The reference column of each output, in name order, as tuples
+        (sim.reference_columns), checked and made at the first score."""
+        return sim.reference_columns(self.reference_trace, self.outputs, self.input_trace)
+
     def fitness_of(self, genes) -> sim.Fitness:
         """The genome's fitness, sim.score of its sim.Feed, read from the
-        gene tables, through the problem's kernel cache; INVALID when it
-        does not causalize."""
+        gene tables, against the problem's reference columns, through its
+        kernel cache; INVALID when it does not causalize."""
         feed = None
         if self.constructible(genes):
             reads, starts, _ = self._gene_tables()
             feed = sim.Feed(_pick(reads, genes, self.kernels.reads),
                             _pick(starts, genes, self.state_slots),
                             _pick(self.names, genes, self.kernels.solved))
-        return sim.score(feed, self.input_trace, self.reference_trace,
-                         self.classification.outputs, self.kernels)
+        return sim.score(feed, self.input_trace, self.outputs, self.references, self.kernels)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
         """Bind by name, causalize and simulate the output variables; errors

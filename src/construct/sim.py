@@ -32,8 +32,11 @@ scored, and it refuses a plan of another structure. What a genome
 decides reaches a kernel as data, in its Feed: what each data slot
 reads, an input column or a parameter's value, the state starts, and
 the names of the solved refs, by which outputs are found and faults
-named. A search builds the Feed from its genes; a caller holding a plan
-converts it with KernelCache.feed. Models that fail any static or
+named. A search builds the Feed from its genes, over input and
+reference columns that its problem copies into tuples once, which the
+kernel zips without boxing a value; a caller holding a plan converts it
+with KernelCache.feed, whose Feed zips the trace's packed array('d')
+columns, one boxing pass per run. Models that fail any static or
 runtime check are rejected, which is exactly how non-simulatable
 candidates are discovered.
 """
@@ -41,6 +44,7 @@ candidates are discovered.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import chain, count, islice, repeat
@@ -549,22 +553,23 @@ def grid_step(times) -> float:
 
 
 def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCache,
-             reference: Trace | None = None) -> Trace:
+             references: tuple | None = None) -> Trace:
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
     The per-sample loop is the kernel of kernels, the cache the feed was
     made for (see _kernel_source), stepping T, the sample indices, with
     the feed's data, reading its starts and recording only the outputs
-    of interest into lists made with one slot per time;
-    mexpr.eval_expr is its reference semantics. Given the
-    reference, it records each output's squared error against the
-    reference's column of that name instead, for score to sum; each such
-    column must have one value per time, as score checks. The result's
-    times are the grid either way. When the kernel raises or its end
-    check fails, _tree_walk runs the admitted plan again from the start
-    over mexpr.eval_expr, and its result or its error is the answer. The
-    feed's columns must have one value per time (input_columns)."""
+    of interest into lists made with one slot per time, which the result
+    packs into array('d') columns; mexpr.eval_expr is its reference
+    semantics. Given references, the reference column of each output of
+    interest in name order (reference_columns), it records each output's
+    squared error against its column instead, in the lists, for score to
+    sum. The result's times are the grid either way. When the kernel
+    raises or its end check fails, _tree_walk runs the admitted plan
+    again from the start over mexpr.eval_expr, and its result or its
+    error is the answer. The feed's columns must have one value per time
+    (input_columns)."""
     times = inputs.times
     out_names = sorted(outputs_of_interest)
     try:
@@ -574,11 +579,9 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
         raise SimulateError(f"output {name!r} is not computed by the plan") from None
 
     h = kernels.step(times)
-    scored = reference is not None
+    scored = references is not None
     kernel = kernels.kernel(len(out_names), scored)
-    data = feed.data
-    if scored:
-        data += tuple([reference.columns[name] for name in out_names])
+    data = feed.data + references if scored else feed.data
     columns = [[0.0] * len(times) for _ in out_names]
     try:
         end = kernel(range(len(times)), data, tuple(zip(positions, columns)), feed.starts, h,
@@ -591,18 +594,16 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
                    tuple(zip(map(kernels.solved.__getitem__, positions), columns)),
                    feed.starts, h)
     if not scored:
-        columns = map(tuple, columns)
+        columns = [array("d", column) for column in columns]
     return Trace(times, dict(zip(out_names, columns)))
 
 
-def score(feed: Feed | None, inputs: Trace, reference: Trace, outputs,
-          kernels: KernelCache) -> Fitness:
-    """Mean squared distance of the outputs that simulate gives for the
-    feed, through kernels, from the reference: simulate records the
-    squares, and math.fsum rounds their sum exactly, whatever their
-    order. No feed (the model does not causalize), a simulate failure,
-    which the tree walk's re-run names, and a sum of squares that
-    overflows all fold into Invalid."""
+def reference_columns(reference: Trace, outputs, inputs: Trace) -> tuple:
+    """The reference column of each of outputs, in name order, as a tuple
+    of floats, which a kernel zips without boxing a value: what score
+    takes. ValueError for no output, for an output the reference lacks,
+    for a column without one value per reference time, and for a
+    reference grid that differs in length from the input trace's."""
     if not outputs:
         raise ValueError("no output to score")
     for name in outputs:
@@ -613,10 +614,22 @@ def score(feed: Feed | None, inputs: Trace, reference: Trace, outputs,
                              f"values for {len(reference.times)} times")
     if len(reference.times) != len(inputs.times):
         raise ValueError("reference and simulation grids differ in length")
+    return tuple(tuple(reference.columns[name]) for name in sorted(outputs))
+
+
+def score(feed: Feed | None, inputs: Trace, outputs, references: tuple,
+          kernels: KernelCache) -> Fitness:
+    """Mean squared distance of the outputs that simulate gives for the
+    feed, through kernels, from their reference columns, references
+    (reference_columns, checked once by the caller): simulate records the
+    squares, and math.fsum rounds their sum exactly, whatever their
+    order. No feed (the model does not causalize), a simulate failure,
+    which the tree walk's re-run names, and a sum of squares that
+    overflows all fold into Invalid."""
     if feed is None:
         return INVALID
     try:
-        squares = simulate(feed, inputs, outputs, kernels, reference).columns
+        squares = simulate(feed, inputs, outputs, kernels, references).columns
     except SimulateError:
         return INVALID
     try:

@@ -208,20 +208,21 @@ def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
 
 
 def simulate(plan: sim.SimPlan, inputs: Trace, outputs_of_interest,
-             kernels: sim.KernelCache | None = None, reference: Trace | None = None) -> Trace:
+             kernels: sim.KernelCache | None = None) -> Trace:
     """sim.simulate of plan through kernels, or a fresh kernel cache."""
     kernels = sim.KernelCache() if kernels is None else kernels
-    return sim.simulate(kernels.feed(plan, inputs), inputs, outputs_of_interest, kernels,
-                        reference)
+    return sim.simulate(kernels.feed(plan, inputs), inputs, outputs_of_interest, kernels)
 
 
 def score(plan: sim.SimPlan | None, inputs: Trace, reference: Trace, outputs,
           kernels: sim.KernelCache | None = None) -> sim.Fitness:
-    """sim.score of plan, or of no plan, through kernels, or a fresh
-    kernel cache."""
+    """sim.score of plan, or of no plan, against the reference trace's
+    columns (sim.reference_columns), through kernels, or a fresh kernel
+    cache."""
     kernels = sim.KernelCache() if kernels is None else kernels
     feed = None if plan is None else kernels.feed(plan, inputs)
-    return sim.score(feed, inputs, reference, outputs, kernels)
+    references = sim.reference_columns(reference, outputs, inputs)
+    return sim.score(feed, inputs, outputs, references, kernels)
 
 
 # a trace cell: a decimal number as float reads it, in ASCII digits with

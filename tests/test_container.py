@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from construct.container import (
-    MalformedDescription, MalformedTrace, MissingDescription, MissingSources,
+    ContainerError, MalformedDescription, MalformedTrace, MissingDescription, MissingSources,
     Trace, VariableDescriptor, VariableTable, load_container, load_trace,
     parse_model_description, write_trace,
 )
@@ -145,14 +145,14 @@ def test_load_trace_basic(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("time,u\n0.0,1.0\n0.1,1.0\n")
     t = load_trace(p)
-    assert t.times == (0.0, 0.1)
-    assert t.columns == {"u": (1.0, 1.0)}
+    assert bits(t.times) == bits((0.0, 0.1))
+    assert {n: bits(c) for n, c in t.columns.items()} == {"u": bits((1.0, 1.0))}
 
 
 def test_load_trace_crlf(tmp_path):
     p = tmp_path / "t.csv"
     p.write_bytes(b"time,u\r\n0.0,1.0\r\n0.1,2.0\r\n")
-    assert load_trace(p).columns["u"] == (1.0, 2.0)
+    assert bits(load_trace(p).columns["u"]) == bits((1.0, 2.0))
 
 
 def test_load_trace_reads_a_crlf_file_bit_for_bit(tmp_path, fixtures_dir):
@@ -210,7 +210,8 @@ def test_load_trace_reads_names_beyond_ascii_numbers(tmp_path):
     with pytest.raises(MalformedTrace, match="non-finite cell"):
         load_trace(p)
     p.write_bytes("time,\u00fc_1,a b\n0.0,1.0,2.0\n0.1,1e0,+.5\n".encode())
-    assert load_trace(p).columns == {"\u00fc_1": (1.0, 1.0), "a b": (2.0, 0.5)}
+    assert {n: bits(c) for n, c in load_trace(p).columns.items()} \
+        == {"\u00fc_1": bits((1.0, 1.0)), "a b": bits((2.0, 0.5))}
 
 
 @pytest.mark.parametrize("text, reason, line", [
@@ -267,6 +268,11 @@ def bits(values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def trace_bits(trace) -> tuple:
+    """The bits of a trace's times and of each of its columns."""
+    return bits(trace.times), {n: bits(c) for n, c in trace.columns.items()}
+
+
 def test_trace_roundtrip_bit_exact(tmp_path):
     rng = random.Random(99)
     times = []
@@ -283,11 +289,21 @@ def test_trace_roundtrip_bit_exact(tmp_path):
         p = tmp_path / "t.csv"
         write_trace(trace, p)
         back = load_trace(p)
-        assert bits(back.times) == bits(trace.times)
-        assert {n: bits(c) for n, c in back.columns.items()} == {
-            n: bits(c) for n, c in trace.columns.items()}
+        assert trace_bits(back) == trace_bits(trace)
         write_trace(back, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("column", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+def test_write_trace_refuses_a_column_without_one_value_per_time(tmp_path, column):
+    # zipped with the times, a short column cut the trace to its length and
+    # a long one lost its tail, and the write returned normally
+    p = tmp_path / "t.csv"
+    trace = Trace((0.0, 0.1, 0.2), {"u": (1.0, 2.0, 3.0), "y": column})
+    with pytest.raises(ContainerError, match=rf"^cannot write column 'y' to a trace: it has "
+                                             rf"{len(column)} values for 3 times$"):
+        write_trace(trace, p)
+    assert not p.exists()
 
 
 def damaged_csv(rng) -> str:
@@ -328,7 +344,7 @@ def load_outcome(load, path) -> tuple:
         trace = load(path)
     except MalformedTrace as exc:
         return type(exc), str(exc), exc.line
-    return bits(trace.times), {n: bits(c) for n, c in trace.columns.items()}
+    return trace_bits(trace)
 
 
 def test_load_trace_matches_the_row_by_row_loader_on_damaged_csvs(tmp_path):
@@ -353,11 +369,13 @@ def test_loading_a_long_trace_peaks_under_eight_times_its_size(tmp_path):
     tracemalloc.start()
     try:
         loaded = load_trace(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded == trace
+    assert trace_bits(loaded) == trace_bits(trace)
     assert peak < 8 * p.stat().st_size
+    # packed: a double per value, not a float object and a pointer to it
+    assert held <= 9 * len(times) * 6
 
 
 def test_variable_table_invariants():

@@ -11,6 +11,7 @@ ZeroDivisionError.
 
 import math
 import struct
+from array import array
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -108,4 +109,4 @@ def test_and_guarding_a_division_short_circuits_as_in_c():
     plan = sim.SimPlan((), ((0, origin[lhs.ref], mexpr.map_refs(rhs, origin.__getitem__)),),
                        {}, frozenset({"0x8"}))
     out = simulate(plan, Trace((0.0, 0.1), {"0x8": (0.0, 0.25)}), ["0x10"])
-    assert out.columns["0x10"] == (0.0, 1.0)
+    assert out.columns["0x10"].tobytes() == array("d", (0.0, 1.0)).tobytes()

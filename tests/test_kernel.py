@@ -622,8 +622,10 @@ def _causalize_path_score(problem, genes):
         feed = kernels.feed(sim.causalize(problem.bind(genes)), problem.input_trace)
     except CausalizeError:
         feed = None
-    return sim.score(feed, problem.input_trace, problem.reference_trace,
-                     problem.classification.outputs, kernels)
+    outputs = problem.classification.outputs
+    return sim.score(feed, problem.input_trace, outputs,
+                     sim.reference_columns(problem.reference_trace, outputs, problem.input_trace),
+                     kernels)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import struct
+from array import array
 
 import pytest
 
@@ -198,8 +199,8 @@ def test_simulate_forward_euler():
     eqs = [(mexpr.Sym("y"), mexpr.Sym("x")), (mexpr.Der("x"), mexpr.Sym("u"))]
     plan = causalize(bound(eqs, vars, states=("x",)))
     out = simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.2]), ["y"])
-    assert out.columns["y"] == (0.0, pytest.approx(0.1), pytest.approx(0.2))
-    assert out.times == (0.0, 0.1, 0.2)
+    assert out.columns["y"].tobytes() == array("d", (0.0, 0.1, 0.2)).tobytes()
+    assert array("d", out.times).tobytes() == array("d", (0.0, 0.1, 0.2)).tobytes()
 
 
 def test_simulate_division_by_zero():
@@ -292,7 +293,7 @@ def test_simulate_zero_order_hold_reads_per_sample():
         vars))
     tr = Trace((0.0, 0.1, 0.2), {"u": (1.0, 2.0, 3.0)})
     out = simulate(plan, tr, ["y"])
-    assert out.columns["y"] == (2.0, 4.0, 6.0)
+    assert out.columns["y"].tobytes() == array("d", (2.0, 4.0, 6.0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +692,7 @@ def test_kernel_cache_refuses_a_plan_of_another_structure(structure, output):
         simulate(second, inputs, [output], kernels)
     with pytest.raises(ValueError, match="another structure"):
         kernels.feed(second, inputs)
-    assert simulate(first, inputs, [output], kernels) == before
+    assert _bits(simulate(first, inputs, [output], kernels)) == _bits(before)
     assert simulate(second, inputs, [output]) != before
 
 
