@@ -420,17 +420,19 @@ def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
     return tuple(variables[g].name for g in genes_of(m, c, vars))
 
 
-def validate_assignment(m: EquationModel, vars: VariableTable, c) -> ValidationReport:
+def validate_assignment(m: EquationModel, vars: VariableTable, c,
+                        st: Structure | None = None) -> ValidationReport:
     """Check a slot-to-variable mapping against C0 through C5.
 
     Every fault of binding_faults is collected, never short-circuited;
     C2 and C3, which C0 and C5 imply, are reported as well, and the
     violations are grouped by constraint id. Slot types must already be
-    inferred (infer_symbol_types).
+    inferred (infer_symbol_types). st is m's slot-level Structure, where
+    the caller holds it (GaProblem.validate); otherwise it is analysed.
     """
     names = bound_names(m, c, vars)
-    violations = [(cid, str(fault)) for cid, fault
-                  in binding_faults(analyse(m.equations, m.slots), vars, names)]
+    st = analyse(m.equations, m.slots) if st is None else st
+    violations = [(cid, str(fault)) for cid, fault in binding_faults(st, vars, names)]
 
     unknowns = classify_variables(vars).unknowns
     for i, (lhs, rhs) in enumerate(m.equations):

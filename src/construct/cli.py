@@ -148,7 +148,7 @@ def _valid_mapping(path: str, problem: ga.GaProblem):
     """The genes of the mapping file at path when they meet C0-C5;
     otherwise None, after printing each violation."""
     genes = _load_mapping(path, problem)
-    report = check.validate_assignment(problem.model, problem.vars, genes)
+    report = problem.validate(genes)
     for cid, detail in report.violations:
         print(f"{cid}: {detail}")
     return genes if report.valid else None

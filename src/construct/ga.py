@@ -16,9 +16,10 @@ Two operator suites share one evolution loop:
 
 Every equation is solved for the slot the code writes (constraint C5),
 so a problem has one causal plan (check.Structure), built with the
-problem, and one simulation kernel, compiled at its first score in the
-problem's own sim.KernelCache; a chromosome only binds variables to the
-plan's slots, each slot drawing from its domain (check.domain_fault).
+problem, and one sim.KernelCache, built from that Structure with the
+problem, which compiles its kernel at the first score or simulation; a
+chromosome only binds variables to the plan's slots, each slot drawing
+from its domain (check.domain_fault).
 Fitness is evaluated serially. Each problem checks a distinct chromosome
 once and keeps the verdict for its life: a CbC operator checks its
 genes (GaProblem.fits), and any other chromosome, CbT's or a caller's,
@@ -30,6 +31,8 @@ sim.Feed for sim.simulate and as the signature (GaProblem.signature). A
 run simulates once per distinct signature: a distinct chromosome that
 hands the kernel the same data as an earlier one of the run, such as
 swapped algebraic locals or equal parameter values, takes its fitness.
+A mapping from outside a search runs through the same kernel, its Feed
+read from its genes (GaProblem.simulate_outputs).
 Chromosome position i names the variable assigned to symbol slot i.
 """
 
@@ -46,6 +49,8 @@ from construct.container import ContainerModel, MalformedTrace, Trace, VariableT
 from construct.cparse import CodeUnit, ParseError, parse_c_unit
 from construct.errors import ConstructError
 from construct.isolate import isolate_step_function, load_rule_config, normalize_primitives
+# apply_assignment is unused here, but
+# bench/test_bench.py::test_tracer_restores_every_wrapped_function reads it
 from construct.model import BoundModel, apply_assignment
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
@@ -132,8 +137,9 @@ class GaProblem:
     """Everything the operators need, with the slot-domain tables
     (compat, domains) and the variable types precomputed, the holders of
     each variable from the first CbC construction, whether each genome
-    checked so far causalizes, and, from the first score, the gene
-    tables and the reference columns that scoring reads."""
+    checked so far causalizes, the kernel cache of its Structure, and,
+    from the first score, the gene tables and the reference columns that
+    scoring reads."""
 
     def __init__(self, model: EquationModel, vars: VariableTable,
                  input_trace: Trace | None, reference_trace: Trace | None):
@@ -154,9 +160,9 @@ class GaProblem:
         self.state_slots = tuple(s for s, _ in self.structure.states)
         self.outputs = tuple(sorted(self.classification.outputs))  # in name order
         self.output_genes = tuple(map(vars.index.__getitem__, self.outputs))  # their gene values
-        self.kernels = sim.KernelCache()  # the problem's kernel, compiled at its first score
+        self.kernels = sim.KernelCache(self.structure)  # compiled at the first simulation
         self._causal: dict = {}  # genes -> whether the genome causalizes
-        self._tables = None  # (reads, starts, keys), by gene value, from the first score
+        self._tables = None  # (reads, keys), by gene value, from the first score
 
     @property
     def num_slots(self) -> int:
@@ -177,7 +183,7 @@ class GaProblem:
         return tuple(map(tuple, holders))
 
     def validate(self, genes) -> check.ValidationReport:
-        return check.validate_assignment(self.model, self.vars, genes)
+        return check.validate_assignment(self.model, self.vars, genes, self.structure)
 
     def bind(self, genes) -> BoundModel:
         """The slot-level bound model: no equation is rewritten to names."""
@@ -225,30 +231,40 @@ class GaProblem:
             self._causal[genes] = causal
         return causal
 
+    @cached_property
+    def starts(self) -> tuple:
+        """Each variable's start as a kernel reads it, by gene value: a
+        parameter's value, or where it starts on a state slot, 0.0 when
+        it has none."""
+        return tuple(0.0 if v.start is None else float(v.start) for v in self.vars.variables)
+
+    def _reads(self, columns: dict) -> tuple:
+        """What a data slot holding each variable reads, by gene value:
+        an input's column in columns, by name, or an endless repeat of
+        its start, a parameter's value."""
+        return tuple(columns[name] if name in columns else repeat(start)
+                     for name, start in zip(self.names, self.starts))
+
     def _gene_tables(self) -> tuple:
-        """Three tables by gene value, built at the first score: what a
-        data slot holding the variable reads (its input column, as a
-        tuple made here once, which the kernel zips without boxing a
-        value, or one shared endless repeat of its start, a parameter's
-        value), its start on a state slot (0.0 when it has none), and its
-        signature key (the repr of an input's name or of that start, so
-        that an input never meets a value, nor -0.0 meets 0.0). The
-        kernel cache takes the problem's structure, every data slot read
-        as a column."""
+        """Two tables by gene value, built at the first score: what a
+        data slot holding the variable reads (_reads, over the input
+        columns as tuples made here once, which the kernel zips without
+        boxing a value), and its signature key (the repr of an input's
+        name or of its start, so that an input never meets a value, nor
+        -0.0 meets 0.0)."""
         if self._tables is None:
             inputs = self.classification.inputs
             columns = dict(zip(inputs, map(tuple, sim.input_columns(self.input_trace, inputs))))
-            starts = tuple(0.0 if v.start is None else float(v.start) for v in self.vars.variables)
-            self._tables = (
-                tuple(columns[v.name] if v.name in columns else repeat(start)
-                      for v, start in zip(self.vars.variables, starts)),
-                starts,
-                tuple(repr(v.name) if v.name in columns else repr(start)
-                      for v, start in zip(self.vars.variables, starts)))
-            st = self.structure
-            self.kernels.admit(sim.SimPlan(tuple((s, 0.0, rhs) for s, rhs in st.states),
-                                           st.algebraic_order, {}, frozenset(st.reads)))
+            self._tables = (self._reads(columns),
+                            tuple(repr(name) if name in columns else repr(start)
+                                  for name, start in zip(self.names, self.starts)))
         return self._tables
+
+    def _feed(self, reads: tuple, genes) -> sim.Feed:
+        """The genome's sim.Feed, its data slots read from reads (_reads)."""
+        return sim.Feed(_pick(reads, genes, self.structure.reads),
+                        _pick(self.starts, genes, self.state_slots),
+                        _pick(self.names, genes, self.kernels.solved))
 
     def signature(self, genes):
         """What scoring the genome simulates, or None when it does not
@@ -257,8 +273,8 @@ class GaProblem:
         have equal fitness."""
         if not self.constructible(genes):
             return None
-        keys = self._gene_tables()[2]
-        return (_pick(keys, genes, self.kernels.reads + self.state_slots)
+        keys = self._gene_tables()[1]
+        return (_pick(keys, genes, self.structure.reads + self.state_slots)
                 + tuple(map(genes.index, self.output_genes)))
 
     @cached_property
@@ -271,22 +287,23 @@ class GaProblem:
         """The genome's fitness, sim.score of its sim.Feed, read from the
         gene tables, against the problem's reference columns, through its
         kernel cache; INVALID when it does not causalize."""
-        feed = None
-        if self.constructible(genes):
-            reads, starts, _ = self._gene_tables()
-            feed = sim.Feed(_pick(reads, genes, self.kernels.reads),
-                            _pick(starts, genes, self.state_slots),
-                            _pick(self.names, genes, self.kernels.solved))
+        feed = self._feed(self._gene_tables()[0], genes) if self.constructible(genes) else None
         return sim.score(feed, self.input_trace, self.outputs, self.references, self.kernels)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
-        """Bind by name, causalize and simulate the output variables; errors
-        raise. A name-level plan has a Structure of its own, so it runs
-        through a fresh kernel cache, not the problem's."""
-        plan = sim.causalize(apply_assignment(self.model, genes, self.vars))
-        kernels = sim.KernelCache()
-        return sim.simulate(kernels.feed(plan, inputs), inputs, self.classification.outputs,
-                            kernels)
+        """The output variables of the genome simulated over the input
+        trace through the problem's kernel cache, as a search scores it;
+        errors raise. The genome is bound at slot level and causalized,
+        which raises its first binding fault, and its sim.Feed is read
+        from its genes: each data slot holding an input zips the trace's
+        own packed array('d') column (sim.input_columns, in name order),
+        one boxing pass per run."""
+        genes = check.genes_of(self.model, genes, self.vars)
+        sim.causalize(self.bind(genes))
+        names = sorted(self.classification.inputs)
+        columns = dict(zip(names, sim.input_columns(inputs, names)))
+        return sim.simulate(self._feed(self._reads(columns), genes), inputs,
+                            self.classification.outputs, self.kernels)
 
 
 def _pick(table: tuple, genes, slots: tuple) -> tuple:

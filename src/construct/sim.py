@@ -9,12 +9,12 @@ on the binding, and check.analyse computes it once per model as a
 Structure, or finds the equation that admits no causal order. A binding
 is then only checked against it, by the one function that states the
 binding rules, check.binding_faults, which constraint validation also
-reports from. The plan keeps the Structure's own order, references and
-expressions, and is integrated with forward Euler on the input trace's
-time grid by a generated kernel: straight-line Python, with
-mexpr.eval_expr as its reference semantics. Its loop zips the sample
-indices, not the times, with one iterable per data slot, binds no
-per-sample time and records a fixed number of outputs;
+reports from. A Structure's own order, references and expressions are
+integrated with forward Euler on the input trace's time grid by a
+generated kernel: straight-line Python, with mexpr.eval_expr as its
+reference semantics. Its loop zips the sample indices, not the times,
+with one iterable per data slot (Structure.reads), binds no per-sample
+time and records a fixed number of outputs;
 a scored kernel also zips each output's reference column and records
 the output's squared error in its place, so that score only sums what
 simulate returns. The kernel computes each equation as one expression,
@@ -22,23 +22,21 @@ as lazy as the tree walk in If, `and` and `or`, stores the outputs by
 sample index, and checks finiteness per sample only at the watched
 refs, where a non-finite value could hide from every later check, and
 once at the end over every solved value. When a run raises or fails its
-end check, simulate re-runs the plan from the start by a tree walk over
-mexpr.eval_expr, which checks every solved value at every sample and
-names the fault; its result or error is the answer. simulate runs a
-Feed through a KernelCache, the problem's or a fresh one: its first plan
-fixes the kernel source, the data slots and the order of the solved
-refs, it compiles one kernel per number of outputs and recording or
-scored, and it refuses a plan of another structure. What a genome
-decides reaches a kernel as data, in its Feed: what each data slot
-reads, an input column or a parameter's value, the state starts, and
-the names of the solved refs, by which outputs are found and faults
-named. A search builds the Feed from its genes, over input and
-reference columns that its problem copies into tuples once, which the
-kernel zips without boxing a value; a caller holding a plan converts it
-with KernelCache.feed, whose Feed zips the trace's packed array('d')
-columns, one boxing pass per run. Models that fail any static or
-runtime check are rejected, which is exactly how non-simulatable
-candidates are discovered.
+end check, simulate re-runs the Structure from the start by a tree walk
+over mexpr.eval_expr, which checks every solved value at every sample
+and names the fault; its result or error is the answer. simulate runs a
+Feed through a KernelCache, which is built from one Structure, a
+problem's: it compiles that Structure's kernel once per number of
+outputs and recording or scored. What a genome decides reaches a kernel
+as data, in its Feed: what each data slot reads, an input column or a
+parameter's value, the state starts, and the names of the solved refs,
+by which outputs are found and faults named. A search builds the Feed
+from its genes, over input and reference columns that its problem
+copies into tuples once, which the kernel zips without boxing a value;
+simulating one mapping builds it from the genes too, over the trace's
+packed array('d') columns, one boxing pass per run. Models that fail any
+static or runtime check are rejected, which is exactly how
+non-simulatable candidates are discovered.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from array import array
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import chain, count, islice, repeat
-from operator import is_not, sub
+from operator import sub
 
 from construct import check, mexpr
 from construct.container import MalformedTrace, Trace
@@ -112,24 +110,18 @@ INVALID = Fitness(None)
 @dataclass(frozen=True)
 class SimPlan:
     """An executable plan over its Structure's own references and
-    expressions: slot ids, each named by bindings, or variable names,
-    with no bindings, for a name-level model."""
+    expressions: slot ids, or variable names for a name-level model."""
 
     state_vars: tuple  # of (ref, start, rhs expression), in model order
     algebraic_order: tuple  # of (equation index, solved ref, expression)
     param_env: dict  # ref -> value, for each parameter the equations read
     input_names: frozenset  # of refs
-    bindings: tuple = ()  # the variable name at each slot
-
-    def name(self, ref) -> str:
-        """The variable name of a reference of this plan."""
-        return self.bindings[ref] if self.bindings else ref
 
 
 @dataclass(frozen=True)
 class Feed:
-    """What one run of a problem's kernel reads that its genome decides:
-    for each data slot (KernelCache.reads), an input column or an endless
+    """What one run of a Structure's kernel reads that its genome decides:
+    for each data slot (Structure.reads), an input column or an endless
     repeat of a parameter's value; each state's start, in state order;
     and the variable name of each solved ref, in kernel order (_solved),
     by which outputs are found and faults named."""
@@ -163,8 +155,7 @@ def causalize(b: BoundModel) -> SimPlan:
               for r, rhs in st.states),
         st.algebraic_order,
         {r: float(of[r].start) for r in st.reads if of[r].causality == "parameter"},
-        frozenset(r for r in st.reads if of[r].causality == "input"),
-        b.bindings if st.slots else ())
+        frozenset(r for r in st.reads if of[r].causality == "input"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +187,7 @@ def _evaluated_der():
 
 
 class _KernelSource:
-    """The statements of one plan's per-sample loop, one expression per
+    """The statements of one Structure's per-sample loop, one expression per
     equation. Variables, constants and temporaries live in generated
     locals (v*, c*, t*); variable names and constant values stay out of
     the source and reach the kernel as data."""
@@ -281,18 +272,10 @@ class _KernelSource:
         return temp, f"({temp} := {text})", depth + 1
 
 
-def _data_slots(plan: SimPlan) -> tuple:
-    """The refs a kernel reads a column for each sample, sorted: the
-    inputs and the parameters the equations read, less the states, which
-    keep their Euler values."""
-    states = {r for r, _, _ in plan.state_vars}
-    return tuple(sorted(plan.input_names.union(plan.param_env) - states))
-
-
-def _solved(plan: SimPlan) -> tuple:
-    """The refs a plan solves for, in kernel order: the algebraic ones in
-    plan order, then the states."""
-    return tuple(r for _, r, _ in plan.algebraic_order) + tuple(r for r, _, _ in plan.state_vars)
+def _solved(st: check.Structure) -> tuple:
+    """The refs a Structure solves for, in kernel order: the algebraic
+    ones in code order, then the states."""
+    return tuple(r for _, r, _ in st.algebraic_order) + tuple(r for r, _ in st.states)
 
 
 def _strict_refs(e) -> set:
@@ -313,7 +296,7 @@ def _strict_refs(e) -> set:
     return refs
 
 
-def _watched(plan: SimPlan) -> set:
+def _watched(st: check.Structure) -> set:
     """The solved refs whose per-sample check the kernel keeps. A
     non-finite ref at a strict position (_strict_refs) of a derivative
     makes its state non-finite, and a state stays so (x + h*d), up to the
@@ -321,9 +304,9 @@ def _watched(plan: SimPlan) -> set:
     equation's ref non-finite in the same sample. Walking the equations
     in reverse, a ref that no later check or derivative sees that way is
     watched, and the strict refs of its equation are then seen."""
-    seen = set().union(*(_strict_refs(rhs) for _, _, rhs in plan.state_vars))
+    seen = set().union(*(_strict_refs(rhs) for _, rhs in st.states))
     watched = set()
-    for _, ref, expr in reversed(plan.algebraic_order):
+    for _, ref, expr in reversed(st.algebraic_order):
         if ref not in seen:
             watched.add(ref)
             seen.add(ref)
@@ -331,22 +314,25 @@ def _watched(plan: SimPlan) -> set:
     return watched
 
 
-def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
-    """The source of the kernel for plan, recording outputs outputs or,
-    scored, their squared errors, and the namespace it runs in.
+def _kernel_source(st: check.Structure, outputs: int, scored: bool = False) -> tuple:
+    """The source of the kernel for the Structure st, recording outputs
+    outputs or, scored, their squared errors, and the namespace it runs
+    in.
 
     kernel(T, I, A, S, h, last) runs the loop over T, the sample indices
     (range(len(times))), which it zips with the iterables in I: one for
-    each data slot, in the order of _data_slots, an input's column or an
-    endless repeat of a parameter's value; then, scored, each output's
-    reference column. The loop binds no time: only the tree walk's
-    re-run reads the times, to name a fault. A holds a (position, list)
-    pair for each output, the position of its ref in the tuple o of
-    solved locals (_solved); only their number is in the source. A
-    recording kernel stores each output's value, a scored one the square
-    of its difference from the reference, at index k of the output's
-    list, which has one slot per time. S holds the state starts; h is
-    the step and last the index of the last sample.
+    each data slot, in the order of st.reads (the refs the equations only
+    read, sorted, on each of which a binding that causalizes seats an
+    input or a parameter), an input's column or an endless repeat of a
+    parameter's value; then, scored, each output's reference column.
+    The loop binds no time: only the tree walk's re-run reads the times,
+    to name a fault. A holds a (position, list) pair for each output,
+    the position of its ref in the tuple o of solved locals (_solved);
+    only their number is in the source. A recording kernel stores each
+    output's value, a scored one the square of its difference from the
+    reference, at index k of the output's list, which has one slot per
+    time. S holds the state starts; h is the step and last the index of
+    the last sample.
     Its locals take the values of the tree walk's env, by the same
     operations on the same operands, so the results are bit-identical.
     `if x - x:` is the finiteness check: x - x is 0.0 for a finite x and
@@ -364,12 +350,12 @@ def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
     """
     src = _KernelSource()
     loop = src.lines
-    solved = _solved(plan)
-    watched = _watched(plan)
-    columns = "".join(f", {src.var(ref)}" for ref in _data_slots(plan))
+    solved = _solved(st)
+    watched = _watched(st)
+    columns = "".join(f", {src.var(ref)}" for ref in st.reads)
     if scored:
         columns += "".join(f", r{j}" for j in range(outputs))
-    for _, ref, expr in plan.algebraic_order:
+    for _, ref, expr in st.algebraic_order:
         local = src.var(ref)
         src.assign(local, expr)
         if ref in watched:
@@ -381,17 +367,17 @@ def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
                 loop += [f"x = o[p{j}] - r{j}", f"a{j}[k] = x * x"]
             else:
                 loop.append(f"a{j}[k] = o[p{j}]")
-    if plan.state_vars:
+    if st.states:
         loop.append("if k == last: break")
-        for j, (_, _, rhs) in enumerate(plan.state_vars):
+        for j, (_, rhs) in enumerate(st.states):
             src.assign(f"d{j}", rhs)
-        for j, (ref, _, _) in enumerate(plan.state_vars):
+        for j, (ref, _) in enumerate(st.states):
             local = src.var(ref)
             loop.append(f"{local} = {local} + h * d{j}")
 
     head = ["def kernel(T, I, A, S, h, last):"]
     for targets, data in (
-            ([src.var(r) for r, _, _ in plan.state_vars], "S"),
+            ([src.var(r) for r, _ in st.states], "S"),
             ([c for c, _ in src.consts.values()], "C"),
             ([f"(p{j}, a{j})" for j in range(outputs)], "A")):
         if targets:
@@ -406,33 +392,34 @@ def _kernel_source(plan: SimPlan, outputs: int, scored: bool = False) -> tuple:
     return "\n".join(head + [f"  {line}" for line in loop] + tail), namespace
 
 
-def _compile_kernel(plan: SimPlan, outputs: int, scored: bool = False):
-    """The kernel of plan, recording outputs outputs or, scored, their
-    squared errors; see _kernel_source."""
-    source, namespace = _kernel_source(plan, outputs, scored)
+def _compile_kernel(st: check.Structure, outputs: int, scored: bool = False):
+    """The kernel of the Structure st, recording outputs outputs or,
+    scored, their squared errors; see _kernel_source."""
+    source, namespace = _kernel_source(st, outputs, scored)
     exec(compile(source, "<simulate kernel>", "exec"), namespace)
     # popped, so that the namespace and the kernel form no reference cycle
     return namespace.pop("kernel")
 
 
-def _tree_walk(plan: SimPlan, names: tuple, reads: tuple, times, data: tuple, stores: tuple,
+def _tree_walk(st: check.Structure, names: tuple, times, data: tuple, stores: tuple,
                starts: tuple, h: float) -> None:
-    """Run plan as its kernel does, from the same times, data (for the
-    data slots reads, then any reference columns), starts and step, but
-    node by node with mexpr.eval_expr: the re-run that names a fault.
-    Every solved value is checked at every sample; a fault raises
+    """Run the Structure st as its kernel does, from the same times, data
+    (for the data slots st.reads, then any reference columns), starts and
+    step, but node by node with mexpr.eval_expr: the re-run that names a
+    fault. Every solved value is checked at every sample; a fault raises
     DivisionByZero, naming the equation or the derivative that divides,
     or NonFiniteValue, naming the variable, by names (Feed.names). stores
     holds a (ref, list) pair for each output: its value, or, when data
     holds reference columns, its squared error against its column, is
     stored at index k."""
-    env = {ref: start for (ref, _, _), start in zip(plan.state_vars, starts)}
+    reads = st.reads
+    env = {ref: start for (ref, _), start in zip(st.states, starts)}
     scored = len(data) > len(reads)
     last = len(times) - 1
-    state_names = names[len(plan.algebraic_order):]
+    state_names = names[len(st.algebraic_order):]
     for k, (t, *values) in enumerate(zip(times, *data)):
         env.update(zip(reads, values))
-        for name, (eq_index, ref, expr) in zip(names, plan.algebraic_order):
+        for name, (eq_index, ref, expr) in zip(names, st.algebraic_order):
             try:
                 value = mexpr.eval_expr(expr, env)
             except ZeroDivisionError:
@@ -450,12 +437,12 @@ def _tree_walk(plan: SimPlan, names: tuple, reads: tuple, times, data: tuple, st
         if k == last:
             break
         ders = []
-        for name, (_, _, rhs) in zip(state_names, plan.state_vars):
+        for name, (_, rhs) in zip(state_names, st.states):
             try:
                 ders.append(mexpr.eval_expr(rhs, env))
             except ZeroDivisionError:
                 raise DivisionByZero(t, f"der({name})") from None
-        for name, (ref, _, _), d in zip(state_names, plan.state_vars, ders):
+        for name, (ref, _), d in zip(state_names, st.states, ders):
             x = env[ref] + h * d
             if not math.isfinite(x):
                 raise NonFiniteValue(t, name)
@@ -477,27 +464,21 @@ def input_columns(inputs: Trace, names) -> tuple:
 
 
 class KernelCache:
-    """The kernels of one problem's plans, by number of outputs and
-    recording or scored, and the step of the last input grid checked.
-    Every plan of a problem shares its Structure's order, expressions,
-    states and data slots (the slots the equations only read), so the
-    first plan admitted fixes the kernel source, the data slots
-    (_data_slots) and the order of the solved refs (_solved); what a
-    genome decides reaches the kernel as data, in a Feed, and only the
-    number of outputs is in the source. causalize passes the Structure's
-    own objects through, so a plan whose algebraic order or state
-    right-hand sides are not the first plan's, object for object,
-    belongs to another problem, and the cache refuses it with
-    ValueError. A search scores one list of outputs, so it compiles one
-    scored kernel, at its first score. A fault compiles nothing: the
-    tree walk names it."""
+    """The kernels of one Structure, a problem's, by number of outputs
+    and recording or scored, and the step of the last input grid
+    checked. Every genome bound to the Structure shares its order,
+    expressions, states and data slots (Structure.reads, the refs the
+    equations only read), so the Structure alone fixes the kernel source
+    and the order of the solved refs (solved); what a genome decides
+    reaches the kernel as data, in a Feed, and only the number of
+    outputs is in the source. A search scores one list of outputs, so it
+    compiles one scored kernel, at its first score. A fault compiles
+    nothing: the tree walk names it."""
 
-    def __init__(self):
+    def __init__(self, structure: check.Structure):
+        self.structure = structure
         self.kernels: dict = {}  # (outputs, scored) -> kernel
-        self.first = None  # the plan that fixed the source
-        self.rhs: tuple = ()  # the first plan's state right-hand sides
-        self.reads: tuple = ()  # the data slots
-        self.solved: tuple = ()  # the solved refs, in kernel order
+        self.solved: tuple = _solved(structure)  # the solved refs, in kernel order
         self.grid = (None, None)  # (times, step)
 
     def step(self, times) -> float:
@@ -505,36 +486,12 @@ class KernelCache:
             self.grid = (times, grid_step(times))
         return self.grid[1]
 
-    def admit(self, plan: SimPlan) -> None:
-        """Take the data slots and solved refs of the first plan; refuse
-        a plan of another structure (ValueError)."""
-        rhs = tuple(rhs for _, _, rhs in plan.state_vars)
-        if self.first is None:
-            self.first, self.rhs = plan, rhs
-            self.reads = _data_slots(plan)
-            self.solved = _solved(plan)
-        elif plan.algebraic_order is not self.first.algebraic_order \
-                or len(rhs) != len(self.rhs) or any(map(is_not, rhs, self.rhs)):
-            raise ValueError("a plan of another structure than the kernel cache's first plan")
-
-    def feed(self, plan: SimPlan, inputs: Trace) -> Feed:
-        """The Feed of plan over the input trace: input_columns checks
-        the columns of the plan's inputs, sorted by name, and then the
-        cache admits the plan (ValueError for another structure)."""
-        name = plan.name
-        input_columns(inputs, sorted(map(name, plan.input_names)))
-        self.admit(plan)
-        return Feed(tuple(inputs.columns[name(r)] if r in plan.input_names
-                          else repeat(plan.param_env[r]) for r in self.reads),
-                    tuple(start for _, start, _ in plan.state_vars),
-                    tuple(map(name, self.solved)))
-
     def kernel(self, outputs: int, scored: bool = False):
-        """The compiled kernel of the admitted plans, recording outputs
+        """The compiled kernel of the Structure, recording outputs
         outputs or, scored, their squared errors."""
         key = (outputs, scored)
         if key not in self.kernels:
-            self.kernels[key] = _compile_kernel(self.first, outputs, scored)
+            self.kernels[key] = _compile_kernel(self.structure, outputs, scored)
         return self.kernels[key]
 
 
@@ -557,8 +514,9 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     """Forward Euler on the trace grid: read inputs (zero-order hold),
     evaluate algebraic equations, record outputs, advance states.
 
-    The per-sample loop is the kernel of kernels, the cache the feed was
-    made for (see _kernel_source), stepping T, the sample indices, with
+    The per-sample loop is the kernel of kernels, the cache of the
+    Structure the feed was made for (see _kernel_source), stepping T,
+    the sample indices, with
     the feed's data, reading its starts and recording only the outputs
     of interest into lists made with one slot per time, which the result
     packs into array('d') columns; mexpr.eval_expr is its reference
@@ -566,8 +524,8 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     interest in name order (reference_columns), it records each output's
     squared error against its column instead, in the lists, for score to
     sum. The result's times are the grid either way. When the kernel
-    raises or its end check fails, _tree_walk runs the admitted plan
-    again from the start over mexpr.eval_expr, and its result or its
+    raises or its end check fails, _tree_walk runs the Structure again
+    from the start over mexpr.eval_expr, and its result or its
     error is the answer. The feed's columns must have one value per time
     (input_columns)."""
     times = inputs.times
@@ -576,7 +534,7 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
         positions = tuple(map(feed.names.index, out_names))
     except ValueError:
         name = next(n for n in out_names if n not in feed.names)
-        raise SimulateError(f"output {name!r} is not computed by the plan") from None
+        raise SimulateError(f"output {name!r} is not computed by the model") from None
 
     h = kernels.step(times)
     scored = references is not None
@@ -590,7 +548,7 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     except Exception:  # the tree walk names it
         failed = True
     if failed:
-        _tree_walk(kernels.first, feed.names, kernels.reads, times, data,
+        _tree_walk(kernels.structure, feed.names, times, data,
                    tuple(zip(map(kernels.solved.__getitem__, positions), columns)),
                    feed.starts, h)
     if not scored:

@@ -4,11 +4,14 @@ Used as the independent oracle in tests: it executes the decompiled C
 subset directly (memory slots keyed by byte offset, locals by name) so
 translated equation models can be checked against plain statement
 semantics without going through the translation path itself. `named`
-renames a slot-level simulation plan to the name-level plan it stands
-for, so that plans can be compared and run through `tree_walk`, the
-per-sample loop of sim.simulate over mexpr.eval_expr; `simulate` and
-`score` run sim.simulate and sim.score on a plan, converted to its
-sim.Feed by KernelCache.feed. `load_trace_rows`
+renames a slot-level simulation plan through its bindings to the
+name-level plan it stands for, so that plans can be compared and run
+through `tree_walk`, the per-sample loop of sim.simulate over
+mexpr.eval_expr. `structure` is the name-level check.Structure of a
+name-level plan, from check.analyse of its equations, and `feed` the
+sim.Feed of a plan for a kernel cache of a Structure, the plan's own or
+a problem's; `simulate` and `score` run sim.simulate and sim.score on a
+plan through such a cache. `load_trace_rows`
 is container.load_trace one row and one cell at a time. `tokenize` is
 cparse._tokenize with one match per run of blanks and frozen-dataclass
 tokens.
@@ -19,9 +22,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 
-from construct import mexpr, sim
+from construct import check, mexpr, sim
 from construct.container import MalformedTrace, Trace, read_text
 from construct.cparse import (
     Assign, Decl, Deref, Ident, If, IntLit, ParseError, RealLit, Return,
@@ -155,10 +159,10 @@ def exec_stmts(stmts, mem: dict, env: dict) -> None:
             raise TypeError(f"not a CodeStmt: {s!r}")
 
 
-def named(plan: sim.SimPlan) -> sim.SimPlan:
-    """The plan over variable names: a slot-level plan renamed through its
-    bindings; a name-level plan as it is."""
-    name = plan.name
+def named(plan: sim.SimPlan, bindings: tuple) -> sim.SimPlan:
+    """The plan over variable names: a slot-level plan renamed through
+    bindings, the variable name at each slot."""
+    name = bindings.__getitem__
     return sim.SimPlan(
         tuple((name(r), start, mexpr.map_refs(rhs, name))
               for r, start, rhs in plan.state_vars),
@@ -207,22 +211,50 @@ def tree_walk(plan: sim.SimPlan, inputs: Trace, outputs_of_interest) -> Trace:
     return Trace(times, {name: tuple(vals) for name, vals in recorded.items()})
 
 
+def structure(plan: sim.SimPlan) -> check.Structure:
+    """The Structure of a name-level plan: check.analyse of its
+    equations, each algebraic one at its equation index and the
+    derivatives, in order, at the indices left."""
+    equations = {i: (mexpr.Sym(ref), e) for i, ref, e in plan.algebraic_order}
+    free = (i for i in count() if i not in equations)
+    for (ref, _, rhs), i in zip(plan.state_vars, free):
+        equations[i] = (mexpr.Der(ref), rhs)
+    return check.analyse([equations[i] for i in sorted(equations)])
+
+
+def feed(plan: sim.SimPlan, inputs: Trace, kernels: sim.KernelCache,
+         bindings: tuple = ()) -> sim.Feed:
+    """The sim.Feed of plan over the input trace for kernels, the cache
+    of the plan's Structure: sim.input_columns checks the columns of the
+    plan's inputs, sorted by name. The refs of a slot-level plan are
+    named by bindings."""
+    name = bindings.__getitem__ if bindings else (lambda r: r)
+    sim.input_columns(inputs, sorted(map(name, plan.input_names)))
+    return sim.Feed(tuple(inputs.columns[name(r)] if r in plan.input_names
+                          else repeat(plan.param_env[r]) for r in kernels.structure.reads),
+                    tuple(start for _, start, _ in plan.state_vars),
+                    tuple(map(name, kernels.solved)))
+
+
 def simulate(plan: sim.SimPlan, inputs: Trace, outputs_of_interest,
-             kernels: sim.KernelCache | None = None) -> Trace:
-    """sim.simulate of plan through kernels, or a fresh kernel cache."""
-    kernels = sim.KernelCache() if kernels is None else kernels
-    return sim.simulate(kernels.feed(plan, inputs), inputs, outputs_of_interest, kernels)
+             kernels: sim.KernelCache | None = None, bindings: tuple = ()) -> Trace:
+    """sim.simulate of plan through kernels, or, for a name-level plan, a
+    fresh cache of its own Structure."""
+    kernels = sim.KernelCache(structure(plan)) if kernels is None else kernels
+    return sim.simulate(feed(plan, inputs, kernels, bindings), inputs, outputs_of_interest,
+                        kernels)
 
 
 def score(plan: sim.SimPlan | None, inputs: Trace, reference: Trace, outputs,
-          kernels: sim.KernelCache | None = None) -> sim.Fitness:
+          kernels: sim.KernelCache | None = None, bindings: tuple = ()) -> sim.Fitness:
     """sim.score of plan, or of no plan, against the reference trace's
-    columns (sim.reference_columns), through kernels, or a fresh kernel
-    cache."""
-    kernels = sim.KernelCache() if kernels is None else kernels
-    feed = None if plan is None else kernels.feed(plan, inputs)
+    columns (sim.reference_columns), through kernels, or, for a
+    name-level plan, a fresh cache of its own Structure."""
+    if kernels is None and plan is not None:
+        kernels = sim.KernelCache(structure(plan))
     references = sim.reference_columns(reference, outputs, inputs)
-    return sim.score(feed, inputs, outputs, references, kernels)
+    return sim.score(None if plan is None else feed(plan, inputs, kernels, bindings),
+                     inputs, outputs, references, kernels)
 
 
 # a trace cell: a decimal number as float reads it, in ASCII digits with

@@ -1,5 +1,6 @@
 import json
 import shutil
+from array import array
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,114 @@ def test_make_reference_regenerates_byte_identical(container, tmp_path):
                  "--mapping", str(work / "ground_truth.json")])
     assert code == 0
     assert (work / "traces" / "reference.csv").read_bytes() == before
+
+
+CONTAINERS = {"pi": "fixtures/pi", "pid": "fixtures/pid", "limpid": "fixtures/limpid",
+              "tiny": "tests/data/tiny"}
+
+
+def _tree_walk_outputs(problem, genes, inputs):
+    """The genome's outputs over the input trace by interp.tree_walk, on
+    its slot-level plan renamed to names."""
+    from construct import sim
+    from interp import named, tree_walk
+
+    bound = problem.bind(genes)
+    return tree_walk(named(sim.causalize(bound), bound.bindings), inputs,
+                     problem.classification.outputs)
+
+
+def _bits(trace) -> tuple:
+    return (array("d", trace.times).tobytes(),
+            {name: array("d", column).tobytes() for name, column in trace.columns.items()})
+
+
+@pytest.mark.parametrize("command", ["simulate", "make-reference"])
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_simulate_and_make_reference_run_the_genes_through_the_problems_kernel(
+        name, command, tmp_path, monkeypatch):
+    # after the problem is built: one causalize, of the genome bound at
+    # slot level, and one kernel compiled from the problem's Structure into
+    # its own kernel cache; nothing is bound by name or analysed again, and
+    # the trace written is the tree walk's
+    from construct import check, ga, model, sim
+
+    work = tmp_path / name
+    shutil.copytree(REPO / CONTAINERS[name], work)
+    built, calls, written = [], [], []
+
+    def recording(attr, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if built:
+                calls.append((attr, args, result))
+            return result
+        return wrapper
+
+    problem_from_container, write_trace = ga.problem_from_container, cli.write_trace
+
+    def building(cm):
+        built.append(problem_from_container(cm))
+        return built[-1]
+
+    def writing(trace, path):
+        written.append(trace)
+        write_trace(trace, path)
+
+    monkeypatch.setattr(ga, "problem_from_container", building)
+    monkeypatch.setattr(cli, "write_trace", writing)
+    for module, attr in ((sim, "causalize"), (sim, "_compile_kernel"), (check, "analyse"),
+                         (model, "apply_assignment"), (ga, "apply_assignment"),
+                         (cli, "apply_assignment")):
+        monkeypatch.setattr(module, attr, recording(attr, getattr(module, attr)))
+    mapping = str(work / "ground_truth.json")
+    argv = {"simulate": ["simulate", str(work), "--mapping", mapping,
+                         "-o", str(tmp_path / "out.csv")],
+            "make-reference": ["make-reference", str(work), "--mapping", mapping]}[command]
+    assert main(argv) == 0
+    problem, = built
+    assert [attr for attr, _, _ in calls] == ["causalize", "_compile_kernel"]
+    (_, (bound,), _), (_, (st, outputs, *scored), kernel) = calls
+    assert bound.structure is problem.structure and st is problem.structure
+    assert problem.kernels.kernels == {(outputs, False): kernel} and not any(scored)
+    trace, = written
+    genes = tuple(json.loads((work / "ground_truth.json").read_text())["genes"])
+    assert _bits(trace) == _bits(_tree_walk_outputs(problem, genes, problem.input_trace))
+
+
+@pytest.mark.parametrize("rows", [57, 403])
+def test_make_reference_writes_the_length_of_the_input_it_is_given(pi_case, tmp_path, rows):
+    from construct import ga
+    from construct.container import Trace, load_container, write_trace
+
+    work = tmp_path / "pi"
+    shutil.copytree(pi_case["root"], work)
+    committed = pi_case["container"].input_trace
+    assert len(committed.times) != rows
+    h = committed.times[1] - committed.times[0]
+    columns = {name: [column[k % len(column)] for k in range(rows)]
+               for name, column in committed.columns.items()}
+    write_trace(Trace([k * h for k in range(rows)], columns), tmp_path / "input.csv")
+    assert main(["make-reference", str(work), "--mapping", str(work / "ground_truth.json"),
+                 "--input", str(tmp_path / "input.csv")]) == 0
+    reference = load_trace(work / "traces" / "reference.csv")
+    assert len(reference.times) == rows
+    problem = ga.problem_from_container(load_container(work))
+    expected = _tree_walk_outputs(problem, pi_case["ground_truth"],
+                                  load_trace(tmp_path / "input.csv"))
+    assert _bits(reference) == _bits(expected)
+
+
+def test_simulate_outputs_of_a_repeated_gene_raises_duplicate_binding(pi_case):
+    from construct import ga
+    from construct.check import DuplicateBinding
+
+    problem = ga.problem_from_container(pi_case["container"])
+    genes = list(pi_case["ground_truth"])
+    genes[0] = genes[1]
+    with pytest.raises(DuplicateBinding):
+        problem.simulate_outputs(genes, problem.input_trace)
+    assert problem.kernels.kernels == {}
 
 
 def test_make_reference_invalid_mapping(pi_case, tmp_path, capsys):

@@ -606,9 +606,10 @@ def test_cached_kernels_score_every_genome_as_the_uncached_path(all_cases):
         problem, scored = _scored_run(case)
         assert len(problem.kernels.kernels) == 1, name
         for genes, fit in scored.items():
-            plan = sim.causalize(problem.bind(genes))
-            uncached = score(plan, problem.input_trace, problem.reference_trace,
-                             problem.classification.outputs)
+            bound = problem.bind(genes)
+            uncached = score(sim.causalize(bound), problem.input_trace, problem.reference_trace,
+                             problem.classification.outputs,
+                             sim.KernelCache(problem.structure), bound.bindings)
             assert repr(uncached) == repr(fit), (name, genes)
 
 
@@ -664,8 +665,9 @@ def test_search_simulates_once_per_distinct_signature(all_cases, monkeypatch):
         assert {signature(g) for g in called} == {signature(g) for g in scored}, name
         assert len(called) < result.evaluations == len(scored), name
         for genes, fit in scored.items():
-            plan = sim.causalize(problem.bind(genes))
-            uncached = score(plan, problem.input_trace, problem.reference_trace, outputs)
+            bound = problem.bind(genes)
+            uncached = score(sim.causalize(bound), problem.input_trace, problem.reference_trace,
+                             outputs, sim.KernelCache(problem.structure), bound.bindings)
             assert repr(uncached) == repr(fit), (name, genes)
 
 

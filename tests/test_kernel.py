@@ -3,7 +3,9 @@
 interp.tree_walk is the per-sample loop of simulate written directly over
 the reference semantics. Every case must give bit-identical outputs, or
 the same exception class and message, whether the kernel's run stands or
-the re-run by sim._tree_walk gives the answer.
+the re-run by sim._tree_walk gives the answer. A kernel cache is built
+from a Structure: a hand-made or generated plan's own, name-level one
+(interp.structure), or a fixture problem's, slot-level one.
 """
 
 import io
@@ -24,7 +26,7 @@ from construct.check import CausalizeError
 from construct.container import Trace, load_container
 from construct.ga import crossover, generate_individual, mutate, problem_from_container
 from construct.sim import INVALID, DivisionByZero, NonFiniteValue, SimPlan
-from interp import named, score, simulate, tree_walk
+from interp import feed, named, score, simulate, structure, tree_walk
 
 Sym, Const, Binary, Unary, If = mexpr.Sym, mexpr.Const, mexpr.Binary, mexpr.Unary, mexpr.If
 
@@ -39,11 +41,13 @@ def _outcome(run, plan, inputs, outputs):
                          for name, values in trace.columns.items()}
 
 
-def assert_same(plan, inputs, outputs, kernels=None):
+def assert_same(plan, inputs, outputs, kernels=None, bindings=()):
     """simulate on plan, with kernels, against the tree walk on its
-    name-level form."""
-    expected = _outcome(tree_walk, named(plan), inputs, outputs)
-    assert _outcome(partial(simulate, kernels=kernels), plan, inputs, outputs) == expected
+    name-level form; a slot-level plan, whose refs bindings names, runs
+    through kernels, a cache of its problem's Structure."""
+    expected = _outcome(tree_walk, named(plan, bindings) if bindings else plan, inputs, outputs)
+    assert _outcome(partial(simulate, kernels=kernels, bindings=bindings),
+                    plan, inputs, outputs) == expected
     return expected
 
 
@@ -85,18 +89,22 @@ def _plan(algebraic, states=(), params=None, inputs=("u",)):
 # ---------------------------------------------------------------------------
 
 def _fixture_plans(case, rng, n):
+    """The slot-level plans of the ground truth and of n CbC genomes, each
+    with its bindings."""
     problem = case["problem"]
     genomes = [case["ground_truth"]]
     genomes += [generate_individual("cbc", problem, rng).genes for _ in range(n)]
-    return [sim.causalize(problem.bind(genes)) for genes in genomes]
+    return [(sim.causalize(b), b.bindings) for b in map(problem.bind, genomes)]
 
 
 def test_fixture_plans_match_tree_walk(all_cases):
     for name, case in all_cases.items():
         problem = case["problem"]
         outputs = problem.classification.outputs
-        for plan in _fixture_plans(case, random.Random(name), 12):
-            assert_same(plan, problem.input_trace, outputs)
+        kernels = sim.KernelCache(problem.structure)  # one for every genome
+        for plan, bindings in _fixture_plans(case, random.Random(name), 12):
+            assert_same(plan, problem.input_trace, outputs, kernels, bindings)
+        assert list(kernels.kernels) == [(len(outputs), False)]
 
 
 @pytest.mark.parametrize("value", [0.0, 1e200, -1e200, 1e308, math.inf])
@@ -106,8 +114,10 @@ def test_fixture_plans_on_constant_inputs(all_cases, value):
         problem = case["problem"]
         times = problem.input_trace.times
         inputs = _trace(problem.input_trace.columns, len(times), value, times[1])
-        for plan in _fixture_plans(case, random.Random(name), 6):
-            outcome = assert_same(plan, inputs, problem.classification.outputs)
+        kernels = sim.KernelCache(problem.structure)
+        for plan, bindings in _fixture_plans(case, random.Random(name), 6):
+            outcome = assert_same(plan, inputs, problem.classification.outputs, kernels,
+                                  bindings)
             outcomes.add(outcome[0] if isinstance(outcome[0], type) else "ok")
     if value in (1e308, math.inf):
         assert NonFiniteValue in outcomes
@@ -141,7 +151,7 @@ def test_and_or_compute_their_right_operand_only_where_the_left_does_not_decide(
     plan = _plan([(f"y{i}", e) for i, e in enumerate(exprs)],
                  states=[("x", 0.5, Binary("and", u, div))])
     outputs = [f"y{i}" for i in range(len(exprs))] + ["x"]
-    kernels = sim.KernelCache()
+    kernels = sim.KernelCache(structure(plan))
     _, columns = assert_same(plan, _trace(["u"], value=0.0), outputs, kernels)
     assert [columns[n][-1] for n in outputs] \
         == [struct.pack("<d", v) for v in (0.0, 1.0, 0.0, 1.0, 0.5)]
@@ -165,7 +175,7 @@ def test_min_and_max_operands_in_untaken_branches_and_decided_operators_are_not_
                  states=[("x", 0.5, Binary("and", u, high))])
     outputs = [f"y{i}" for i in range(len(exprs))] + ["x"]
     inputs = _trace(["u"], value=0.0)
-    kernels = sim.KernelCache()
+    kernels = sim.KernelCache(structure(plan))
     _, columns = assert_same(plan, inputs, outputs, kernels)
     assert [columns[n][-1] for n in outputs] \
         == [struct.pack("<d", v) for v in (3.0, 4.0, 0.0, 1.0, 0.5)]
@@ -271,7 +281,7 @@ def test_deep_if_chain_and_binary_chain():
     for value in (-1.0, 150.5, 1e9, math.inf):
         assert_same(plan, _trace(["u"], value=value), ["y", "z"])
     for scored in (False, True):
-        source, _ = sim._kernel_source(plan, 2, scored)
+        source, _ = sim._kernel_source(structure(plan), 2, scored)
         assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) == 2
 
 
@@ -286,7 +296,7 @@ def test_arbitrary_variable_names(names):
     cls, message = assert_same(plan, Trace(inputs.times, {u: (1.0, 0.0, 2.0)}), [y, p])
     assert cls is DivisionByZero and message.endswith(f"in der({p})")
     for scored in (False, True):
-        source, _ = sim._kernel_source(plan, 2, scored)
+        source, _ = sim._kernel_source(structure(plan), 2, scored)
         assert all(repr(name) not in source for name in names)
         assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
 
@@ -316,8 +326,8 @@ def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where
         plan = _plan([y0, ("y1", HIDING[hiding])])
     else:
         plan = _plan([y0], states=[("x", 0.0, HIDING[hiding])])
-    assert "y0" in sim._watched(plan)
-    kernels = sim.KernelCache()
+    assert "y0" in sim._watched(structure(plan))
+    kernels = sim.KernelCache(structure(plan))
     cls, message = assert_same(plan, Trace((0.0, 0.01, 0.02, 0.03), {"u": INF_AT_1}),
                                ["y0"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'y0' at t=0.01"
@@ -327,8 +337,8 @@ def test_non_finite_value_hidden_from_every_later_check_is_watched(hiding, where
 def test_fault_at_the_last_sample_in_a_ref_only_a_derivative_reads(reruns):
     plan = _plan([("y", Binary("mul", Sym("u"), Const(2.0)))],
                  states=[("x", 0.0, Binary("sub", Sym("y"), Sym("x")))])
-    assert sim._watched(plan) == set()
-    kernels = sim.KernelCache()
+    assert sim._watched(structure(plan)) == set()
+    kernels = sim.KernelCache(structure(plan))
     inputs = Trace((0.0, 0.01, 0.02, 0.03), {"u": (1.0, 1.0, 1.0, math.inf)})
     cls, message = assert_same(plan, inputs, ["x"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'y' at t=0.03"
@@ -347,8 +357,8 @@ def test_end_check_covers_every_solved_value_of_a_long_plan():
     for name, _ in ys[1:]:
         total = Binary("add", total, Sym(name))
     plan = _plan(ys, states=[("x", 0.0, total)])
-    assert sim._watched(plan) == set()
-    source, _ = sim._kernel_source(plan, 1)
+    assert sim._watched(structure(plan)) == set()
+    source, _ = sim._kernel_source(structure(plan), 1)
     assert source.count(" e = e + ") > 1
     inputs = Trace((0.0, 0.01, 0.02, 0.03), {"u": (1.0, 1.0, 1.0, 1e10)})
     cls, message = assert_same(plan, inputs, ["x"])
@@ -359,7 +369,7 @@ def test_state_that_goes_inf_mid_run(reruns):
     # x: 1.0, 1e198, then inf; only a comparison reads it
     plan = _plan([("y", Binary("gt", Sym("x"), Const(0.0)))], inputs=(),
                  states=[("x", 1.0, Binary("mul", Sym("x"), Const(1e200)))])
-    kernels = sim.KernelCache()
+    kernels = sim.KernelCache(structure(plan))
     cls, message = assert_same(plan, _trace([], n=6), ["y"], kernels)
     assert cls is NonFiniteValue and message == "non-finite value for 'x' at t=0.01"
     assert _fell_back(reruns)
@@ -368,7 +378,7 @@ def test_state_that_goes_inf_mid_run(reruns):
 def test_finite_values_that_overflow_the_end_sum_are_a_false_alarm(reruns):
     plan = _plan([("y0", Sym("u")), ("y1", Binary("mul", Sym("u"), Const(0.9)))],
                  states=[("x", 1e308, Binary("sub", Const(0.0), Sym("x")))])
-    kernels = sim.KernelCache()
+    kernels = sim.KernelCache(structure(plan))
     times, columns = assert_same(plan, _trace(["u"], value=1e308), ["x", "y0", "y1"], kernels)
     assert times == _trace([]).times
     assert columns["y0"] == (struct.pack("<d", 1e308),) * 4
@@ -379,10 +389,11 @@ def test_ground_truths_keep_few_per_sample_checks_and_run_fast(all_cases, reruns
     watched = {}
     for name, case in all_cases.items():
         problem = case["problem"]
-        plan = sim.causalize(problem.bind(case["ground_truth"]))
-        watched[name] = len(sim._watched(plan))
-        kernels = sim.KernelCache()
-        assert_same(plan, problem.input_trace, problem.classification.outputs, kernels)
+        bound = problem.bind(case["ground_truth"])
+        watched[name] = len(sim._watched(problem.structure))
+        kernels = sim.KernelCache(problem.structure)
+        assert_same(sim.causalize(bound), problem.input_trace, problem.classification.outputs,
+                    kernels, bound.bindings)
         assert not _fell_back(reruns)
     assert watched == {"pi": 1, "pid": 2, "limpid": 1}
 
@@ -464,7 +475,7 @@ def _tree_walk_score(plan, inputs, reference, outputs):
     """The MSE of the tree walk's outputs: each output's errors squared,
     summed with math.fsum, Invalid where the walk or the sum fails."""
     try:
-        walked = tree_walk(named(plan), inputs, outputs)
+        walked = tree_walk(plan, inputs, outputs)
     except sim.SimulateError:
         return INVALID
     squares = [(o - r) * (o - r) for name in outputs
@@ -477,9 +488,9 @@ def _tree_walk_score(plan, inputs, reference, outputs):
 
 
 def assert_scores_as_tree_walk(plan, inputs, reference, outputs):
-    """score on plan, with a KernelCache and without, against the tree
-    walk's squared errors; returns the cache."""
-    kernels = sim.KernelCache()
+    """score on plan, with a KernelCache of its Structure and without,
+    against the tree walk's squared errors; returns the cache."""
+    kernels = sim.KernelCache(structure(plan))
     expected = _score_outcome(partial(_tree_walk_score, plan, inputs, reference, outputs))
     for cache in (kernels, None):
         assert _score_outcome(partial(score, plan, inputs, reference, outputs, cache)) \
@@ -595,7 +606,7 @@ def test_generated_plans_nested_past_the_cap_match_tree_walk(case, data):
         name: tuple(data.draw(REFERENCE_VALUES) for _ in inputs.times) for name in outputs})
     assert_scores_as_tree_walk(plan, inputs, reference, outputs)
     for scored in (False, True):
-        source, _ = sim._kernel_source(plan, len(outputs), scored=scored)
+        source, _ = sim._kernel_source(structure(plan), len(outputs), scored=scored)
         assert _nesting(source) <= sim.MAX_NESTING
         assert re.search(r"^  t\d+ = ", source, re.MULTILINE), "an operand was spilled"
 
@@ -616,14 +627,16 @@ def _container(name):
 
 def _causalize_path_score(problem, genes):
     """The genome's fitness through bind, causalize and a fresh kernel
-    cache: what GaProblem.fitness_of scored before its gene tables."""
-    kernels = sim.KernelCache()
+    cache of the problem's Structure: what GaProblem.fitness_of scored
+    before its gene tables."""
+    kernels = sim.KernelCache(problem.structure)
+    bound = problem.bind(genes)
     try:
-        feed = kernels.feed(sim.causalize(problem.bind(genes)), problem.input_trace)
+        run = feed(sim.causalize(bound), problem.input_trace, kernels, bound.bindings)
     except CausalizeError:
-        feed = None
+        run = None
     outputs = problem.classification.outputs
-    return sim.score(feed, problem.input_trace, outputs,
+    return sim.score(run, problem.input_trace, outputs,
                      sim.reference_columns(problem.reference_trace, outputs, problem.input_trace),
                      kernels)
 
@@ -678,7 +691,7 @@ def _numbers(source: str) -> set:
 def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
     plan, _, outputs = case
     for scored in (False, True):
-        source, _ = sim._kernel_source(plan, len(outputs), scored)
+        source, _ = sim._kernel_source(structure(plan), len(outputs), scored)
         assert all(_generated(ident) for ident in _identifiers(source) - FIXED)
         assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
         assert not any(tok.type == tokenize.STRING for tok in
@@ -689,10 +702,11 @@ def test_source_holds_no_names_or_constants_and_fixed_nesting(case):
 def test_fixture_sources_hold_no_names_or_constants(all_cases):
     for case in all_cases.values():
         problem = case["problem"]
-        slot_level = sim.causalize(problem.bind(case["ground_truth"]))
-        for plan, scored in itertools.product((slot_level, named(slot_level)), (False, True)):
-            source, _ = sim._kernel_source(plan, len(problem.classification.outputs), scored)
-            constants = {repr(n.value) for _, _, e in plan.algebraic_order
+        bound = problem.bind(case["ground_truth"])
+        by_name = structure(named(sim.causalize(bound), bound.bindings))
+        for st, scored in itertools.product((problem.structure, by_name), (False, True)):
+            source, _ = sim._kernel_source(st, len(problem.classification.outputs), scored)
+            constants = {repr(n.value) for _, _, e in st.algebraic_order
                          for n in mexpr.iter_nodes(e) if isinstance(n, Const)}
             assert not (_identifiers(source) & {v.name for v in problem.vars.variables})
             assert all(n in ("0.0", "1.0") or n.isdigit() for n in _numbers(source))
@@ -703,15 +717,15 @@ def test_fixture_sources_hold_no_names_or_constants(all_cases):
 
 _PI_KERNEL_SOURCE = """
 import json, sys
-from construct import ga, sim
+from construct import check, ga, sim
 from construct.container import load_container
 from construct.model import apply_assignment
 root = sys.argv[1]
 problem = ga.problem_from_container(load_container(root))
 genes = json.load(open(root + "/ground_truth.json"))["genes"]
-plan = sim.causalize(apply_assignment(problem.model, genes, problem.vars))
+st = check.analyse(apply_assignment(problem.model, genes, problem.vars).equations)
 for scored in (False, True):
-    print(sim._kernel_source(plan, len(problem.classification.outputs), scored)[0])
+    print(sim._kernel_source(st, len(problem.classification.outputs), scored)[0])
 """
 
 
@@ -723,7 +737,7 @@ def test_name_level_kernel_source_does_not_depend_on_the_hash_seed(pi_case):
 
     src = str(Path(sim.__file__).resolve().parents[1])
     sources = set()
-    # pi's two inputs, in frozenset order, take both orders over these seeds
+    # pi's two inputs, in set order, take both orders over these seeds
     for seed in range(4):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", _PI_KERNEL_SOURCE, str(pi_case["root"])],

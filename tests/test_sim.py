@@ -21,7 +21,7 @@ from construct.sim import (
 from construct.ga import GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
-from interp import named, score, simulate, tree_walk
+from interp import named, score, simulate, structure, tree_walk
 
 
 def table(*rows):
@@ -318,7 +318,8 @@ def test_fitness_is_the_tree_walk_mse_bit_for_bit(all_cases):
         outputs = problem.classification.outputs
         reference = problem.reference_trace.columns
         for genes in (case["ground_truth"], best):
-            walked = tree_walk(named(causalize(problem.bind(genes))),
+            bound = problem.bind(genes)
+            walked = tree_walk(named(causalize(bound), bound.bindings),
                                problem.input_trace, outputs).columns
             squares = [(y - r) * (y - r) for n in outputs
                        for y, r in zip(walked[n], reference[n])]
@@ -361,7 +362,7 @@ def test_fitness_of_no_output_is_a_value_error():
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
     plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
     inputs = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
-    for kernels in (None, KernelCache()):
+    for kernels in (None, KernelCache(structure(plan))):
         with pytest.raises(ValueError, match="^no output to score$"):
             score(plan, inputs, Trace(inputs.times, {"y": (1.0, 1.0)}), (), kernels)
 
@@ -449,10 +450,13 @@ def _genome_families(problem, rng, n):
 
 
 def _outcome(b):
+    """The name-level plan of b, a slot-level plan renamed through its
+    bindings, or the class of its first fault."""
     try:
-        return named(causalize(b))
+        plan = causalize(b)
     except CausalizeError as exc:
         return type(exc)
+    return plan if b.structure is None else named(plan, b.bindings)
 
 
 def test_slot_level_causalize_matches_name_level(all_cases):
@@ -597,6 +601,14 @@ def _shape_problem():
     return GaProblem(model, vars, trace, trace)
 
 
+def _run(problem, genes, inputs, outputs, kernels=None):
+    """simulate of the genome's slot-level plan through kernels, or a
+    fresh cache of the problem's Structure."""
+    bound = problem.bind(genes)
+    kernels = KernelCache(problem.structure) if kernels is None else kernels
+    return simulate(causalize(bound), inputs, outputs, kernels, bound.bindings)
+
+
 def _bits(trace):
     return {name: tuple(struct.pack("<d", v) for v in values)
             for name, values in trace.columns.items()}
@@ -604,18 +616,17 @@ def _bits(trace):
 
 def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
     problem = _shape_problem()
-    first = causalize(problem.bind(FIRST))
     # other names, parameter value and state start at the same slots
-    second = causalize(problem.bind((0, 3, 5, 1, 6)))
+    second = (0, 3, 5, 1, 6)
     outputs = ["x_b", "y"]
-    before = simulate(first, problem.input_trace, ["x_a", "y"], problem.kernels)
-    cached = simulate(second, problem.input_trace, outputs, problem.kernels)
+    before = _run(problem, FIRST, problem.input_trace, ["x_a", "y"], problem.kernels)
+    cached = _run(problem, second, problem.input_trace, outputs, problem.kernels)
     assert len(problem.kernels.kernels) == 1
-    assert _bits(cached) == _bits(simulate(second, problem.input_trace, outputs))
+    assert _bits(cached) == _bits(_run(problem, second, problem.input_trace, outputs))
     assert cached.columns["y"] != before.columns["y"]
     # one kernel per number of outputs; the output slots are data
     for name in outputs:
-        alone = simulate(second, problem.input_trace, [name], problem.kernels)
+        alone = _run(problem, second, problem.input_trace, [name], problem.kernels)
         assert _bits(alone) == {name: _bits(cached)[name]}
     assert set(problem.kernels.kernels) == {(1, False), (2, False)}
 
@@ -626,13 +637,12 @@ def test_cached_kernel_runs_a_second_genome_of_its_shape_bit_for_bit():
 ])
 def test_cached_kernel_errors_name_the_genome_that_ran(genes, u, error, label):
     problem = _shape_problem()
-    simulate(causalize(problem.bind(FIRST)), problem.input_trace, ["y"], problem.kernels)
-    plan = causalize(problem.bind(genes))
+    _run(problem, FIRST, problem.input_trace, ["y"], problem.kernels)
     inputs = Trace(problem.input_trace.times, {"u": (u,) * 4})
     with pytest.raises(error) as cached:
-        simulate(plan, inputs, ["y"], problem.kernels)
+        _run(problem, genes, inputs, ["y"], problem.kernels)
     with pytest.raises(error) as uncached:
-        simulate(plan, inputs, ["y"])
+        _run(problem, genes, inputs, ["y"])
     # the kernel ran first, and the tree walk named the fault; the fault
     # compiled nothing more
     assert set(problem.kernels.kernels) == {(1, False)}
@@ -670,38 +680,39 @@ def test_a_faulting_genome_costs_one_simulate_call_and_no_second_kernel(monkeypa
     assert len(problem.kernels.kernels) == 1
 
 
-def _scaled_u(structure: str, k: float) -> SimPlan:
+def _scaled_u(shape: str, k: float) -> SimPlan:
     """A name-level plan of y = k * u, or of der(x) = k * u with x
     recorded, with a Structure of its own."""
     rhs = mexpr.Binary("mul", mexpr.Const(k), mexpr.Sym("u"))
-    if structure == "algebraic":
+    if shape == "algebraic":
         return SimPlan((), ((0, "y", rhs),), {}, frozenset({"u"}))
     return SimPlan((("x", 0.0, rhs),), (), {}, frozenset({"u"}))
 
 
-@pytest.mark.parametrize("structure, output", [("algebraic", "y"), ("states", "x")])
-def test_kernel_cache_refuses_a_plan_of_another_structure(structure, output):
-    # 2 * u and 3 * u compile to one source but for a constant's value; a
-    # cache that served the second from the first's kernel would record
-    # 2 * u for both
-    kernels = KernelCache()
-    first, second = _scaled_u(structure, 2.0), _scaled_u(structure, 3.0)
+@pytest.mark.parametrize("shape, output", [("algebraic", "y"), ("states", "x")])
+def test_two_structures_record_their_own_outputs_in_their_own_caches(shape, output):
+    # 2 * u and 3 * u compile to one source but for a constant's value;
+    # each Structure's cache compiles its own kernel, and a second run,
+    # through the compiled kernel, records that Structure's outputs again
     inputs = _const_trace(["u"], [0.0, 0.1, 0.2])
-    before = simulate(first, inputs, [output], kernels)
-    with pytest.raises(ValueError, match="another structure"):
-        simulate(second, inputs, [output], kernels)
-    with pytest.raises(ValueError, match="another structure"):
-        kernels.feed(second, inputs)
-    assert _bits(simulate(first, inputs, [output], kernels)) == _bits(before)
-    assert simulate(second, inputs, [output]) != before
+    caches = {}
+    for k in (2.0, 3.0):
+        plan = _scaled_u(shape, k)
+        expected = (k, k, k) if shape == "algebraic" else (0.0, 0.1 * k, 0.1 * k + 0.1 * k)
+        caches[k] = KernelCache(structure(plan))
+        for _ in range(2):
+            out = simulate(plan, inputs, [output], caches[k])
+            assert tuple(out.columns[output]) == expected
+            assert _bits(out) == _bits(tree_walk(plan, inputs, [output]))
+        assert list(caches[k].kernels) == [(1, False)]
+    assert caches[2.0].kernels[1, False] is not caches[3.0].kernels[1, False]
 
 
 def test_kernel_cache_checks_each_input_grid():
     problem = _shape_problem()
-    plan = causalize(problem.bind(FIRST))
-    simulate(plan, problem.input_trace, ["y"], problem.kernels)
+    _run(problem, FIRST, problem.input_trace, ["y"], problem.kernels)
     with pytest.raises(NonUniformGrid):
-        simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"], problem.kernels)
+        _run(problem, FIRST, _const_trace(["u"], [0.0, 0.1, 0.3]), ["y"], problem.kernels)
 
 
 def test_one_kernel_reads_a_slot_as_parameter_and_as_input_bit_for_bit():
@@ -711,9 +722,9 @@ def test_one_kernel_reads_a_slot_as_parameter_and_as_input_bit_for_bit():
     assert first.param_env.keys() & swapped.input_names == {1}
     outputs = ["x_a", "y"]
     results = []
-    for plan in (first, swapped):
-        cached = simulate(plan, problem.input_trace, outputs, problem.kernels)
-        assert _bits(cached) == _bits(simulate(plan, problem.input_trace, outputs))
+    for genes in (FIRST, (0, 1, 4, 2, 6)):
+        cached = _run(problem, genes, problem.input_trace, outputs, problem.kernels)
+        assert _bits(cached) == _bits(_run(problem, genes, problem.input_trace, outputs))
         results.append(cached)
     assert len(problem.kernels.kernels) == 1
     assert results[0].columns["y"] != results[1].columns["y"]
