@@ -10,8 +10,9 @@ diffable):
     rules.toml               optional normalization settings
 
 Only the ModelVariables/ScalarVariable subset of the description format
-is read; unrecognized elements and attributes are collected as warnings,
-not errors.
+is read; unrecognized elements and attributes are ignored, not errors.
+A trace holds one value per time in each column (Trace), so a consumer
+of its columns checks only which columns it has.
 """
 
 from __future__ import annotations
@@ -119,12 +120,19 @@ class VariableTable:
 @dataclass(frozen=True)
 class Trace:
     """Time-indexed series of named signal values: the times and each
-    column, a sequence of floats with one value per time. A loaded trace
-    holds each as an array('d'), 8 bytes per value; simulate records its
-    outputs the same way."""
+    column, a sequence of floats with one value per time, else
+    MalformedTrace naming the column. A loaded trace holds each as an
+    array('d'), 8 bytes per value; simulate records its outputs the same
+    way."""
 
     times: Sequence[float]
     columns: dict  # name -> Sequence[float]
+
+    def __post_init__(self):
+        for name, column in self.columns.items():
+            if len(column) != len(self.times):
+                raise MalformedTrace(
+                    f"column {name!r} has {len(column)} values for {len(self.times)} times")
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,6 @@ class ContainerModel:
     sources: tuple  # of (filename, text)
     reference_trace: Trace | None = None
     input_trace: Trace | None = None
-    warnings: tuple = ()
     root: Path | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -166,15 +173,14 @@ def _parse_start(text: str, vtype: str, name: str):
             f"start of Integer variable {name!r} is beyond the float range") from None
 
 
-def parse_model_description(text: str, warnings: list | None = None) -> VariableTable:
+def parse_model_description(text: str) -> VariableTable:
     """Parse the ModelVariables section of a description document.
 
     Document order is preserved: variables[i] corresponds to the i-th
     ScalarVariable. Causality defaults to local, the type is read from
     the child element name, and start attributes are parsed with the
-    declared type. Unsupported content is appended to `warnings`.
+    declared type. Unsupported content is ignored.
     """
-    sink = warnings if warnings is not None else []
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -185,11 +191,9 @@ def parse_model_description(text: str, warnings: list | None = None) -> Variable
     if model_vars is None:
         raise MalformedDescription("no ModelVariables element")
 
-    known_attrs = {"name", "valueReference", "causality"}
     variables = []
     for sv in model_vars:
         if sv.tag != "ScalarVariable":
-            sink.append(f"ignored element {sv.tag!r} in ModelVariables")
             continue
         name = sv.get("name")
         if name is None:
@@ -205,23 +209,15 @@ def parse_model_description(text: str, warnings: list | None = None) -> Variable
         causality = sv.get("causality", "local")
         if causality not in CAUSALITIES:
             raise MalformedDescription(f"unknown causality {causality!r} on {name!r}")
-        for attr in sv.keys():
-            if attr not in known_attrs:
-                sink.append(f"ignored attribute {attr!r} on variable {name!r}")
         type_elems = list(sv)
         if not type_elems:
             raise MalformedDescription(f"variable {name!r} has no type element")
         elem = type_elems[0]
-        for extra in type_elems[1:]:
-            sink.append(f"ignored extra element {extra.tag!r} on variable {name!r}")
         if elem.tag not in VTYPES:
             raise MalformedDescription(f"unknown type element {elem.tag!r} on {name!r}")
         start = None
         if "start" in elem.keys():
             start = _parse_start(elem.get("start"), elem.tag, name)
-        for attr in elem.keys():
-            if attr != "start":
-                sink.append(f"ignored attribute {attr!r} on {elem.tag} of {name!r}")
         variables.append(VariableDescriptor(name, vr, elem.tag, causality, start))
     return VariableTable(tuple(variables))
 
@@ -319,16 +315,12 @@ def write_trace(trace: Trace, path: Path | str) -> None:
     """Write a trace as CSV: its times and columns may be any sequences
     of floats. Floats use shortest round-trip formatting, so
     load_trace(write_trace(t)) reproduces t bit-exactly. A column name
-    holding a comma or a line break would not read back, and a column
-    without one value per time would lose samples, so either is refused
-    before the file is opened."""
-    for name, column in trace.columns.items():
+    holding a comma or a line break would not read back, so it is
+    refused before the file is opened."""
+    for name in trace.columns:
         if any(c in name for c in ",\n\r"):
             raise ContainerError(f"cannot write column {name!r} to a trace: "
                                  f"a column name holds no comma and no line break")
-        if len(column) != len(trace.times):
-            raise ContainerError(f"cannot write column {name!r} to a trace: it has "
-                                 f"{len(column)} values for {len(trace.times)} times")
     cells = (map(repr, column) for column in (trace.times, *trace.columns.values()))
     rows = map(",".join, zip(*cells))
     Path(path).write_text("\n".join(chain([",".join(("time", *trace.columns))], rows, [""])))
@@ -343,8 +335,7 @@ def load_container(path: Path | str) -> ContainerModel:
     src_dir = root / "sources"
     if not src_dir.is_dir():
         raise MissingSources(f"{src_dir} not found")
-    warnings: list = []
-    table = parse_model_description(read_text(desc), warnings)
+    table = parse_model_description(read_text(desc))
     sources = tuple(
         (p.name, read_text(p)) for p in sorted(src_dir.glob("*.c")))
     if not sources:
@@ -355,5 +346,4 @@ def load_container(path: Path | str) -> ContainerModel:
         input_trace = load_trace(root / "traces" / "input.csv")
     if (root / "traces" / "reference.csv").is_file():
         reference_trace = load_trace(root / "traces" / "reference.csv")
-    return ContainerModel(table, sources, reference_trace, input_trace,
-                          tuple(warnings), root=root)
+    return ContainerModel(table, sources, reference_trace, input_trace, root=root)

@@ -24,8 +24,11 @@ Fitness is evaluated serially. Each problem checks a distinct chromosome
 once and keeps the verdict for its life: a CbC operator checks its
 genes (GaProblem.fits), and any other chromosome, CbT's or a caller's,
 is bound at slot level and causalized (GaProblem.constructible), so a
-CbC search never binds or causalizes. Scoring reads the genes alone:
-per-variable tables, built at the first score, give what each data slot
+CbC search never binds or causalizes. A problem checks its traces once
+for every way of scoring, a search's, a signature's or a direct
+caller's (GaProblem.scoring, which raises every trace fault scoring can
+meet), and only then builds the tables that scoring reads. Scoring
+reads the genes alone: per-variable tables give what each data slot
 reads, what each state starts at and where each output sits, as a
 sim.Feed for sim.simulate and as the signature (GaProblem.signature). A
 run simulates once per distinct signature: a distinct chromosome that
@@ -138,8 +141,8 @@ class GaProblem:
     (compat, domains) and the variable types precomputed, the holders of
     each variable from the first CbC construction, whether each genome
     checked so far causalizes, the kernel cache of its Structure, and,
-    from the first score, the gene tables and the reference columns that
-    scoring reads."""
+    once its traces pass every check, the tables that scoring reads
+    (scoring)."""
 
     def __init__(self, model: EquationModel, vars: VariableTable,
                  input_trace: Trace | None, reference_trace: Trace | None):
@@ -162,7 +165,6 @@ class GaProblem:
         self.output_genes = tuple(map(vars.index.__getitem__, self.outputs))  # their gene values
         self.kernels = sim.KernelCache(self.structure)  # compiled at the first simulation
         self._causal: dict = {}  # genes -> whether the genome causalizes
-        self._tables = None  # (reads, keys), by gene value, from the first score
 
     @property
     def num_slots(self) -> int:
@@ -187,9 +189,8 @@ class GaProblem:
 
     def bind(self, genes) -> BoundModel:
         """The slot-level bound model: no equation is rewritten to names."""
-        names = tuple([self.names[g] for g in check.genes_of(self.model, genes, self.vars)])
-        states = frozenset(map(names.__getitem__, self.state_slots))
-        return BoundModel(self.model.equations, self.vars, states, names, self.structure)
+        names = check.bound_names(self.model, genes, self.vars)
+        return BoundModel(self.model.equations, self.vars, names, self.structure)
 
     def fits(self, genes) -> bool:
         """Whether check.binding_faults yields nothing for the genome, read
@@ -245,20 +246,44 @@ class GaProblem:
         return tuple(columns[name] if name in columns else repeat(start)
                      for name, start in zip(self.names, self.starts))
 
-    def _gene_tables(self) -> tuple:
-        """Two tables by gene value, built at the first score: what a
-        data slot holding the variable reads (_reads, over the input
-        columns as tuples made here once, which the kernel zips without
-        boxing a value), and its signature key (the repr of an input's
-        name or of its start, so that an input never meets a value, nor
-        -0.0 meets 0.0)."""
-        if self._tables is None:
-            inputs = self.classification.inputs
-            columns = dict(zip(inputs, map(tuple, sim.input_columns(self.input_trace, inputs))))
-            self._tables = (self._reads(columns),
-                            tuple(repr(name) if name in columns else repr(start)
-                                  for name, start in zip(self.names, self.starts)))
-        return self._tables
+    @cached_property
+    def scoring(self) -> tuple:
+        """The three tables that scoring reads, built once the traces pass
+        every check that scoring can meet, which raise in this order:
+        NoReferenceTrace for a missing trace; GaError for no output;
+        MalformedTrace for the first output, in table order, that the
+        reference lacks; MissingInput for the first input the input trace
+        lacks (every genome that causalizes reads every input, C4);
+        MalformedTrace for a row-count mismatch; NonUniformGrid; and
+        MalformedTrace for a reference time that differs from its input
+        time. The tables: by gene value, what a data slot holding the
+        variable reads (_reads, over the input columns as tuples made here
+        once, which the kernel zips without boxing a value) and its
+        signature key (the repr of an input's name or of its start, so
+        that an input never meets a value, nor -0.0 meets 0.0); and the
+        reference column of each output, in name order, as a tuple."""
+        inputs, reference = self.input_trace, self.reference_trace
+        if inputs is None or reference is None:
+            raise NoReferenceTrace("the container provides no input/reference traces")
+        if not self.outputs:
+            raise GaError("the container has no output variable to score")
+        for name in self.classification.outputs:
+            if name not in reference.columns:
+                raise MalformedTrace(f"reference trace lacks output column {name!r}")
+        names = self.classification.inputs
+        columns = dict(zip(names, map(tuple, sim.input_columns(inputs, names))))
+        times = inputs.times
+        if len(reference.times) != len(times):
+            raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
+                                 f"input trace {len(times)}")
+        h = self.kernels.step(times)  # NonUniformGrid
+        for t, r in zip(times, reference.times):
+            if abs(r - t) > sim.GRID_RTOL * abs(h):
+                raise MalformedTrace(f"reference time {r!r} differs from input time {t!r}")
+        return (self._reads(columns),
+                tuple(repr(name) if name in columns else repr(start)
+                      for name, start in zip(self.names, self.starts)),
+                tuple(tuple(reference.columns[name]) for name in self.outputs))
 
     def _feed(self, reads: tuple, genes) -> sim.Feed:
         """The genome's sim.Feed, its data slots read from reads (_reads)."""
@@ -270,25 +295,21 @@ class GaProblem:
         """What scoring the genome simulates, or None when it does not
         causalize: the key of the variable on each data slot and state
         slot, and the slot of each output. Genomes with equal signatures
-        have equal fitness."""
+        have equal fitness. The traces are checked first (scoring)."""
+        keys = self.scoring[1]
         if not self.constructible(genes):
             return None
-        keys = self._gene_tables()[1]
         return (_pick(keys, genes, self.structure.reads + self.state_slots)
                 + tuple(map(genes.index, self.output_genes)))
 
-    @cached_property
-    def references(self) -> tuple:
-        """The reference column of each output, in name order, as tuples
-        (sim.reference_columns), checked and made at the first score."""
-        return sim.reference_columns(self.reference_trace, self.outputs, self.input_trace)
-
     def fitness_of(self, genes) -> sim.Fitness:
         """The genome's fitness, sim.score of its sim.Feed, read from the
-        gene tables, against the problem's reference columns, through its
-        kernel cache; INVALID when it does not causalize."""
-        feed = self._feed(self._gene_tables()[0], genes) if self.constructible(genes) else None
-        return sim.score(feed, self.input_trace, self.outputs, self.references, self.kernels)
+        tables of scoring, which checks the traces first, against the
+        reference columns there, through the problem's kernel cache;
+        INVALID when it does not causalize."""
+        reads, _, references = self.scoring
+        feed = self._feed(reads, genes) if self.constructible(genes) else None
+        return sim.score(feed, self.input_trace, self.outputs, references, self.kernels)
 
     def simulate_outputs(self, genes, inputs: Trace) -> Trace:
         """The output variables of the genome simulated over the input
@@ -574,37 +595,16 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     """Generational GA with tournament selection and elitism.
 
     Deterministic for a fixed seed: the loop owns the RNG and fitness
-    evaluation is pure. on_individual, when given, is called with every
-    evaluated (chromosome, fitness) pair, elites included.
+    evaluation is pure. Before the first draw, only the mode is checked
+    and the problem's traces (GaProblem.scoring). on_individual, when
+    given, is called with every evaluated (chromosome, fitness) pair,
+    elites included.
     """
     import random as _random
 
     if mode not in ("cbc", "cbt"):
         raise GaError(f"unknown mode {mode!r}")
-    if problem.input_trace is None or problem.reference_trace is None:
-        raise NoReferenceTrace("the container provides no input/reference traces")
-    if not problem.classification.outputs:
-        raise GaError("the container has no output variable to score")
-    reference = problem.reference_trace
-    for name in problem.classification.outputs:
-        if name not in reference.columns:
-            raise MalformedTrace(f"reference trace lacks output column {name!r}")
-    # MissingInput for an input column the trace lacks: every genome that
-    # causalizes reads every input (C4)
-    sim.input_columns(problem.input_trace, problem.classification.inputs)
-    times = problem.input_trace.times
-    if len(reference.times) != len(times):
-        raise MalformedTrace(f"reference trace has {len(reference.times)} rows, "
-                             f"input trace {len(times)}")
-    for which, trace in (("input", problem.input_trace), ("reference", reference)):
-        for name, column in trace.columns.items():
-            if len(column) != len(times):
-                raise MalformedTrace(f"{which} column {name!r} has {len(column)} values "
-                                     f"for {len(times)} times")
-    h = problem.kernels.step(times)  # NonUniformGrid, once for every genome
-    for t, r in zip(times, reference.times):
-        if abs(r - t) > sim.GRID_RTOL * abs(h):
-            raise MalformedTrace(f"reference time {r!r} differs from input time {t!r}")
+    problem.scoring  # raises every trace fault that scoring can meet
     rng = _random.Random(cfg.rng_seed)
 
     cache: dict = {}  # genes -> Fitness

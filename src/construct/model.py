@@ -23,7 +23,6 @@ class BoundModel:
 
     equations: tuple  # of (lhs, rhs) over variable names, or slot ids
     variable_table: VariableTable
-    states: frozenset  # variable names appearing under der()
     bindings: tuple  # per-slot variable names, in slot order
     structure: object = field(default=None, compare=False, repr=False)
 
@@ -34,8 +33,7 @@ def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
     equations = tuple(
         (mexpr.map_refs(lhs, lambda r: names[r]), mexpr.map_refs(rhs, lambda r: names[r]))
         for lhs, rhs in m.equations)
-    states = frozenset(names[s.id] for s in m.slots if s.is_state)
-    return BoundModel(equations, vars, states, names)
+    return BoundModel(equations, vars, names)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ as data, in its Feed: what each data slot reads, an input column or a
 parameter's value, the state starts, and the names of the solved refs,
 by which outputs are found and faults named. A search builds the Feed
 from its genes, over input and reference columns that its problem
-copies into tuples once, which the kernel zips without boxing a value;
+checks once for every way of scoring and copies into tuples
+(GaProblem.scoring), which the kernel zips without boxing a value;
 simulating one mapping builds it from the genes too, over the trace's
 packed array('d') columns, one boxing pass per run. Models that fail any
 static or runtime check are rejected, which is exactly how
@@ -45,11 +46,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from operator import sub
 
 from construct import check, mexpr
-from construct.container import MalformedTrace, Trace
+from construct.container import Trace
 from construct.errors import ConstructError
 from construct.model import BoundModel
 
@@ -450,16 +451,12 @@ def _tree_walk(st: check.Structure, names: tuple, times, data: tuple, stores: tu
 
 
 def input_columns(inputs: Trace, names) -> tuple:
-    """The column of each of names in the input trace: MissingInput for
-    the first it lacks, MalformedTrace for the first that has not one
-    value per time, since a kernel zips the columns with the times."""
+    """The column of each of names in the input trace, which has one
+    value per time (Trace): MissingInput for the first it lacks."""
     columns = inputs.columns
     for name in names:
         if name not in columns:
             raise MissingInput(name)
-        if len(columns[name]) != len(inputs.times):
-            raise MalformedTrace(f"input column {name!r} has {len(columns[name])} "
-                                 f"values for {len(inputs.times)} times")
     return tuple(map(columns.__getitem__, names))
 
 
@@ -521,13 +518,14 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     of interest into lists made with one slot per time, which the result
     packs into array('d') columns; mexpr.eval_expr is its reference
     semantics. Given references, the reference column of each output of
-    interest in name order (reference_columns), it records each output's
+    interest in name order (GaProblem.scoring), it records each output's
     squared error against its column instead, in the lists, for score to
     sum. The result's times are the grid either way. When the kernel
     raises or its end check fails, _tree_walk runs the Structure again
     from the start over mexpr.eval_expr, and its result or its
-    error is the answer. The feed's columns must have one value per time
-    (input_columns)."""
+    error is the answer. The feed's input columns and the references
+    have one value per time: they are columns of Traces on the grid
+    (GaProblem.scoring checks a reference's grid)."""
     times = inputs.times
     out_names = sorted(outputs_of_interest)
     try:
@@ -556,30 +554,11 @@ def simulate(feed: Feed, inputs: Trace, outputs_of_interest, kernels: KernelCach
     return Trace(times, dict(zip(out_names, columns)))
 
 
-def reference_columns(reference: Trace, outputs, inputs: Trace) -> tuple:
-    """The reference column of each of outputs, in name order, as a tuple
-    of floats, which a kernel zips without boxing a value: what score
-    takes. ValueError for no output, for an output the reference lacks,
-    for a column without one value per reference time, and for a
-    reference grid that differs in length from the input trace's."""
-    if not outputs:
-        raise ValueError("no output to score")
-    for name in outputs:
-        if name not in reference.columns:
-            raise ValueError(f"reference trace lacks output column {name!r}")
-        if len(reference.columns[name]) != len(reference.times):
-            raise ValueError(f"reference column {name!r} has {len(reference.columns[name])} "
-                             f"values for {len(reference.times)} times")
-    if len(reference.times) != len(inputs.times):
-        raise ValueError("reference and simulation grids differ in length")
-    return tuple(tuple(reference.columns[name]) for name in sorted(outputs))
-
-
 def score(feed: Feed | None, inputs: Trace, outputs, references: tuple,
           kernels: KernelCache) -> Fitness:
     """Mean squared distance of the outputs that simulate gives for the
     feed, through kernels, from their reference columns, references
-    (reference_columns, checked once by the caller): simulate records the
+    (GaProblem.scoring, which checks the traces once): simulate records the
     squares, and math.fsum rounds their sum exactly, whatever their
     order. No feed (the model does not causalize), a simulate failure,
     which the tree walk's re-run names, and a sum of squares that

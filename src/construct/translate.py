@@ -54,7 +54,6 @@ class SymbolSlot:
     id: int
     origin: str  # "0x<offset>" for derefs, the identifier otherwise
     inferred_type: str = "Unknown"  # Real | Integer | Boolean | Unknown
-    is_state: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,6 @@ class _SlotTable:
     def __init__(self):
         self.by_origin: dict = {}
         self.slots: list = []
-        self.states: set = set()
 
     def slot_for(self, origin: str, inferred: str) -> int:
         if origin in self.by_origin:
@@ -214,9 +212,8 @@ class _SlotTable:
         return sid
 
     def finish(self) -> tuple:
-        return tuple(
-            SymbolSlot(i, origin, inferred, is_state=(i in self.states))
-            for i, (origin, inferred) in enumerate(self.slots))
+        return tuple(SymbolSlot(i, origin, inferred)
+                     for i, (origin, inferred) in enumerate(self.slots))
 
 
 def _match_integrator(target, value, step_symbol: str):
@@ -246,6 +243,7 @@ def translate_to_equations(body: StepBody) -> EquationModel:
     locals, nor dereferences.
     """
     table = _SlotTable()
+    states: set = set()  # the slots updated as states, each at most once
     known_idents = (set(body.params) | set(body.locals_)) \
         - {body.base_pointer, body.step_symbol}
 
@@ -284,9 +282,9 @@ def translate_to_equations(body: StepBody) -> EquationModel:
             integ = _match_integrator(s.target, s.value, body.step_symbol)
             if integ is not None:
                 sid = target_slot(s.target, s.line)
-                if sid in table.states:
+                if sid in states:
                     raise UnsupportedControlFlow(s.line, "second state update for one slot")
-                table.states.add(sid)
+                states.add(sid)
                 equations.append((mexpr.Der(sid), trans(integ)))
             else:
                 sid = target_slot(s.target, s.line)

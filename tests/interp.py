@@ -248,11 +248,12 @@ def simulate(plan: sim.SimPlan, inputs: Trace, outputs_of_interest,
 def score(plan: sim.SimPlan | None, inputs: Trace, reference: Trace, outputs,
           kernels: sim.KernelCache | None = None, bindings: tuple = ()) -> sim.Fitness:
     """sim.score of plan, or of no plan, against the reference trace's
-    columns (sim.reference_columns), through kernels, or, for a
+    column of each output, in name order, as tuples (what
+    GaProblem.scoring gives a search), through kernels, or, for a
     name-level plan, a fresh cache of its own Structure."""
     if kernels is None and plan is not None:
         kernels = sim.KernelCache(structure(plan))
-    references = sim.reference_columns(reference, outputs, inputs)
+    references = tuple(tuple(reference.columns[name]) for name in sorted(outputs))
     return sim.score(None if plan is None else feed(plan, inputs, kernels, bindings),
                      inputs, outputs, references, kernels)
 

@@ -129,8 +129,7 @@ def test_criterion_6_search_space_arithmetic():
 
 def test_criterion_7_euler_first_order():
     table = VariableTable((VariableDescriptor("x", 1, "Real", "output", 1.0),))
-    b = BoundModel(((mexpr.Der("x"), mexpr.Unary("neg", mexpr.Sym("x"))),),
-                   table, frozenset({"x"}), ("x",))
+    b = BoundModel(((mexpr.Der("x"), mexpr.Unary("neg", mexpr.Sym("x"))),), table, ("x",))
     plan = causalize(b)
 
     def error_at_one(h):

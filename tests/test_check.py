@@ -11,9 +11,8 @@ from construct.container import VariableDescriptor, VariableTable
 from construct.translate import EquationModel, SymbolSlot
 
 
-def slots(*types, states=()):
-    return tuple(SymbolSlot(i, f"s{i}", t, is_state=(i in states))
-                 for i, t in enumerate(types))
+def slots(*types):
+    return tuple(SymbolSlot(i, f"s{i}", t) for i, t in enumerate(types))
 
 
 def var(name, vtype="Real", causality="local", start=None):
@@ -50,7 +49,7 @@ def test_branch_unification_picks_up_arithmetic():
 def test_der_and_arithmetic_are_real():
     m = EquationModel(
         ((mexpr.Der(0), mexpr.Binary("mul", mexpr.Sym(1), mexpr.Const(2.0))),),
-        slots("Unknown", "Unknown", states=(0,)))
+        slots("Unknown", "Unknown"))
     out = infer_symbol_types(m)
     assert out.slots[0].inferred_type == "Real"
     assert out.slots[1].inferred_type == "Real"

@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from construct import ga, mexpr
+from construct import ga, mexpr, sim
 from construct.check import infer_symbol_types
 from construct.container import MalformedTrace, Trace, VariableDescriptor, VariableTable
 from construct.ga import (
@@ -390,16 +391,81 @@ def test_run_ga_requires_reference(pi_case):
 
 
 @pytest.mark.parametrize("which", ["input", "reference"])
-def test_run_ga_rejects_a_column_that_is_not_one_value_per_time(pi_case, which, monkeypatch):
-    problem = pi_case["problem"]
-    traces = {"input": problem.input_trace, "reference": problem.reference_trace}
-    name, column = next(iter(traces[which].columns.items()))
-    traces[which] = Trace(traces[which].times, {**traces[which].columns, name: column[:1]})
-    short = GaProblem(problem.model, problem.vars, traces["input"], traces["reference"])
-    monkeypatch.setattr(ga, "generate_individual", None)  # raised before the first draw
-    with pytest.raises(MalformedTrace, match=rf"{which} column {name!r} has 1 values "
+def test_run_ga_rejects_a_column_that_is_not_one_value_per_time(pi_case, which):
+    # run_ga checked every column's length; now no Trace holds such a
+    # column, so no problem is built over one
+    trace = {"input": pi_case["problem"].input_trace,
+             "reference": pi_case["problem"].reference_trace}[which]
+    name, column = next(iter(trace.columns.items()))
+    with pytest.raises(MalformedTrace, match=rf"^malformed trace: column {name!r} has 1 values "
                                              rf"for {len(column)} times$"):
-        run_ga("cbc", short, GaConfig(population_size=4, elitism=1))
+        Trace(trace.times, {**trace.columns, name: column[:1]})
+
+
+def test_scoring_on_a_problem_without_traces_raises_no_reference_trace(pi_case):
+    # fitness_of and signature raised AttributeError
+    problem = pi_case["problem"]
+    genes = pi_case["ground_truth"]
+    for inputs, reference in ((problem.input_trace, None), (None, problem.reference_trace),
+                              (None, None)):
+        bare = GaProblem(problem.model, problem.vars, inputs, reference)
+        for score_it in (bare.fitness_of, bare.signature):
+            with pytest.raises(NoReferenceTrace):
+                score_it(genes)
+
+
+# each trace fault that scoring can meet, in the order it is raised: a fault
+# of pi's traces or table, its class, and its message. Against the reference
+# shifted by 0.005 ("times"), fitness_of scored the ground truth at MSE 0.0.
+TRACE_FAULTS = [
+    ("no reference", NoReferenceTrace, "the container provides no input/reference traces"),
+    ("no output", ga.GaError, "the container has no output variable to score"),
+    ("no output column", MalformedTrace,
+     "malformed trace: reference trace lacks output column 'command'"),
+    ("no input column", sim.MissingInput, "input trace lacks column 'measurement'"),
+    ("rows", MalformedTrace, "malformed trace: reference trace has 200 rows, input trace 201"),
+    ("grid", sim.NonUniformGrid, "non-uniform sample spacing near t=0.055"),
+    ("times", MalformedTrace, "malformed trace: reference time 0.005 differs from input time 0.0"),
+]
+
+
+def _faulty_pi(problem, faults) -> GaProblem:
+    """pi's problem with each of faults (TRACE_FAULTS) in its traces or table."""
+    vars, inputs, reference = problem.vars, problem.input_trace, problem.reference_trace
+    if "times" in faults:
+        reference = Trace(tuple(t + 0.005 for t in reference.times), reference.columns)
+    if "grid" in faults:
+        times = list(inputs.times)
+        times[5] += 0.005
+        inputs = Trace(times, inputs.columns)
+    if "rows" in faults:
+        reference = Trace(reference.times[:-1], {n: c[:-1] for n, c in reference.columns.items()})
+    if "no input column" in faults:
+        inputs = Trace(inputs.times, {"set_point": inputs.columns["set_point"]})
+    if "no output column" in faults:
+        reference = Trace(reference.times, {"cmd": reference.columns["command"]})
+    if "no output" in faults:
+        vars = VariableTable(tuple(replace(v, causality="local") if v.causality == "output"
+                                   else v for v in vars.variables))
+    if "no reference" in faults:
+        reference = None
+    return GaProblem(problem.model, vars, inputs, reference)
+
+
+@pytest.mark.parametrize("first", range(len(TRACE_FAULTS)),
+                         ids=[fault for fault, _, _ in TRACE_FAULTS])
+def test_the_first_trace_fault_raises_before_the_first_draw_and_at_every_score(
+        pi_case, monkeypatch, first):
+    # each fault together with every fault that follows it in the order
+    fault, cls, message = TRACE_FAULTS[first]
+    faults = {f for f, _, _ in TRACE_FAULTS[first:]}
+    monkeypatch.setattr(ga, "generate_individual", None)  # raised before the first draw
+    for score_it in (lambda p: run_ga("cbc", p, GaConfig(population_size=4, elitism=1)),
+                     lambda p: p.fitness_of(pi_case["ground_truth"]),
+                     lambda p: p.signature(pi_case["ground_truth"])):
+        with pytest.raises(cls) as exc:
+            score_it(_faulty_pi(pi_case["problem"], faults))
+        assert type(exc.value) is cls and str(exc.value) == message, fault
 
 
 def test_run_ga_rejects_unknown_mode(pi_case):

@@ -627,17 +627,17 @@ def _container(name):
 
 def _causalize_path_score(problem, genes):
     """The genome's fitness through bind, causalize and a fresh kernel
-    cache of the problem's Structure: what GaProblem.fitness_of scored
-    before its gene tables."""
+    cache of the problem's Structure: what GaProblem.fitness_of scores
+    from the tables of GaProblem.scoring."""
     kernels = sim.KernelCache(problem.structure)
     bound = problem.bind(genes)
     try:
         run = feed(sim.causalize(bound), problem.input_trace, kernels, bound.bindings)
     except CausalizeError:
         run = None
-    outputs = problem.classification.outputs
+    outputs = sorted(problem.classification.outputs)
     return sim.score(run, problem.input_trace, outputs,
-                     sim.reference_columns(problem.reference_trace, outputs, problem.input_trace),
+                     tuple(tuple(problem.reference_trace.columns[name]) for name in outputs),
                      kernels)
 
 

@@ -18,7 +18,7 @@ from construct.sim import (
     GRID_RTOL, INVALID, DivisionByZero, Fitness, KernelCache, MissingInput, NonUniformGrid,
     causalize, grid_step,
 )
-from construct.ga import GaProblem, generate_individual
+from construct.ga import GaError, GaProblem, generate_individual
 from construct.sim import NonFiniteValue, SimPlan
 from construct.translate import EquationModel, SymbolSlot
 from interp import named, score, simulate, structure, tree_walk
@@ -28,14 +28,13 @@ def table(*rows):
     return VariableTable(tuple(VariableDescriptor(*r) for r in rows))
 
 
-def bound(equations, vars, states=(), bindings=None):
+def bound(equations, vars, bindings=None):
     names = []
     for lhs, rhs in equations:
         for ref in mexpr.refs(lhs) + mexpr.refs(rhs):
             if ref not in names:
                 names.append(ref)
-    return BoundModel(tuple(equations), vars, frozenset(states),
-                      tuple(bindings if bindings is not None else names))
+    return BoundModel(tuple(equations), vars, tuple(bindings if bindings is not None else names))
 
 
 V_UYK = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
@@ -102,9 +101,9 @@ def test_causalize_reads_a_state_after_its_update():
            (mexpr.Sym("y"), mexpr.Binary("add", mexpr.Sym("x"), mexpr.Const(1.0)))]
     with pytest.raises(InexpressibleRead,
                        match="^equation 1 reads x after equation 0 updated it$"):
-        causalize(bound(eqs, vars, states=("x",)))
+        causalize(bound(eqs, vars))
     # read before the update, x is the value the model reads too
-    plan = causalize(bound(eqs[::-1], vars, states=("x",)))
+    plan = causalize(bound(eqs[::-1], vars))
     assert [ref for _, ref, _ in plan.algebraic_order] == ["y"]
 
 
@@ -135,7 +134,7 @@ def test_causalize_a_variable_written_twice(eqs, written):
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None),
                  ("x", 3, "Real", "local", 0.0))
     with pytest.raises(StructurallySingular, match=f"equations 0 and 1 both write {written}$"):
-        causalize(bound(eqs, vars, states=("x",) if written == "x" else ()))
+        causalize(bound(eqs, vars))
 
 
 def test_duplicate_binding_rejected():
@@ -197,7 +196,7 @@ def test_simulate_forward_euler():
     vars = table(("u", 1, "Real", "input", None), ("x", 2, "Real", "local", 0.0),
                  ("y", 3, "Real", "output", None))
     eqs = [(mexpr.Sym("y"), mexpr.Sym("x")), (mexpr.Der("x"), mexpr.Sym("u"))]
-    plan = causalize(bound(eqs, vars, states=("x",)))
+    plan = causalize(bound(eqs, vars))
     out = simulate(plan, _const_trace(["u"], [0.0, 0.1, 0.2]), ["y"])
     assert out.columns["y"].tobytes() == array("d", (0.0, 0.1, 0.2)).tobytes()
     assert array("d", out.times).tobytes() == array("d", (0.0, 0.1, 0.2)).tobytes()
@@ -223,19 +222,13 @@ def test_simulate_missing_input():
 @pytest.mark.parametrize("column", [(1.0,), (1.0, 5.0, 7.0, 9.0)])
 def test_simulate_rejects_an_input_column_that_is_not_one_value_per_time(column):
     # zipped with the times, a 1-value column gave a 1-sample y, and an MSE
-    # of 0.0 against a reference y that is 1.0 only at the first time
-    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
-    plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
-    inputs = Trace((0.0, 0.1, 0.2), {"u": column})
-    message = rf"malformed trace: input column 'u' has {len(column)} values for 3 times$"
-    with pytest.raises(MalformedTrace, match=message):
-        simulate(plan, inputs, ["y"])
-    with pytest.raises(MalformedTrace, match=message):
-        score(plan, inputs, Trace((0.0, 0.1, 0.2), {"y": (1.0, 5.0, 7.0)}), ("y",))
-    full = Trace(inputs.times, {"u": (1.0, 5.0, 7.0)})
-    with pytest.raises(ValueError, match=rf"reference column 'y' has {len(column)} values "
-                                         rf"for 3 times$"):
-        score(plan, full, Trace(inputs.times, {"y": column}), ("y",))
+    # of 0.0 against a reference y that is 1.0 only at the first time; now
+    # no Trace holds such a column, input u or reference y, so none reaches
+    # simulate or score
+    for name in ("u", "y"):
+        with pytest.raises(MalformedTrace, match=rf"^malformed trace: column {name!r} has "
+                                                 rf"{len(column)} values for 3 times$"):
+            Trace((0.0, 0.1, 0.2), {name: column})
 
 
 def test_simulate_non_uniform_grid():
@@ -349,22 +342,30 @@ def test_fitness_invalid_on_type_violation():
     assert score(None, inputs, reference, ("y",)) == INVALID
 
 
+def _copy_problem(vars, reference):
+    """y = u over slots 0 and 1, with vars and the reference trace; genes
+    (1, 0) bind y to slot 0 and u to slot 1."""
+    model = infer_symbol_types(EquationModel(
+        ((mexpr.Sym(0), mexpr.Sym(1)),), (SymbolSlot(0, "s0"), SymbolSlot(1, "s1"))))
+    return GaProblem(model, vars, Trace((0.0, 0.1), {"u": (1.0, 1.0)}), reference)
+
+
 def test_fitness_requires_reference_columns():
+    # sim.reference_columns raised a ValueError here, which no command caught
     vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
-    b = bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars)
-    inputs = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
-    with pytest.raises(ValueError):
-        score(causalize(b), inputs, Trace((0.0, 0.1), {"z": (1.0, 1.0)}), ("y",))
+    problem = _copy_problem(vars, Trace((0.0, 0.1), {"z": (1.0, 1.0)}))
+    with pytest.raises(MalformedTrace,
+                       match="^malformed trace: reference trace lacks output column 'y'$"):
+        problem.fitness_of((1, 0))
 
 
-def test_fitness_of_no_output_is_a_value_error():
-    # the mean over no squares was a ZeroDivisionError
-    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "output", None))
-    plan = causalize(bound([(mexpr.Sym("y"), mexpr.Sym("u"))], vars))
-    inputs = Trace((0.0, 0.1), {"u": (1.0, 1.0)})
-    for kernels in (None, KernelCache(structure(plan))):
-        with pytest.raises(ValueError, match="^no output to score$"):
-            score(plan, inputs, Trace(inputs.times, {"y": (1.0, 1.0)}), (), kernels)
+def test_fitness_of_no_output_is_a_ga_error():
+    # the mean over no squares was a ZeroDivisionError, then a ValueError
+    vars = table(("u", 1, "Real", "input", None), ("y", 2, "Real", "local", None))
+    problem = _copy_problem(vars, Trace((0.0, 0.1), {"y": (1.0, 1.0)}))
+    for score_it in (problem.fitness_of, problem.signature):
+        with pytest.raises(GaError, match="^the container has no output variable to score$"):
+            score_it((1, 0))
 
 
 def test_fitness_ordering_total():
@@ -409,7 +410,7 @@ def test_euler_order_convergence():
     # der(x) = -x, x0 = 1: halving h halves the global error at t = 1
     vars = table(("x", 1, "Real", "output", 1.0),)
     eqs = [(mexpr.Der("x"), mexpr.Unary("neg", mexpr.Sym("x")))]
-    b = bound(eqs, vars, states=("x",), bindings=("x",))
+    b = bound(eqs, vars, bindings=("x",))
     plan = causalize(b)
 
     def error_at_one(h):
@@ -592,13 +593,13 @@ def _shape_problem():
     model = infer_symbol_types(EquationModel(
         ((s(0), mexpr.Binary("mul", s(1), s(2))),
          (mexpr.Der(2), mexpr.Binary("div", mexpr.Binary("sub", s(3), s(2)), s(4)))),
-        tuple(SymbolSlot(i, f"s{i}", "Unknown", is_state=(i == 2)) for i in range(5))))
+        tuple(SymbolSlot(i, f"s{i}", "Unknown") for i in range(5))))
     vars = table(("y", 1, "Real", "output", None), ("u", 2, "Real", "input", None),
                  ("k_a", 3, "Real", "parameter", 2.0), ("k_b", 4, "Real", "parameter", 3.0),
                  ("x_a", 5, "Real", "local", 1.0), ("x_b", 6, "Real", "local", -2.0),
                  ("d", 7, "Real", "parameter", 0.5), ("zero", 8, "Real", "parameter", 0.0))
     trace = Trace((0.0, 0.1, 0.2, 0.3), {"u": (1.0, 0.5, -1.0, 2.0)})
-    return GaProblem(model, vars, trace, trace)
+    return GaProblem(model, vars, trace, Trace(trace.times, {"y": (0.0, 0.0, 0.0, 0.0)}))
 
 
 def _run(problem, genes, inputs, outputs, kernels=None):
@@ -747,6 +748,6 @@ def test_signature_tells_what_a_genome_simulates():
                  ("minus_zero", 4, "Real", "parameter", -0.0),
                  ("also_zero", 5, "Real", "parameter", 0.0))
     trace = Trace((0.0, 0.1), {"u": (1.0, -1.0)})
-    zeros = GaProblem(model, vars, trace, trace)
+    zeros = GaProblem(model, vars, trace, Trace(trace.times, {"y": (0.0, 0.0)}))
     assert zeros.signature((0, 1, 2)) == zeros.signature((0, 1, 4))
     assert zeros.signature((0, 1, 2)) != zeros.signature((0, 1, 3))

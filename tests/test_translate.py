@@ -119,8 +119,9 @@ def test_integrator_recognition():
     m = pipeline("void f(long p, double h) { *(double *)(p + 0x10) ="
                  " *(double *)(p + 0x10) + h * *(double *)(p + 0x18); }")
     assert m.equations == ((mexpr.Der(0), mexpr.Sym(1)),)
-    assert m.slots[0] == SymbolSlot(0, "0x10", "Real", is_state=True)
-    assert m.slots[1].is_state is False
+    assert m.slots[0] == SymbolSlot(0, "0x10", "Real")
+    # statehood is der() in the equations: slot 0 is a state, slot 1 is not
+    assert [lhs.ref for lhs, _ in m.equations if isinstance(lhs, mexpr.Der)] == [0]
 
 
 def test_integrator_operand_orders():
