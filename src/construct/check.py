@@ -14,13 +14,16 @@ A candidate mapping is only worth simulating when it satisfies:
     C5  code causality: a slot the step function writes (the left-hand
         side of an equation, or a state) takes an unknown, and a slot it
         only reads takes an input or a parameter
+    C6  pinned starts: a state slot that the init function sets to a
+        constant c takes a variable that starts at c, a variable without
+        a start counting as starting at 0.0 (start_of)
 
 "Unknown" here means a variable the equation system must determine,
 i.e. one of output or local causality. The decompiled step function is
 executable, so it is causal already: analyse computes what causalization
 knows about a model once, as a Structure, and each equation is solved
 for the slot it writes (C5), which with C0 implies C2 and C3. One
-function, binding_faults, states C0, C1, C4 and C5 over a Structure:
+function, binding_faults, states C0, C1, C4, C5 and C6 over a Structure:
 validate_assignment reports every fault it yields, sim.causalize raises
 the first, and a search's slot domains (GaProblem.compat) are the
 variables domain_fault lets through.
@@ -267,10 +270,15 @@ class Structure:
     untyped: tuple  # of (member refs, ordering-compared): groups demanding none
     slots: tuple  # the SymbolSlot of each slot id, or () over names
     error: CausalizeError | None  # why no binding of the equations causalizes
+    pins: dict  # state ref -> the constant the init function stores there (C6)
 
 
-def analyse(equations, slots=()) -> Structure:
+def analyse(equations, slots=(), inits=None) -> Structure:
     """Compute the Structure of an equation system once.
+
+    inits maps refs to the constant the init function stores there, by
+    default the slots' own (SymbolSlot.init); only the states' are kept,
+    as the pins of C6, and a store to any other ref is ignored.
 
     Code order is the causal order: the step function evaluates its
     stores in it, and the model evaluates every store of a sample before
@@ -330,27 +338,40 @@ def analyse(equations, slots=()) -> Structure:
             elif len(rs) > 1 or is_ordered:
                 untyped.append((tuple(rs), is_ordered))
 
+    if inits is None:
+        inits = {s.id: s.init for s in slots if s.init is not None}
     return Structure(
         tuple((lhs.ref, rhs) for lhs, rhs in equations if isinstance(lhs, mexpr.Der)),
         tuple((i, lhs.ref, rhs) for i, (lhs, rhs) in enumerate(equations)
               if isinstance(lhs, mexpr.Sym)),
         frozenset(owner), tuple(sorted(occurring - owner.keys())), types, tuple(untyped),
-        tuple(slots), faults[0] if faults else None)
+        tuple(slots), faults[0] if faults else None,
+        {r: pin for r, pin in inits.items() if r in updated})
 
 
 # ---------------------------------------------------------------------------
 # The binding rules and constraint validation
 # ---------------------------------------------------------------------------
 
+def start_of(v) -> float:
+    """Where variable v starts on a state slot, and what a data slot
+    holding a parameter reads: its start, 0.0 when it has none."""
+    return 0.0 if v.start is None else float(v.start)
+
+
 def domain_fault(st: Structure, ref, v) -> str | None:
     """Why variable v lies outside the domain of ref in st: "C1" when it
     is not of the type ref's group demands, "C5" when it is an unknown on
     a ref the code only reads, or an input or a parameter on one it
-    writes; None when it lies inside."""
+    writes, "C6" when ref is a state the init function sets to a
+    constant (Structure.pins) that v does not start at (start_of, so a
+    variable without a start meets 0.0); None when it lies inside."""
     if st.types.get(ref, v.vtype) != v.vtype:
         return "C1"
     if (ref in st.written) != (v.causality in ("output", "local")):
         return "C5"
+    if ref in st.pins and start_of(v) != st.pins[ref]:
+        return "C6"
     return None
 
 
@@ -359,8 +380,10 @@ def binding_faults(st: Structure, vars: VariableTable, bindings: tuple):
     binding the refs of st to the variables of vars that bindings names,
     one per slot in slot order; the refs are slot ids or, over names,
     the bound names themselves. The order is fixed: C0 for each variable
-    bound to a second slot; st.error, as C5; C1 or C5 for each slot, in
-    slot order, whose variable lies outside its domain (domain_fault);
+    bound to a second slot; st.error, as C5; C1, C5 or C6 for each slot,
+    in slot order, whose variable lies outside its domain (domain_fault),
+    C6 as an InvalidStateVariable naming the constant the init function
+    stores and where the variable starts;
     C4 for each input and output left unbound, in table order; C1 for
     each type group with no demanded type (Structure.untyped) whose
     variables differ in type, or are Boolean under an ordering
@@ -383,6 +406,9 @@ def binding_faults(st: Structure, vars: VariableTable, bindings: tuple):
         where = f"slot {pos} ({st.slots[pos].origin})" if st.slots else f"slot {pos}"
         if cid == "C1":
             yield cid, IllTypedModel(f"{where} needs {st.types[ref]}, {name!r} is {v.vtype}")
+        elif cid == "C6":
+            yield cid, InvalidStateVariable(f"{where} starts at {st.pins[ref]!r} in the init "
+                                            f"function, {name!r} starts at {start_of(v)!r}")
         elif ref not in st.written:
             yield cid, UnbalancedSystem(f"{where} is only read, {name!r} is {v.causality}")
         else:
@@ -422,7 +448,7 @@ def bound_names(m: EquationModel, c, vars: VariableTable) -> tuple:
 
 def validate_assignment(m: EquationModel, vars: VariableTable, c,
                         st: Structure | None = None) -> ValidationReport:
-    """Check a slot-to-variable mapping against C0 through C5.
+    """Check a slot-to-variable mapping against C0 through C6.
 
     Every fault of binding_faults is collected, never short-circuited;
     C2 and C3, which C0 and C5 imply, are reported as well, and the

@@ -140,12 +140,12 @@ def cmd_validate(args) -> int:
     _, problem = _load_problem(args)
     if _valid_mapping(args.mapping, problem) is None:
         return 2
-    print("valid: constraints C0-C5 all hold")
+    print("valid: constraints C0-C6 all hold")
     return 0
 
 
 def _valid_mapping(path: str, problem: ga.GaProblem):
-    """The genes of the mapping file at path when they meet C0-C5;
+    """The genes of the mapping file at path when they meet C0-C6;
     otherwise None, after printing each violation."""
     genes = _load_mapping(path, problem)
     report = problem.validate(genes)
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("validate", help="check a mapping against C0-C5")
+    p = sub.add_parser("validate", help="check a mapping against C0-C6")
     p.add_argument("container")
     p.add_argument("--mapping", required=True, help="JSON {\"genes\": [...]}")
     p.set_defaults(func=cmd_validate)

@@ -19,7 +19,10 @@ so a problem has one causal plan (check.Structure), built with the
 problem, and one sim.KernelCache, built from that Structure with the
 problem, which compiles its kernel at the first score or simulation; a
 chromosome only binds variables to the plan's slots, each slot drawing
-from its domain (check.domain_fault).
+from its domain (check.domain_fault). A state slot that the container's
+init function sets to a constant holds only a variable that starts
+there, a variable without a start counting as starting at 0.0
+(constraint C6, check.start_of); stores to other slots are ignored.
 Fitness is evaluated serially. Each problem checks a distinct chromosome
 once and keeps the verdict for its life: a CbC operator checks its
 genes (GaProblem.fits), and any other chromosome, CbT's or a caller's,
@@ -196,7 +199,7 @@ class GaProblem:
         """Whether check.binding_faults yields nothing for the genome, read
         from the problem's tables: the equations have a causal order
         (Structure.error), no gene repeats (C0), each gene lies in its
-        slot's domain (C1, C5), every input and output is present (C4),
+        slot's domain (C1, C5, C6), every input and output is present (C4),
         and the variables of each untyped group share one type, which is
         not Boolean where the group is ordering-compared (C1). The verdict
         goes into the memo that constructible reads, so a genome the CbC
@@ -236,8 +239,8 @@ class GaProblem:
     def starts(self) -> tuple:
         """Each variable's start as a kernel reads it, by gene value: a
         parameter's value, or where it starts on a state slot, 0.0 when
-        it has none."""
-        return tuple(0.0 if v.start is None else float(v.start) for v in self.vars.variables)
+        it has none (check.start_of, which C6 reads too)."""
+        return tuple(map(check.start_of, self.vars.variables))
 
     def _reads(self, columns: dict) -> tuple:
         """What a data slot holding each variable reads, by gene value:

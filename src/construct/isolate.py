@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from construct import cparse, mexpr
-from construct.cparse import Assign, CodeUnit, Decl, Deref, If, RealLit, Return
+from construct.cparse import Assign, CodeUnit, Decl, Deref, If, IntLit, RealLit, Return
 from construct.errors import ConstructError
 
 REWRITE_CAP = 100
@@ -47,6 +47,12 @@ class NoDerefBase(IsolateError):
 
 class DivergingRewrite(IsolateError):
     pass
+
+
+class AmbiguousInitFunction(IsolateError):
+    def __init__(self, candidates):
+        self.candidates = tuple(candidates)
+        super().__init__(f"multiple init-function candidates: {', '.join(candidates)}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,9 @@ class StepBody:
 
     base_pointer is the parameter used as the dereference base, and
     step_symbol names the communication step size passed into the
-    function.
+    function. inits maps each offset the init function stores to, if
+    there is one, to the last constant it stores there
+    (find_init_stores).
     """
 
     statements: tuple
@@ -93,6 +101,7 @@ class StepBody:
     base_pointer: str
     params: tuple = ()
     locals_: tuple = field(default=())
+    inits: dict = field(default_factory=dict)
 
 
 def _assigns_deref(stmts) -> bool:
@@ -117,9 +126,51 @@ def _deref_bases(stmts) -> set:
     return bases
 
 
+def _literal(e):
+    """The value of a numeric literal, signed or not; None for any other
+    expression."""
+    sign = 1.0
+    if isinstance(e, mexpr.Unary) and e.op == "neg":
+        sign, e = -1.0, e.operand
+    return sign * float(e.value) if isinstance(e, (IntLit, RealLit)) else None
+
+
+def _literal_stores(fn) -> dict | None:
+    """{offset: the last constant stored there} when every statement of
+    fn stores a numeric literal through one parameter; None otherwise."""
+    stores: dict = {}
+    for s in fn.body:
+        if not (isinstance(s, Assign) and isinstance(s.target, Deref)):
+            return None
+        value = _literal(s.value)
+        if value is None:
+            return None
+        stores[s.target.offset] = value
+    bases = {s.target.base for s in fn.body}
+    if len(bases) != 1 or not bases <= {n for _, n in fn.params}:
+        return None
+    return stores
+
+
+def find_init_stores(unit: CodeUnit, step: str) -> dict:
+    """{offset: constant} of the init function's stores, empty when there
+    is none.
+
+    The init function is the one function other than the step function
+    whose every statement stores a numeric literal through one parameter,
+    at least one; two such functions are refused. The last constant
+    stored at an offset counts.
+    """
+    found = {f.name: stores for f in unit.functions
+             if f.name != step and (stores := _literal_stores(f)) is not None}
+    if len(found) > 1:
+        raise AmbiguousInitFunction(found)
+    return next(iter(found.values()), {})
+
+
 def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> StepBody:
     """Select the step function and identify its base pointer and step
-    symbol.
+    symbol, and read the init function's stores (find_init_stores).
 
     Without a configured name, the step function is the single function
     whose body assigns at least one dereferenced slot.
@@ -161,7 +212,8 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
 
     locals_ = tuple(s.name for s in cparse.iter_stmts(fn.body) if isinstance(s, Decl))
     return StepBody(fn.body, step_symbol=step, base_pointer=base,
-                    params=tuple(param_names), locals_=locals_)
+                    params=tuple(param_names), locals_=locals_,
+                    inits=find_init_stores(unit, fn.name))
 
 
 # ---------------------------------------------------------------------------

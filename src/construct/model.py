@@ -19,12 +19,15 @@ class UnspellableName(ConstructError):
 @dataclass(frozen=True)
 class BoundModel:
     """An equation model bound to variables: equations over variable names,
-    or, with a slot-level check.Structure, over slot ids, each named by bindings."""
+    or, with a slot-level check.Structure, over slot ids, each named by
+    bindings. Over names, inits maps the name bound to each slot the init
+    function stores to to the constant it stores (SymbolSlot.init)."""
 
     equations: tuple  # of (lhs, rhs) over variable names, or slot ids
     variable_table: VariableTable
     bindings: tuple  # per-slot variable names, in slot order
     structure: object = field(default=None, compare=False, repr=False)
+    inits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
@@ -33,7 +36,8 @@ def apply_assignment(m: EquationModel, c, vars: VariableTable) -> BoundModel:
     equations = tuple(
         (mexpr.map_refs(lhs, lambda r: names[r]), mexpr.map_refs(rhs, lambda r: names[r]))
         for lhs, rhs in m.equations)
-    return BoundModel(equations, vars, names)
+    return BoundModel(equations, vars, names,
+                      inits={names[s.id]: s.init for s in m.slots if s.init is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -140,22 +140,22 @@ def causalize(b: BoundModel) -> SimPlan:
     """Build an executable plan from a bound model, or reject it.
 
     The model's Structure is the slot-level one it carries, read through
-    its bindings, or else its own, analysed over its names. The first
+    its bindings, or else its own, analysed over its names with its
+    init function's stores (BoundModel.inits). The first
     fault of check.binding_faults is raised. Otherwise the Structure's
     code order is the plan's, and the references the equations only read
     hold the inputs and parameters. A state without a start value starts
-    at 0.0.
+    at 0.0 (check.start_of).
     """
-    st = check.analyse(b.equations) if b.structure is None else b.structure
+    st = check.analyse(b.equations, inits=b.inits) if b.structure is None else b.structure
     for _, fault in check.binding_faults(st, b.variable_table, b.bindings):
         raise fault.with_traceback(None)
     var = b.variable_table.by_name
     of = [var[n] for n in b.bindings] if st.slots else var  # each ref's variable
     return SimPlan(
-        tuple((r, 0.0 if of[r].start is None else float(of[r].start), rhs)
-              for r, rhs in st.states),
+        tuple((r, check.start_of(of[r]), rhs) for r, rhs in st.states),
         st.algebraic_order,
-        {r: float(of[r].start) for r in st.reads if of[r].causality == "parameter"},
+        {r: check.start_of(of[r]) for r in st.reads if of[r].causality == "parameter"},
         frozenset(r for r in st.reads if of[r].causality == "input"))
 
 

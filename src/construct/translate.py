@@ -54,6 +54,7 @@ class SymbolSlot:
     id: int
     origin: str  # "0x<offset>" for derefs, the identifier otherwise
     inferred_type: str = "Unknown"  # Real | Integer | Boolean | Unknown
+    init: float | None = None  # the constant the init function stores here, if any
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ class _SlotTable:
         self.slots.append((origin, inferred))
         return sid
 
-    def finish(self) -> tuple:
-        return tuple(SymbolSlot(i, origin, inferred)
+    def finish(self, body: StepBody) -> tuple:
+        inits = {f"0x{offset:x}": c for offset, c in body.inits.items()}
+        return tuple(SymbolSlot(i, origin, inferred, inits.get(origin))
                      for i, (origin, inferred) in enumerate(self.slots))
 
 
@@ -240,7 +242,9 @@ def translate_to_equations(body: StepBody) -> EquationModel:
 
     Raises UnsupportedControlFlow for statement shapes outside the
     subset and UnboundIdentifier for names that are neither parameters,
-    locals, nor dereferences.
+    locals, nor dereferences. A slot at an offset the init function
+    stores to carries that store (SymbolSlot.init); a store to an offset
+    the step function never uses has no slot.
     """
     table = _SlotTable()
     states: set = set()  # the slots updated as states, each at most once
@@ -311,4 +315,4 @@ def translate_to_equations(body: StepBody) -> EquationModel:
         else:
             raise UnsupportedControlFlow(getattr(s, "line", 0), repr(s))
 
-    return EquationModel(tuple(equations), table.finish())
+    return EquationModel(tuple(equations), table.finish(body))

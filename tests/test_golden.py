@@ -79,21 +79,21 @@ BENCHMARK_DIGESTS = {
     "pid-2-cbt.report.json":
         "0a8d1cf6695ac4f2493415fa9c3858bf30279be4276672dac1e6ef12fe5db6bf",
     "limpid-0-cbc.report.json":
-        "03dd4e306bef4d1dab825ee29cfa5c0fe5c297a8ccc57b5e874ee423607c0d15",
+        "024d2a044f53536ab38aa41a7dcba4070b3d394c1e88cc8fe4fed4335e5a4f22",
     "limpid-0-cbc.mo":
-        "fc127fc11fc4b5578c9ac31e253eb06a0b716d8fe9fedbed96d6d63accccf86b",
+        "cd808506551cae7c7c43643a638fc606fd432cea71051fb4a2a5f975eb686bc6",
     "limpid-0-cbt.report.json":
         "a2fe49475e1296db60cd2d81067b85ce01e1110ce8dd062dcbfdbd90e98c597a",
     "limpid-1-cbc.report.json":
-        "5946ea1311ef3f03c5e26a2102cd07f7b63df5dc8f689d09f20e6f3931cf0603",
+        "12d760976539c96c0df08ea3d27c688f94bbc03c8d12a1a2d9c9f34d1283c3ec",
     "limpid-1-cbc.mo":
-        "90f2f4fc9e642c5b4e31730b6985cc4b5ea26c32fc0337e6de564ae8b3a58464",
+        "5fa70a3bf5fbb5810b93337a0f00bf0fdb47b1eb2af7ddd344b0ec4b9bcb896c",
     "limpid-1-cbt.report.json":
         "b189a76541f25681347d044cc08c72c5f36997fdba1043be9364003456203e2a",
     "limpid-2-cbc.report.json":
-        "875f40082b32a736cfb0d34101383a86bd1ae1db3a06bce24164863650d0ee61",
+        "703637a3bba07b3c7c5fcdc24176d5dc84b469c452b60a72ecb5d16cf93ba578",
     "limpid-2-cbc.mo":
-        "29324f013973a809ad7f1ccc8270a83a364581afa92fdb998b7e35d45423df01",
+        "4c5ae7a873d0edfcafb9807d91f03401f99bb020c4ef68e7fb70d013ed408aec",
     "limpid-2-cbt.report.json":
         "9c1e0acdf242bc83241517ceb88aba4850e5c593cb3747cb43e133b0165da721",
 }
@@ -120,8 +120,8 @@ PAPER_DEFAULT_DIGESTS = {
     "pi.mo": "49d7d9170f33edace0cd0a19d36486806d8c2b755548f6750c6be91d57c218c0",
     "pid.report.json": "021b21296a5bdb326f1c93ff90d4f14b57e1241d622f1769f2cbe6f1d982fea2",
     "pid.mo": "31886873956b1849fb769e8e2114332b98fa6d5d513e803e817fc6a71ec14eaa",
-    "limpid.report.json": "1d0ef50e13888f64e5a79a769162745b43c4cbf0de80f86f04b08b5a1143bca1",
-    "limpid.mo": "af63e24559190ca4b3fe7de9274cc189dc8122b934af9e2bd0b98d747467aad8",
+    "limpid.report.json": "40303d859541eada3357c53392766a520927133118a24737c702699643a69ced",
+    "limpid.mo": "390d59f8c765f75cda42516069bdc68232ec95d158f70e9d851ac778a1c4c373",
 }
 
 
