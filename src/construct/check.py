@@ -97,12 +97,11 @@ class InexpressibleRead(CausalizeError):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     violations: tuple  # of (constraint id, detail)
 
-    def __post_init__(self):
-        if self.valid != (len(self.violations) == 0):
-            raise ValueError("valid flag inconsistent with violations")
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -469,4 +468,4 @@ def validate_assignment(m: EquationModel, vars: VariableTable, c,
         violations.append(("C3", f"{mapped} mapped unknowns for {len(m.equations)} equations"))
 
     violations.sort(key=lambda violation: violation[0])
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))

@@ -44,10 +44,6 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pop", type=int, default=400, help="population size")
     p.add_argument("--gens", type=int, default=10, help="maximum generations")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--elitism", type=int, default=2)
-    p.add_argument("--pc", type=float, default=0.9, help="crossover rate")
-    p.add_argument("--pm", type=float, default=0.1, help="mutation rate")
-    p.add_argument("--tournament", type=int, default=2)
     p.add_argument("--no-early-stop", action="store_true",
                    help="always run the full generation budget")
 
@@ -56,8 +52,6 @@ def _ga_config(args) -> ga.GaConfig:
     try:
         return ga.GaConfig(
             population_size=args.pop, max_generations=args.gens,
-            crossover_rate=args.pc, mutation_rate=args.pm,
-            tournament_size=args.tournament, elitism=args.elitism,
             rng_seed=args.seed, early_stop=not args.no_early_stop)
     except ValueError as exc:
         raise ConstructError(f"invalid search settings: {exc}") from None

@@ -61,6 +61,10 @@ from construct.model import BoundModel, apply_assignment
 from construct.translate import EquationModel, eliminate_temporaries, translate_to_equations
 
 EARLY_STOP_MSE = 1e-12
+CROSSOVER_RATE = 0.9  # chance that a pair of parents is crossed
+MUTATION_RATE = 0.1  # chance that a child is mutated
+TOURNAMENT_SIZE = 2  # individuals drawn per parent selection
+ELITISM = 2  # best individuals copied into each next generation
 BACKTRACK_BUDGET = 1000  # failed placements per CbC construction attempt
 RETRY_BUDGET = 100  # CbC attempts per generated, mutated or crossed chromosome
 
@@ -109,23 +113,14 @@ class Chromosome:
 class GaConfig:
     population_size: int = 400
     max_generations: int = 10
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    tournament_size: int = 2
-    elitism: int = 2
     rng_seed: int = 0
     early_stop: bool = True
 
     def __post_init__(self):
-        if not 0 < self.elitism < self.population_size:
-            raise ValueError("need 0 < elitism < population_size")
+        if self.population_size <= ELITISM:
+            raise ValueError(f"population_size must be > {ELITISM}, the elitism")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must be within [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -620,22 +615,21 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     best_f = None
 
     def tournament(ranks):
-        picks = rng.sample(range(len(population)), min(cfg.tournament_size,
-                                                       len(population)))
+        picks = rng.sample(range(len(population)), TOURNAMENT_SIZE)
         return population[min(map(ranks.__getitem__, picks))[1]]
 
     for gen in range(cfg.max_generations):
         if gen > 0:
-            next_pop = [population[i] for _, i in sorted(ranks)[:cfg.elitism]]
+            next_pop = [population[i] for _, i in sorted(ranks)[:ELITISM]]
             while len(next_pop) < cfg.population_size:
                 p1 = tournament(ranks)
                 p2 = tournament(ranks)
-                if rng.random() < cfg.crossover_rate:
+                if rng.random() < CROSSOVER_RATE:
                     c1, c2 = crossover(mode, p1, p2, rng, problem)
                 else:
                     c1, c2 = Chromosome(p1.genes), Chromosome(p2.genes)
                 for child in (c1, c2):
-                    if rng.random() < cfg.mutation_rate:
+                    if rng.random() < MUTATION_RATE:
                         child = mutate(mode, child, problem, rng)
                     if len(next_pop) < cfg.population_size:
                         next_pop.append(child)

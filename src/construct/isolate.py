@@ -93,7 +93,7 @@ class StepBody:
     step_symbol names the communication step size passed into the
     function. inits maps each offset the init function stores to, if
     there is one, to the last constant it stores there
-    (find_init_stores).
+    (isolate_step_function).
     """
 
     statements: tuple
@@ -152,29 +152,20 @@ def _literal_stores(fn) -> dict | None:
     return stores
 
 
-def find_init_stores(unit: CodeUnit, step: str) -> dict:
-    """{offset: constant} of the init function's stores, empty when there
-    is none.
-
-    The init function is the one function other than the step function
-    whose every statement stores a numeric literal through one parameter,
-    at least one; two such functions are refused. The last constant
-    stored at an offset counts.
-    """
-    found = {f.name: stores for f in unit.functions
-             if f.name != step and (stores := _literal_stores(f)) is not None}
-    if len(found) > 1:
-        raise AmbiguousInitFunction(found)
-    return next(iter(found.values()), {})
-
-
 def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> StepBody:
     """Select the step function and identify its base pointer and step
-    symbol, and read the init function's stores (find_init_stores).
+    symbol, and read the init function's stores.
 
-    Without a configured name, the step function is the single function
-    whose body assigns at least one dereferenced slot.
+    A function whose every statement stores a numeric literal through one
+    parameter, at least one, is init-like (_literal_stores). Without a
+    configured name, the step function is the single function whose body
+    assigns at least one dereferenced slot, an init-like one counting only
+    when no other function does. The init function is the one init-like
+    function other than the step function; two such functions are
+    refused. The last constant it stores at an offset counts.
     """
+    literal = {f.name: stores for f in unit.functions
+               if (stores := _literal_stores(f)) is not None}  # the init-like functions
     if cfg.step_function_name is not None:
         matches = [f for f in unit.functions if f.name == cfg.step_function_name]
         if not matches:
@@ -186,6 +177,7 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
         candidates = [f for f in unit.functions if _assigns_deref(f.body)]
         if not candidates:
             raise NoStepFunction("no function assigns a dereferenced slot")
+        candidates = [f for f in candidates if f.name not in literal] or candidates
         if len(candidates) > 1:
             raise AmbiguousStepFunction([f.name for f in candidates])
         fn = candidates[0]
@@ -210,10 +202,13 @@ def isolate_step_function(unit: CodeUnit, cfg: RuleConfig = RuleConfig()) -> Ste
                 f"{fn.name!r}: cannot infer the step-size parameter")
         step = param_names[1] if param_names[1] != base else others[0]
 
+    inits = {name: stores for name, stores in literal.items() if name != fn.name}
+    if len(inits) > 1:
+        raise AmbiguousInitFunction(inits)
     locals_ = tuple(s.name for s in cparse.iter_stmts(fn.body) if isinstance(s, Decl))
     return StepBody(fn.body, step_symbol=step, base_pointer=base,
                     params=tuple(param_names), locals_=locals_,
-                    inits=find_init_stores(unit, fn.name))
+                    inits=next(iter(inits.values()), {}))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from construct.cli import main
 from construct.container import load_trace
 
 REPO = Path(__file__).resolve().parent.parent
+REMOVED_GA_FLAGS = ("--pc", "--pm", "--tournament", "--elitism")
 
 
 def test_space_outputs(capsys):
@@ -338,9 +339,11 @@ def test_help_lists_flags(capsys):
         main(["synth", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--mode", "--pop", "--gens", "--seed", "--elitism",
-                 "--tournament", "--no-early-stop", "--report", "--curves"):
+    for flag in ("--mode", "--pop", "--gens", "--seed", "--no-early-stop",
+                 "--report", "--curves"):
         assert flag in text
+    for flag in REMOVED_GA_FLAGS:  # constants in ga.py
+        assert flag not in text
 
 
 def test_unknown_flag_is_hard_error(pi_case, tmp_path, capsys):
@@ -513,13 +516,29 @@ def test_make_reference_missing_input_exits_1(pi_case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("flags", [("--pop", "1"), ("--pc", "2"), ("--pm", "-0.5"),
-                                   ("--tournament", "0"), ("--gens", "0"),
-                                   ("--elitism", "0")])
+# Stable ids; the cases for the removed GA flags are in
+# test_synth_removed_ga_flag_is_a_usage_error.
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--pop", "1"), id="flags0"),
+    pytest.param(("--pop", "2"), id="flags1"),
+    pytest.param(("--gens", "-1"), id="flags2"),
+    pytest.param(("--gens", "0"), id="flags4"),
+])
 def test_synth_invalid_settings_exit_1(pi_case, capsys, flags):
     code = main(["synth", str(pi_case["root"]), "--mode", "cbc", "--pop", "20", *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: invalid search settings")
+
+
+@pytest.mark.parametrize("flag", REMOVED_GA_FLAGS)
+def test_synth_removed_ga_flag_is_a_usage_error(pi_case, tmp_path, capsys, flag):
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", str(pi_case["root"]), "--mode", "cbc", "--pop", "20",
+              "--gens", "1", "--report", str(report), flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_space_negative_slot_count_exits_1(capsys):

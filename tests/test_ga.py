@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,7 +387,7 @@ def test_run_ga_requires_reference(pi_case):
     problem = pi_case["problem"]
     stripped = GaProblem(problem.model, problem.vars, problem.input_trace, None)
     with pytest.raises(NoReferenceTrace):
-        run_ga("cbc", stripped, GaConfig(population_size=4, elitism=1))
+        run_ga("cbc", stripped, GaConfig(population_size=4))
 
 
 @pytest.mark.parametrize("which", ["input", "reference"])
@@ -460,7 +460,7 @@ def test_the_first_trace_fault_raises_before_the_first_draw_and_at_every_score(
     fault, cls, message = TRACE_FAULTS[first]
     faults = {f for f, _, _ in TRACE_FAULTS[first:]}
     monkeypatch.setattr(ga, "generate_individual", None)  # raised before the first draw
-    for score_it in (lambda p: run_ga("cbc", p, GaConfig(population_size=4, elitism=1)),
+    for score_it in (lambda p: run_ga("cbc", p, GaConfig(population_size=4)),
                      lambda p: p.fitness_of(pi_case["ground_truth"]),
                      lambda p: p.signature(pi_case["ground_truth"])):
         with pytest.raises(cls) as exc:
@@ -471,7 +471,7 @@ def test_the_first_trace_fault_raises_before_the_first_draw_and_at_every_score(
 def test_run_ga_rejects_unknown_mode(pi_case):
     from construct.ga import GaError
     with pytest.raises(GaError):
-        run_ga("annealing", pi_case["problem"], GaConfig(population_size=4, elitism=1))
+        run_ga("annealing", pi_case["problem"], GaConfig(population_size=4))
 
 
 def test_run_ga_tiny_matches_brute_force(tiny_case):
@@ -553,10 +553,17 @@ def test_early_stop_on_exact_hit(tiny_case):
 
 
 def test_ga_config_invariants():
+    # the rates and sizes no caller varies are constants; a population
+    # must exceed the elitism, so the tournament always has two to draw
+    assert [f.name for f in fields(GaConfig)] == [
+        "population_size", "max_generations", "rng_seed", "early_stop"]
+    assert (ga.CROSSOVER_RATE, ga.MUTATION_RATE, ga.TOURNAMENT_SIZE, ga.ELITISM) == (
+        0.9, 0.1, 2, 2)
     with pytest.raises(ValueError):
-        GaConfig(population_size=4, elitism=4)
+        GaConfig(population_size=2)
     with pytest.raises(ValueError):
-        GaConfig(crossover_rate=1.5)
+        GaConfig(max_generations=0)
+    GaConfig(population_size=3)
 
 
 @pytest.mark.parametrize("mode", ["cbc", "cbt"])

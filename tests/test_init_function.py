@@ -170,3 +170,20 @@ def test_a_non_finite_init_store_leaves_no_chromosome(fixtures_dir, tmp_path, ca
     assert main(["validate", str(root), "--mapping", str(root / "ground_truth.json")]) == 2
     assert capsys.readouterr().out == (
         "C6: slot 7 (0x30) starts at inf in the init function, 'dfilt_state' starts at 0.0\n")
+
+
+def test_limpid_without_rules_translates_and_searches_as_the_fixture(
+        fixtures_dir, tmp_path):
+    # detection finds what rules.toml names: fmi2DoStep, not fmi2Initialize
+    root = _limpid(tmp_path, fixtures_dir)
+    (root / "rules.toml").unlink()
+    golden = fixtures_dir.parent / "tests" / "golden" / "seed0" / "limpid.skeleton.mo"
+    assert main(["translate", str(root), "--out", str(tmp_path / "s.mo")]) == 0
+    assert (tmp_path / "s.mo").read_bytes() == golden.read_bytes()
+    reports = []
+    for name, container in (("copy", root), ("fixture", fixtures_dir / "limpid")):
+        report = tmp_path / f"{name}.json"
+        assert main(["synth", str(container), "--mode", "cbc", "--pop", "20",
+                     "--gens", "3", "--seed", "0", "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]

@@ -6,7 +6,7 @@ from construct import isolate
 from construct.cparse import Assign, Deref, Ident, RealLit, parse_c_expr, parse_c_unit
 from construct.mexpr import Binary, Call, Unary
 from construct.isolate import (
-    AmbiguousStepFunction, DivergingRewrite, NoDerefBase, NoStepFunction,
+    AmbiguousInitFunction, AmbiguousStepFunction, DivergingRewrite, NoDerefBase, NoStepFunction,
     IsolateError, RuleConfig, StepBody, isolate_step_function, load_rule_config,
     normalize_primitives,
 )
@@ -181,6 +181,42 @@ def test_ambiguous_when_two_candidates():
     other = STEP.replace("step", "step2")
     with pytest.raises(AmbiguousStepFunction):
         isolate_step_function(parse_c_unit(STEP + other))
+
+
+INIT = "void init(long p) { *(double *)(p + 0x10) = 0.0; }\n"
+
+
+@pytest.mark.parametrize("text", [INIT + STEP, STEP + INIT], ids=["init-first", "step-first"])
+def test_an_init_function_is_no_candidate_beside_the_step_function(text):
+    body = isolate_step_function(parse_c_unit(text))
+    assert body.statements == parse_c_unit(STEP).functions[0].body
+    assert (body.base_pointer, body.step_symbol, body.inits) == ("p", "h", {0x10: 0.0})
+
+
+def test_limpid_without_rules_selects_the_step_function_and_keeps_the_pins(fixtures_dir):
+    unit = parse_c_unit((fixtures_dir / "limpid" / "sources" / "controller.c").read_text())
+    body = isolate_step_function(unit)
+    assert body == isolate_step_function(unit, RuleConfig("fmi2DoStep", "param_2"))
+    assert body.inits == {0x30: 0.0, 0x38: 0.0}
+
+
+def test_two_storing_functions_beside_an_init_function_are_ambiguous():
+    other = STEP.replace("step", "step2")
+    with pytest.raises(AmbiguousStepFunction) as exc:
+        isolate_step_function(parse_c_unit(INIT + STEP + other))
+    assert exc.value.candidates == ("step", "step2")
+
+
+def test_a_lone_literal_store_function_is_the_step_function():
+    body = isolate_step_function(parse_c_unit(STEP.replace("= h", "= 1.0") + HELPER))
+    assert (body.base_pointer, body.step_symbol, body.inits) == ("p", "h", {})
+
+
+def test_two_init_functions_beside_the_step_function_are_refused():
+    other = INIT.replace("init", "reset")
+    with pytest.raises(AmbiguousInitFunction) as exc:
+        isolate_step_function(parse_c_unit(INIT + other + STEP))
+    assert exc.value.candidates == ("init", "reset")
 
 
 def test_config_override_selects_by_name():

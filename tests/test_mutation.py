@@ -52,9 +52,7 @@ NUMBER = re.compile(rb"(?<![\w.])\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 START = re.compile(rb'(?<=start=")[^"]*')
 # (flag, values), each flag given with probability one half
 SEARCH_FLAGS = (("--pop", ("1", "2", "6")), ("--gens", ("0", "1", "2")),
-                ("--seed", ("0", "7", "-1")), ("--pc", ("0", "0.9", "1.5", "nan")),
-                ("--pm", ("0", "0.5", "-1")), ("--tournament", ("0", "1", "9")),
-                ("--elitism", ("0", "1", "6")), ("--no-early-stop", ()))
+                ("--seed", ("0", "7", "-1")), ("--no-early-stop", ()))
 SEEDS = (0, 1, 2)
 PER_SEED = 134
 
