@@ -39,6 +39,9 @@ hands the kernel the same data as an earlier one of the run, such as
 swapped algebraic locals or equal parameter values, takes its fitness.
 A mapping from outside a search runs through the same kernel, its Feed
 read from its genes (GaProblem.simulate_outputs).
+A tournament and a swap draw their two indices with the randrange draws
+that random.sample(range(n), 2) makes (_pair), so a seed gives the pairs
+sample gives; a generation's best comes from its selection ranks.
 Chromosome position i names the variable assigned to symbol slot i.
 """
 
@@ -63,10 +66,13 @@ from construct.translate import EquationModel, eliminate_temporaries, translate_
 EARLY_STOP_MSE = 1e-12
 CROSSOVER_RATE = 0.9  # chance that a pair of parents is crossed
 MUTATION_RATE = 0.1  # chance that a child is mutated
-TOURNAMENT_SIZE = 2  # individuals drawn per parent selection
+TOURNAMENT_SIZE = 2  # individuals drawn per parent selection, a _pair
 ELITISM = 2  # best individuals copied into each next generation
 BACKTRACK_BUDGET = 1000  # failed placements per CbC construction attempt
 RETRY_BUDGET = 100  # CbC attempts per generated, mutated or crossed chromosome
+# random.sample's pool bound for up to five picks: at or below it, sample
+# draws a pick from the items not yet picked, above it redraws repeats
+_SAMPLE_POOL_MAX = 21
 
 
 class GaError(ConstructError):
@@ -463,21 +469,38 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
 # Mutation and crossover
 # ---------------------------------------------------------------------------
 
+def _pair(rng, n: int) -> tuple:
+    """The two distinct indices below n that rng.sample(range(n), 2)
+    returns, from the same rng.randrange draws, so rng ends in the same
+    state. Up to _SAMPLE_POOL_MAX, sample draws the second from the n - 1
+    indices left, the last standing in for the first pick; above it,
+    sample redraws the second until it differs from the first."""
+    i = rng.randrange(n)
+    if n <= _SAMPLE_POOL_MAX:
+        j = rng.randrange(n - 1)
+        return i, n - 1 if j == i else j
+    j = rng.randrange(n)
+    while j == i:
+        j = rng.randrange(n)
+    return i, j
+
+
 def mutate(mode: str, c: Chromosome, problem: GaProblem, rng) -> Chromosome:
-    """Swap two genes. CbC additionally requires the swapped slots to be
-    type-compatible both ways and the result to fit (GaProblem.fits); when
-    no acceptable swap is found the chromosome is returned unchanged."""
+    """Swap two genes, drawn as a _pair. CbC additionally requires the
+    swapped slots to be type-compatible both ways and the result to fit
+    (GaProblem.fits); when no acceptable swap is found the chromosome is
+    returned unchanged."""
     genes = list(c.genes)
     n = len(genes)
     if n < 2:
         return c
     if mode == "cbt":
-        i, j = rng.sample(range(n), 2)
+        i, j = _pair(rng, n)
         genes[i], genes[j] = genes[j], genes[i]
         return Chromosome(tuple(genes))
 
     for _ in range(RETRY_BUDGET):
-        i, j = rng.sample(range(n), 2)
+        i, j = _pair(rng, n)
         if genes[j] not in problem.domains[i] or genes[i] not in problem.domains[j]:
             continue
         genes[i], genes[j] = genes[j], genes[i]
@@ -577,9 +600,11 @@ def _mean(values) -> float:
         return math.fsum(v / len(values) for v in values)
 
 
-def _generation_stats(gen: int, fitnesses) -> dict:
-    finite = sorted(f.mse for f in fitnesses if f.is_finite)
-    best = min(fitnesses)
+def _generation_stats(gen: int, fitnesses, best: sim.Fitness) -> dict:
+    """The generation's report entry. best is its first least fitness,
+    which run_ga reads from its ranks; the finite MSEs are averaged in
+    population order, as math.fsum rounds their sum once in any order."""
+    finite = [f.mse for f in fitnesses if f.is_finite]
     return {
         "gen": gen,
         "best_mse": best.mse,
@@ -591,6 +616,10 @@ def _generation_stats(gen: int, fitnesses) -> dict:
 def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
            on_individual=None) -> GaResult:
     """Generational GA with tournament selection and elitism.
+
+    A tournament draws two individuals as a _pair, the draws of
+    random.sample(range(n), 2), and takes the better of their ranks,
+    (sort key, index) pairs; the least rank is the generation's best.
 
     Deterministic for a fixed seed: the loop owns the RNG and fitness
     evaluation is pure. Before the first draw, only the mode is checked
@@ -615,8 +644,8 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
     best_f = None
 
     def tournament(ranks):
-        picks = rng.sample(range(len(population)), TOURNAMENT_SIZE)
-        return population[min(map(ranks.__getitem__, picks))[1]]
+        i, j = _pair(rng, len(population))
+        return population[min(ranks[i], ranks[j])[1]]
 
     for gen in range(cfg.max_generations):
         if gen > 0:
@@ -640,10 +669,9 @@ def run_ga(mode: str, problem: GaProblem, cfg: GaConfig,
         if on_individual is not None:
             for c, f in zip(population, fitnesses):
                 on_individual(c, f)
-        stats.append(_generation_stats(gen, fitnesses))
-
         ranks = [(f.sort_key(), i) for i, f in enumerate(fitnesses)]  # the selection order
         gen_best = min(ranks)[1]
+        stats.append(_generation_stats(gen, fitnesses, fitnesses[gen_best]))
         if best_f is None or fitnesses[gen_best] < best_f:
             best_c, best_f = population[gen_best], fitnesses[gen_best]
         if cfg.early_stop and best_f.is_finite and best_f.mse < EARLY_STOP_MSE:

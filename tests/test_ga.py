@@ -20,18 +20,12 @@ from interp import score
 
 
 class FixedRng:
-    """Plays back queued answers for sample/randrange; everything else
+    """Plays back queued answers for randrange; everything else
     delegates to a seeded Random."""
 
-    def __init__(self, samples=(), randranges=()):
-        self.samples = list(samples)
+    def __init__(self, randranges=()):
         self.randranges = list(randranges)
         self._rng = random.Random(0)
-
-    def sample(self, population, k):
-        if self.samples:
-            return list(self.samples.pop(0))
-        return self._rng.sample(population, k)
 
     def randrange(self, *args):
         if self.randranges:
@@ -144,14 +138,16 @@ def test_cbc_unsatisfiable_names_the_equation_without_a_causal_order():
 # ---------------------------------------------------------------------------
 
 def test_cbt_mutate_swaps_selected_positions(tiny_case):
-    rng = FixedRng(samples=[[1, 3]])
+    # the pair (1, 3) at n = 4: the second draw, 1, hits the first and
+    # stands for n - 1
+    rng = FixedRng(randranges=[1, 1])
     c = Chromosome(("a", "b", "c", "d"))
     out = mutate("cbt", c, tiny_case["problem"], rng)
     assert out.genes == ("a", "d", "c", "b")
 
 
 def test_mutate_is_involution_at_same_positions(tiny_case):
-    rng = FixedRng(samples=[[0, 2], [0, 2]])
+    rng = FixedRng(randranges=[0, 0, 0, 0])  # the pair (0, 2) at n = 3, twice
     c = Chromosome((5, 6, 7))
     once = mutate("cbt", c, tiny_case["problem"], rng)
     twice = mutate("cbt", once, tiny_case["problem"], rng)
@@ -550,6 +546,46 @@ def test_early_stop_on_exact_hit(tiny_case):
     cfg_full = GaConfig(population_size=10, max_generations=8, rng_seed=0,
                         early_stop=False)
     assert len(run_ga("cbc", tiny_case["problem"], cfg_full).per_generation) == 8
+
+
+def _reference_generation_stats(gen, fitnesses):
+    # the stats as they were before the best came from the ranks
+    finite = sorted(f.mse for f in fitnesses if f.is_finite)
+    best = min(fitnesses)
+    return {
+        "gen": gen,
+        "best_mse": best.mse,
+        "mean_finite_mse": ga._mean(finite) if finite else None,
+        "simulatable_fraction": len(finite) / len(fitnesses),
+    }
+
+
+def _seeded_fitnesses(seed):
+    rng = random.Random(seed)
+    ties = [0.0, 0.25, 1e-3, 8.1e307]  # 8.1e307 twice overflows the sum
+    out = []
+    for _ in range(rng.randint(1, 60)):
+        draw = rng.random()
+        if draw < 0.3:
+            out.append(INVALID)
+        elif draw < 0.6:
+            out.append(sim.Fitness.finite(rng.choice(ties)))
+        else:
+            out.append(sim.Fitness.finite(rng.expovariate(1.0) * 10.0 ** rng.randint(-12, 12)))
+    return out
+
+
+@pytest.mark.parametrize("fitnesses", [
+    *map(_seeded_fitnesses, range(40)),
+    [INVALID] * 7,  # no finite MSE
+    [sim.Fitness.finite(8.1e307)] * 10,  # test_cli's overflowing mean
+    [INVALID, sim.Fitness.finite(8.1e307), INVALID, sim.Fitness.finite(8.1e307)],
+    [sim.Fitness.finite(0.5), INVALID, sim.Fitness.finite(0.5)],
+])
+def test_generation_stats_from_the_ranks_match_the_reference(fitnesses):
+    ranks = [(f.sort_key(), i) for i, f in enumerate(fitnesses)]
+    best = fitnesses[min(ranks)[1]]
+    assert ga._generation_stats(3, fitnesses, best) == _reference_generation_stats(3, fitnesses)
 
 
 def test_ga_config_invariants():
