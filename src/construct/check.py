@@ -364,7 +364,13 @@ def domain_fault(st: Structure, ref, v) -> str | None:
     a ref the code only reads, or an input or a parameter on one it
     writes, "C6" when ref is a state the init function sets to a
     constant (Structure.pins) that v does not start at (start_of, so a
-    variable without a start meets 0.0); None when it lies inside."""
+    variable without a start meets 0.0); None when it lies inside.
+
+    A domain is the ref's causality class, narrowed by the type it
+    demands, if any, and by its pin, if any; a pinned ref is a state,
+    which demands Real. So any two domains are nested or disjoint, which
+    CbC construction relies on to fill slots without undoing a choice
+    (ga._construct_constrained)."""
     if st.types.get(ref, v.vtype) != v.vtype:
         return "C1"
     if (ref in st.written) != (v.causality in ("output", "local")):

@@ -12,7 +12,9 @@ Two operator suites share one evolution loop:
     gene against per-problem tables (GaProblem.fits), which is exactly
     passing the constraint validator and causalizing (all three agree
     with check.binding_faults), so every individual in every generation
-    simulates.
+    simulates. Any two slot domains are nested or disjoint
+    (check.domain_fault), so generation fills the slots in one greedy
+    pass that never undoes a choice (_construct_constrained).
 
 Every equation is solved for the slot the code writes (constraint C5),
 so a problem has one causal plan (check.Structure), built with the
@@ -66,9 +68,7 @@ from construct.translate import EquationModel, eliminate_temporaries, translate_
 EARLY_STOP_MSE = 1e-12
 CROSSOVER_RATE = 0.9  # chance that a pair of parents is crossed
 MUTATION_RATE = 0.1  # chance that a child is mutated
-TOURNAMENT_SIZE = 2  # individuals drawn per parent selection, a _pair
 ELITISM = 2  # best individuals copied into each next generation
-BACKTRACK_BUDGET = 1000  # failed placements per CbC construction attempt
 RETRY_BUDGET = 100  # CbC attempts per generated, mutated or crossed chromosome
 # random.sample's pool bound for up to five picks: at or below it, sample
 # draws a pick from the items not yet picked, above it redraws repeats
@@ -361,30 +361,33 @@ def problem_from_container(cm: ContainerModel) -> GaProblem:
 # Individual generation
 # ---------------------------------------------------------------------------
 
-class _Exhausted(Exception):
-    pass
-
-
 def _construct_constrained(problem: GaProblem, rng):
     """One constraint-guided construction attempt.
 
     Inputs and outputs are seated first (C4), each on a free slot of its
-    holders (GaProblem.holders), and the remaining slots are filled
-    most-constrained-first with backtracking over their domains
-    (GaProblem.compat), so unknown variables land exactly on the slots
-    the code writes, which settles C2, C3 and C5 structurally. The
+    holders (GaProblem.holders); then, while slots are free, the one
+    with the fewest unused variables in its domain (GaProblem.compat),
+    ties to the lowest, takes the first of them after a shuffle. So
+    unknown variables land exactly on the slots the code writes, which
+    settles C2, C3 and C5 structurally. No choice is ever undone: any
+    two domains are nested or disjoint (check.domain_fault), so when a
+    completion puts the drawn variable v on another slot t, t's unused
+    domain holds the chosen slot's, and swapping v with the chosen
+    slot's variable gives a completion that agrees with the choice; a
+    slot left with no option therefore means no completion existed. The
     problem's tables are read, never rebuilt: a slot's count of unused
     variables starts at its domain's size. Returns a gene list or None
     on a dead end.
     """
-    n_slots = problem.num_slots
-    assignment: list = [None] * n_slots
+    assignment: list = [None] * problem.num_slots
     used: set = set()
     left = list(map(len, problem.compat))  # per slot, the unused variables of its domain
 
-    def take(var, step: int) -> None:
+    def seat(var, slot: int) -> None:
+        assignment[slot] = var
+        used.add(var)
         for s in problem.holders[var]:
-            left[s] -= step
+            left[s] -= 1
 
     # seat every input and output first (C4)
     io = list(problem.io_indices)
@@ -393,41 +396,17 @@ def _construct_constrained(problem: GaProblem, rng):
         options = [s for s in problem.holders[var] if assignment[s] is None]
         if not options:
             return None
-        slot = rng.choice(options)
-        assignment[slot] = var
-        used.add(var)
-        take(var, 1)
+        seat(var, rng.choice(options))
 
-    budget = BACKTRACK_BUDGET
-    free = {s for s in range(n_slots) if assignment[s] is None}
-
-    def extend() -> bool:
-        nonlocal budget
-        if not free:
-            return True
-        slot = min(sorted(free), key=left.__getitem__)  # ties to the lowest slot
+    free = [s for s, var in enumerate(assignment) if var is None]  # ascending
+    while free:
+        slot = min(free, key=left.__getitem__)  # ties to the lowest slot
         opts = [v for v in problem.compat[slot] if v not in used]
         if not opts:
-            return False
+            return None
         rng.shuffle(opts)
         free.remove(slot)
-        for var in opts:
-            assignment[slot] = var
-            used.add(var)
-            take(var, 1)
-            if extend():
-                return True
-            assignment[slot] = None
-            used.discard(var)
-            take(var, -1)
-            budget -= 1
-            if budget < 0:
-                raise _Exhausted
-        free.add(slot)
-        return False
-
-    if not extend():
-        return None
+        seat(opts[0], slot)
     return assignment
 
 
@@ -435,9 +414,13 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
     """Draw one chromosome.
 
     CbT: a uniform random injective assignment, nothing else enforced.
-    CbC: constraint-guided construction, accepted only when the result
-    fits (GaProblem.fits); retried up to RETRY_BUDGET times. Equations
-    without a causal order (check.Structure.error) admit no chromosome.
+    CbC: constraint-guided construction (_construct_constrained), one
+    greedy pass that never undoes a choice, as the slot domains are
+    nested or disjoint; the result is accepted only when it fits
+    (GaProblem.fits), and each attempt is one pass, so RETRY_BUDGET
+    attempts make at most RETRY_BUDGET * (num_slots + 1) shuffles.
+    Equations without a causal order (check.Structure.error) admit no
+    chromosome.
     """
     if problem.num_slots > problem.num_variables:
         raise SlotsExceedVariables(
@@ -450,11 +433,7 @@ def generate_individual(mode: str, problem: GaProblem, rng) -> Chromosome:
 
     last_failure = "no construction attempt finished"
     for _ in range(RETRY_BUDGET):
-        try:
-            genes = _construct_constrained(problem, rng)
-        except _Exhausted:
-            last_failure = "backtrack budget exhausted"
-            continue
+        genes = _construct_constrained(problem, rng)
         if genes is None:
             last_failure = "construction dead end"
             continue

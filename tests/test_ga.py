@@ -1,12 +1,13 @@
 import itertools
 import json
+import math
 import random
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from construct import ga, mexpr, sim
+from construct import check, ga, mexpr, sim
 from construct.check import infer_symbol_types
 from construct.container import MalformedTrace, Trace, VariableDescriptor, VariableTable
 from construct.ga import (
@@ -239,7 +240,17 @@ def _reference_pmx_child(head_parent, tail_parent, k, problem):
     return child if all(map(child.__contains__, problem.io_indices)) else None
 
 
+_REFERENCE_BUDGET = 1000  # failed placements per reference construction
+
+
+class _ReferenceExhausted(Exception):
+    pass
+
+
 def _reference_construct_constrained(problem, rng):
+    """Construction with backtracking over each slot's shuffled options,
+    as it was before any choice stood: the oracle for the greedy pass,
+    which must end alike wherever the domains are nested or disjoint."""
     n_slots = problem.num_slots
     assignment = [None] * n_slots
     used = set()
@@ -260,7 +271,7 @@ def _reference_construct_constrained(problem, rng):
         used.add(var)
         take(var, 1)
 
-    budget = ga.BACKTRACK_BUDGET
+    budget = _REFERENCE_BUDGET
     free = {s for s in range(n_slots) if assignment[s] is None}
 
     def extend():
@@ -284,7 +295,7 @@ def _reference_construct_constrained(problem, rng):
             take(var, -1)
             budget -= 1
             if budget < 0:
-                raise ga._Exhausted
+                raise _ReferenceExhausted
         free.add(slot)
         return False
 
@@ -350,19 +361,50 @@ def test_pmx_child_reference_cases():
     assert ga._pmx_child((1, 3, 2), (0, 1, 2), 1, narrow) is None
 
 
+def _nested_or_disjoint(domains) -> bool:
+    """Whether any two of domains are nested or disjoint: a laminar family."""
+    return all(a <= b or b <= a or a.isdisjoint(b)
+               for a, b in itertools.combinations(map(frozenset, domains), 2))
+
+
+@st.composite
+def _laminar_tables(draw, max_slots=8):
+    """Slot-domain tables whose domains are nested or disjoint, as
+    check.domain_fault's are: each variable has a path of three labels,
+    as a causality class, a type and a start narrow a domain, and each
+    slot's domain holds the variables under one path prefix of up to three
+    labels, which may hold none. Few variables and labels make many ties and dead ends."""
+    variables = draw(st.integers(1, 9))
+    label = st.integers(0, 2)
+    paths = [tuple(draw(st.lists(label, min_size=3, max_size=3))) for _ in range(variables)]
+    compat = []
+    for _ in range(draw(st.integers(1, max_slots))):
+        prefix = tuple(draw(st.lists(label, max_size=3)))
+        compat.append(tuple(v for v, path in enumerate(paths)
+                            if path[:len(prefix)] == prefix))
+    io = tuple(sorted(draw(st.sets(st.integers(0, variables - 1), max_size=3))))
+    return _Tables(tuple(compat), io, variables)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_tables(), st.integers(0, 2**32))
+@given(_laminar_tables(), st.integers(0, 2**32))
 def test_construct_constrained_matches_the_reference(tables, seed):
-    # the same genes or the same end, after the same random draws
-    outcomes = []
-    for construct in (ga._construct_constrained, _reference_construct_constrained):
-        rng = random.Random(seed)
-        try:
-            outcome = construct(tables, rng)
-        except ga._Exhausted:
-            outcome = "exhausted"
-        outcomes.append((outcome, rng.getstate()))
-    assert outcomes[0] == outcomes[1]
+    # on nested-or-disjoint domains the greedy pass never meets a dead end
+    # that backtracking gets out of: where the reference finds genes, the
+    # pass finds the same genes after the same random draws, and where it
+    # finds none, in any number of placements, neither does the pass
+    assert _nested_or_disjoint(tables.compat)
+    rngs = random.Random(seed), random.Random(seed)
+    genes = ga._construct_constrained(tables, rngs[0])
+    try:
+        reference = _reference_construct_constrained(tables, rngs[1])
+    except _ReferenceExhausted:
+        reference = None
+    if reference is None:
+        assert genes is None
+    else:
+        assert genes == reference
+        assert rngs[0].getstate() == rngs[1].getstate()
 
 
 def test_construct_constrained_matches_the_reference_on_the_fixtures(all_cases):
@@ -373,6 +415,110 @@ def test_construct_constrained_matches_the_reference_on_the_fixtures(all_cases):
             assert ga._construct_constrained(problem, rngs[0]) \
                 == _reference_construct_constrained(problem, rngs[1]), (name, seed)
             assert rngs[0].getstate() == rngs[1].getstate()
+
+
+# CbC construction never undoes a choice because any two slot domains that
+# check.domain_fault draws are nested or disjoint; a constraint that breaks
+# this fails these tests first.
+
+_TYPES = ("Real", "Integer", "Boolean")
+_CAUSALITIES = ("input", "output", "parameter", "local")
+_STARTS = (None, 0.0, -0.0, 0.2)
+
+
+def _every_kind_of_ref() -> check.Structure:
+    """A hand-built check.Structure over named refs, one of each kind that
+    domain_fault tells apart: read or written, typed or untyped, and
+    states, which demand Real, unpinned or pinned by the init function at
+    0.0, -0.0, 0.2 or inf. Every ref of any Structure has the domain of
+    one of these, so their domains being nested or disjoint covers all."""
+    kinds = (None,) + _TYPES
+    read, written = ([f"{how} {t}" for t in kinds] for how in ("read", "written"))
+    pins = {f"state at {p!r}": p for p in (0.0, -0.0, 0.2, math.inf)}
+    states = ["state", *pins]
+    types = {ref: t for ref, t in zip(read + written, kinds + kinds) if t is not None}
+    return check.Structure(
+        states=tuple((ref, mexpr.Const(1.0)) for ref in states), algebraic_order=(),
+        written=frozenset(written + states), reads=tuple(read),
+        types=types | dict.fromkeys(states, "Real"), untyped=(), slots=(), error=None,
+        pins=pins)
+
+
+def _domains(structure, vars) -> list:
+    """The domain of each ref of structure over vars."""
+    return [{i for i, v in enumerate(vars.variables)
+             if check.domain_fault(structure, ref, v) is None}
+            for ref in (*structure.reads, *structure.written)]
+
+
+def _table(shapes) -> VariableTable:
+    """A variable table of (causality, type, start) shapes; a parameter
+    without a start starts at 0.2."""
+    return VariableTable(tuple(
+        VariableDescriptor(f"v{i}", i, vtype, causality,
+                           0.2 if causality == "parameter" and start is None else start)
+        for i, (causality, vtype, start) in enumerate(shapes)))
+
+
+@st.composite
+def _variables(draw):
+    """A variable table of every causality and type, starting nowhere,
+    at 0.0, -0.0 or 0.2, or at a parameter's value."""
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3) | st.booleans()
+    starts = st.sampled_from(_STARTS) | values
+    shape = st.tuples(st.sampled_from(_CAUSALITIES), st.sampled_from(_TYPES), starts)
+    return _table(draw(st.lists(shape, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_variables())
+def test_domains_are_nested_or_disjoint(vars):
+    assert _nested_or_disjoint(_domains(_every_kind_of_ref(), vars))
+
+
+def test_domains_over_every_kind_of_variable_are_nested_or_disjoint():
+    # one variable of each causality, type and start, a parameter's value among them
+    shapes = itertools.product(_CAUSALITIES, _TYPES, _STARTS + (1.5, 1, True))
+    assert _nested_or_disjoint(_domains(_every_kind_of_ref(), _table(shapes)))
+
+
+def test_fixture_domains_are_nested_or_disjoint(all_cases, tiny_case):
+    for name, case in {**all_cases, "tiny": tiny_case}.items():
+        problem = case["problem"]
+        assert _nested_or_disjoint(problem.compat), name
+        # what _every_kind_of_ref assumes: a pinned ref is a state of type Real
+        states = dict(problem.structure.states)
+        assert all(ref in states and problem.structure.types[ref] == "Real"
+                   for ref in problem.structure.pins), name
+
+
+def test_cbc_generation_on_more_written_slots_than_unknowns_ends_in_one_pass_per_attempt():
+    # seven slots written from one read slot, and six unknowns: each
+    # attempt seats the output and the input, fills five written slots
+    # and finds the sixth with no unknown left. The pass shuffles at most
+    # once per slot after shuffling the inputs and outputs; backtracking
+    # tried the 120 orders of the five locals on every attempt
+    class Counting(random.Random):
+        shuffles = 0
+
+        def shuffle(self, x):
+            Counting.shuffles += 1
+            super().shuffle(x)
+
+    s = mexpr.Sym
+    model = infer_symbol_types(EquationModel(
+        tuple((s(i), mexpr.Binary("add", s(7), mexpr.Const(1.0))) for i in range(7)),
+        tuple(SymbolSlot(i, f"s{i}") for i in range(8))))
+    vars = VariableTable((
+        VariableDescriptor("y", 1, "Real", "output", None),
+        *(VariableDescriptor(f"z{i}", 2 + i, "Real", "local", None) for i in range(5)),
+        VariableDescriptor("u", 7, "Real", "input", None),
+        VariableDescriptor("p", 8, "Real", "parameter", 0.5)))
+    trace = Trace((0.0, 0.1), {"u": (1.0, 1.0), "y": (2.0, 2.0)})
+    problem = GaProblem(model, vars, trace, trace)
+    with pytest.raises(ConstraintsUnsatisfiable, match="construction dead end$"):
+        generate_individual("cbc", problem, Counting(4))
+    assert 0 < Counting.shuffles <= ga.RETRY_BUDGET * (problem.num_slots + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +739,7 @@ def test_ga_config_invariants():
     # must exceed the elitism, so the tournament always has two to draw
     assert [f.name for f in fields(GaConfig)] == [
         "population_size", "max_generations", "rng_seed", "early_stop"]
-    assert (ga.CROSSOVER_RATE, ga.MUTATION_RATE, ga.TOURNAMENT_SIZE, ga.ELITISM) == (
-        0.9, 0.1, 2, 2)
+    assert (ga.CROSSOVER_RATE, ga.MUTATION_RATE, ga.ELITISM) == (0.9, 0.1, 2)
     with pytest.raises(ValueError):
         GaConfig(population_size=2)
     with pytest.raises(ValueError):
